@@ -8,13 +8,22 @@ root is bigger, is the modulus at least 2) touch the rectangles, and
 those are answered by refining rectangles until the answer is certified,
 never by floating point.
 
-Real roots are isolated by sign-variation bisection.  Nonreal roots are
-isolated in the upper half plane by rectangle subdivision, where a cell
-is discarded once a disk around it provably contains no root and a
-cluster of surviving cells is accepted once a disk around it provably
-contains exactly one; both certificates come from the strict disk counts
-in polycrit.  Totality is an exact counting argument, so cells that
-straddle the real axis can linger harmlessly until excluded.
+Real roots are isolated and refined by sign-variation bisection.
+Nonreal roots are isolated in the upper half plane by rectangle
+subdivision (a quadtree), where a cell is discarded once a disk around it
+provably contains no root and a cluster of surviving cells is accepted
+once a disk around it provably contains exactly one; both certificates
+come from the strict disk counts in polycrit.  Totality is an exact
+counting argument, so cells that straddle the real axis can linger
+harmlessly until excluded.  The lower half plane holds the conjugates.
+
+A nonreal isolating box is refined by Newton's method from its centre,
+on Gaussian rationals rounded to a dyadic grid.  The iterate proves
+nothing by itself: the refined box is the square around one open disk
+that lies inside the old box and has a strict disk count of exactly 1.
+The old box isolates one root, so the disk holds that same root.  When
+Newton does not converge or the count is not 1, one quadtree step
+shrinks the box and Newton starts again from the smaller box.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .polynomials import (
     composed_product,
     count_real_roots,
     is_perfect_square,
+    qpoly_at_disk,
     rational_sqrt,
     real_roots_isolated,
     refine_real_root,
@@ -212,6 +222,12 @@ class BoxC:
     def touches(self, other: "BoxC") -> bool:
         return self.re.touches(other.re) and self.im.touches(other.im)
 
+    def within(self, other: "BoxC") -> bool:
+        return (
+            other.re.lo <= self.re.lo and self.re.hi <= other.re.hi
+            and other.im.lo <= self.im.lo and self.im.hi <= other.im.hi
+        )
+
     def is_point(self) -> bool:
         return self.re.width == 0 and self.im.width == 0
 
@@ -249,12 +265,12 @@ def _sqrt_lower(s: Fraction) -> Fraction:
 def _cell_excluded(p: QPoly, cell: BoxC) -> bool:
     """Certified: the closed cell contains no nonreal root of p.
 
-    Real roots never obstruct: when the covering disk dips below the
-    search strip, the roots on its real trace are counted exactly and
-    subtracted.  The disk count matching the real count forces the disk
-    (hence the cell) to be free of nonreal roots, because a disk centered
-    on or above the axis that contains a lower-half root also contains
-    its upper partner.
+    Real roots never obstruct: when the covering disk crosses the real
+    axis, the roots on its real trace are counted exactly and subtracted.
+    The disk count matching the real count forces the disk (hence the
+    cell) to be free of nonreal roots.  The test reads the centre's
+    imaginary part only through its absolute value, so a cell below the
+    axis is handled like its mirror image above it.
     """
     r0 = (cell.re.width + cell.im.width) / 2
     if r0 == 0:
@@ -267,8 +283,8 @@ def _cell_excluded(p: QPoly, cell: BoxC) -> bool:
             continue
         if got == 0:
             return True
-        if c.im >= r:
-            # disk entirely above the axis: genuinely occupied
+        if abs(c.im) >= r:
+            # disk entirely off the axis: genuinely occupied
             return False
         # undershooting the trace radius only risks missing an exclusion
         rho = _sqrt_lower(r * r - c.im * c.im)
@@ -357,21 +373,71 @@ def _upper_half_roots(p: QPoly, pairs: int) -> list[BoxC]:
     )
 
 
-def _shrink_box(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
-    """Shrink an isolating rectangle of a nonreal root by regridding:
+def _regrid(p: QPoly, box: BoxC) -> BoxC:
+    """One quadtree step on the isolating rectangle of a nonreal root:
     split into 16 cells, drop provably empty ones, take the hull."""
+    cells = []
+    for quarter in _split4(box):
+        cells.extend(_split4(quarter))
+    kept = [c for c in cells if not _cell_excluded(p, c)]
+    if not kept:
+        raise UndecidableAtPrecision("root escaped its rectangle")
+    nxt = _bbox(kept)
+    if nxt.width >= box.width:
+        raise UndecidableAtPrecision("rectangle refinement stalled")
+    return nxt
+
+
+def _shrink_box(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
+    """Refine by quadtree steps alone.  Slower than _refine_one, and kept
+    as the independent reference its Newton boxes are tested against."""
     while box.width > width:
-        cells = []
-        for quarter in _split4(box):
-            cells.extend(_split4(quarter))
-        kept = [c for c in cells if not _cell_excluded(p, c)]
-        if not kept:
-            raise UndecidableAtPrecision("root escaped its rectangle")
-        nxt = _bbox(kept)
-        if nxt.width >= box.width:
-            raise UndecidableAtPrecision("rectangle refinement stalled")
-        box = nxt
+        box = _regrid(p, box)
     return box
+
+
+def _dyadic(x: Fraction, shift: int) -> Fraction:
+    return Fraction(round(x * (1 << shift)), 1 << shift)
+
+
+def _newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
+    """A square of side <= width around the root isolated by box, or None.
+
+    Newton's method runs from the centre of box on a dyadic grid of
+    about width/256, which keeps the numerators bounded.  Converging
+    iterates prove nothing, so the result is certified by one strict
+    disk count: the open disk of radius r <= width/2 around the last
+    iterate lies inside box, and box holds exactly one root, so a count
+    of 1 means the disk holds that root.
+    """
+    shift = (width.denominator // width.numerator).bit_length() + 8
+    unit = Fraction(1, 1 << shift)
+    z = GaussRat(_dyadic(box.re.mid, shift), _dyadic(box.im.mid, shift))
+    # near a simple root each step doubles the correct bits, so a few
+    # more than log2(shift) steps reach the grid
+    for _ in range(shift.bit_length() + 4):
+        # the Taylor coefficients of p at z are p(z), p'(z), ...
+        value, slope = qpoly_at_disk(p, z, Fraction(1))[:2]
+        if not slope:
+            return None
+        step = value * slope.inverse()
+        z = GaussRat(_dyadic(z.re - step.re, shift), _dyadic(z.im - step.im, shift))
+        if not (box.re.contains(z.re) and box.im.contains(z.im)):
+            return None
+        if abs(step.re) <= unit and abs(step.im) <= unit:
+            break
+    else:
+        return None
+    r = min(
+        width / 2,
+        z.re - box.re.lo,
+        box.re.hi - z.re,
+        z.im - box.im.lo,
+        box.im.hi - z.im,
+    )
+    if r <= 0 or gauss_disk_count_strict(p, z, r) != 1:
+        return None
+    return BoxC(RatInterval(z.re - r, z.re + r), RatInterval(z.im - r, z.im + r))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +519,12 @@ def _refine_one(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
             return BoxC(box.re, RatInterval(lo, hi))
         lo, hi = refine_real_root(QPoly((-s, 0, 1)), -box.im.hi, -box.im.lo, width)
         return BoxC(box.re, RatInterval(-hi, -lo))
-    return _shrink_box(p, box, width)
+    # Newton with a disk certificate; where that fails, one quadtree
+    # step shrinks the box and gives Newton a closer start
+    while box.width > width:
+        nxt = _newton_box(p, box, width)
+        box = nxt if nxt is not None else _regrid(p, box)
+    return box
 
 
 class FieldElement:
@@ -727,6 +798,8 @@ def _select_root(p: QPoly, boxes: list[BoxC], hint: BoxC) -> int:
             return hits[0]
         if not hits:
             raise AmbiguousHint("root hint contains no root")
+        if sum(boxes[i].within(hint) for i in hits) >= 2:
+            raise AmbiguousHint("root hint contains more than one root")
         for i in hits:
             if boxes[i].width > 0:
                 boxes[i] = _refine_one(p, boxes[i], boxes[i].width / 4)

@@ -1,7 +1,10 @@
 """Number field handles: root isolation, exact arithmetic, embeddings."""
 
+import random
+import time
 from fractions import Fraction as F
 
+import numpy
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +17,9 @@ from quiddity.numfield import (
     NotMonic,
     NotSquarefree,
     ZeroGenerator,
+    _refine_one,
+    _regrid,
+    _shrink_box,
     coords_from_json,
     coords_to_json,
     embed,
@@ -24,6 +30,7 @@ from quiddity.numfield import (
     modulus_compare,
     subgroup_member,
 )
+from quiddity.polycrit import irreducible_over_Q
 from quiddity.polynomials import QPoly
 
 
@@ -135,6 +142,13 @@ class TestFieldMake:
     def test_missing_hint_on_multiroot_poly(self):
         with pytest.raises(AmbiguousHint):
             field_make(QPoly((-2, 0, 1)))
+
+    def test_hint_holding_two_roots_fails_fast(self):
+        # [0,1]x[0,1] holds both e^(2 pi i/9) and e^(4 pi i/9)
+        start = time.perf_counter()
+        with pytest.raises(AmbiguousHint):
+            field_make(QPoly((1, 0, 0, 1, 0, 0, 1)), root_hint=BoxC.make(0, 1, 0, 1))
+        assert time.perf_counter() - start < 5
 
 
 class TestIsolateRoots:
@@ -291,6 +305,75 @@ class TestEmbed:
         g = f.refined(f.selected_root, F(1, 10**6))
         assert g.selected_box().width <= F(1, 10**6)
         assert g.selected_box().touches(f.selected_box())
+
+
+def _float_inside(box, z, margin):
+    """Whether the float z lies in box; None when it is within margin of
+    an edge line, where a float cannot decide."""
+    gaps = (
+        z.real - float(box.re.lo),
+        float(box.re.hi) - z.real,
+        z.imag - float(box.im.lo),
+        float(box.im.hi) - z.imag,
+    )
+    if min(abs(g) for g in gaps) <= margin:
+        return None
+    return min(gaps) > 0
+
+
+def _nearest_float_root(coeffs, box):
+    c = complex(float(box.re.mid), float(box.im.mid))
+    return min(numpy.roots(coeffs[::-1]), key=lambda z: abs(z - c))
+
+
+def _nonreal_field_poly(rng, degree):
+    """Seeded monic irreducible integer polynomial, |coeff| <= 2, with
+    nonreal roots; its coefficients (constant first) and root boxes."""
+    while True:
+        coeffs = [rng.randint(-2, 2) for _ in range(degree)] + [1]
+        if coeffs[0] == 0:
+            continue
+        p = QPoly(coeffs)
+        if irreducible_over_Q(p).status != "Proven":
+            continue
+        boxes = isolate_roots(p)
+        if not all(b.is_real_line() for b in boxes):
+            return coeffs, boxes
+
+
+class TestNewtonRefinement:
+    @pytest.mark.parametrize("degree", [4, 5, 6])
+    def test_against_quadtree_and_float_roots(self, degree):
+        rng = random.Random(2026 + degree)
+        coeffs, boxes = _nonreal_field_poly(rng, degree)
+        p = QPoly(coeffs)
+        upper = [b for b in boxes if b.im.lo > 0]
+        lower = [b for b in boxes if b.im.hi < 0]
+        for box in (rng.choice(upper), rng.choice(lower)):
+            fine = _refine_one(p, box, F(1, 2**20))
+            assert fine.width <= F(1, 2**20)
+            assert fine.within(box)
+            assert fine.touches(_shrink_box(p, box, F(1, 2**12)))
+            z = _nearest_float_root(coeffs, fine)
+            assert _float_inside(fine, z, 1e-12) in (True, None)
+
+    def test_quadtree_step_below_the_axis(self):
+        # x^4 - x^3 + x^2 + x - 1 at a lower-half root
+        coeffs = [-1, 1, 1, -1, 1]
+        p = QPoly(coeffs)
+        box = next(b for b in isolate_roots(p) if b.im.hi < 0)
+        step = _regrid(p, box)
+        assert step.within(box) and step.width < box.width
+        assert _float_inside(step, _nearest_float_root(coeffs, step), 1e-12) in (True, None)
+
+    def test_anchor_embed_at_64_bits(self):
+        p = QPoly((1, 0, 0, 1, 0, 0, 1))
+        f = field_make(p, root_hint=BoxC.make(F(1, 2), 1, F(1, 2), F(3, 4)))
+        start = time.perf_counter()
+        b = embed(f.generator(), f.selected_root, 64)
+        assert time.perf_counter() - start < 2
+        assert b.width <= F(1, 2**64)
+        assert abs(complex(float(b.re.lo), float(b.im.lo)) - numpy.exp(2j * numpy.pi / 9)) < 1e-12
 
 
 class TestModulusCompare:
