@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .core import (
+    CertificateFailed,
     Mat2,
     QuiddityTuple,
     canonical_multipliers,
@@ -25,10 +26,9 @@ from .core import (
 )
 from .numfield import (
     FieldElement,
-    IrreducibilityUnknown,
     NumberField,
-    UndecidableAtPrecision,
     _MAX_DEPTH,
+    _compare_refined,
     coords_from_json,
     coords_to_json,
     embed,
@@ -39,7 +39,6 @@ from .numfield import (
 from .polycrit import schur_cohn_count
 from .polynomials import (
     QPoly,
-    count_real_roots,
     even_part_in_square,
     root_difference_poly,
 )
@@ -212,8 +211,10 @@ def enumerate_quiddities(
                         if canon in found:
                             continue
                         t = QuiddityTuple(field, w, combined)
-                        got = is_quiddity(t)  # re-verify by full product
-                        assert got == eps
+                        if is_quiddity(t) != eps:  # re-verify by full product
+                            raise CertificateFailed(
+                                f"meet-in-the-middle hit {combined} failed the full-product check"
+                            )
                         found[canon] = eps
     members = tuple(
         CensusMember(multipliers=ks, epsilon=found[ks])
@@ -295,11 +296,10 @@ def transfer_theta(t: QuiddityTuple, target_conjugate: int) -> QuiddityTuple:
     eps = is_quiddity(t)
     if eps is None:
         raise NotAQuiddity("transfer is defined on quiddities only")
-    if t.field.irreducibility != "proven":
-        raise IrreducibilityUnknown(
-            "conjugate transfer needs a proven minimal polynomial"
+    if not transfer_certificate(t, eps):
+        raise CertificateFailed(
+            f"divisibility certificate failed for {t.multipliers} with sign {eps}"
         )
-    assert transfer_certificate(t, eps)
     target_field = t.field.with_selected(target_conjugate)
     return QuiddityTuple(target_field, target_field.generator(), t.multipliers)
 
@@ -329,30 +329,14 @@ def _complex_ab_product_ge_one(field: NumberField, depth_budget: int = _MAX_DEPT
     if mz.degree == 2:
         c1, c0 = mz.coeffs[1], mz.coeffs[0]
         return c1 * c1 - 4 * c0 <= -16
-    u = even_part_in_square(root_difference_poly(mz)).squarefree_part()
-    threshold = Fraction(-16)
-    u_rest = None
-    precision = 8
-    for _ in range(depth_budget):
-        box = embed(z, idx, precision)
-        y0 = box.im.sq() * Fraction(-4)
-        if y0.lo > threshold:
-            return False
-        if y0.hi < threshold:
-            return True
-        if u(threshold) != 0:
-            precision += 6
-            continue
-        if u_rest is None:
-            u_rest = u // QPoly((-threshold, 1))
-        if (
-            u_rest(y0.lo) != 0
-            and u_rest(y0.hi) != 0
-            and count_real_roots(u_rest, y0.lo, y0.hi) == 0
-        ):
-            return True  # y0 is exactly -16: |ab| = 1 still qualifies
-        precision += 6
-    raise UndecidableAtPrecision("imaginary-part bound did not resolve")
+    verdict = _compare_refined(
+        lambda precision: embed(z, idx, precision).im.sq() * Fraction(-4),
+        Fraction(-16),
+        lambda: even_part_in_square(root_difference_poly(mz)).squarefree_part(),
+        8,
+        depth_budget,
+    )
+    return verdict != "Greater"  # y0 = -16 means |ab| = 1, which still qualifies
 
 
 _UNKNOWN_NOTE = (
@@ -378,10 +362,6 @@ def classify(
         )
     if field is None:
         raise ValueError("need a field handle or the transcendental flag")
-    if field.irreducibility != "proven":
-        raise IrreducibilityUnknown(
-            "classification requires a proven minimal polynomial"
-        )
     w = field.generator()
     if w.is_zero:
         return ClassificationOutcome(

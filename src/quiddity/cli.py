@@ -75,11 +75,7 @@ def _field_from_args(args) -> NumberField:
             hint = BoxC.make(*parts)
         else:
             raise ValueError("--root-hint takes 2 or 4 comma-separated numbers")
-    return field_make(
-        QPoly(coeffs),
-        root_hint=hint,
-        assume_irreducible=getattr(args, "assume_irreducible", False),
-    )
+    return field_make(QPoly(coeffs), root_hint=hint)
 
 
 def _load_tuple(args) -> QuiddityTuple:
@@ -96,10 +92,16 @@ def _load_tuple(args) -> QuiddityTuple:
 # ---------------------------------------------------------------------------
 
 
+# Bump whenever the enumeration or census algorithm changes what it
+# writes, so caches written by an older algorithm are never loaded.
+_CACHE_FORMAT = 2
+
+
 def _cache_config(op: str, field: NumberField, gen, n_max: int, k_bound: int) -> dict:
     from .numfield import coords_to_json
 
     return {
+        "format": _CACHE_FORMAT,
         "op": op,
         "field": field_to_descriptor(field),
         "generator": coords_to_json(gen),
@@ -297,11 +299,6 @@ def _add_field_options(sub, with_int_shortcut: bool = False) -> None:
     sub.add_argument(
         "--root-hint",
         help="2 numbers for a real interval or 4 for a complex box",
-    )
-    sub.add_argument(
-        "--assume-irreducible",
-        action="store_true",
-        help="accept a polynomial the criteria pipeline cannot certify",
     )
     if with_int_shortcut:
         sub.add_argument(

@@ -36,6 +36,10 @@ class NotPlusMinusOne(ValueError):
     """Unit-entry reduction asked at an entry that is not +-1."""
 
 
+class CertificateFailed(RuntimeError):
+    """An exact re-check of a freshly derived certificate failed."""
+
+
 @dataclass(frozen=True)
 class Mat2:
     m11: FieldElement
@@ -308,7 +312,8 @@ def reduce_pm_one(t: QuiddityTuple, position: int) -> tuple[QuiddityTuple, bool]
         raise NotPlusMinusOne(f"entry at {position} is not +-1")
     # 1 = (s * k_pos) * w, so the unit shift stays inside <w>
     unit_mult = subgroup_member(one, w)
-    assert unit_mult is not None
+    if unit_mult is None:
+        raise CertificateFailed("1 is not in <w> although a multiple of w is +-1")
     ks = list(t.multipliers)
     if position == 0 or position == n - 1:
         r = (position - 1) % n

@@ -24,14 +24,24 @@ that lies inside the old box and has a strict disk count of exactly 1.
 The old box isolates one root, so the disk holds that same root.  When
 Newton does not converge or the count is not 1, one quadtree step
 shrinks the box and Newton starts again from the smaller box.
+
+A field is only built over an irreducible polynomial, and that is
+decided, not assumed.  The cheap certificates of polycrit settle most
+inputs; when they do not, the isolated roots are searched for a factor:
+every set of roots closed under conjugation, of total size up to half
+the degree, gives a product whose coefficients, refined until each
+interval is narrower than 1, name the one integer candidate that exact
+division then checks.  Either a witness factor is found or the search
+proves irreducibility by exhaustion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Optional, Sequence
+from itertools import combinations
+from math import ceil, floor, isqrt
+from typing import Callable, Optional, Sequence
 
 from .polynomials import (
     GaussRat,
@@ -57,11 +67,12 @@ class NotSquarefree(ValueError):
 
 
 class NotIrreducible(ValueError):
-    """Candidate minimal polynomial has a proven rational factor."""
+    """Candidate minimal polynomial factors over Q; `factor` is a witness
+    that divides it exactly."""
 
-
-class IrreducibilityUnknown(ValueError):
-    """No irreducibility proof and no explicit assume flag."""
+    def __init__(self, factor: QPoly):
+        super().__init__(f"minimal polynomial factors; witness factor {factor!r}")
+        self.factor = factor
 
 
 class AmbiguousHint(ValueError):
@@ -451,7 +462,6 @@ class NumberField:
     degree: int
     root_boxes: tuple[BoxC, ...]
     selected_root: int
-    irreducibility: str  # "proven" or "assumed"
 
     def __post_init__(self):
         if not (0 <= self.selected_root < len(self.root_boxes)):
@@ -466,9 +476,7 @@ class NumberField:
     def with_selected(self, index: int) -> "NumberField":
         if not (0 <= index < self.degree):
             raise ValueError("selected root index out of range")
-        return NumberField(
-            self.min_poly, self.degree, self.root_boxes, index, self.irreducibility
-        )
+        return NumberField(self.min_poly, self.degree, self.root_boxes, index)
 
     def refined(self, index: int, width) -> "NumberField":
         """New field handle whose index-th box has width <= width."""
@@ -479,10 +487,7 @@ class NumberField:
         new_box = _refine_one(self.min_poly, box, width)
         boxes = list(self.root_boxes)
         boxes[index] = new_box
-        return NumberField(
-            self.min_poly, self.degree, tuple(boxes), self.selected_root,
-            self.irreducibility,
-        )
+        return NumberField(self.min_poly, self.degree, tuple(boxes), self.selected_root)
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, (Fraction(0),) * self.degree)
@@ -620,9 +625,8 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero field element")
         g, u = _half_ext_gcd(self.as_poly(), self.field.min_poly)
         if g.degree != 0:
-            raise NotIrreducible(
-                "element is a zero divisor: the assumed minimal polynomial factors"
-            )
+            # a zero divisor: g divides the minimal polynomial
+            raise NotIrreducible(g.monic())
         u = u * (1 / g.coeffs[0])
         red = u % self.field.min_poly
         coords = list(red.coeffs) + [Fraction(0)] * (
@@ -751,14 +755,84 @@ def isolate_roots(p: QPoly) -> list[BoxC]:
     return sorted(real_boxes + upper + lower, key=BoxC.sort_key)
 
 
-def field_make(
-    min_poly: QPoly, root_hint: Optional[BoxC] = None, assume_irreducible: bool = False
-) -> NumberField:
+def _factor_from_roots(p: QPoly, boxes: Sequence[BoxC]) -> Optional[QPoly]:
+    """A monic proper factor of p over Q, or None when p is irreducible.
+
+    p is monic, squarefree, of degree n and without a rational root, and
+    boxes isolate all its roots.  Let P be the primitive integer model of
+    p and a its leading coefficient.  By Gauss's lemma every factor of p
+    over Q is, up to a constant, a factor g of P in Z[X]; lc(g) divides
+    a, so for the root set S of g, a * prod(X - r) over S equals
+    (a / lc(g)) * g and has integer coefficients.  So every S of total
+    size 2..n//2 is tried (a factor of larger degree has a cofactor among
+    those), computing a * prod(X - r) in interval arithmetic: S is
+    dropped once some coefficient interval holds no integer; once every
+    interval is narrower than 1 it holds at most one, and that integer
+    candidate is checked by exact division.
+    """
+    ints = p.int_coeffs()
+    a, n = ints[-1], p.degree
+    prim = QPoly(ints)
+    # a real root stands alone; a root z above the axis stands for the
+    # pair {z, conj z} through the real quadratic X^2 - 2 Re(z) X + |z|^2
+    units = [b for b in boxes if b.is_real_line() or b.im.hi > 0]
+    sizes = [1 if b.is_real_line() else 2 for b in units]
+    # Root boxes of width <= goal make every coefficient interval narrower
+    # than 1/2: with |r| < B for every root and K = 2B + 3, a unit of size
+    # s contributes a coefficient sum of at most K^s and widths of at most
+    # s * goal * K^(s-1), so a product of total size m <= n//2 has widths
+    # summing to at most 2 * m * K^(m-1) * goal before the factor a.
+    m = n // 2
+    k = 2 * p.cauchy_root_bound() + 3
+    goal = 1 / (4 * a * m * k ** (m - 1))
+    for count in range(1, m + 1):
+        for subset in combinations(range(len(units)), count):
+            if not 2 <= sum(sizes[i] for i in subset) <= m:
+                continue
+            while True:
+                coeffs = [RatInterval.point(a)]
+                for i in subset:
+                    b = units[i]
+                    if b.is_real_line():
+                        coeffs = _interval_poly_mul(coeffs, (-b.re, RatInterval.point(1)))
+                    else:
+                        coeffs = _interval_poly_mul(
+                            coeffs, (b.abs2(), b.re * -2, RatInterval.point(1))
+                        )
+                if any(ceil(c.lo) > floor(c.hi) for c in coeffs):
+                    break
+                if all(c.width < 1 for c in coeffs):
+                    candidate = QPoly([floor(c.hi) for c in coeffs])
+                    if (prim % candidate).is_zero:
+                        return candidate.monic()
+                    break
+                wide = [i for i in subset if units[i].width > goal]
+                if not wide:
+                    raise UndecidableAtPrecision(
+                        "root-subset coefficients stayed wide at the guaranteed width"
+                    )
+                for i in wide:
+                    units[i] = _refine_one(p, units[i], max(goal, units[i].width / 256))
+    return None
+
+
+def _interval_poly_mul(f: Sequence[RatInterval], g: Sequence[RatInterval]) -> list[RatInterval]:
+    out = [RatInterval.point(0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def field_make(min_poly: QPoly, root_hint: Optional[BoxC] = None) -> NumberField:
     """Build a NumberField whose generator is the root inside root_hint.
 
-    The polynomial is normalized monic over Q.  Irreducibility must be
-    proven by the criteria pipeline unless assume_irreducible is set; a
-    proven factorization is always refused.
+    The polynomial is normalized monic over Q and its irreducibility is
+    decided, never assumed.  The cheap certificates of irreducible_over_Q
+    settle most inputs; when they leave it open, the root-subset search
+    over the isolated roots either finds a factor or proves by exhaustion
+    that there is none.  A reducible polynomial raises NotIrreducible
+    with a witness factor that divides it exactly.
     """
     if min_poly.is_zero or min_poly.degree < 1:
         raise NotMonic("minimal polynomial must have degree >= 1")
@@ -767,14 +841,12 @@ def field_make(
         raise NotSquarefree("minimal polynomial has repeated roots")
     verdict = irreducible_over_Q(p)
     if verdict.status == "Disproven":
-        raise NotIrreducible(
-            f"minimal polynomial factors; witness factor {verdict.factor!r}"
-        )
-    if verdict.status == "Unknown" and not assume_irreducible:
-        raise IrreducibilityUnknown(
-            "no irreducibility proof; pass assume_irreducible to proceed"
-        )
+        raise NotIrreducible(verdict.factor)
     boxes = isolate_roots(p)
+    if verdict.status == "Unknown":
+        factor = _factor_from_roots(p, boxes)
+        if factor is not None:
+            raise NotIrreducible(factor)
     d = p.degree
     if d == 1:
         selected = 0
@@ -787,7 +859,6 @@ def field_make(
         degree=d,
         root_boxes=tuple(boxes),
         selected_root=selected,
-        irreducibility="proven" if verdict.status == "Proven" else "assumed",
     )
 
 
@@ -865,40 +936,55 @@ def modulus_compare(x: FieldElement, conjugate_index: int, threshold) -> str:
     t = as_rat(threshold)
     if t < 0:
         raise ValueError("threshold must be >= 0")
-    t2 = t * t
     if x.is_zero:
         return "Equal" if t == 0 else "Less"
-    precision = 4
-    cp = None
-    cp_rest = None
-    for _ in range(_MAX_DEPTH):
-        b = embed(x, conjugate_index, precision)
-        m2 = b.abs2()
-        if m2.lo > t2:
+    return _compare_refined(
+        lambda precision: embed(x, conjugate_index, precision).abs2(),
+        t * t,
+        # |x|^2 = x * conj(x) is a root of the composed product of the
+        # minimal polynomial of x with itself
+        lambda: composed_product(x.min_poly_over_Q()).squarefree_part(),
+        4,
+        _MAX_DEPTH,
+    )
+
+
+def _compare_refined(
+    interval_at: Callable[[int], RatInterval],
+    t: Fraction,
+    make_poly: Callable[[], QPoly],
+    precision: int,
+    depth: int,
+) -> str:
+    """Sign of y - t as "Less"/"Equal"/"Greater", for a real number y.
+
+    interval_at(precision) returns an interval holding y, tighter as the
+    precision grows (by 6 per round, at most depth rounds).  make_poly
+    returns a squarefree polynomial with y among its roots; it is built
+    only once an interval fails to separate y from t.
+    """
+    poly = rest = None
+    for _ in range(depth):
+        iv = interval_at(precision)
+        if iv.lo > t:
             return "Greater"
-        if m2.hi < t2:
+        if iv.hi < t:
             return "Less"
-        if cp is None:
-            # |x|^2 = x * conj(x) is a root of the composed product of
-            # the minimal polynomial of x with itself
-            cp = composed_product(x.min_poly_over_Q()).squarefree_part()
-        if cp(t2) != 0:
-            # |x|^2 is a cp root and t2 is not, so they differ; keep
+        if poly is None:
+            poly = make_poly()
+        if poly(t) != 0:
+            # y is a root of poly and t is not, so they differ; keep
             # refining until the interval separates them
             precision += 6
             continue
-        if cp_rest is None:
-            cp_rest = cp // QPoly((-t2, 1))
-        # |x|^2 is either exactly t2 or a root of cp_rest (never both,
-        # since cp is squarefree); rule cp_rest out of the interval
-        if (
-            cp_rest(m2.lo) != 0
-            and cp_rest(m2.hi) != 0
-            and count_real_roots(cp_rest, m2.lo, m2.hi) == 0
-        ):
+        if rest is None:
+            rest = poly // QPoly((-t, 1))
+        # y is either exactly t or a root of rest (never both, since
+        # poly is squarefree); rule rest out of the interval
+        if rest(iv.lo) != 0 and rest(iv.hi) != 0 and count_real_roots(rest, iv.lo, iv.hi) == 0:
             return "Equal"
         precision += 6
-    raise UndecidableAtPrecision("modulus comparison did not resolve")
+    raise UndecidableAtPrecision("comparison did not resolve within the depth budget")
 
 
 # ---------------------------------------------------------------------------
@@ -923,11 +1009,12 @@ def field_to_descriptor(field: NumberField) -> dict:
             "re": [_rat_str(box.re.lo), _rat_str(box.re.hi)],
             "im": [_rat_str(box.im.lo), _rat_str(box.im.hi)],
         },
-        "assume_irreducible": field.irreducibility == "assumed",
     }
 
 
 def field_from_descriptor(desc: dict) -> NumberField:
+    """Inverse of field_to_descriptor.  Other keys are ignored, among
+    them the irreducibility flag that older documents carry."""
     poly = QPoly(tuple(Fraction(c) for c in desc["min_poly"]))
     hint = None
     if "root_hint" in desc and desc["root_hint"] is not None:
@@ -938,11 +1025,7 @@ def field_from_descriptor(desc: dict) -> NumberField:
             Fraction(rh["im"][0]),
             Fraction(rh["im"][1]),
         )
-    return field_make(
-        poly,
-        root_hint=hint,
-        assume_irreducible=bool(desc.get("assume_irreducible", False)),
-    )
+    return field_make(poly, root_hint=hint)
 
 
 def coords_to_json(x: FieldElement) -> list[str]:

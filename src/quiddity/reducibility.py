@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
+    CertificateFailed,
     QuiddityTuple,
     e_matrix,
     is_quiddity,
@@ -126,7 +127,8 @@ def find_reduction(t: QuiddityTuple) -> Optional[ReductionWitness]:
         a_mult = (ks[0] - kbl,) + ks[1 : m - 1] + (ks[m - 1] - kb1,)
         b_mult = (kb1,) + ks[m:] + (kbl,)
         wit = ReductionWitness(rotation, reflected, m, a_mult, b_mult, eps)
-        assert witness_replay(t, wit)
+        if not witness_replay(t, wit):
+            raise CertificateFailed(f"reduction witness {wit} failed its replay")
         return wit
     return None
 
@@ -162,6 +164,7 @@ def brute_force_reduction(
                 a_mult = (ks[0] - kbl,) + ks[1 : m - 1] + (ks[m - 1] - kb1,)
                 b_mult = (kb1,) + ks[m:] + (kbl,)
                 wit = ReductionWitness(rotation, reflected, m, a_mult, b_mult, eps)
-                assert witness_replay(t, wit)
+                if not witness_replay(t, wit):
+                    raise CertificateFailed(f"reduction witness {wit} failed its replay")
                 return wit
     return None

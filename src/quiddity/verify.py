@@ -147,9 +147,10 @@ def suite_closed_forms_small() -> list[CheckResult]:
             sweep(ks + (a,), a * m11 - m21, a * m12 - m22, m11, m12)
 
     sweep((), 1, 0, 0, 1)
-    for n in range(1, 5):
-        for ks in got[n]:
-            assert is_quiddity(QuiddityTuple(f, w, ks)) is not None
+    unverified = {
+        n: sum(is_quiddity(QuiddityTuple(f, w, ks)) is None for ks in got[n])
+        for n in got
+    }
     rng = range(-bound, bound + 1)
     want4 = {(-a, b, a, -b) for a in rng for b in rng if a * b == 0}
     want4 |= {(a, b, a, b) for a in rng for b in rng if a * b == 2}
@@ -163,8 +164,8 @@ def suite_closed_forms_small() -> list[CheckResult]:
         CheckResult(
             name,
             f"size-{n} solutions with entries up to {bound} match the closed form",
-            got[n] == expect[n],
-            f"{len(got[n])} found",
+            got[n] == expect[n] and not unverified[n],
+            f"{len(got[n])} found, {unverified[n]} failed the field re-check",
         )
         for n in range(1, 5)
     ]

@@ -1,5 +1,6 @@
 """Bounded enumeration, irreducibility census, transfer, parity, classify."""
 
+import importlib
 import itertools
 from fractions import Fraction as F
 
@@ -16,8 +17,8 @@ from quiddity.classify import (
     transfer_certificate,
     transfer_theta,
 )
-from quiddity.core import QuiddityTuple, is_quiddity, canonical_multipliers
-from quiddity.numfield import BoxC, IrreducibilityUnknown, field_make
+from quiddity.core import CertificateFailed, QuiddityTuple, is_quiddity, canonical_multipliers
+from quiddity.numfield import BoxC, field_make
 from quiddity.polynomials import QPoly
 from quiddity.reducibility import NotAQuiddity, find_reduction, witness_replay
 
@@ -28,6 +29,10 @@ def int_field():
 
 def sqrt2_field():
     return field_make(QPoly((-2, 0, 1)), root_hint=BoxC.make(1, 2, 0, 0))
+
+
+def sqrt2_plus_sqrt3_field():
+    return field_make(QPoly((1, 0, -10, 0, 1)), root_hint=BoxC.make(3, 4, 0, 0))
 
 
 def sqrt3_field():
@@ -231,14 +236,27 @@ class TestTransfer:
         with pytest.raises(NotAQuiddity):
             transfer_theta(t, 0)
 
-    def test_rejects_assumed_irreducibility(self):
-        f = field_make(
-            QPoly((1, 0, 1, 0, 1)),
-            root_hint=BoxC.make(0, 1, 0, 1),
-            assume_irreducible=True,
-        )
-        t = QuiddityTuple(f, f.generator(), (0, 0))
-        with pytest.raises(IrreducibilityUnknown):
+    def test_sqrt2_plus_sqrt3_census_to_conjugate(self):
+        # X^4 - 10X^2 + 1 is decided irreducible by the root-subset search
+        f = sqrt2_plus_sqrt3_field()
+        w = f.generator()
+        report = enumerate_quiddities(f, w, 4, 1)
+        member = max(report.members, key=lambda m: m.size)
+        assert member.size == 4
+        t = QuiddityTuple(f, w, member.multipliers)
+        other = next(i for i in range(4) if i != f.selected_root)
+        image = transfer_theta(t, other)
+        assert image.field.selected_root == other
+        assert is_quiddity(image) == member.epsilon
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        # the package exports a function named classify, so the module is
+        # looked up by name
+        classify_module = importlib.import_module("quiddity.classify")
+        f = sqrt2_field()
+        t = QuiddityTuple(f, f.generator(), (1, 1, 1, 1))
+        monkeypatch.setattr(classify_module, "transfer_certificate", lambda t, eps: False)
+        with pytest.raises(CertificateFailed):
             transfer_theta(t, 0)
 
 
@@ -387,14 +405,9 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(None)
 
-    def test_assumed_irreducibility_refused(self):
-        f = field_make(
-            QPoly((1, 0, 1, 0, 1)),
-            root_hint=BoxC.make(0, 1, 0, 1),
-            assume_irreducible=True,
-        )
-        with pytest.raises(IrreducibilityUnknown):
-            classify(f)
+    def test_sqrt2_plus_sqrt3(self):
+        out = classify(sqrt2_plus_sqrt3_field())
+        assert (out.family, out.justification) == ("FourTupleFamily", "ModulusGE2")
 
     def test_outcome_json(self):
         data = classify(sqrt2_field()).to_json()

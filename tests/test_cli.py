@@ -9,12 +9,10 @@ from quiddity.cli import main
 INT_FIELD = {
     "min_poly": ["-1", "1"],
     "root_hint": {"re": ["1", "1"], "im": ["0", "0"]},
-    "assume_irreducible": False,
 }
 SQRT2_FIELD = {
     "min_poly": ["-2", "0", "1"],
     "root_hint": {"re": ["1", "2"], "im": ["0", "0"]},
-    "assume_irreducible": False,
 }
 
 
@@ -110,18 +108,15 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["justification"] == "Transcendental"
 
-    def test_assumed_field_exits_two(self, capsys):
+    def test_factor_without_rational_root_exits_two(self, capsys):
+        # X^4 + X^2 + 1 = (X^2 + X + 1)(X^2 - X + 1)
         code, _, err = run(
-            capsys,
-            "classify",
-            "--min-poly",
-            "1,0,1,0,1",
-            "--root-hint",
-            "0,1,0,1",
-            "--assume-irreducible",
+            capsys, "classify", "--min-poly", "1,0,1,0,1", "--root-hint", "0,1,0,1"
         )
         assert code == 2
-        assert json.loads(err)["error"] == "IrreducibilityUnknown"
+        doc = json.loads(err)
+        assert doc["error"] == "NotIrreducible"
+        assert "X^2 + X + 1" in doc["message"]
 
     def test_reducible_poly_exits_two(self, capsys):
         code, _, err = run(capsys, "classify", "--min-poly", "-1,0,1")
@@ -156,6 +151,21 @@ class TestEnumerate:
         run(capsys, "enumerate", *base)
         run(capsys, "census", *base)
         assert len(list(tmp_path.glob("*.jsonl"))) == 2
+
+    def test_other_format_cache_is_recomputed(self, capsys, tmp_path):
+        argv = [
+            "enumerate", "--int", "--nmax", "4", "--kbound", "1",
+            "--cache-dir", str(tmp_path),
+        ]
+        code1, out1, _ = run(capsys, *argv)
+        path = next(tmp_path.glob("*.jsonl"))
+        header = json.loads(path.read_text().splitlines()[0])
+        # a header that differs only in its format, and no members
+        header["format"] = header["format"] + 1
+        path.write_text(json.dumps(header, sort_keys=True) + "\n")
+        code2, out2, _ = run(capsys, *argv)
+        assert (code1, out1) == (code2, out2)
+        assert json.loads(out2)["members"]
 
     def test_stale_cache_is_recomputed(self, capsys, tmp_path):
         argv = [

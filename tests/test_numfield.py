@@ -12,10 +12,10 @@ from quiddity.numfield import (
     AmbiguousHint,
     BoxC,
     FieldElement,
-    IrreducibilityUnknown,
     NotIrreducible,
     NotMonic,
     NotSquarefree,
+    NumberField,
     ZeroGenerator,
     _refine_one,
     _regrid,
@@ -111,25 +111,65 @@ class TestFieldMake:
         with pytest.raises(NotIrreducible):
             field_make(QPoly((-1, 0, 1)), root_hint=BoxC.make(0, 2, 0, 0))
 
-    def test_unproven_needs_flag(self):
-        # product of two quadratic cyclotomics: irreducible mod no prime,
-        # no rational root, so the criteria pipeline stays undecided
-        p = QPoly((1, 0, 1, 0, 1))
-        with pytest.raises(IrreducibilityUnknown):
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (1, 0, 1, 0, 1),  # (X^2 + X + 1)(X^2 - X + 1)
+            (4, 0, 0, 0, 1),  # (X^2 + 2X + 2)(X^2 - 2X + 2)
+            (1, 1, 0, 0, 0, 0, 0, 0, 1),  # (X^2 + X + 1)(X^6 - X^5 + X^3 - X^2 + 1)
+        ],
+        ids=["x^4+x^2+1", "x^4+4", "x^8+x+1"],
+    )
+    def test_factor_without_rational_root_refused(self, coeffs):
+        # no rational root, so the cheap certificates leave these open
+        p = QPoly(coeffs)
+        assert irreducible_over_Q(p).status == "Unknown"
+        with pytest.raises(NotIrreducible) as info:
             field_make(p, root_hint=BoxC.make(0, 1, 0, 1))
-        f = field_make(p, root_hint=BoxC.make(F(1, 4), F(3, 4), F(3, 4), 1), assume_irreducible=True)
-        assert f.irreducibility == "assumed"
+        factor = info.value.factor
+        assert 2 <= factor.degree <= p.degree // 2
+        assert (p % factor).is_zero
 
-    def test_assumed_factor_caught_at_inversion(self):
-        f = field_make(
-            QPoly((1, 0, 1, 0, 1)),
-            root_hint=BoxC.make(F(1, 4), F(3, 4), F(3, 4), 1),
-            assume_irreducible=True,
-        )
+    def test_irreducible_mod_no_prime_accepted(self):
+        # sqrt(2) + sqrt(3): X^4 - 10X^2 + 1 factors mod every prime
+        p = QPoly((1, 0, -10, 0, 1))
+        assert irreducible_over_Q(p).status == "Unknown"
+        f = field_make(p, root_hint=BoxC.make(3, 4, 0, 0))
         w = f.generator()
-        # w^2 + w + 1 is a zero divisor since X^4+X^2+1 factors
-        with pytest.raises(NotIrreducible):
+        w2 = w * w
+        assert (w2 * w2 - w2 * 10).rational_value() == -1
+        assert (w * w.inverse()).rational_value() == 1
+
+    def test_products_refused_with_dividing_witness(self):
+        # seeded: products of two monic factors of degree 2-3 with
+        # |coeff| <= 3 and no rational root
+        rng = random.Random(20261018)
+
+        def factor():
+            while True:
+                d = rng.choice((2, 3))
+                c = [rng.randint(-3, 3) for _ in range(d)] + [1]
+                if c[0] != 0 and irreducible_over_Q(QPoly(c)).status == "Proven":
+                    return QPoly(c)
+
+        for _ in range(6):
+            p = factor() * factor()
+            if p.gcd(p.derivative()).degree > 0:
+                continue
+            # the factor check runs before the hint is looked at
+            with pytest.raises(NotIrreducible) as info:
+                field_make(p)
+            assert (p % info.value.factor).is_zero
+
+    def test_zero_divisor_names_factor(self):
+        # a handle built without field_make over X^4 + X^2 + 1: inversion
+        # still refuses the zero divisor w^2 + w + 1 with a witness
+        p = QPoly((1, 0, 1, 0, 1))
+        f = NumberField(p, 4, tuple(isolate_roots(p)), 0)
+        w = f.generator()
+        with pytest.raises(NotIrreducible) as info:
             (w * w + w + f.one()).inverse()
+        assert info.value.factor == QPoly((1, 1, 1))
 
     def test_hint_touching_no_root(self):
         with pytest.raises(AmbiguousHint):
@@ -425,7 +465,7 @@ class TestDescriptors:
         f = sqrt2_field()
         d = field_to_descriptor(f)
         assert d["min_poly"] == ["-2", "0", "1"]
-        assert d["assume_irreducible"] is False
+        assert set(d) == {"min_poly", "root_hint"}
         g = field_from_descriptor(d)
         assert g.min_poly == f.min_poly
         assert g.selected_root == f.selected_root
@@ -445,9 +485,19 @@ class TestDescriptors:
         d = {
             "min_poly": ["-5/2", "-1", "1"],
             "root_hint": {"re": ["-3/2", "-1"], "im": ["0", "0"]},
-            "assume_irreducible": False,
         }
         f = field_from_descriptor(d)
         assert f.degree == 2 and f.selected_box().re.lo < -1
         w = f.generator()
         assert (w * w - w).rational_value() == F(5, 2)
+
+    def test_older_document_with_flag_loads(self):
+        # documents written before irreducibility was always decided
+        # carry a flag; it is ignored
+        d = {
+            "min_poly": ["-2", "0", "1"],
+            "root_hint": {"re": ["1", "2"], "im": ["0", "0"]},
+            "assume_irreducible": False,
+        }
+        f = field_from_descriptor(d)
+        assert f.min_poly == QPoly((-2, 0, 1)) and f.root_is_real(f.selected_root)

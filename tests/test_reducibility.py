@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from quiddity.core import QuiddityTuple, is_quiddity, oplus_multipliers
+import quiddity.reducibility as reducibility_module
+from quiddity.core import CertificateFailed, QuiddityTuple, is_quiddity, oplus_multipliers
 from quiddity.numfield import BoxC, field_make
 from quiddity.polynomials import QPoly
 from quiddity.reducibility import (
@@ -126,6 +127,17 @@ class TestWitnessJson:
             wit.epsilon_b,
         )
         assert not witness_replay(t, bad)
+
+    @pytest.mark.parametrize(
+        "search",
+        [find_reduction, lambda t: brute_force_reduction(t, 6)],
+        ids=["find_reduction", "brute_force_reduction"],
+    )
+    def test_failed_replay_raises(self, monkeypatch, search):
+        t = zt(int_field(), [0, 1, 0, -1])
+        monkeypatch.setattr(reducibility_module, "witness_replay", lambda t, wit: False)
+        with pytest.raises(CertificateFailed):
+            search(t)
 
 
 class TestOracleEquivalence:
