@@ -3,26 +3,28 @@ parity audits, and the generator classification decision tree.
 
 Enumeration is meet-in-the-middle: word matrices of all prefixes of length
 ceil(n/2) are matched against inverses of suffix matrices, so the cost is
-(2K+1)^(n/2) instead of (2K+1)^n.  Everything downstream consumes the
-deduplicated canonical report.
+(2K+1)^(n/2) instead of (2K+1)^n.  It runs on the coordinate word kernel
+of `core`: prefixes are generated depth first and never all held, the
+suffix table of length floor(n/2) serves sizes 2r and 2r+1, and every
+new hit is re-checked by the full product of its word.  Everything
+downstream consumes the deduplicated canonical report.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import (
     CertificateFailed,
-    Mat2,
     QuiddityTuple,
+    _neg,
+    _word_kernel,
     canonical_multipliers,
-    e_matrix,
     euler_expansion,
     is_quiddity,
-    m_product,
 )
 from .numfield import (
     FieldElement,
@@ -92,9 +94,14 @@ class EnumerationReport:
     counts: dict
     elapsed: float
     irreducible: Optional[tuple[CensusMember, ...]] = None
+    # the field the enumeration ran in; in memory only, so a report
+    # loaded from JSON rebuilds it from the descriptor
+    field_handle: Optional[NumberField] = dc_field(default=None, compare=False, repr=False)
 
     def rebuild_context(self) -> tuple[NumberField, FieldElement]:
-        field = field_from_descriptor(self.field_descriptor)
+        field = self.field_handle
+        if field is None:
+            field = field_from_descriptor(self.field_descriptor)
         return field, coords_from_json(field, self.generator_coords)
 
     def to_json(self) -> dict:
@@ -152,27 +159,6 @@ class ClassificationOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_key(m: Mat2) -> tuple:
-    return (m.m11.coords, m.m12.coords, m.m21.coords, m.m22.coords)
-
-
-def _words(
-    e_mats: dict[int, Mat2], identity: Mat2, length: int
-) -> Iterator[tuple[tuple[int, ...], Mat2]]:
-    """All multiplier words of the given length with their word matrices."""
-    if length == 0:
-        yield (), identity
-        return
-    stack = [((), identity)]
-    for _ in range(length):
-        nxt = []
-        for ks, mat in stack:
-            for k, em in e_mats.items():
-                nxt.append((ks + (k,), em * mat))
-        stack = nxt
-    yield from stack
-
-
 def enumerate_quiddities(
     field: NumberField, w: FieldElement, n_max: int, k_bound: int
 ) -> EnumerationReport:
@@ -192,26 +178,27 @@ def enumerate_quiddities(
             if eps is not None:
                 found[(0,) * n] = eps
     else:
-        one = field.one()
-        zero = field.zero()
-        identity = Mat2(one, zero, zero, one)
-        e_mats = {k: e_matrix(w * k) for k in range(-k_bound, k_bound + 1)}
+        kernel = _word_kernel(w)
+        pool = range(-k_bound, k_bound + 1)
+        suffixes: dict[tuple, list[tuple[int, ...]]] = {}
         for n in range(2, n_max + 1):
-            h = (n + 1) // 2
-            r = n - h
-            suffixes: dict[tuple, list[tuple[int, ...]]] = {}
-            for ks, mat in _words(e_mats, identity, r):
-                suffixes.setdefault(_matrix_key(mat), []).append(ks)
-            for ks, mat in _words(e_mats, identity, h):
-                inv = mat.unimodular_inverse()
-                for eps, target in ((1, inv), (-1, -inv)):
-                    for suffix in suffixes.get(_matrix_key(target), ()):
+            r = n // 2
+            if n % 2 == 0:
+                # sizes 2r and 2r+1 share the suffix length r
+                suffixes = {}
+                for ks, mat in kernel.words(r, pool):
+                    suffixes.setdefault(mat, []).append(ks)
+            for ks, (a, b, c, d) in kernel.words(n - r, pool):
+                # S * P = eps * Id means S = eps * P^-1, and det P = 1
+                inv = (d, _neg(b), _neg(c), a)
+                minus_inv = (_neg(d), b, c, _neg(a))
+                for eps, target in ((1, inv), (-1, minus_inv)):
+                    for suffix in suffixes.get(target, ()):
                         combined = ks + suffix
                         canon = canonical_multipliers(combined)
                         if canon in found:
                             continue
-                        t = QuiddityTuple(field, w, combined)
-                        if is_quiddity(t) != eps:  # re-verify by full product
+                        if kernel.sign(kernel.product(combined)) != eps:
                             raise CertificateFailed(
                                 f"meet-in-the-middle hit {combined} failed the full-product check"
                             )
@@ -231,6 +218,7 @@ def enumerate_quiddities(
         members=members,
         counts=counts,
         elapsed=time.monotonic() - start,
+        field_handle=field,
     )
 
 

@@ -5,15 +5,20 @@ vector of integer multipliers (k_1, ..., k_n), standing for the entries
 k_i * w.  Keeping the integers rather than the field elements makes
 membership in <w> trivially exact and enumeration an integer search.
 
-The two independent routes to the word matrix (direct 2x2 product and
-continuant assembly) deliberately coexist; agreement between them is one
-of the main cross-checks in the test suite.
+Three routes to the word matrix deliberately coexist.  The private word
+kernel (`_WordKernel`) works on power-basis coordinates with plain ints
+wherever they are integral; the searches in `classify` and
+`reducibility` run on it.  The direct 2x2 product over `FieldElement`
+(`Mat2`, `m_product`, `is_quiddity`) and continuant assembly share no
+code with the kernel: they are the oracles the tests compare it against,
+and the certificates (witness replay) that every search result passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .numfield import (
@@ -71,10 +76,6 @@ class Mat2:
             if self.m11 == -one and self.m22 == -one:
                 return -1
         return None
-
-    def unimodular_inverse(self) -> "Mat2":
-        """Inverse assuming det = 1 (true for all generator products)."""
-        return Mat2(self.m22, -self.m12, -self.m21, self.m11)
 
 
 @dataclass(frozen=True)
@@ -224,6 +225,126 @@ def euler_expansion(multipliers: Sequence[int]) -> ZPolyGraded:
 def is_quiddity(t: QuiddityTuple) -> Optional[int]:
     """epsilon in {+1, -1} when the word matrix is epsilon * Id, else None."""
     return m_product(t).pm_identity_sign()
+
+
+# ---------------------------------------------------------------------------
+# The word kernel.
+# ---------------------------------------------------------------------------
+
+
+def _coord(c: Fraction):
+    return c.numerator if c.denominator == 1 else c
+
+
+def _neg(x: tuple) -> tuple:
+    return tuple([-c for c in x])
+
+
+def _left_step(m: tuple, wa: tuple, wb: tuple, k: int) -> tuple:
+    """E(k*w) * m given w times m's top row (wa, wb): the new top row is
+    k*(w*top) - bottom, the new bottom row the old top."""
+    a, b, c, d = m
+    return (
+        tuple([k * x - y for x, y in zip(wa, c)]),
+        tuple([k * x - y for x, y in zip(wb, d)]),
+        a,
+        b,
+    )
+
+
+class _WordKernel:
+    """Word matrices over <w> in power-basis coordinates.
+
+    Every entry of a word matrix is an integer polynomial in w reduced
+    mod the minimal polynomial, so the one field operation a step needs
+    is multiplication by w: a fixed d x d matrix, built once from the
+    generic `FieldElement` product on the basis vectors.  A coordinate is
+    an int when its denominator is 1 and a Fraction otherwise, so
+    algebraic-integer generators run on ints alone.  An element is a
+    coordinate tuple; a matrix is the 4-tuple (m11, m12, m21, m22) of
+    elements and is its own hash key.
+    """
+
+    __slots__ = ("_rows", "one", "w", "w2", "identity", "minus_identity", "_pivot")
+
+    def __init__(self, w: FieldElement):
+        field = w.field
+        d = field.degree
+        basis = [FieldElement(field, [int(i == j) for i in range(d)]) for j in range(d)]
+        columns = [(b * w).coords for b in basis]
+        # row i of "multiply by w", keeping only the nonzero entries
+        self._rows = tuple(
+            tuple((j, _coord(col[i])) for j, col in enumerate(columns) if col[i] != 0)
+            for i in range(d)
+        )
+        zero = (0,) * d
+        self.one = (1,) + zero[1:]
+        self.w = tuple(_coord(c) for c in w.coords)
+        self.w2 = self.times_w(self.w)
+        self.identity = (self.one, zero, zero, self.one)
+        self.minus_identity = (_neg(self.one), zero, zero, _neg(self.one))
+        # a nonzero coordinate of w, None for w = 0
+        self._pivot = next((j for j, c in enumerate(self.w) if c != 0), None)
+
+    def times_w(self, x: tuple) -> tuple:
+        return tuple([sum([c * x[j] for j, c in row]) for row in self._rows])
+
+    def right(self, m: tuple, k: int) -> tuple:
+        """m * E(k*w): the new left column is k*(w*left) + right."""
+        a, b, c, d = m
+        wa, wc = self.times_w(a), self.times_w(c)
+        return (
+            tuple([k * x + y for x, y in zip(wa, b)]),
+            _neg(a),
+            tuple([k * x + y for x, y in zip(wc, d)]),
+            _neg(c),
+        )
+
+    def product(self, ks: Sequence[int]) -> tuple:
+        """E(k_n w) * ... * E(k_1 w), as m_product orders it."""
+        m = self.identity
+        for k in ks:
+            m = _left_step(m, self.times_w(m[0]), self.times_w(m[1]), k)
+        return m
+
+    def sign(self, m: tuple) -> Optional[int]:
+        """+1 for Id, -1 for -Id, None otherwise."""
+        if m == self.identity:
+            return 1
+        if m == self.minus_identity:
+            return -1
+        return None
+
+    def multiplier(self, x: tuple) -> Optional[int]:
+        """k with x = k*w, else None; <0> = {0}, where k is taken as 0."""
+        if self._pivot is None:
+            return 0 if not any(x) else None
+        q = Fraction(x[self._pivot]) / self.w[self._pivot]
+        if q.denominator != 1:
+            return None
+        k = q.numerator
+        if any(k * c != e for c, e in zip(self.w, x)):
+            return None
+        return k
+
+    def words(self, length: int, pool: Sequence[int]):
+        """Every word of the given length over the pool with its matrix,
+        generated depth first so that at most length * len(pool) words
+        are held at once."""
+        stack = [((), self.identity)]
+        while stack:
+            ks, m = stack.pop()
+            if len(ks) == length:
+                yield ks, m
+                continue
+            # the children share w times the top row
+            wa, wb = self.times_w(m[0]), self.times_w(m[1])
+            for k in reversed(pool):
+                stack.append((ks + (k,), _left_step(m, wa, wb, k)))
+
+
+# one kernel per generator; equal generators share one
+_word_kernel = lru_cache(maxsize=16)(_WordKernel)
 
 
 # ---------------------------------------------------------------------------

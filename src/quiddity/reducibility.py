@@ -11,8 +11,12 @@ boundary entries of b, because
 has the unique solution eps = -P11, b_1 = eps*P12, b_l = -eps*P21 with
 the consistency condition P22 = eps*(b_1*b_l - 1), and P11 must be +-1
 for any solution to exist.  That turns an unbounded search into a finite
-exact scan.  The brute-force variant ignores the forcing and tries every
-bounded boundary pair; it exists purely to cross-check the fast path.
+exact scan.  The scan runs on the coordinate word kernel of `core`: per
+dihedral image it grows P one entry at a time, P <- P * E(k*w), and it
+reads b_1 and b_l as multiples of w by exact division of coordinates.
+Every witness it returns is replayed on the generic `Mat2` route.  The
+brute-force variant ignores the forcing, tries every bounded boundary
+pair on `Mat2`, and exists purely to cross-check the fast path.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from typing import Optional, Sequence
 from .core import (
     CertificateFailed,
     QuiddityTuple,
+    _word_kernel,
     e_matrix,
     is_quiddity,
     m_product_entries,
     oplus_multipliers,
 )
-from .numfield import FieldElement, subgroup_member
 
 
 class NotAQuiddity(ValueError):
@@ -71,13 +75,6 @@ def _image(ks: Sequence[int], rotation: int, reflected: bool) -> tuple[int, ...]
     return s[rotation:] + s[:rotation]
 
 
-def _unit_multiplier(x: FieldElement, w: FieldElement) -> Optional[int]:
-    # tolerate the degenerate generator: <0> = {0}
-    if w.is_zero:
-        return 0 if x.is_zero else None
-    return subgroup_member(x, w)
-
-
 def witness_replay(t: QuiddityTuple, wit: ReductionWitness) -> bool:
     """Exact check of every witness invariant against the original tuple."""
     if wit.split_m < 3 or len(wit.b_multipliers) < 3:
@@ -100,36 +97,42 @@ def _scan_slots(n: int):
 
 def find_reduction(t: QuiddityTuple) -> Optional[ReductionWitness]:
     """First witness in scan order, or None when no split exists."""
-    if is_quiddity(t) is None:
+    kernel = _word_kernel(t.generator)
+    if kernel.sign(kernel.product(t.multipliers)) is None:
         raise NotAQuiddity("input word matrix is not +-Id")
     n = t.n
-    w = t.generator
-    one = t.field.one()
-    for reflected, rotation, l in _scan_slots(n):
-        ks = _image(t.multipliers, rotation, reflected)
-        m = n + 2 - l
-        inner = [w * k for k in ks[m:]]
-        p = m_product_entries(inner)
-        if p.m11 == one:
-            eps = -1
-        elif p.m11 == -one:
-            eps = 1
-        else:
-            continue
-        b1 = p.m12 * eps
-        bl = p.m21 * (-eps)
-        if p.m22 != (b1 * bl - one) * eps:
-            continue
-        kb1 = _unit_multiplier(b1, w)
-        kbl = _unit_multiplier(bl, w)
-        if kb1 is None or kbl is None:
-            continue
-        a_mult = (ks[0] - kbl,) + ks[1 : m - 1] + (ks[m - 1] - kb1,)
-        b_mult = (kb1,) + ks[m:] + (kbl,)
-        wit = ReductionWitness(rotation, reflected, m, a_mult, b_mult, eps)
-        if not witness_replay(t, wit):
-            raise CertificateFailed(f"reduction witness {wit} failed its replay")
-        return wit
+    one, w2 = kernel.one, kernel.w2
+    minus_one = kernel.minus_identity[0]
+    # the slots of _scan_slots, in the same order
+    for reflected in (False, True):
+        for rotation in range(n):
+            ks = _image(t.multipliers, rotation, reflected)
+            p = kernel.identity
+            for l in range(3, n):  # summand b has l entries, a has n+2-l
+                m = n + 2 - l
+                p = kernel.right(p, ks[m])  # now the product over ks[m:]
+                if p[0] == one:
+                    eps = -1
+                elif p[0] == minus_one:
+                    eps = 1
+                else:
+                    continue
+                # b_1 = eps*P12 and b_l = -eps*P21 must lie in <w>
+                k12 = kernel.multiplier(p[1])
+                k21 = kernel.multiplier(p[2])
+                if k12 is None or k21 is None:
+                    continue
+                kb1, kbl = eps * k12, -eps * k21
+                # P22 = eps*(b_1*b_l - 1) with b_1*b_l = kb1*kbl*w^2
+                kk = kb1 * kbl
+                if p[3] != tuple([eps * (kk * x - y) for x, y in zip(w2, one)]):
+                    continue
+                a_mult = (ks[0] - kbl,) + ks[1 : m - 1] + (ks[m - 1] - kb1,)
+                b_mult = (kb1,) + ks[m:] + (kbl,)
+                wit = ReductionWitness(rotation, reflected, m, a_mult, b_mult, eps)
+                if not witness_replay(t, wit):
+                    raise CertificateFailed(f"reduction witness {wit} failed its replay")
+                return wit
     return None
 
 

@@ -1,5 +1,6 @@
 """Bounded enumeration, irreducibility census, transfer, parity, classify."""
 
+import dataclasses
 import importlib
 import itertools
 from fractions import Fraction as F
@@ -17,8 +18,9 @@ from quiddity.classify import (
     transfer_certificate,
     transfer_theta,
 )
+import quiddity.core as core_module
 from quiddity.core import CertificateFailed, QuiddityTuple, is_quiddity, canonical_multipliers
-from quiddity.numfield import BoxC, field_make
+from quiddity.numfield import BoxC, FieldElement, field_make
 from quiddity.polynomials import QPoly
 from quiddity.reducibility import NotAQuiddity, find_reduction, witness_replay
 
@@ -49,9 +51,9 @@ def zeta8_field():
     return field_make(QPoly((1, 0, 0, 0, 1)), root_hint=BoxC.make(0, 1, 0, 1))
 
 
-def brute_canonical(field, n_max, k_bound):
+def brute_canonical(field, n_max, k_bound, w=None):
     """Exhaustive enumeration oracle, deduplicated the same way."""
-    w = field.generator()
+    w = field.generator() if w is None else w
     found = {}
     for n in range(2, n_max + 1):
         for ks in itertools.product(range(-k_bound, k_bound + 1), repeat=n):
@@ -91,6 +93,34 @@ class TestEnumerate:
         rep = enumerate_quiddities(f, f.generator(), 6, 2)
         got = {m.multipliers: m.epsilon for m in rep.members}
         assert got == brute_canonical(f, 6, 2)
+
+    @pytest.mark.parametrize(
+        "coeffs,hint,coords",
+        [
+            (("-1/2", 0, 1), (0, 1, 0, 0), None),
+            (("1/2", -1, 1), (0, 1, 0, 1), None),
+            (("-3/2", 1), None, None),
+            ((-2, 0, 1), (1, 2, 0, 0), (1, 1)),
+        ],
+        ids=["1/sqrt2", "(1+i)/2", "3/2", "1+sqrt2"],
+    )
+    def test_matches_brute_force_other_generators(self, coeffs, hint, coords):
+        # non-integral generators run the kernel on Fraction coordinates,
+        # and 1+sqrt2 is not the generator of its field
+        f = field_make(
+            QPoly(tuple(F(c) for c in coeffs)),
+            root_hint=None if hint is None else BoxC.make(*hint),
+        )
+        w = f.generator() if coords is None else FieldElement(f, coords)
+        rep = enumerate_quiddities(f, w, 5, 2)
+        got = {m.multipliers: m.epsilon for m in rep.members}
+        assert got and got == brute_canonical(f, 5, 2, w)
+
+    def test_failed_recheck_raises(self, monkeypatch):
+        f = sqrt2_field()
+        monkeypatch.setattr(core_module._WordKernel, "sign", lambda self, m: None)
+        with pytest.raises(CertificateFailed):
+            enumerate_quiddities(f, f.generator(), 4, 1)
 
     def test_members_are_canonical_and_sorted(self, int_report):
         for m in int_report.members:
@@ -171,6 +201,22 @@ class TestCensus:
                 assert witness_replay(t, m.witness)
             else:
                 assert m.witness is None
+
+    def test_census_reuses_the_enumeration_field(self, monkeypatch):
+        classify_module = importlib.import_module("quiddity.classify")
+        f = sqrt2_field()
+        rep = enumerate_quiddities(f, f.generator(), 4, 1)
+        rebuilt = []
+        real = classify_module.field_from_descriptor
+        monkeypatch.setattr(
+            classify_module, "field_from_descriptor", lambda d: rebuilt.append(d) or real(d)
+        )
+        census = irreducible_census(rep)
+        assert rebuilt == [] and census.rebuild_context()[0] is f
+        # a report without the handle, as one loaded from a cache, rebuilds
+        bare = irreducible_census(dataclasses.replace(rep, field_handle=None))
+        assert rebuilt == [rep.field_descriptor]
+        assert bare == census and bare.to_json() == census.to_json()
 
     def test_pair_is_not_counted_irreducible(self, int_report):
         assert all(m.size >= 3 for m in int_report.irreducible)

@@ -1,5 +1,6 @@
 """Word matrices, continuants, gluing, equivalence, unit-entry reduction."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from quiddity.core import (
     NotPlusMinusOne,
+    _word_kernel,
     QuiddityTuple,
     SizeTooSmall,
     ZPolyGraded,
@@ -24,7 +26,7 @@ from quiddity.core import (
     oplus_sum,
     reduce_pm_one,
 )
-from quiddity.numfield import BoxC, field_make
+from quiddity.numfield import BoxC, FieldElement, field_make
 from quiddity.polynomials import QPoly
 
 
@@ -199,6 +201,88 @@ class TestEulerExpansion:
             for i, k in enumerate(ks)
         ]
         assert lhs == continuant(mixed, f)
+
+
+# ---------------------------------------------------------------------------
+# The word kernel against the generic Mat2 route.
+# ---------------------------------------------------------------------------
+
+
+def _generator(coeffs, hint=None):
+    f = field_make(QPoly(tuple(F(c) for c in coeffs)), root_hint=hint)
+    return f.generator()
+
+
+def _sqrt2_element(a, b):
+    return FieldElement(sqrt2_field(), (a, b))
+
+
+KERNEL_GENERATORS = {
+    "integers": lambda: _generator((-1, 1)),
+    "sqrt2": lambda: _generator((-2, 0, 1), BoxC.make(1, 2, 0, 0)),
+    "1+i": lambda: _generator((2, -2, 1), BoxC.make(F(1, 2), F(3, 2), F(1, 2), F(3, 2))),
+    "zeta5": lambda: _generator((1, 1, 1, 1, 1), BoxC.make(0, F(1, 2), F(1, 2), 1)),
+    "1/2": lambda: _generator(("-1/2", 1)),
+    "3/2": lambda: _generator(("-3/2", 1)),
+    "1/sqrt2": lambda: _generator(("-1/2", 0, 1), BoxC.make(0, 1, 0, 0)),
+    "(1+i)/2": lambda: _generator(("1/2", -1, 1), BoxC.make(0, 1, 0, 1)),
+    "1+sqrt2 in Q(sqrt2)": lambda: _sqrt2_element(1, 1),
+    "2sqrt2 in Q(sqrt2)": lambda: _sqrt2_element(0, 2),
+}
+
+
+def _coords(m):
+    return (m.m11.coords, m.m12.coords, m.m21.coords, m.m22.coords)
+
+
+class TestWordKernel:
+    @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
+    def test_products_match_m_product(self, name):
+        w = KERNEL_GENERATORS[name]()
+        kernel = _word_kernel(w)
+        rng = random.Random(name)
+        for _ in range(12):
+            ks = [rng.randint(-3, 3) for _ in range(rng.randint(1, 8))]
+            want = _coords(m_product(QuiddityTuple(w.field, w, ks)))
+            assert kernel.product(ks) == want, ks
+            # right steps taken from the last entry down give the same word
+            m = kernel.identity
+            for k in reversed(ks):
+                m = kernel.right(m, k)
+            assert m == want, ks
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
+    def test_words_depth_first(self, name):
+        kernel = _word_kernel(KERNEL_GENERATORS[name]())
+        words = list(kernel.words(3, range(-1, 2)))
+        assert [ks for ks, _ in words] == sorted(ks for ks, _ in words)
+        assert len(words) == 27
+        for ks, m in words:
+            assert m == kernel.product(ks)
+
+    def test_signs_of_known_quiddities(self):
+        kernel = _word_kernel(KERNEL_GENERATORS["sqrt2"]())
+        assert kernel.sign(kernel.product([1, 1, 1, 1])) == -1
+        assert kernel.sign(kernel.product([1] * 8)) == 1
+        assert kernel.sign(kernel.product([1, 1, 1])) is None
+
+    def test_subgroup_multipliers(self):
+        kernel = _word_kernel(KERNEL_GENERATORS["1+sqrt2 in Q(sqrt2)"]())
+        assert kernel.multiplier((-3, -3)) == -3
+        assert kernel.multiplier((0, 0)) == 0
+        assert kernel.multiplier((1, 0)) is None  # 1 is not in <1+sqrt2>
+        assert kernel.multiplier((2, 1)) is None
+        half = _word_kernel(KERNEL_GENERATORS["1/sqrt2"]())
+        assert half.multiplier((0, 2)) == 2  # sqrt2 = 2 * (1/sqrt2)
+        assert half.multiplier((0, F(1, 3))) is None
+        assert half.multiplier((1, 0)) is None
+
+    def test_zero_generator(self):
+        f = field_make(QPoly((0, 1)))
+        kernel = _word_kernel(f.zero())
+        assert kernel.product([3, -1]) == _coords(m_product(zt(f, [3, -1])))
+        assert kernel.multiplier((0,)) == 0
+        assert kernel.multiplier((1,)) is None
 
 
 # ---------------------------------------------------------------------------

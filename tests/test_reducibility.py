@@ -140,6 +140,14 @@ class TestWitnessJson:
             search(t)
 
 
+def assert_same_first_witness(fast, slow, k_bound):
+    # both searches visit the slots in one order, and a slot's forced
+    # boundary pair is the only pair that can close it; so when the
+    # forced pair lies in the brute-force pool, both stop at that slot
+    if fast is not None and max(abs(fast.b_multipliers[0]), abs(fast.b_multipliers[-1])) <= k_bound:
+        assert fast == slow
+
+
 class TestOracleEquivalence:
     def test_integers(self, int_census):
         assert len(int_census) == 211
@@ -147,6 +155,7 @@ class TestOracleEquivalence:
             fast = find_reduction(t)
             slow = brute_force_reduction(t, 6)
             assert (fast is None) == (slow is None), t.multipliers
+            assert_same_first_witness(fast, slow, 6)
             if fast is not None:
                 assert witness_replay(t, fast) and witness_replay(t, slow)
 
@@ -156,6 +165,7 @@ class TestOracleEquivalence:
             fast = find_reduction(t)
             slow = brute_force_reduction(t, 6)
             assert (fast is None) == (slow is None), t.multipliers
+            assert_same_first_witness(fast, slow, 6)
 
     def test_zero_entry_splits(self, int_census, sqrt2_census):
         # size >= 5 with a zero entry is always reducible

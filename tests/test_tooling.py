@@ -1,4 +1,4 @@
-"""Guards on the package source: certificates never rest on `assert`."""
+"""Guards on the package source and smoke runs of the README scripts."""
 
 import ast
 import os
@@ -9,6 +9,7 @@ import sys
 import quiddity
 
 SRC = pathlib.Path(quiddity.__file__).parent
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 def test_no_assert_statements():
@@ -35,3 +36,26 @@ def test_verify_suite_passes_optimized():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert "FAIL" not in done.stdout
+
+
+def _run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout.splitlines()
+
+
+def test_census_demo_runs():
+    lines = _run_script("census_demo.py", "--generator", "sqrt2", "--nmax", "5", "--kbound", "2")
+    assert "  (1, 1, 1, 1)  sign -1" in lines
+
+
+def test_classify_gallery_runs():
+    lines = _run_script("classify_gallery.py")
+    assert any(line.split() == ["sqrt2", "SqrtKFamily", "[k=2]"] for line in lines)
