@@ -901,18 +901,11 @@ def embed(x: FieldElement, conjugate_index: int, precision: int) -> BoxC:
         if box.width > target:
             field = field.refined(conjugate_index, target)
             box = field.root_boxes[conjugate_index]
-        out = _eval_box(poly, box)
+        out = poly(box)
         if max(out.re.width, out.im.width) <= tol:
             return out
         target = target / 4
     raise UndecidableAtPrecision("embedding did not converge")
-
-
-def _eval_box(poly: QPoly, box: BoxC) -> BoxC:
-    acc = BoxC.point(poly.coeffs[-1])
-    for c in reversed(poly.coeffs[:-1]):
-        acc = acc * box + c
-    return acc
 
 
 def subgroup_member(x: FieldElement, w: FieldElement) -> Optional[int]:

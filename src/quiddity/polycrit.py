@@ -4,9 +4,15 @@ Two families of tools live here.  The irreducibility side proves or
 refutes irreducibility over Q with cheap classical certificates
 (rational roots, Eisenstein with small shifts, Osada's prime bound,
 reduction mod p).  The localization side counts polynomial roots in
-disks with rational radius, exactly, through the Schur-Cohn reduction;
-a strict variant over Q(i) serves complex-centered disks and powers the
-rectangle subdivision used elsewhere for root isolation.
+disks with rational radius, exactly, through the Schur-Cohn reduction.
+One recurrence, `_chain`, runs every count: over Q for disks at 0 and
+over Q(i) for the strict variant at complex centers, which powers the
+rectangle subdivision used elsewhere for root isolation.  The chain
+degenerates on a root on the circle, on a conjugate-reciprocal root
+pair, and at accidental zero steps.  The count at 0 splits off the
+first two by a gcd beforehand and brackets radius 1 between two nearby
+circles when the chain still degenerates; the strict count returns
+None instead.
 
 No floating point is used anywhere: every verdict is replayable from
 the integers it carries.
@@ -23,12 +29,7 @@ from .polynomials import (
     GaussRat,
     QPoly,
     as_rat,
-    composed_product,
     count_real_roots,
-    gpoly_conj_reverse,
-    gpoly_degree,
-    gpoly_gcd,
-    gpoly_strip,
     qpoly_at_disk,
 )
 
@@ -38,7 +39,7 @@ class BadPrime(ValueError):
 
 
 class SingularStep(RuntimeError):
-    """Every exact fallback of the Schur-Cohn reduction degenerated."""
+    """The Schur-Cohn bracket around radius 1 settled no count."""
 
 
 @dataclass(frozen=True)
@@ -359,62 +360,73 @@ def rouche_dominant_count(
 # ---------------------------------------------------------------------------
 
 
-def _chain_count(q: QPoly) -> Optional[int]:
-    """Unit-disk root count by the Schur-Cohn reduction; None on a
-    degenerate step.  Requires q(0) != 0 and no roots on |z| = 1."""
-    n = q.degree
+def _chain(f: Sequence) -> Optional[int]:
+    """Unit-disk root count of f by the Schur-Cohn reduction; None on a
+    degenerate step.
+
+    f holds the coefficients, low degree first, as integers, Fractions
+    or GaussRats, with f[0] != 0 and f[-1] != 0.  One step replaces f of
+    degree n by T f = conj(a0) f - an f*, where f* is the conjugate
+    reverse z^n conj(f(1/conj z)); its constant term is the real number
+    gamma = |a0|^2 - |an|^2 and its degree is below n.  When gamma != 0,
+    Rouche's theorem on |z| = 1 gives T f the roots of f inside the disk
+    (gamma > 0) or those of f* (gamma < 0).  A non-None answer also
+    certifies that no root lies on |z| = 1, since such a root is a
+    common root of f and f* (see gauss_disk_count_strict).
+    """
+    n = len(f) - 1
     if n <= 0:
         return 0
-    a0, an = q.coeffs[0], q.coeffs[-1]
-    gamma = a0 * a0 - an * an
+    a0, an = f[0], f[-1]
+    gamma = (a0 * a0.conjugate() - an * an.conjugate()).real
     if gamma == 0:
         return None
-    t = q * a0 - q.reverse() * an
-    sub = _chain_count(t)
+    a0c = a0.conjugate()
+    t = [a0c * f[k] - an * f[n - k].conjugate() for k in range(n)]
+    while not t[-1]:
+        t.pop()
+    sub = _chain(t)
     if sub is None:
         return None
     return sub if gamma > 0 else n - sub
 
 
+_BRACKET_BITS = 64
+
+
 def _circle_free_unit_count(q: QPoly) -> int:
-    """Unit-disk count for squarefree q with q(0) != 0, no roots on the
-    circle, and no reciprocal root pairs.  Exhausts exact fallbacks."""
-    n = q.degree
-    if n <= 0:
-        return 0
-    direct = _chain_count(q)
+    """Unit-disk count for squarefree q with q(0) != 0 and no roots on
+    the circle.
+
+    When the chain degenerates at radius 1, the count comes from a
+    bracket: the chain counts at radii 1 - 2^-k and 1 + 2^-k.  Each
+    non-None count certifies its circle root-free, so two equal counts
+    leave no root in the annulus between them and equal the count at
+    radius 1.  Since q has no root on |z| = 1, the counts agree once
+    2^-k is below the distance from the circle to the nearest root,
+    unless a chain degenerates at one of finitely many radii;
+    SingularStep is raised if no k up to _BRACKET_BITS settles it.
+
+    The chains run on integer multiples of q: a nonzero real factor
+    leaves every chain answer unchanged, and integer coefficients spare
+    the chain the gcds of ever larger denominators.
+    """
+    a = q.int_coeffs()
+    n = len(a) - 1
+    direct = _chain(a)
     if direct is not None:
         return direct
-    rev = _chain_count(q.reverse())
-    if rev is not None:
-        return n - rev
-    # Certified annulus shrink: locate a root-free band (u, 1) in the
-    # moduli via the composed-product polynomial, rescale into it, and
-    # retry the chain at radii where no reciprocal pair can appear.
-    cp = composed_product(q).squarefree_part()
-    if cp(Fraction(1)) == 0:
-        raise SingularStep("reciprocal pair survived preprocessing")
-    u = None
-    for k in range(1, 12):
-        cand = 1 - Fraction(1, 2 ** k)
-        if cp(cand * cand) != 0 and count_real_roots(cp, cand * cand, Fraction(1)) == 0:
-            u = cand
-            break
-    if u is None:
-        raise SingularStep("no certified root-free annulus found")
-    tries = 24
-    for j in range(1, tries):
-        rho = u + (1 - u) * Fraction(j, tries)
-        if cp(rho * rho) == 0:
-            continue
-        q2 = q.scale_arg(rho)
-        c = _chain_count(q2)
-        if c is not None:
-            return c
-        c = _chain_count(q2.reverse())
-        if c is not None:
-            return n - c
-    raise SingularStep("Schur-Cohn chain degenerated at every retry radius")
+    for k in range(1, _BRACKET_BITS + 1):
+        # 2^(kn) q(m z / 2^k) at m = 2^k -+ 1
+        inner, outer = (
+            _chain([c * m ** i * 2 ** (k * (n - i)) for i, c in enumerate(a)])
+            for m in (2 ** k - 1, 2 ** k + 1)
+        )
+        if inner is not None and inner == outer:
+            return inner
+    raise SingularStep(
+        f"Schur-Cohn counts at 1 -+ 2^-k disagree or degenerate for k <= {_BRACKET_BITS}"
+    )
 
 
 def _cos_substitution(g: QPoly) -> QPoly:
@@ -499,6 +511,14 @@ def gauss_disk_count_strict(
     on the boundary circle, a conjugate-reciprocal pair straddling it,
     or a degenerate reduction step.  A non-None answer also certifies
     that no root lies ON the circle.
+
+    The Schur-Cohn chain alone decides all of these; no gcd of q with
+    its conjugate reverse q* is needed.  If q and q* share a root zeta
+    (nonzero, as the low zeros are split off first), then every chain
+    polynomial and its own conjugate reverse vanish at zeta.  The degree
+    falls at every step and a nonzero constant cannot vanish at zeta, so
+    some step yields T f = 0.  Its constant term gamma = |a0|^2 - |an|^2
+    is then 0, and the chain returns None.
     """
     r = as_rat(radius)
     if r <= 0:
@@ -507,36 +527,10 @@ def gauss_disk_count_strict(
         return 0
     q = list(qpoly_at_disk(p, center, r))
     inside = 0
-    while q and not q[0]:
+    while not q[0]:
         q.pop(0)
         inside += 1
-    if gpoly_degree(q) < 1:
-        return inside
-    g = gpoly_gcd(q, gpoly_conj_reverse(q))
-    if gpoly_degree(g) >= 1:
-        return None
-
-    def chain(f: Sequence[GaussRat]) -> Optional[int]:
-        n = gpoly_degree(f)
-        if n <= 0:
-            return 0
-        a0, an = f[0], f[-1]
-        gamma = a0.abs2() - an.abs2()
-        if gamma == 0:
-            return None
-        rev = gpoly_conj_reverse(f)
-        a0c = a0.conj()
-        t = []
-        for k in range(max(len(f), len(rev))):
-            cf = f[k] if k < len(f) else GaussRat(Fraction(0), Fraction(0))
-            cr = rev[k] if k < len(rev) else GaussRat(Fraction(0), Fraction(0))
-            t.append(a0c * cf - an * cr)
-        sub = chain(gpoly_strip(t))
-        if sub is None:
-            return None
-        return sub if gamma > 0 else n - sub
-
-    got = chain(tuple(q))
+    got = _chain(q)
     if got is None:
         return None
     return inside + got

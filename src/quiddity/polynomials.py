@@ -73,14 +73,6 @@ class QPoly:
     def one(cls) -> "QPoly":
         return cls((1,))
 
-    @classmethod
-    def x(cls) -> "QPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "QPoly":
-        return cls((0,) * k + (c,))
-
     # -- structure ------------------------------------------------------
 
     @property
@@ -489,8 +481,14 @@ class GaussRat:
             self.re * other.im + self.im * other.re,
         )
 
-    def conj(self) -> "GaussRat":
+    # conjugate() and real share their names with Fraction's, so code
+    # written against both coefficient types needs no branch on the type
+    def conjugate(self) -> "GaussRat":
         return GaussRat(self.re, -self.im)
+
+    @property
+    def real(self) -> Fraction:
+        return self.re
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -508,63 +506,11 @@ class GaussRat:
         return GaussRat(self.re * r, self.im * r)
 
 
-G_ZERO = GaussRat(ZERO, ZERO)
-G_ONE = GaussRat(ONE, ZERO)
-
-
 def gpoly_strip(cs: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
     cs = list(cs)
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
-
-
-def gpoly_degree(cs: Sequence[GaussRat]) -> int:
-    return len(cs) - 1
-
-
-def gpoly_conj_reverse(cs: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
-    """z^n * conj(p(1/conj(z))): conjugated, reversed coefficients."""
-    return gpoly_strip([c.conj() for c in reversed(cs)])
-
-
-def gpoly_combine(a: Sequence[GaussRat], sa: GaussRat, b: Sequence[GaussRat], sb: GaussRat):
-    """sa*a - sb*b coefficientwise (padded)."""
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        ca = a[k] if k < len(a) else G_ZERO
-        cb = b[k] if k < len(b) else G_ZERO
-        out.append(sa * ca - sb * cb)
-    return gpoly_strip(out)
-
-
-def gpoly_divmod(a: Sequence[GaussRat], b: Sequence[GaussRat]):
-    b = gpoly_strip(b)
-    if not b:
-        raise ZeroDivisionError("gaussian polynomial division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    inv = b[-1].inverse()
-    quo = [G_ZERO] * max(len(rem) - db, 1)
-    for k in range(len(rem) - db - 1, -1, -1):
-        c = rem[k + db] * inv
-        if c:
-            quo[k] = c
-            for j, cb in enumerate(b):
-                rem[k + j] = rem[k + j] - c * cb
-    return gpoly_strip(quo), gpoly_strip(rem[:db] if db > 0 else [])
-
-
-def gpoly_gcd(a: Sequence[GaussRat], b: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
-    a, b = gpoly_strip(a), gpoly_strip(b)
-    while b:
-        _, r = gpoly_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = a[-1].inverse()
-        a = tuple(c * inv for c in a)
-    return a
 
 
 def qpoly_at_disk(p: QPoly, center: GaussRat, radius: Fraction) -> tuple[GaussRat, ...]:

@@ -270,6 +270,13 @@ class TestPolycrit:
         assert doc["osada_prime"] == 11
         assert doc["dominant_term_count"]["count"] == 6
 
+    def test_degenerate_chain_counts(self, capsys):
+        # |a0| = |an|: the chain at radius 1 degenerates at its first step
+        code, out, _ = run(capsys, "polycrit", "--poly", "1,-8,-6,6,-8,-9,1", "--radius", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["disk_count"] == {"radius": "1", "count": 4, "boundary_clear": True}
+
     def test_bad_poly_exits_two(self, capsys):
         code, _, err = run(capsys, "polycrit", "--poly", "1,junk")
         assert code == 2

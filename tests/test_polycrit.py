@@ -6,6 +6,7 @@ circle for float arithmetic to referee are regenerated.
 """
 
 import random
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -157,10 +158,19 @@ def test_schur_cohn_boundary_roots():
 
 def test_schur_cohn_degenerate_chain():
     # moduli 2, 1/3, 3/2 multiply to 1, so |a0| = |lc| and the direct
-    # chain (and its reverse) both degenerate; the annulus fallback runs
+    # chain degenerates at its first step; the bracket around radius 1 runs
     p = QPoly((-2, 1)) * QPoly((F(-1, 3), 1)) * QPoly((F(-3, 2), 1))
     got = schur_cohn_count(p, 1)
     assert got.count == 1 and got.boundary_clear
+    # |a0| = |an| again, with a root modulus 0.06 from 1
+    got = schur_cohn_count(QPoly((1, -8, -6, 6, -8, -9, 1)), 1)
+    assert got.count == 4 and got.boundary_clear
+    # the degree-10 probe of the polycrit benchmark; the bracket settles
+    # it in well under a second on a 2-vCPU machine
+    start = time.perf_counter()
+    got = schur_cohn_count(QPoly((1, -1, -2, -1, 7, 3, -5, 5, -5, -4, 1)), 1)
+    assert time.perf_counter() - start < 2.0
+    assert got.count == 6 and got.boundary_clear
 
 
 def test_schur_cohn_reciprocal_pair():
@@ -186,26 +196,40 @@ def test_rouche_schur_cohn_agree_on_examples():
         assert r.count == s.count
 
 
+def _random_disk_input(rng):
+    deg = rng.randint(1, 8)
+    coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
+    return coeffs, F(rng.choice((1, 2, 3)), rng.choice((1, 2)))
+
+
+def _balanced_disk_input(rng):
+    # |a0| = |an| at radius 1: the first chain step degenerates and the
+    # count takes the bracket
+    deg = rng.randint(3, 10)
+    coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
+    coeffs[0] = rng.choice((1, -1)) * coeffs[-1]
+    return coeffs, F(1)
+
+
 def test_schur_cohn_random_200_vs_numpy():
     rng = random.Random(20260817)
-    checked = 0
-    while checked < 200:
-        deg = rng.randint(1, 8)
-        coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
-        p = QPoly(coeffs)
-        if p.degree < 1:
-            continue
-        radius = F(rng.choice((1, 2, 3)), rng.choice((1, 2)))
-        rts = np.roots([float(c) for c in reversed(p.coeffs)])
-        margin = min(abs(abs(r) - float(radius)) for r in rts)
-        if margin < 1e-6:
-            continue  # float oracle cannot referee this one
-        want = sum(1 for r in rts if abs(r) < float(radius))
-        got = schur_cohn_count(p, radius)
-        assert got.count == want, (coeffs, radius)
-        assert got.boundary_clear
-        assert 0 <= got.count <= p.degree
-        checked += 1
+    for draw, total in ((_random_disk_input, 200), (_balanced_disk_input, 80)):
+        checked = 0
+        while checked < total:
+            coeffs, radius = draw(rng)
+            p = QPoly(coeffs)
+            if p.degree < 1:
+                continue
+            rts = np.roots([float(c) for c in reversed(p.coeffs)])
+            margin = min(abs(abs(r) - float(radius)) for r in rts)
+            if margin < 1e-6:
+                continue  # float oracle cannot referee this one
+            want = sum(1 for r in rts if abs(r) < float(radius))
+            got = schur_cohn_count(p, radius)
+            assert got.count == want, (coeffs, radius)
+            assert got.boundary_clear
+            assert 0 <= got.count <= p.degree
+            checked += 1
 
 
 def test_schur_cohn_partition_invariant():
@@ -260,3 +284,66 @@ def test_gauss_strict_matches_real_version():
         ref = schur_cohn_count(p, r)
         if got is not None and ref.boundary_clear:
             assert got == ref.count
+
+
+def _gauss_point(rng, den):
+    return GaussRat.of(F(rng.randint(-8, 8), den), F(rng.randint(-8, 8), den))
+
+
+def _with_roots(rng, *zs):
+    """Squarefree Q-polynomial vanishing at every z, times a random factor."""
+    p = QPoly([rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [1])
+    for z in zs:
+        p = p * QPoly((z.abs2(), -2 * z.re, 1))
+    return p.squarefree_part()
+
+
+def test_gauss_strict_none_for_root_on_circle():
+    rng = random.Random(11)
+    for _ in range(40):
+        c = _gauss_point(rng, 4)
+        r = F(rng.randint(1, 8), rng.choice((1, 2, 4)))
+        a, b, h = rng.choice(((3, 4, 5), (5, 12, 13), (8, 15, 17), (0, 1, 1)))
+        if rng.random() < 0.5:
+            a, b = b, a
+        u = GaussRat.of(F(rng.choice((1, -1)) * a, h), F(rng.choice((1, -1)) * b, h))
+        p = _with_roots(rng, c + u.scale(r))
+        assert gauss_disk_count_strict(p, c, r) is None, (p, c, r)
+
+
+def test_gauss_strict_none_for_conjugate_reciprocal_pair():
+    # roots c + r*a and c + r/conj(a) map to a and 1/conj(a) in the unit
+    # disk's coordinate: a common root of q and its conjugate reverse
+    rng = random.Random(12)
+    checked = 0
+    while checked < 40:
+        c = _gauss_point(rng, 4)
+        r = F(rng.randint(1, 8), rng.choice((1, 2, 4)))
+        a = _gauss_point(rng, 3)
+        if a.abs2() in (0, 1):
+            continue
+        p = _with_roots(rng, c + a.scale(r), c + a.conjugate().inverse().scale(r))
+        assert gauss_disk_count_strict(p, c, r) is None, (p, c, r)
+        checked += 1
+
+
+def test_gauss_strict_random_centres_vs_numpy():
+    rng = random.Random(13)
+    checked = counted = 0
+    while checked < 150:
+        deg = rng.randint(1, 6)
+        p = QPoly([rng.randint(-4, 4) for _ in range(deg)] + [rng.randint(1, 4)])
+        if p.degree < 1 or p.squarefree_part().degree != p.degree:
+            continue
+        c = _gauss_point(rng, 4)
+        r = F(rng.randint(1, 12), 4)
+        centre = complex(float(c.re), float(c.im))
+        dists = [abs(z - centre) for z in np.roots([float(x) for x in reversed(p.coeffs)])]
+        if min(abs(d - float(r)) for d in dists) < 1e-6:
+            continue  # float oracle cannot referee this one
+        checked += 1
+        got = gauss_disk_count_strict(p, c, r)
+        if got is not None:
+            counted += 1
+            assert got == sum(1 for d in dists if d < float(r)), (p, c, r)
+    assert counted >= 140

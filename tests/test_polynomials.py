@@ -18,9 +18,6 @@ from quiddity.polynomials import (
     composed_product,
     count_real_roots,
     even_part_in_square,
-    gpoly_conj_reverse,
-    gpoly_divmod,
-    gpoly_gcd,
     lagrange_interpolate,
     qpoly_at_disk,
     real_roots_isolated,
@@ -205,36 +202,9 @@ def test_gauss_field_ops():
     w = GaussRat.of(2, 5)
     assert (z * w).re == F(1, 2) * 2 - F(-3, 4) * 5
     assert (z * z.inverse()) == GaussRat.of(1, 0)
-    assert z.conj().im == F(3, 4)
+    assert z.conjugate() == GaussRat.of(F(1, 2), F(3, 4))
+    assert z.real == F(1, 2)
     assert z.abs2() == F(1, 4) + F(9, 16)
-
-
-def test_gauss_divmod_and_gcd():
-    # p = (X - i)(X - 2), coefficients low-first
-    i = GaussRat.of(0, 1)
-    one = GaussRat.of(1, 0)
-    two = GaussRat.of(2, 0)
-    p = (two * i, (-two) - i, one)
-    d = ((-two), one)
-    quo, rem = gpoly_divmod(p, d)
-    assert rem == ()
-    assert quo == ((-i), one)
-    g = gpoly_gcd(p, d)
-    assert len(g) == 2  # the common factor X - 2, normalized monic
-    assert g[1] == one and g[0] == -two
-
-
-def test_conj_reverse_palindrome_detection():
-    # q(X) = (X - i/2)(X - 2i) has the conjugate-reciprocal root pair
-    # only after conjugation; conj-reverse of q picks that up
-    i = GaussRat.of(0, 1)
-    half_i = GaussRat.of(0, F(1, 2))
-    two_i = GaussRat.of(0, 2)
-    one = GaussRat.of(1, 0)
-    q = (half_i * two_i, -(half_i) - two_i, one)
-    qc = gpoly_conj_reverse(q)
-    g = gpoly_gcd(q, qc)
-    assert len(g) == 3  # both roots are reciprocal to conjugates
 
 
 def test_disk_recentre_evaluates():

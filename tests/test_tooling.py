@@ -1,6 +1,7 @@
 """Guards on the package source and smoke runs of the README scripts."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -10,6 +11,7 @@ import quiddity
 
 SRC = pathlib.Path(quiddity.__file__).parent
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_no_assert_statements():
@@ -36,6 +38,40 @@ def test_verify_suite_passes_optimized():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert "FAIL" not in done.stdout
+
+
+def _module_constant(tree, name):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def test_benchmark_hooks_resolve():
+    # the traced benchmark patches these names by lookup, so a deleted or
+    # renamed one would break only `--trace 1`; the files are parsed, not
+    # imported, so nothing is written under perfbench/
+    layers = ast.parse((PERFBENCH / "layers.py").read_text())
+    for _, module, name in _module_constant(layers, "_FUNCTIONS"):
+        assert callable(getattr(importlib.import_module(module), name)), (module, name)
+    for _, module, cls, methods, _ in _module_constant(layers, "_METHODS"):
+        owner = getattr(importlib.import_module(module), cls)
+        for method in methods:
+            assert callable(getattr(owner, method)), (cls, method)
+    workloads = ast.parse((PERFBENCH / "workloads.py").read_text())
+    used = {
+        node.attr
+        for node in ast.walk(workloads)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "Q"
+    }
+    assert used
+    missing = sorted(name for name in used if not hasattr(quiddity, name))
+    assert missing == []
+    assert callable(importlib.import_module("quiddity.polynomials").GaussRat.of)
 
 
 def _run_script(name, *args):
