@@ -29,21 +29,15 @@ from .core import (
 from .numfield import (
     FieldElement,
     NumberField,
-    _MAX_DEPTH,
     _compare_refined,
     coords_from_json,
     coords_to_json,
-    embed,
     field_from_descriptor,
     field_to_descriptor,
     modulus_compare,
 )
 from .polycrit import schur_cohn_count
-from .polynomials import (
-    QPoly,
-    even_part_in_square,
-    root_difference_poly,
-)
+from .polynomials import QPoly
 from .reducibility import NotAQuiddity, ReductionWitness, find_reduction
 
 
@@ -297,34 +291,21 @@ def transfer_theta(t: QuiddityTuple, target_conjugate: int) -> QuiddityTuple:
 # ---------------------------------------------------------------------------
 
 
-def _complex_ab_product_ge_one(field: NumberField, depth_budget: int = _MAX_DEPTH) -> bool:
+def _complex_ab_product_ge_one(field: NumberField) -> bool:
     """For w = a+ib: decide |ab| >= 1 exactly.
 
     Writing z = w*w, the imaginary part of z is 2ab, so the question is
-    whether y0 := -4*Im(z)^2 is <= -16.  For quadratic z this is read off
-    the discriminant; otherwise y0 is a root of the squared-difference
-    polynomial of z's minimal polynomial, and interval refinement plus
-    root counting resolves the boundary exactly.
+    whether y = (z - conj z)^2 = -4*Im(z)^2 is <= -16.  Interval
+    refinement decides the strict cases, and the zero bound of
+    numfield._compare_refined certifies the boundary y = -16.
     """
     idx = field.selected_root
     if field.root_is_real(idx):
         return False
     w = field.generator()
     z = w * w
-    mz = z.min_poly_over_Q()
-    if mz.degree == 1:
-        return False  # z rational means w is purely imaginary, ab = 0
-    if mz.degree == 2:
-        c1, c0 = mz.coeffs[1], mz.coeffs[0]
-        return c1 * c1 - 4 * c0 <= -16
-    verdict = _compare_refined(
-        lambda precision: embed(z, idx, precision).im.sq() * Fraction(-4),
-        Fraction(-16),
-        lambda: even_part_in_square(root_difference_poly(mz)).squarefree_part(),
-        8,
-        depth_budget,
-    )
-    return verdict != "Greater"  # y0 = -16 means |ab| = 1, which still qualifies
+    verdict = _compare_refined(z, idx, lambda b: b.im.sq() * -4, Fraction(-16), 4)
+    return verdict != "Greater"  # y = -16 means |ab| = 1, which still qualifies
 
 
 _UNKNOWN_NOTE = (
@@ -337,7 +318,6 @@ def classify(
     field: Optional[NumberField],
     *,
     transcendental: bool = False,
-    depth_budget: int = _MAX_DEPTH,
 ) -> ClassificationOutcome:
     """First matching rule wins; see the decision order in the body."""
     if transcendental:
@@ -391,7 +371,7 @@ def classify(
             justification="ConjugateModulusGE2",
             notes="some conjugate embedding has modulus >= 2",
         )
-    if _complex_ab_product_ge_one(field, depth_budget):
+    if _complex_ab_product_ge_one(field):
         return ClassificationOutcome(
             family="FourTupleFamily",
             justification="ComplexABProductGE1",

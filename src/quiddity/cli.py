@@ -220,7 +220,7 @@ def cmd_classify(args) -> int:
         outcome = classify(None, transcendental=True)
     else:
         field = _field_from_args(args)
-        outcome = classify(field, depth_budget=args.precision)
+        outcome = classify(field)
     _emit(outcome.to_json())
     return 0
 
@@ -345,12 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--transcendental",
         action="store_true",
         help="declare the generator transcendental instead of giving a polynomial",
-    )
-    p.add_argument(
-        "--precision",
-        type=int,
-        default=64,
-        help="refinement depth budget for interval decisions",
     )
     p.set_defaults(handler=cmd_classify)
 

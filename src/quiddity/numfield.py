@@ -6,7 +6,9 @@ Elements are exact coordinate vectors on the power basis, so all algebra
 is rational arithmetic; only questions about a specific embedding (which
 root is bigger, is the modulus at least 2) touch the rectangles, and
 those are answered by refining rectangles until the answer is certified,
-never by floating point.
+never by floating point.  An equality is certified by a zero bound: a
+nonzero algebraic integer has norm at least 1, so an interval narrower
+than the bound that holds both sides proves them equal.
 
 Real roots are isolated and refined by sign-variation bisection.
 Nonreal roots are isolated in the upper half plane by rectangle
@@ -40,14 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, isqrt
+from math import ceil, floor, isqrt, prod
 from typing import Callable, Optional, Sequence
 
 from .polynomials import (
     GaussRat,
     QPoly,
     as_rat,
-    composed_product,
     count_real_roots,
     is_perfect_square,
     qpoly_at_disk,
@@ -709,10 +710,9 @@ def isolate_roots(p: QPoly) -> list[BoxC]:
     d = p.degree
     if d == 1:
         return [BoxC.point(-p.coeffs[0])]
-    intervals, exact = real_roots_isolated(p)
-    pending = [(e, e) for e in exact]
+    pending = []
     # tighten to unit width so hint rectangles have something to grab
-    for lo, hi in intervals:
+    for lo, hi in real_roots_isolated(p)[0]:
         if hi - lo > 1:
             lo, hi = refine_real_root(p, lo, hi, Fraction(1))
         pending.append((lo, hi))
@@ -724,12 +724,10 @@ def isolate_roots(p: QPoly) -> list[BoxC]:
         for i in range(len(pending) - 1):
             if pending[i][1] < pending[i + 1][0]:
                 continue
-            refined = []
-            for lo, hi in (pending[i], pending[i + 1]):
-                if lo < hi:
-                    lo, hi = refine_real_root(p, lo, hi, (hi - lo) / 4)
-                refined.append((lo, hi))
-            pending[i], pending[i + 1] = refined
+            pending[i], pending[i + 1] = [
+                refine_real_root(p, lo, hi, (hi - lo) / 4)
+                for lo, hi in (pending[i], pending[i + 1])
+            ]
             changed = True
     real_boxes = [
         BoxC(RatInterval(lo, hi), RatInterval.point(0)) for lo, hi in pending
@@ -922,62 +920,86 @@ def subgroup_member(x: FieldElement, w: FieldElement) -> Optional[int]:
 def modulus_compare(x: FieldElement, conjugate_index: int, threshold) -> str:
     """Sign of |embedded x| - threshold, as "Less"/"Equal"/"Greater".
 
-    Interval refinement decides the strict cases; a stall is resolved
-    exactly through the polynomial whose roots are products of pairs of
-    conjugates of x, which |x|^2 must satisfy.
+    With zeta the image of x, this compares zeta * conj(zeta) with
+    threshold^2.  Interval refinement decides the strict cases, and the
+    zero bound of _compare_refined certifies equality.
     """
     t = as_rat(threshold)
     if t < 0:
         raise ValueError("threshold must be >= 0")
     if x.is_zero:
         return "Equal" if t == 0 else "Less"
-    return _compare_refined(
-        lambda precision: embed(x, conjugate_index, precision).abs2(),
-        t * t,
-        # |x|^2 = x * conj(x) is a root of the composed product of the
-        # minimal polynomial of x with itself
-        lambda: composed_product(x.min_poly_over_Q()).squarefree_part(),
-        4,
-        _MAX_DEPTH,
-    )
+    return _compare_refined(x, conjugate_index, BoxC.abs2, t * t, 1)
 
 
 def _compare_refined(
-    interval_at: Callable[[int], RatInterval],
-    t: Fraction,
-    make_poly: Callable[[], QPoly],
-    precision: int,
-    depth: int,
+    x: FieldElement,
+    index: int,
+    image: Callable[[BoxC], RatInterval],
+    s: Fraction,
+    k: int,
 ) -> str:
-    """Sign of y - t as "Less"/"Equal"/"Greater", for a real number y.
+    """Sign of y - s as "Less"/"Equal"/"Greater", where y = F(zeta, conj zeta)
+    for the image zeta of the nonzero x under the embedding `index`, and
+    F(u, v) is uv (k = 1) or (u - v)^2 (k = 4), so |F(u, v)| <= k R^2
+    whenever |u|, |v| <= R.  image maps a box holding zeta to an interval
+    holding y.
 
-    interval_at(precision) returns an interval holding y, tighter as the
-    precision grows (by 6 per round, at most depth rounds).  make_poly
-    returns a squarefree polynomial with y among its roots; it is built
-    only once an interval fails to separate y from t.
+    Refinement doubles the precision of zeta each round, and an interval
+    without s decides a strict case.  Equality rests on a zero bound
+    (after Burnikel, Fleischer, Mehlhorn and Schirra, 2000): y != s
+    implies |y - s| >= gap, so an interval narrower than gap that holds s
+    proves y = s.  The loop therefore ends after about log2(log2(1/gap))
+    rounds; gap is built when first needed.
+
+    Proof.  Let m_x = sum a_j X^j, monic of degree n, be the minimal
+    polynomial of x, and c the least integer with all c^(n-j) a_j in Z:
+    c^n m_x(X/c) is monic over Z, so c times each root of m_x is an
+    algebraic integer.  conj(zeta) is a root of m_x and F is an integer
+    form of degree 2, so c^2 y is an algebraic integer, and so is the
+    real b = q c^2 (y - s), for q the denominator of s.  F is symmetric
+    and each conjugate of y is F(zeta_i, zeta_j) for roots of m_x, with
+    i != j unless zeta is real, so b has a degree D' <= D = max(n,
+    n(n-1)/2).  Each root of m_x is an image of x; with R^2 the largest
+    upper end of |x|^2 over the field's embeddings, every conjugate of b
+    has modulus at most M = q c^2 (k R^2 + |s|).  If b != 0 its norm is a
+    nonzero integer, so 1 <= |b| M^(D'-1) <= M^D'.  Hence M >= 1 and
+    |y - s| >= 1 / (q c^2 M^(D-1)) = gap.
     """
-    poly = rest = None
-    for _ in range(depth):
-        iv = interval_at(precision)
-        if iv.lo > t:
+    precision, gap = 4, None
+    while True:
+        iv = image(embed(x, index, precision))
+        if iv.lo > s:
             return "Greater"
-        if iv.hi < t:
+        if iv.hi < s:
             return "Less"
-        if poly is None:
-            poly = make_poly()
-        if poly(t) != 0:
-            # y is a root of poly and t is not, so they differ; keep
-            # refining until the interval separates them
-            precision += 6
-            continue
-        if rest is None:
-            rest = poly // QPoly((-t, 1))
-        # y is either exactly t or a root of rest (never both, since
-        # poly is squarefree); rule rest out of the interval
-        if rest(iv.lo) != 0 and rest(iv.hi) != 0 and count_real_roots(rest, iv.lo, iv.hi) == 0:
+        if gap is None:
+            m = x.min_poly_over_Q()
+            n = m.degree
+            scale = s.denominator * _integral_scale(m) ** 2
+            r2 = max(embed(x, i, 2).abs2().hi for i in range(x.field.degree))
+            gap = 1 / (scale * (scale * (k * r2 + abs(s))) ** (max(n, n * (n - 1) // 2) - 1))
+        if iv.width < gap:
             return "Equal"
-        precision += 6
-    raise UndecidableAtPrecision("comparison did not resolve within the depth budget")
+        precision *= 2
+
+
+def _integral_scale(p: QPoly) -> int:
+    """The least c >= 1 with all c^(n-j) a_j integral, for the monic
+    p = sum a_j X^j of degree n.  Trial division finds the primes below
+    2^16; a rest without such factors enters c whole, so c stays valid."""
+    n, exps = p.degree, {}
+    for j, a in enumerate(p.coeffs[:-1]):
+        d, f = a.denominator, 2
+        while d > 1:
+            f = d if f * f > d or f >= 1 << 16 else f
+            e = 0
+            while d % f == 0:
+                d, e = d // f, e + 1
+            if e:
+                exps[f] = max(exps.get(f, 0), -(-e // (n - j)))
+            f += 1
+    return prod(f ** e for f, e in exps.items())
 
 
 # ---------------------------------------------------------------------------

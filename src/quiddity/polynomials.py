@@ -1,14 +1,13 @@
 """Exact rational and Gaussian-rational polynomial arithmetic.
 
 Everything in here is carried by fractions.Fraction, so nothing ever
-rounds.  Besides the ring operations the module provides the two
-root-localization primitives the rest of the package is built on:
+rounds.  Besides the ring operations the module provides Descartes-driven
+isolation and counting of real roots on an interval with exact rational
+endpoints, and Taylor shifts at Gaussian-rational centres for disk counts.
 
-* Descartes-driven isolation and counting of real roots on an interval
-  with exact rational endpoints, and
-* scalar resultants plus Lagrange interpolation, from which composed
-  resultant polynomials (root products, root differences) are assembled
-  by evaluation at integer sample points.
+Scalar resultants, Lagrange interpolation and the composed product built
+from them serve only as the independent test oracle for the equality
+verdicts of numfield.
 """
 
 from __future__ import annotations
@@ -381,10 +380,10 @@ def real_roots_isolated(
 ) -> tuple[list[tuple[Fraction, Fraction]], list[Fraction]]:
     """Isolate the real roots of a squarefree p inside (lo, hi).
 
-    Returns (open intervals each containing exactly one root, exact
-    roots); the second list is kept for callers that special-case
-    rational hits but is empty with the current splitting rule.
-    Endpoints of the returned intervals are never roots.
+    Returns (open intervals each containing exactly one root, []).
+    Endpoints of the returned intervals are never roots, so rational
+    roots come back as ordinary intervals; the empty second list stays
+    for callers that unpack the pair.
     """
     if p.degree < 1:
         return [], []
@@ -395,13 +394,10 @@ def real_roots_isolated(
         hi = bound
     lo, hi = as_rat(lo), as_rat(hi)
     intervals: list[tuple[Fraction, Fraction]] = []
-    exact: list[Fraction] = []
     # Roots sitting exactly on lo or hi are outside the open interval and
     # never counted; the variation bound can overshoot there but the
     # bisection still terminates because the root itself is excluded.
-    # Split points are moved off roots, so no returned endpoint is ever a
-    # root and the exact list stays empty; rational roots come back as
-    # ordinary isolating intervals.
+    # Split points are moved off roots.
     work = [(lo, hi)]
     while work:
         a, b = work.pop()
@@ -419,14 +415,12 @@ def real_roots_isolated(
         work.append((a, m))
         work.append((m, b))
     intervals.sort()
-    exact.sort()
-    return intervals, exact
+    return intervals, []
 
 
 def count_real_roots(p: QPoly, lo: Fraction, hi: Fraction) -> int:
     """Number of real roots of squarefree p in the open interval (lo, hi)."""
-    ivs, exact = real_roots_isolated(p, lo, hi)
-    return len(ivs) + len(exact)
+    return len(real_roots_isolated(p, lo, hi)[0])
 
 
 def refine_real_root(
@@ -541,7 +535,7 @@ def qpoly_at_disk(p: QPoly, center: GaussRat, radius: Fraction) -> tuple[GaussRa
 
 
 # ---------------------------------------------------------------------------
-# Resultants and interpolation.
+# Resultants and interpolation: the test oracle for equality verdicts.
 # ---------------------------------------------------------------------------
 
 
@@ -602,36 +596,4 @@ def composed_product(q: QPoly) -> QPoly:
             pw *= yv
         samples.append((yv, resultant(q, QPoly(h))))
         y = -y + (1 if y <= 0 else 0)  # 0, 1, -1, 2, -2, ...
-    return lagrange_interpolate(samples)
-
-
-def root_difference_poly(q: QPoly) -> QPoly:
-    """Polynomial whose roots are all differences z_i - z_j of roots of q."""
-    m = q.degree
-    if m < 1:
-        return QPoly.one()
-    target_deg = m * m
-    samples: list[tuple[Fraction, Fraction]] = []
-    s = 0
-    while len(samples) < target_deg + 1:
-        sv = as_rat(s)
-        samples.append((sv, resultant(q, q.shift(sv))))
-        s = -s + (1 if s <= 0 else 0)
-    return lagrange_interpolate(samples)
-
-
-def even_part_in_square(d: QPoly) -> QPoly:
-    """Given D(S), the polynomial U(Y) whose roots are the squares S^2.
-
-    Computed as Res_S(D(S), S^2 - Y) by evaluation and interpolation.
-    """
-    m = d.degree
-    if m < 1:
-        return QPoly.one()
-    samples: list[tuple[Fraction, Fraction]] = []
-    y = 0
-    while len(samples) < m + 1:
-        yv = as_rat(y)
-        samples.append((yv, resultant(d, QPoly((-yv, 0, 1)))))
-        y = -y + (1 if y <= 0 else 0)
     return lagrange_interpolate(samples)

@@ -3,12 +3,14 @@
 import dataclasses
 import importlib
 import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from quiddity.classify import (
     CensusMember,
+    _complex_ab_product_ge_one,
     ClassificationOutcome,
     classify,
     enumerate_quiddities,
@@ -413,6 +415,27 @@ class TestClassify:
             "FourTupleFamily",
             "ComplexABProductGE1",
         )
+
+    def test_ab_boundary_of_degree_six(self):
+        # w = 2^(1/3) + i 2^(-1/3) has ab = 1, and z = w^2 has degree 6,
+        # so only the zero bound can certify the boundary
+        f = field_make(
+            QPoly((F(17, 4), -3, 9, -4, 0, 0, 1)),
+            root_hint=BoxC.make(F(5, 4), F(13, 10), F(3, 4), F(4, 5)),
+        )
+        start = time.perf_counter()
+        assert _complex_ab_product_ge_one(f)
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("b,want", [(F(50, 63), False), (F(27, 34), True)])
+    def test_ab_near_misses(self, b, want):
+        # w = 2^(1/3) + i b has |ab - 1| < 2^-10 for these convergents of
+        # 2^(-1/3); w - ib is a cube root of 2, so w is a root of
+        # ((X - ib)^3 - 2)((X + ib)^3 - 2) = (X^2 + b^2)^3 - 4X^3 + 12b^2 X + 4
+        p = QPoly((b * b, 0, 1))
+        p = p * p * p + QPoly((4, 12 * b * b, 0, -4))
+        f = field_make(p, root_hint=BoxC.make(F(5, 4), F(13, 10), F(3, 4), F(4, 5)))
+        assert _complex_ab_product_ge_one(f) is want
 
     def test_cubic_real_root_open(self):
         f = field_make(QPoly((-6, 1, 0, 1)), root_hint=BoxC.make(1, 2, 0, 0))

@@ -17,6 +17,7 @@ from quiddity.numfield import (
     NotSquarefree,
     NumberField,
     ZeroGenerator,
+    _integral_scale,
     _refine_one,
     _regrid,
     _shrink_box,
@@ -31,7 +32,7 @@ from quiddity.numfield import (
     subgroup_member,
 )
 from quiddity.polycrit import irreducible_over_Q
-from quiddity.polynomials import QPoly
+from quiddity.polynomials import QPoly, composed_product
 
 
 def sqrt2_field():
@@ -45,6 +46,12 @@ def gauss_field():
 
 def zeta8_field():
     return field_make(QPoly((1, 0, 0, 0, 1)), root_hint=BoxC.make(0, 1, 0, 1))
+
+
+def zeta9_field():
+    return field_make(
+        QPoly((1, 0, 0, 1, 0, 0, 1)), root_hint=BoxC.make(F(1, 2), 1, F(1, 2), F(3, 4))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +460,79 @@ class TestModulusCompare:
             got = modulus_compare(x, f.selected_root, 2)
             if abs(true - 2) > 1e-6:
                 assert got == ("Greater" if true > 2 else "Less")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            zeta9_field,
+            zeta8_field,
+            lambda: field_make(QPoly((1, 0, -10, 0, 1)), root_hint=BoxC.make(3, 4, 0, 0)),
+            lambda: field_make(QPoly((1, -3, 0, 1)), root_hint=BoxC.make(1, 2, 0, 0)),
+        ],
+        ids=["zeta9", "zeta8", "sqrt2_plus_sqrt3", "real_cubic"],
+    )
+    def test_equal_verdicts_match_the_oracle(self, make):
+        # |x| = t makes t^2 = x * conj(x) a root of the composed product
+        # of m_x, the independent resultant route
+        f = make()
+        w = f.generator()
+        rng = random.Random(f.degree)
+        xs = [f.from_rational(1), f.from_rational(-2), w, w * w * 2]
+        for _ in range(8):
+            coords = [F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(f.degree)]
+            xs.append(FieldElement(f, coords))
+        equal = 0
+        for x in xs:
+            for t in (1, 2):
+                for idx in {0, f.selected_root}:
+                    if x.is_zero or modulus_compare(x, idx, t) != "Equal":
+                        continue
+                    equal += 1
+                    assert composed_product(x.min_poly_over_Q()).squarefree_part()(F(t * t)) == 0
+        assert equal >= 2
+
+    def test_planted_equalities(self):
+        for f in (zeta8_field(), zeta9_field()):
+            for idx in range(f.degree):
+                assert modulus_compare(f.generator() * 2, idx, 2) == "Equal"
+        # |1 + zeta8^2| = sqrt 2, written through its square and through
+        # the quotient by sqrt 2 = zeta8 - zeta8^3 (up to sign)
+        f = zeta8_field()
+        w = f.generator()
+        u = f.one() + w * w
+        for idx in range(4):
+            assert modulus_compare(u * u, idx, 2) == "Equal"
+            assert modulus_compare(u * (w - w * w * w) * F(1, 2), idx, 1) == "Equal"
+
+    def test_near_misses_are_never_equal(self):
+        # 3 - 2 sqrt 2 = [0; 5, 1, 4, 1, 4, ...] against its convergents
+        f = sqrt2_field()
+        x = f.from_rational(3) - f.generator() * 2
+        convergents = [(0, 1), (1, 5), (1, 6), (5, 29), (6, 35), (29, 169), (35, 204), (169, 985)]
+        for p, q in convergents:
+            # 3 - 2 sqrt 2 > p/q exactly when (3q - p)^2 > 8 q^2
+            want = "Greater" if (3 * q - p) ** 2 > 8 * q * q else "Less"
+            assert modulus_compare(x, f.selected_root, F(p, q)) == want
+
+    def test_integral_scale_is_least(self):
+        def integral(p, c):
+            return all((c ** (p.degree - j) * a).denominator == 1 for j, a in enumerate(p.coeffs[:-1]))
+
+        for coeffs, want in (
+            ((F(289, 16), F(135, 2), 57, F(-15, 2), 18, 0, 1), 2),
+            ((F(1, 12), 0, 1), 6),
+            ((F(1, 8), F(1, 2), 1), 4),
+            ((F(1, 375), 0, 0, 1), 15),
+            ((F(3, 2), 1), 2),
+        ):
+            p = QPoly(coeffs)
+            assert _integral_scale(p) == want
+            assert integral(p, want) and not any(integral(p, c) for c in range(1, want))
+        # a square of a prime above the trial-division bound enters whole:
+        # valid, though not least
+        big = 2**31 - 1
+        p = QPoly((F(1, big * big), 0, 1))
+        assert integral(p, _integral_scale(p))
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,11 @@ from quiddity.polynomials import (
     QPoly,
     composed_product,
     count_real_roots,
-    even_part_in_square,
     lagrange_interpolate,
     qpoly_at_disk,
     real_roots_isolated,
     refine_real_root,
     resultant,
-    root_difference_poly,
     sign_variations,
 )
 
@@ -248,23 +246,3 @@ def test_composed_product_roots():
     for v in (4, 6, 9):
         assert cp(F(v)) == 0
     assert cp(F(5)) != 0
-
-
-def test_root_difference_poly():
-    q = QPoly((-2, 1)) * QPoly((-5, 1))
-    d = root_difference_poly(q)
-    for v in (0, 3, -3):
-        assert d(F(v)) == 0
-    u = even_part_in_square(d.squarefree_part())
-    assert u(F(9)) == 0 and u(F(0)) == 0
-    assert u(F(4)) != 0
-
-
-def test_even_part_in_square_complex_pair():
-    # X^2 + 4: roots +-2i, differences {0, +-4i}, squares {0, -16}
-    q = QPoly((4, 0, 1))
-    d = root_difference_poly(q).squarefree_part()
-    u = even_part_in_square(d)
-    assert u(F(-16)) == 0
-    assert u(F(0)) == 0
-    assert u(F(-15)) != 0
