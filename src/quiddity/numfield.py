@@ -10,22 +10,25 @@ never by floating point.  An equality is certified by a zero bound: a
 nonzero algebraic integer has norm at least 1, so an interval narrower
 than the bound that holds both sides proves them equal.
 
-Real roots are isolated and refined by sign-variation bisection.
-Nonreal roots are isolated in the upper half plane by rectangle
-subdivision (a quadtree), where a cell is discarded once a disk around it
-provably contains no root and a cluster of surviving cells is accepted
-once a disk around it provably contains exactly one; both certificates
-come from the strict disk counts in polycrit.  Totality is an exact
-counting argument, so cells that straddle the real axis can linger
+Real roots are isolated by sign-variation bisection on integer
+coefficients and refined by rational bisection.  Nonreal roots are
+isolated in the upper half plane by rectangle subdivision (a quadtree),
+where a cell is discarded once a disk around it provably contains no
+root and a cluster of surviving cells is accepted once a disk around it
+provably contains exactly one; both certificates come from the strict
+disk counts in polycrit, which run on Gaussian integers.  Totality is an
+exact counting argument, so cells that straddle the real axis can linger
 harmlessly until excluded.  The lower half plane holds the conjugates.
 
 A nonreal isolating box is refined by Newton's method from its centre,
-on Gaussian rationals rounded to a dyadic grid.  The iterate proves
-nothing by itself: the refined box is the square around one open disk
-that lies inside the old box and has a strict disk count of exactly 1.
-The old box isolates one root, so the disk holds that same root.  When
-Newton does not converge or the count is not 1, one quadtree step
-shrinks the box and Newton starts again from the smaller box.
+on Gaussian rationals rounded to a dyadic grid; each step reads p(z) and
+p'(z) off one integer Taylor shift, up to a common positive factor that
+their ratio does not see.  The iterate proves nothing by itself: the
+refined box is the square around one open disk that lies inside the old
+box and has a strict disk count of exactly 1.  The old box isolates one
+root, so the disk holds that same root.  When Newton does not converge
+or the count is not 1, one quadtree step shrinks the box and Newton
+starts again from the smaller box.
 
 A field is only built over an irreducible polynomial, and that is
 decided, not assumed.  The cheap certificates of polycrit settle most
@@ -47,6 +50,7 @@ from typing import Callable, Optional, Sequence
 
 from .polynomials import (
     GaussRat,
+    NotSquarefree,
     QPoly,
     as_rat,
     count_real_roots,
@@ -61,10 +65,6 @@ from .polycrit import gauss_disk_count_strict, irreducible_over_Q
 
 class NotMonic(ValueError):
     """Minimal polynomial cannot be normalized to a monic one."""
-
-
-class NotSquarefree(ValueError):
-    """Candidate minimal polynomial has repeated roots."""
 
 
 class NotIrreducible(ValueError):
@@ -428,15 +428,18 @@ def _newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
     # near a simple root each step doubles the correct bits, so a few
     # more than log2(shift) steps reach the grid
     for _ in range(shift.bit_length() + 4):
-        # the Taylor coefficients of p at z are p(z), p'(z), ...
-        value, slope = qpoly_at_disk(p, z, Fraction(1))[:2]
-        if not slope:
+        # the Taylor coefficients of p at z are a positive multiple of
+        # p(z), p'(z), ..., and the step p(z)/p'(z) is free of the scale
+        (vr, vi), (sr, si) = qpoly_at_disk(p, z, Fraction(1))[:2]
+        norm = sr * sr + si * si
+        if not norm:
             return None
-        step = value * slope.inverse()
-        z = GaussRat(_dyadic(z.re - step.re, shift), _dyadic(z.im - step.im, shift))
+        step_re = Fraction(vr * sr + vi * si, norm)
+        step_im = Fraction(vi * sr - vr * si, norm)
+        z = GaussRat(_dyadic(z.re - step_re, shift), _dyadic(z.im - step_im, shift))
         if not (box.re.contains(z.re) and box.im.contains(z.im)):
             return None
-        if abs(step.re) <= unit and abs(step.im) <= unit:
+        if abs(step_re) <= unit and abs(step_im) <= unit:
             break
     else:
         return None

@@ -3,16 +3,19 @@
 Two families of tools live here.  The irreducibility side proves or
 refutes irreducibility over Q with cheap classical certificates
 (rational roots, Eisenstein with small shifts, Osada's prime bound,
-reduction mod p).  The localization side counts polynomial roots in
-disks with rational radius, exactly, through the Schur-Cohn reduction.
-One recurrence, `_chain`, runs every count: over Q for disks at 0 and
-over Q(i) for the strict variant at complex centers, which powers the
-rectangle subdivision used elsewhere for root isolation.  The chain
-degenerates on a root on the circle, on a conjugate-reciprocal root
-pair, and at accidental zero steps.  The count at 0 splits off the
-first two by a gcd beforehand and brackets radius 1 between two nearby
-circles when the chain still degenerates; the strict count returns
-None instead.
+reduction mod p); rational roots come from real-root isolation, not from
+divisors, so large coefficients cost no factoring.  The localization
+side counts polynomial roots in disks with rational radius, exactly,
+through the Schur-Cohn reduction.  One recurrence, `_chain`, runs every
+count on primitive Gaussian-integer coefficients, dividing each step by
+its content: with zero imaginary parts for disks at 0, and on a positive
+multiple of the recentred polynomial for the strict variant at complex
+centers, which powers the rectangle subdivision used elsewhere for root
+isolation.  The chain degenerates on a root on the circle, on a
+conjugate-reciprocal root pair, and at accidental zero steps.  The count
+at 0 splits off the first two by a gcd beforehand and brackets radius 1
+between two nearby circles when the chain still degenerates; the strict
+count returns None instead.
 
 No floating point is used anywhere: every verdict is replayable from
 the integers it carries.
@@ -20,6 +23,7 @@ the integers it carries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,6 +35,8 @@ from .polynomials import (
     as_rat,
     count_real_roots,
     qpoly_at_disk,
+    real_roots_isolated,
+    refine_real_root,
 )
 
 
@@ -97,16 +103,20 @@ def is_prime(n: int) -> bool:
 
 
 def prime_divisors(n: int) -> list[int]:
+    """Prime divisors of n, ascending: those below 2^16 by trial
+    division, and the cofactor left over when it is prime.  A cofactor
+    that is_prime cannot certify (composite, or above 3.3e24) is left
+    out, so a large n costs no more than the trial division."""
     n = abs(n)
     out = []
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < 1 << 16:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
+    if n > 1 and (d * d > n or (n < 33 * 10 ** 23 and is_prime(n))):
         out.append(n)
     return out
 
@@ -128,17 +138,11 @@ def eisenstein(p: QPoly) -> Optional[int]:
 
     Conditions, for the integer coefficients a_0..a_n: q divides every
     a_i with i < n, q does not divide a_n, and q^2 does not divide a_0.
-    Only primes dividing a_0 can qualify, so the search is finite.
+    Only primes dividing gcd(a_0, ..., a_(n-1)) can qualify.
     """
     a = _int_model(p)
-    if a[0] == 0:
-        return None
-    for q in prime_divisors(a[0]):
-        if a[-1] % q == 0:
-            continue
-        if a[0] % (q * q) == 0:
-            continue
-        if all(c % q == 0 for c in a[:-1]):
+    for q in prime_divisors(math.gcd(*a[:-1])):
+        if a[-1] % q and a[0] % (q * q):
             return q
     return None
 
@@ -241,41 +245,28 @@ def modp_irreducible(p: QPoly, prime: int) -> bool:
 
 
 def _rational_roots(ints: list[int]) -> list[Fraction]:
-    """All rational roots of the primitive integer polynomial."""
-    if not ints:
-        return []
-    roots = []
-    # roots at zero
-    probe = QPoly(ints)
-    if ints[0] == 0:
-        roots.append(Fraction(0))
-        v, probe = probe.strip_low()
-        ints = [int(c) for c in probe.coeffs]
-        if len(ints) < 2:
-            return roots
-    a0, an = abs(ints[0]), abs(ints[-1])
+    """All rational roots of the primitive integer polynomial: 0 first,
+    then by (|numerator|, denominator), positive before negative.
 
-    def divisors(m: int) -> list[int]:
-        out = []
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.append(d)
-                out.append(m // d)
-            d += 1
-        return sorted(set(out))
-
-    seen = set()
-    for num in divisors(a0):
-        for den in divisors(an):
-            for s in (1, -1):
-                cand = Fraction(s * num, den)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if probe(cand) == 0:
-                    roots.append(cand)
-    return roots
+    A root u/v in lowest terms of the squarefree part h, whose primitive
+    integer model has leading coefficient a, has v | a, so a u/v is an
+    integer.  An isolating interval of h refined to width <= 1/(2a)
+    holds a u/v for at most one integer, and exact evaluation tests it.
+    """
+    v, core = QPoly(ints).strip_low()
+    roots = [Fraction(0)] if v else []
+    if core.degree < 1:
+        return roots
+    h = core.squarefree_part()
+    a = h.int_coeffs()[-1]
+    found = []
+    for lo, hi in real_roots_isolated(h)[0]:
+        lo, hi = refine_real_root(h, lo, hi, Fraction(1, 2 * a))
+        y = math.ceil(a * lo)
+        if y <= a * hi and h(Fraction(y, a)) == 0:
+            found.append(Fraction(y, a))
+    found.sort(key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+    return roots + found
 
 
 _EISENSTEIN_SHIFTS = (0, 1, -1, 2, -2, 3, -3)
@@ -360,35 +351,43 @@ def rouche_dominant_count(
 # ---------------------------------------------------------------------------
 
 
-def _chain(f: Sequence) -> Optional[int]:
+def _chain(f: Sequence[tuple[int, int]]) -> Optional[int]:
     """Unit-disk root count of f by the Schur-Cohn reduction; None on a
     degenerate step.
 
-    f holds the coefficients, low degree first, as integers, Fractions
-    or GaussRats, with f[0] != 0 and f[-1] != 0.  One step replaces f of
-    degree n by T f = conj(a0) f - an f*, where f* is the conjugate
-    reverse z^n conj(f(1/conj z)); its constant term is the real number
+    f holds Gaussian-integer coefficients (re, im), low degree first,
+    with f[0] and f[-1] nonzero.  One step replaces f of degree n by
+    T f = conj(a0) f - an f*, where f* is the conjugate reverse
+    z^n conj(f(1/conj z)); its constant term is the real number
     gamma = |a0|^2 - |an|^2 and its degree is below n.  When gamma != 0,
     Rouche's theorem on |z| = 1 gives T f the roots of f inside the disk
-    (gamma > 0) or those of f* (gamma < 0).  A non-None answer also
-    certifies that no root lies on |z| = 1, since such a root is a
-    common root of f and f* (see gauss_disk_count_strict).
+    (gamma > 0) or those of f* (gamma < 0).  Each step is divided by its
+    content, a positive integer that changes neither the next gamma's
+    sign nor any root (Collins, 1967).  A non-None answer also certifies
+    that no root lies on |z| = 1, since such a root is a common root of
+    f and f* (see gauss_disk_count_strict).
     """
-    n = len(f) - 1
-    if n <= 0:
-        return 0
-    a0, an = f[0], f[-1]
-    gamma = (a0 * a0.conjugate() - an * an.conjugate()).real
-    if gamma == 0:
-        return None
-    a0c = a0.conjugate()
-    t = [a0c * f[k] - an * f[n - k].conjugate() for k in range(n)]
-    while not t[-1]:
-        t.pop()
-    sub = _chain(t)
-    if sub is None:
-        return None
-    return sub if gamma > 0 else n - sub
+    steps = []
+    while len(f) > 1:
+        n = len(f) - 1
+        (ar, ai), (br, bi) = f[0], f[-1]
+        gamma = ar * ar + ai * ai - br * br - bi * bi
+        if gamma == 0:
+            return None
+        steps.append((n, gamma > 0))
+        t = []
+        for k in range(n):
+            (fr, fi), (gr, gi) = f[k], f[n - k]
+            t.append((ar * fr + ai * fi - br * gr - bi * gi, ar * fi - ai * fr - bi * gr + br * gi))
+        while t[-1] == (0, 0):
+            t.pop()
+        # a list, not a generator, for the reason in qpoly_at_disk
+        g = math.gcd(*[x for pair in t for x in pair])
+        f = t if g == 1 else [(x // g, y // g) for x, y in t]
+    count = 0
+    for n, inside in reversed(steps):
+        count = count if inside else n - count
+    return count
 
 
 _BRACKET_BITS = 64
@@ -413,13 +412,13 @@ def _circle_free_unit_count(q: QPoly) -> int:
     """
     a = q.int_coeffs()
     n = len(a) - 1
-    direct = _chain(a)
+    direct = _chain([(c, 0) for c in a])
     if direct is not None:
         return direct
     for k in range(1, _BRACKET_BITS + 1):
         # 2^(kn) q(m z / 2^k) at m = 2^k -+ 1
         inner, outer = (
-            _chain([c * m ** i * 2 ** (k * (n - i)) for i, c in enumerate(a)])
+            _chain([(c * m ** i * 2 ** (k * (n - i)), 0) for i, c in enumerate(a)])
             for m in (2 ** k - 1, 2 ** k + 1)
         )
         if inner is not None and inner == outer:
@@ -525,12 +524,11 @@ def gauss_disk_count_strict(
         raise ValueError("radius must be positive")
     if p.degree < 1:
         return 0
-    q = list(qpoly_at_disk(p, center, r))
+    q = qpoly_at_disk(p, center, r)
     inside = 0
-    while not q[0]:
-        q.pop(0)
+    while q[inside] == (0, 0):
         inside += 1
-    got = _chain(q)
+    got = _chain(q[inside:])
     if got is None:
         return None
     return inside + got

@@ -1,9 +1,12 @@
 """Exact rational and Gaussian-rational polynomial arithmetic.
 
-Everything in here is carried by fractions.Fraction, so nothing ever
-rounds.  Besides the ring operations the module provides Descartes-driven
-isolation and counting of real roots on an interval with exact rational
-endpoints, and Taylor shifts at Gaussian-rational centres for disk counts.
+The public type, QPoly, carries fractions.Fraction coefficients, so
+nothing ever rounds.  The two hot loops of root work run on primitive
+integer coefficient lists instead: Descartes isolation of real roots
+bisects (0, 1) by integer halvings and Taylor shifts (Collins and
+Akritas, 1976), and the Taylor shift at a Gaussian-rational centre for
+disk counts returns a positive multiple of the shifted polynomial with
+Gaussian-integer coefficients.
 
 Scalar resultants, Lagrange interpolation and the composed product built
 from them serve only as the independent test oracle for the equality
@@ -270,17 +273,10 @@ class QPoly:
         """Primitive integer coefficient vector with positive leading term."""
         if self.is_zero:
             return []
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return ints
+        den = math.lcm(*[c.denominator for c in self.coeffs])
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        g = math.gcd(*ints)
+        return [v // g for v in ints] if ints[-1] > 0 else [-v // g for v in ints]
 
     def squarefree_part(self) -> "QPoly":
         if self.degree <= 0:
@@ -324,7 +320,11 @@ class QPoly:
 # ---------------------------------------------------------------------------
 
 
-def sign_variations(coeffs: Sequence[Fraction]) -> int:
+class NotSquarefree(ValueError):
+    """A polynomial that must be squarefree has a repeated root."""
+
+
+def sign_variations(coeffs: Sequence) -> int:
     count = 0
     last = 0
     for c in coeffs:
@@ -337,42 +337,58 @@ def sign_variations(coeffs: Sequence[Fraction]) -> int:
     return count
 
 
-def _descartes_bound(p: QPoly, a: Fraction, b: Fraction) -> int:
-    """Upper bound (exact mod 2) on the number of roots of p in (a, b).
+def _taylor_shift(a: list[int], c: int) -> list[int]:
+    """The coefficients of A(X + c), computed in place."""
+    n = len(a) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            a[k] += c * a[k + 1]
+    return a
 
-    Uses the Moebius substitution X -> (a + b*X)/(1 + X), which maps
-    (0, inf) onto (a, b), then counts sign variations.
+
+def _recentre(
+    a: list[int], c_re: Fraction, c_im: Fraction, radius: Fraction
+) -> tuple[list[int], list[int]]:
+    """Real and imaginary parts of d^n A(c_re + i c_im + radius*X) for the
+    integer polynomial A of degree n, with d the common denominator of
+    c_re, c_im and radius: d^n A(Y/d) = sum a_k d^(n-k) Y^k is shifted by
+    the Gaussian integer d(c_re + i c_im), then scaled by (d*radius)^k."""
+    n = len(a) - 1
+    d = math.lcm(c_re.denominator, c_im.denominator, radius.denominator)
+    cr = c_re.numerator * (d // c_re.denominator)
+    ci = c_im.numerator * (d // c_im.denominator)
+    s = radius.numerator * (d // radius.denominator)
+    re = [c * d ** (n - k) for k, c in enumerate(a)]
+    im = [0] * (n + 1)
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            r1, i1 = re[k + 1], im[k + 1]
+            re[k] += cr * r1 - ci * i1
+            im[k] += cr * i1 + ci * r1
+    pw = 1
+    for k in range(n + 1):
+        re[k] *= pw
+        im[k] *= pw
+        pw *= s
+    return re, im
+
+
+def _primitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _separation_bound(a: list[int]) -> Fraction:
+    """A lower bound on the distance between distinct roots of the
+    integer polynomial a, of degree n >= 1, when it is squarefree.
+
+    Mahler (1964): the distance is at least sqrt(3|D|) n^(-(n+2)/2)
+    M^(-(n-1)), with the discriminant D a nonzero integer and the
+    Mahler measure M at most the 2-norm of a (Landau).
     """
-    n = p.degree
-    # numerator powers (a + b X)^i and (1 + X)^(n-i) expanded incrementally
-    pa: list[list[Fraction]] = [[ONE]]
-    for _ in range(n):
-        prev = pa[-1]
-        nxt = [ZERO] * (len(prev) + 1)
-        for k, c in enumerate(prev):
-            nxt[k] += a * c
-            nxt[k + 1] += b * c
-        pa.append(nxt)
-    pb: list[list[Fraction]] = [[ONE]]
-    for _ in range(n):
-        prev = pb[-1]
-        nxt = [ZERO] * (len(prev) + 1)
-        for k, c in enumerate(prev):
-            nxt[k] += c
-            nxt[k + 1] += c
-        pb.append(nxt)
-    out = [ZERO] * (n + 1)
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        term_a = pa[i]
-        term_b = pb[n - i]
-        for k1, ca in enumerate(term_a):
-            if ca == 0:
-                continue
-            for k2, cb in enumerate(term_b):
-                out[k1 + k2] += c * ca * cb
-    return sign_variations(out)
+    n = len(a) - 1
+    norm = math.isqrt(sum(c * c for c in a)) + 1
+    return Fraction(1, n ** ((n + 3) // 2) * norm ** (n - 1))
 
 
 def real_roots_isolated(
@@ -384,36 +400,64 @@ def real_roots_isolated(
     Endpoints of the returned intervals are never roots, so rational
     roots come back as ordinary intervals; the empty second list stays
     for callers that unpack the pair.
+
+    The interval is mapped onto (0, 1) once, as the primitive integer
+    polynomial f(x) = c p(lo + (hi - lo) x).  A subinterval carries its
+    own such polynomial, and the sign variations of the reversed
+    polynomial shifted by 1, (1 + x)^n f(1/(1 + x)), bound its roots
+    (Descartes' rule).  A subinterval splits at its midpoint, or at
+    a + (b - a)/2^j for the least j where that point is no root.  The
+    halves are f(x/2^j) and f(2^-j + (1 - 2^-j) x), scaled to integers.
+    Roots sitting exactly on lo or hi are outside the open interval and
+    never counted.
+
+    An interval narrower than half the root separation bound of p that
+    still shows two sign variations raises NotSquarefree: by the
+    two-circle theorem (Alesina and Galuzzi, 1998) the two circles over
+    it, of diameter under sqrt(3) times its width, then hold two roots
+    or a multiple one, and two distinct roots cannot be that close.
     """
     if p.degree < 1:
         return [], []
-    bound = p.cauchy_root_bound()
-    if lo is None:
-        lo = -bound
-    if hi is None:
-        hi = bound
+    if lo is None or hi is None:
+        bound = p.cauchy_root_bound()
+        lo = -bound if lo is None else lo
+        hi = bound if hi is None else hi
     lo, hi = as_rat(lo), as_rat(hi)
+    if hi <= lo:
+        return [], []
+    width = hi - lo
+    ints = p.int_coeffs()
+    n = len(ints) - 1
+    f = _primitive(_recentre(ints, lo, ZERO, width)[0])
+    tiny = _separation_bound(ints) / (2 * width)
     intervals: list[tuple[Fraction, Fraction]] = []
-    # Roots sitting exactly on lo or hi are outside the open interval and
-    # never counted; the variation bound can overshoot there but the
-    # bisection still terminates because the root itself is excluded.
-    # Split points are moved off roots.
-    work = [(lo, hi)]
+    work = [(ZERO, ONE, f)]
     while work:
-        a, b = work.pop()
-        v = _descartes_bound(p, a, b)
+        a, b, f = work.pop()
+        v = sign_variations(_taylor_shift(f[::-1], 1))
         if v == 0:
             continue
         if v == 1:
-            intervals.append((a, b))
+            intervals.append((lo + width * a, lo + width * b))
             continue
-        m = (a + b) / 2
-        denom = 4
-        while p(m) == 0:
-            m = a + (b - a) / denom
-            denom *= 2
-        work.append((a, m))
-        work.append((m, b))
+        if b - a < tiny:
+            raise NotSquarefree(
+                f"{p!r} has a repeated root in ({lo + width * a}, {lo + width * b})"
+            )
+        j = 1
+        while True:
+            left = [c << (j * (n - k)) for k, c in enumerate(f)]
+            if sum(left):  # 2^(jn) f(2^-j), zero iff the split point is a root
+                break
+            j += 1
+        right = _taylor_shift(list(left), 1)
+        if j > 1:
+            s = (1 << j) - 1
+            right = [c * s ** k for k, c in enumerate(right)]
+        m = a + (b - a) / (1 << j)
+        work.append((a, m, _primitive(left)))
+        work.append((m, b, _primitive(right)))
     intervals.sort()
     return intervals, []
 
@@ -475,15 +519,6 @@ class GaussRat:
             self.re * other.im + self.im * other.re,
         )
 
-    # conjugate() and real share their names with Fraction's, so code
-    # written against both coefficient types needs no branch on the type
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
-    @property
-    def real(self) -> Fraction:
-        return self.re
-
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
@@ -500,38 +535,24 @@ class GaussRat:
         return GaussRat(self.re * r, self.im * r)
 
 
-def gpoly_strip(cs: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
+def qpoly_at_disk(p: QPoly, center: GaussRat, radius) -> tuple[tuple[int, int], ...]:
+    """A positive multiple of p(center + radius*X), low degree first, as
+    primitive Gaussian-integer coefficients (re, im).
 
-
-def qpoly_at_disk(p: QPoly, center: GaussRat, radius: Fraction) -> tuple[GaussRat, ...]:
-    """Coefficients of p(center + radius*X) over Q(i)."""
-    # Taylor shift by synthetic division, then scale the argument.
-    work = [GaussRat.of(c) for c in p.coeffs]
-    n = len(work) - 1
-    if n < 0:
+    The multiple is d^n p(center + radius*X) times the positive integer
+    that clears the denominators of p, for d that of center and radius.
+    """
+    if p.is_zero:
         return ()
-    out = []
-    for _ in range(n + 1):
-        rem = work[-1]
-        new = [work[-1]]
-        for k in range(len(work) - 2, -1, -1):
-            rem = work[k] + rem * center
-            new.append(rem)
-        new.reverse()
-        out.append(new[0])
-        work = new[1:]
-        if not work:
-            break
-    pw = ONE
-    scaled = []
-    for c in out:
-        scaled.append(c.scale(pw))
-        pw *= radius
-    return gpoly_strip(scaled)
+    ints = p.int_coeffs()
+    if p.lc() < 0:
+        ints = [-c for c in ints]
+    re, im = _recentre(ints, center.re, center.im, as_rat(radius))
+    g = math.gcd(*re, *im)
+    # from a list, not a generator: a tuple built from a generator is
+    # resized, and CPython then parks each final size on its tuple free
+    # list, up to 2000 per size (about 1 MB of peak memory on `roots`)
+    return tuple([(x // g, y // g) for x, y in zip(re, im)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,158 @@
+"""The Fraction and GaussRat kernels that the integer kernels replaced.
+
+These are the generic versions of the disk count, the Schur-Cohn chain,
+Descartes isolation and the rational-root search, kept as an independent
+oracle: they share no arithmetic with the integer code they check.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional
+
+from quiddity.polynomials import GaussRat, QPoly
+
+
+def _conj(x):
+    return GaussRat(x.re, -x.im) if isinstance(x, GaussRat) else x
+
+
+def _abs2(x) -> Fraction:
+    return x.abs2() if isinstance(x, GaussRat) else x * x
+
+
+def qpoly_at_disk(p: QPoly, center: GaussRat, radius) -> tuple[GaussRat, ...]:
+    """Coefficients of p(center + radius*X) over Q(i)."""
+    work = [GaussRat.of(c) for c in p.coeffs]
+    n = len(work) - 1
+    if n < 0:
+        return ()
+    out = []
+    for _ in range(n + 1):
+        rem = work[-1]
+        new = [work[-1]]
+        for k in range(len(work) - 2, -1, -1):
+            rem = work[k] + rem * center
+            new.append(rem)
+        new.reverse()
+        out.append(new[0])
+        work = new[1:]
+        if not work:
+            break
+    pw = Fraction(1)
+    scaled = []
+    for c in out:
+        scaled.append(c.scale(pw))
+        pw *= Fraction(radius)
+    while scaled and not scaled[-1]:
+        scaled.pop()
+    return tuple(scaled)
+
+
+def chain(f) -> Optional[int]:
+    """Schur-Cohn unit-disk count over Fractions or GaussRats, None on a
+    degenerate step, with no content removal."""
+    n = len(f) - 1
+    if n <= 0:
+        return 0
+    a0, an = f[0], f[-1]
+    gamma = _abs2(a0) - _abs2(an)
+    if gamma == 0:
+        return None
+    t = [_conj(a0) * f[k] - an * _conj(f[n - k]) for k in range(n)]
+    while not t[-1]:
+        t.pop()
+    sub = chain(t)
+    if sub is None:
+        return None
+    return sub if gamma > 0 else n - sub
+
+
+def gauss_disk_count_strict(p: QPoly, center: GaussRat, radius) -> Optional[int]:
+    q = list(qpoly_at_disk(p, center, Fraction(radius)))
+    inside = 0
+    while not q[0]:
+        q.pop(0)
+        inside += 1
+    got = chain(q)
+    return None if got is None else inside + got
+
+
+def circle_free_unit_count(q: QPoly) -> int:
+    """polycrit._circle_free_unit_count on the Fraction chain."""
+    a = [Fraction(c) for c in q.int_coeffs()]
+    n = len(a) - 1
+    direct = chain(a)
+    if direct is not None:
+        return direct
+    for k in range(1, 65):
+        inner, outer = (
+            chain([c * m ** i * 2 ** (k * (n - i)) for i, c in enumerate(a)])
+            for m in (2 ** k - 1, 2 ** k + 1)
+        )
+        if inner is not None and inner == outer:
+            return inner
+    raise RuntimeError("bracket did not settle")
+
+
+def sign_variations(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def descartes_bound(p: QPoly, a: Fraction, b: Fraction) -> int:
+    """Sign variations of (1 + X)^n p((a + bX)/(1 + X)), expanded afresh."""
+    n = p.degree
+    out = QPoly.zero()
+    num, den = QPoly((a, b)), QPoly((1, 1))
+    for i, c in enumerate(p.coeffs):
+        term = QPoly((c,))
+        for _ in range(i):
+            term = term * num
+        for _ in range(n - i):
+            term = term * den
+        out = out + term
+    return sign_variations(out.coeffs)
+
+
+def real_roots_isolated(p: QPoly, lo=None, hi=None) -> list[tuple[Fraction, Fraction]]:
+    """Bisection on (lo, hi) at midpoints, moved to a + (b - a)/2^j when
+    the midpoint is a root; squarefree p only (it loops otherwise)."""
+    bound = p.cauchy_root_bound()
+    lo = -bound if lo is None else Fraction(lo)
+    hi = bound if hi is None else Fraction(hi)
+    intervals = []
+    work = [(lo, hi)]
+    while work:
+        a, b = work.pop()
+        v = descartes_bound(p, a, b)
+        if v == 1:
+            intervals.append((a, b))
+        elif v > 1:
+            m, denom = (a + b) / 2, 4
+            while p(m) == 0:
+                m, denom = a + (b - a) / denom, denom * 2
+            work += [(a, m), (m, b)]
+    return sorted(intervals)
+
+
+def rational_roots(ints: list[int]) -> list[Fraction]:
+    """Every rational root of the integer polynomial by the divisors of
+    its end coefficients: 0 first, then by (|numerator|, denominator),
+    positive before negative."""
+    p = QPoly(ints)
+    roots = []
+    if ints[0] == 0:
+        roots.append(Fraction(0))
+        p = p.strip_low()[1]
+        if p.degree < 1:
+            return roots
+    a0, an = int(abs(p.coeffs[0])), int(abs(p.coeffs[-1]))
+    cands = {
+        Fraction(s * u, v)
+        for u in range(1, a0 + 1) if a0 % u == 0
+        for v in range(1, an + 1) if an % v == 0
+        for s in (1, -1)
+    }
+    order = sorted(cands, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+    return roots + [r for r in order if p(r) == 0]

@@ -1,0 +1,125 @@
+"""The integer kernels against the Fraction oracle in fraction_oracle.
+
+Disk counts, Schur-Cohn counts and real-root isolation run on primitive
+integer coefficients; the generic Fraction/GaussRat versions they
+replaced must give the same answers, every None included, on seeded
+inputs chosen to hit the degenerate cases.
+"""
+
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import fraction_oracle as oracle
+from quiddity import polycrit
+from quiddity.polycrit import _rational_roots, gauss_disk_count_strict, schur_cohn_count
+from quiddity.polynomials import GaussRat, QPoly, qpoly_at_disk, real_roots_isolated
+
+
+def _poly(rng, degree, bound):
+    return QPoly([rng.randint(-bound, bound) for _ in range(degree)] + [rng.randint(1, bound)])
+
+
+def _point(rng, den):
+    return GaussRat.of(F(rng.randint(-8, 8), den), F(rng.randint(-8, 8), den))
+
+
+def _times_roots(p, *zs):
+    """Squarefree part of p times the real quadratic of each z."""
+    for z in zs:
+        p = p * QPoly((z.abs2(), -2 * z.re, 1))
+    return p.squarefree_part()
+
+
+def test_disk_recentre_is_a_positive_primitive_multiple():
+    rng = random.Random(31)
+    for _ in range(200):
+        p = _poly(rng, rng.randint(0, 7), 9) * F(rng.choice((1, -1)), rng.randint(1, 6))
+        c = GaussRat.of(F(rng.randint(-9, 9), rng.randint(1, 8)), F(rng.randint(-9, 9), rng.randint(1, 8)))
+        r = F(rng.randint(1, 9), rng.randint(1, 8))
+        got, want = qpoly_at_disk(p, c, r), oracle.qpoly_at_disk(p, c, r)
+        assert len(got) == len(want)
+        assert math.gcd(*(x for pair in got for x in pair)) == 1
+        scale = {F(x, w.re) for (x, _), w in zip(got, want) if w.re}
+        scale |= {F(y, w.im) for (_, y), w in zip(got, want) if w.im}
+        assert len(scale) == 1 and scale.pop() > 0, (p, c, r)
+        assert all(bool(x or y) == bool(w) for (x, y), w in zip(got, want))
+
+
+def _strict_inputs(rng):
+    """(p, centre, radius) triples: random squarefree, a root on a
+    Pythagorean point of the circle, and a conjugate-reciprocal pair."""
+    out = []
+    while len(out) < 120:
+        p = _poly(rng, rng.randint(1, 6), 5).squarefree_part()
+        if p.degree >= 1:
+            out.append((p, _point(rng, 4), F(rng.randint(1, 12), 4)))
+    for _ in range(40):
+        c, r = _point(rng, 4), F(rng.randint(1, 8), rng.choice((1, 2, 4)))
+        a, b, h = rng.choice(((3, 4, 5), (5, 12, 13), (8, 15, 17), (0, 1, 1)))
+        u = GaussRat.of(F(rng.choice((1, -1)) * a, h), F(rng.choice((1, -1)) * b, h))
+        out.append((_times_roots(_poly(rng, rng.randint(0, 3), 4), c + u.scale(r)), c, r))
+    while len(out) < 200:
+        c, r = _point(rng, 4), F(rng.randint(1, 8), rng.choice((1, 2, 4)))
+        a = _point(rng, 3)
+        if a.abs2() in (0, 1):
+            continue
+        mirror = GaussRat(a.re, -a.im).inverse()
+        out.append((_times_roots(QPoly((1,)), c + a.scale(r), c + mirror.scale(r)), c, r))
+    return out
+
+
+def test_strict_counts_match_the_oracle():
+    nones = 0
+    for p, c, r in _strict_inputs(random.Random(32)):
+        got = gauss_disk_count_strict(p, c, r)
+        assert got == oracle.gauss_disk_count_strict(p, c, r), (p, c, r)
+        nones += got is None
+    # every input on the circle or with a reciprocal pair gives None
+    assert nones >= 80
+
+
+def test_schur_cohn_counts_match_the_oracle(monkeypatch):
+    rng = random.Random(33)
+    cases = []
+    for _ in range(60):
+        p = _poly(rng, rng.randint(1, 8), 9)
+        bits = rng.randint(0, 30)
+        cases.append((p, F(rng.randint(1, 3 << bits), 1 << bits)))
+    for _ in range(20):
+        # |a0| = |an| at radius 1: the chain degenerates and the bracket runs
+        p = _poly(rng, rng.randint(3, 8), 9)
+        cases.append((QPoly((rng.choice((1, -1)) * p.coeffs[-1],) + p.coeffs[1:]), F(1)))
+    got = [schur_cohn_count(p, r) for p, r in cases]
+    monkeypatch.setattr(polycrit, "_circle_free_unit_count", oracle.circle_free_unit_count)
+    want = [schur_cohn_count(p, r) for p, r in cases]
+    assert [(s.count, s.boundary_clear) for s in got] == [(s.count, s.boundary_clear) for s in want]
+
+
+def test_isolation_matches_the_oracle_with_roots_on_split_points():
+    rng = random.Random(34)
+    for _ in range(60):
+        # on (-4, 4) the first split points are 0, -2, 2, -3, -1, 1, 3,
+        # and a + (b - a)/4 replaces a midpoint that is a root
+        roots = rng.sample([F(k, 2 ** e) for e in (0, 1, 2) for k in range(-15, 16)], rng.randint(1, 4))
+        p = _poly(rng, rng.randint(0, 3), 4)
+        for x in roots:
+            p = p * QPoly((-x, 1))
+        p = p.squarefree_part()
+        got, rest = real_roots_isolated(p, F(-4), F(4))
+        assert rest == []
+        assert got == oracle.real_roots_isolated(p, F(-4), F(4)), p
+        assert real_roots_isolated(p)[0] == oracle.real_roots_isolated(p)
+
+
+def test_rational_roots_match_the_divisor_search():
+    rng = random.Random(35)
+    for _ in range(80):
+        p = _poly(rng, rng.randint(0, 3), 5)
+        for _ in range(rng.randint(0, 3)):
+            p = p * QPoly((rng.randint(-6, 6), rng.randint(1, 4)))
+        ints = p.int_coeffs()
+        if len(ints) >= 2:
+            assert _rational_roots(ints) == oracle.rational_roots(ints), ints

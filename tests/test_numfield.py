@@ -114,6 +114,16 @@ class TestFieldMake:
         with pytest.raises(NotSquarefree):
             field_make(QPoly((0, 0, 1)))
 
+    def test_large_coefficients_build_fast(self):
+        # the generator 2^(1/3) + i k 2^(-1/3) at k = 1 - 2^-11; its
+        # primitive minimal polynomial has a constant term near 1e21
+        k = 1 - F(1, 2 ** 11)
+        p = QPoly((k ** 6 / 4 + 4, -3 * k ** 4, 9 * k ** 2, -4, 0, 0, 1))
+        start = time.perf_counter()
+        f = field_make(p, root_hint=BoxC.make(F(5, 4), F(13, 10), F(3, 4), F(4, 5)))
+        assert time.perf_counter() - start < 5.0
+        assert f.degree == 6 and not f.root_is_real(f.selected_root)
+
     def test_reducible_rejected_with_witness(self):
         with pytest.raises(NotIrreducible):
             field_make(QPoly((-1, 0, 1)), root_hint=BoxC.make(0, 2, 0, 0))

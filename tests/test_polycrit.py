@@ -43,6 +43,8 @@ def test_eisenstein_examples():
     assert eisenstein(QPoly((5, 0, 0, 5, 10, 1))) == 5
     assert eisenstein(QPoly((-2, 0, 1))) == 2
     assert eisenstein(QPoly((-1, 0, 1))) is None
+    # a prime constant term far beyond trial division
+    assert eisenstein(QPoly((2 ** 61 - 1, 0, 0, 0, 1))) == 2 ** 61 - 1
 
 
 def test_osada_examples():
@@ -107,6 +109,23 @@ def test_certificates_never_contradict_planted_root(num, den, rest):
         except BadPrime:
             pass
     assert irreducible_over_Q(p).status == "Disproven"
+
+
+def test_large_coefficients_settle_fast():
+    # X^6 - 4X^3 + 9k^2 X^2 - 3k^4 X + k^6/4 + 4 at k = 1 - 2^-11, a
+    # generator 2^(1/3) + i k 2^(-1/3): primitive constant term near 1e21
+    k = 1 - F(1, 2 ** 11)
+    p = QPoly((k ** 6 / 4 + 4, -3 * k ** 4, 9 * k ** 2, -4, 0, 0, 1))
+    start = time.perf_counter()
+    assert irreducible_over_Q(p).status == "Proven"
+    assert time.perf_counter() - start < 5.0
+    # a planted rational root with 17-digit numerator and denominator
+    p = QPoly((-12345678901234567, 98765432109876543)) * QPoly((3, 0, 0, 1))
+    start = time.perf_counter()
+    v = irreducible_over_Q(p)
+    assert time.perf_counter() - start < 5.0
+    assert v.status == "Disproven"
+    assert v.factor == QPoly((F(-12345678901234567, 98765432109876543), 1))
 
 
 # -- rouche -------------------------------------------------------------------
@@ -322,7 +341,7 @@ def test_gauss_strict_none_for_conjugate_reciprocal_pair():
         a = _gauss_point(rng, 3)
         if a.abs2() in (0, 1):
             continue
-        p = _with_roots(rng, c + a.scale(r), c + a.conjugate().inverse().scale(r))
+        p = _with_roots(rng, c + a.scale(r), c + GaussRat(a.re, -a.im).inverse().scale(r))
         assert gauss_disk_count_strict(p, c, r) is None, (p, c, r)
         checked += 1
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -10,8 +11,9 @@ import sys
 import quiddity
 
 SRC = pathlib.Path(quiddity.__file__).parent
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_no_assert_statements():
@@ -88,6 +90,19 @@ def test_benchmark_hooks_resolve():
     missing = sorted(name for name in used if not hasattr(quiddity, name))
     assert missing == []
     assert callable(importlib.import_module("quiddity.polynomials").GaussRat.of)
+
+
+def test_benchmark_trajectory_files_parse():
+    # each BENCH_<n>.json holds the result lines of perfbench/run.py for
+    # every workload, so the trajectory can be read back across changes
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        runs = json.loads(path.read_text())["workloads"]
+        assert {"census", "roots", "polycrit"} <= set(runs), path.name
+        for workload, sides in runs.items():
+            for side in ("parent", "change"):
+                assert "wall_s" in sides[side]["metrics"], (path.name, workload, side)
 
 
 def _run_script(name, *args):
