@@ -256,10 +256,10 @@ def parity_audit(
 
 def transfer_certificate(t: QuiddityTuple, epsilon: int) -> bool:
     """Exact divisibility check that the multiplier vector is a quiddity
-    over EVERY root of the minimal polynomial: the word matrix entries,
-    expanded as integer polynomials in the generator symbol, must all lie
-    in the ideal of the minimal polynomial."""
-    mp = t.field.min_poly
+    over EVERY conjugate of the tuple's generator w: the word matrix
+    entries, expanded as integer polynomials in w, must all lie in the
+    ideal of the minimal polynomial of w over Q."""
+    mp = t.generator.min_poly_over_Q()
     ks = t.multipliers
     eps_poly = QPoly((epsilon,))
     conditions = [
@@ -272,7 +272,8 @@ def transfer_certificate(t: QuiddityTuple, epsilon: int) -> bool:
 
 
 def transfer_theta(t: QuiddityTuple, target_conjugate: int) -> QuiddityTuple:
-    """Reinterpret the multipliers over another root of the same minimal
+    """Reinterpret the multipliers over the conjugate of the generator
+    that has the same coordinates at another root of the field's minimal
     polynomial; the divisibility certificate proves the image is again a
     quiddity with the same sign."""
     eps = is_quiddity(t)
@@ -283,7 +284,8 @@ def transfer_theta(t: QuiddityTuple, target_conjugate: int) -> QuiddityTuple:
             f"divisibility certificate failed for {t.multipliers} with sign {eps}"
         )
     target_field = t.field.with_selected(target_conjugate)
-    return QuiddityTuple(target_field, target_field.generator(), t.multipliers)
+    image = FieldElement(target_field, t.generator.coords)
+    return QuiddityTuple(target_field, image, t.multipliers)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,8 @@ def _cache_load(path: str, config: dict) -> Optional[EnumerationReport]:
         if not lines or json.loads(lines[0]) != config:
             return None
         members = tuple(CensusMember.from_json(json.loads(ln)) for ln in lines[1:])
-    except (OSError, ValueError, KeyError):
+    # a line of valid JSON that is not a member document raises the last two
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
     counts: dict[int, int] = {}
     for m in members:

@@ -12,6 +12,8 @@ wherever they are integral; the searches in `classify` and
 (`Mat2`, `m_product`, `is_quiddity`) and continuant assembly share no
 code with the kernel: they are the oracles the tests compare it against,
 and the certificates (witness replay) that every search result passes.
+`brute_force_quiddities` is the one exhaustive enumeration on that
+route.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .numfield import (
     FieldElement,
@@ -225,6 +227,34 @@ def euler_expansion(multipliers: Sequence[int]) -> ZPolyGraded:
 def is_quiddity(t: QuiddityTuple) -> Optional[int]:
     """epsilon in {+1, -1} when the word matrix is epsilon * Id, else None."""
     return m_product(t).pm_identity_sign()
+
+
+def brute_force_quiddities(
+    w: FieldElement, n_max: int, k_bound: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(multipliers, epsilon) for every word of size <= n_max over
+    |k| <= k_bound whose matrix over w is epsilon * Id.
+
+    The brute-force oracle for the searches.  It walks the word tree
+    depth first on `Mat2`, extending a prefix's matrix on the left by
+    E(k*w): the products `m_product_entries` forms, so a hit is exactly
+    `is_quiddity` with the prefixes shared.  It uses no part of the word
+    kernel it checks.
+    """
+    one, zero = w.field.one(), w.field.zero()
+    steps = [(k, e_matrix(w * k)) for k in range(-k_bound, k_bound + 1)]
+
+    def walk(ks: tuple[int, ...], m: Mat2):
+        if len(ks) == n_max:
+            return
+        for k, e in steps:
+            child_ks, child = ks + (k,), e * m
+            eps = child.pm_identity_sign()
+            if eps is not None:
+                yield child_ks, eps
+            yield from walk(child_ks, child)
+
+    yield from walk((), Mat2(one, zero, zero, one))
 
 
 # ---------------------------------------------------------------------------

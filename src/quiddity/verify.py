@@ -8,7 +8,6 @@ running `all` costs little more than the slowest member.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +25,7 @@ from .classify import (
 )
 from .core import (
     QuiddityTuple,
+    brute_force_quiddities,
     continuant,
     equivalent,
     is_quiddity,
@@ -106,16 +106,6 @@ def census_memo(name: str) -> EnumerationReport:
         rep = enumerate_quiddities(field, field.generator(), n_max, k_bound)
         _census_memo[name] = irreducible_census(rep)
     return _census_memo[name]
-
-
-def _brute_raw(field, n_max, k_bound):
-    w = field.generator()
-    for n in range(1, n_max + 1):
-        for ks in itertools.product(range(-k_bound, k_bound + 1), repeat=n):
-            t = QuiddityTuple(field, w, ks)
-            eps = is_quiddity(t)
-            if eps is not None:
-                yield t, eps
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +443,11 @@ def suite_reduction_oracle() -> list[CheckResult]:
     name = "reduction-oracle"
     out = []
     for label, field in (("integers", field_integers()), ("sqrt2", field_sqrt(2))):
+        w = field.generator()
         disagree = bad_replay = total = 0
-        for t, _eps in _brute_raw(field, 6, 2):
+        for ks, _eps in brute_force_quiddities(w, 6, 2):
             total += 1
+            t = QuiddityTuple(field, w, ks)
             fast = find_reduction(t)
             slow = brute_force_reduction(t, 6)
             if (fast is None) != (slow is None):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import importlib
-import itertools
 import time
 from fractions import Fraction as F
 
@@ -21,7 +20,13 @@ from quiddity.classify import (
     transfer_theta,
 )
 import quiddity.core as core_module
-from quiddity.core import CertificateFailed, QuiddityTuple, is_quiddity, canonical_multipliers
+from quiddity.core import (
+    CertificateFailed,
+    QuiddityTuple,
+    brute_force_quiddities,
+    canonical_multipliers,
+    is_quiddity,
+)
 from quiddity.numfield import BoxC, FieldElement, field_make
 from quiddity.polynomials import QPoly
 from quiddity.reducibility import NotAQuiddity, find_reduction, witness_replay
@@ -56,13 +61,10 @@ def zeta8_field():
 def brute_canonical(field, n_max, k_bound, w=None):
     """Exhaustive enumeration oracle, deduplicated the same way."""
     w = field.generator() if w is None else w
-    found = {}
-    for n in range(2, n_max + 1):
-        for ks in itertools.product(range(-k_bound, k_bound + 1), repeat=n):
-            eps = is_quiddity(QuiddityTuple(field, w, ks))
-            if eps is not None:
-                found[canonical_multipliers(ks)] = eps
-    return found
+    return {
+        canonical_multipliers(ks): eps
+        for ks, eps in brute_force_quiddities(w, n_max, k_bound)
+    }
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +298,30 @@ class TestTransfer:
         image = transfer_theta(t, other)
         assert image.field.selected_root == other
         assert is_quiddity(image) == member.epsilon
+
+    @pytest.mark.parametrize(
+        "coeffs,hint,coords,count",
+        [
+            (("-1/2", 0, 1), (0, 1, 0, 0), (0, 2), 23),
+            ((-2, 0, 1), (1, 2, 0, 0), (1, 1), 15),
+        ],
+        ids=["2/sqrt2", "1+sqrt2"],
+    )
+    def test_generator_other_than_field_generator(self, coeffs, hint, coords, count):
+        # the certificate reduces modulo the minimal polynomial of w, and
+        # the image lives over the conjugate of w, not of the field generator
+        f = field_make(QPoly(tuple(F(c) for c in coeffs)), root_hint=BoxC.make(*hint))
+        w = FieldElement(f, coords)
+        other = 1 - f.selected_root
+        report = enumerate_quiddities(f, w, 6, 2)
+        assert len(report.members) == count
+        for m in report.members:
+            t = QuiddityTuple(f, w, m.multipliers)
+            assert transfer_certificate(t, m.epsilon), m.multipliers
+            image = transfer_theta(t, other)
+            assert image.field.selected_root == other
+            assert image.generator.coords == w.coords
+            assert is_quiddity(image) == m.epsilon
 
     def test_failed_certificate_raises(self, monkeypatch):
         # the package exports a function named classify, so the module is

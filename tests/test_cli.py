@@ -178,6 +178,25 @@ class TestEnumerate:
         code2, out2, _ = run(capsys, *argv)
         assert (code1, out1) == (code2, out2)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda doc: None, lambda doc: dict(doc, multipliers=None)],
+        ids=["null-line", "null-multipliers"],
+    )
+    def test_malformed_member_line_is_recomputed(self, capsys, tmp_path, edit):
+        # valid JSON that is not a member document
+        argv = [
+            "enumerate", "--int", "--nmax", "3", "--kbound", "1",
+            "--cache-dir", str(tmp_path),
+        ]
+        code1, out1, _ = run(capsys, *argv)
+        path = next(tmp_path.glob("*.jsonl"))
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        path.write_text("\n".join(lines) + "\n")
+        code2, out2, _ = run(capsys, *argv)
+        assert (code1, out1) == (code2, out2)
+
 
 class TestCensus:
     def test_sqrt2_irreducibles(self, capsys):

@@ -1,5 +1,6 @@
 """Word matrices, continuants, gluing, equivalence, unit-entry reduction."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from quiddity.core import (
     QuiddityTuple,
     SizeTooSmall,
     ZPolyGraded,
+    brute_force_quiddities,
     canonical_form,
     canonical_multipliers,
     continuant,
@@ -123,6 +125,25 @@ class TestWordMatrix:
         t = zt(f, [3, -1, 4])
         assert all(e.is_zero for e in t.entries())
         assert is_quiddity(t) is None  # n=3 word of E(0) is not +-Id
+
+
+class TestBruteForceWalk:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: int_field().generator(), lambda: FieldElement(sqrt2_field(), (1, 1))],
+        ids=["integers", "1+sqrt2"],
+    )
+    def test_matches_is_quiddity_per_word(self, make):
+        # 1+sqrt2 is not the generator of its field
+        w = make()
+        want = []
+        for n in range(1, 5):
+            for ks in itertools.product(range(-2, 3), repeat=n):
+                eps = is_quiddity(QuiddityTuple(w.field, w, ks))
+                if eps is not None:
+                    want.append((ks, eps))
+        got = list(brute_force_quiddities(w, 4, 2))
+        assert want and sorted(got) == sorted(want)
 
 
 class TestContinuants:

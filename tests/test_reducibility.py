@@ -1,11 +1,15 @@
 """Splitting decisions: forced-boundary scan vs brute force, and witnesses."""
 
-import itertools
-
 import pytest
 
 import quiddity.reducibility as reducibility_module
-from quiddity.core import CertificateFailed, QuiddityTuple, is_quiddity, oplus_multipliers
+from quiddity.core import (
+    CertificateFailed,
+    QuiddityTuple,
+    brute_force_quiddities,
+    is_quiddity,
+    oplus_multipliers,
+)
 from quiddity.numfield import BoxC, field_make
 from quiddity.polynomials import QPoly
 from quiddity.reducibility import (
@@ -31,11 +35,8 @@ def zt(field, ks):
 
 def all_quiddities(field, n_max, k_bound):
     w = field.generator()
-    for n in range(2, n_max + 1):
-        for ks in itertools.product(range(-k_bound, k_bound + 1), repeat=n):
-            t = QuiddityTuple(field, w, ks)
-            if is_quiddity(t) is not None:
-                yield t
+    for ks, _eps in brute_force_quiddities(w, n_max, k_bound):
+        yield QuiddityTuple(field, w, ks)
 
 
 @pytest.fixture(scope="module")

@@ -44,6 +44,26 @@ def test_resultant_route_stays_an_oracle():
     assert found == []
 
 
+def test_brute_force_walk_stays_independent():
+    # the walk is the oracle for the word kernel; one that used the
+    # kernel would agree with it by construction
+    kernel = {"_WordKernel", "_word_kernel", "_left_step", "times_w", "words"}
+    tree = ast.parse((SRC / "core.py").read_text())
+    walk = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "brute_force_quiddities"
+    )
+    found = [
+        f"core.py:{node.lineno}"
+        for node in ast.walk(walk)
+        if (isinstance(node, ast.Name) and node.id in kernel)
+        or (isinstance(node, ast.Attribute) and node.attr in kernel)
+        or (isinstance(node, ast.alias) and node.name in kernel)
+    ]
+    assert found == []
+
+
 def test_verify_suite_passes_optimized():
     # covers the enumeration re-check and the witness replay with asserts off
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
