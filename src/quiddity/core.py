@@ -30,7 +30,6 @@ from .numfield import (
     coords_to_json,
     field_from_descriptor,
     field_to_descriptor,
-    subgroup_member,
 )
 from .polynomials import QPoly
 
@@ -452,8 +451,8 @@ def reduce_pm_one(t: QuiddityTuple, position: int) -> tuple[QuiddityTuple, bool]
         raise ValueError("need at least three entries to reduce")
     if not (0 <= position < n):
         raise IndexError("position out of range")
-    w = t.generator
-    entry = w * t.multipliers[position]
+    k = t.multipliers[position]
+    entry = t.generator * k
     one = t.field.one()
     if entry == one:
         s = 1
@@ -461,17 +460,14 @@ def reduce_pm_one(t: QuiddityTuple, position: int) -> tuple[QuiddityTuple, bool]
         s = -1
     else:
         raise NotPlusMinusOne(f"entry at {position} is not +-1")
-    # 1 = (s * k_pos) * w, so the unit shift stays inside <w>
-    unit_mult = subgroup_member(one, w)
-    if unit_mult is None:
-        raise CertificateFailed("1 is not in <w> although a multiple of w is +-1")
+    # s = k * w, so taking s from a neighbor takes k from its multiplier
     ks = list(t.multipliers)
     if position == 0 or position == n - 1:
         r = (position - 1) % n
         ks = ks[r:] + ks[:r]
         position = 1
     left, right = position - 1, position + 1
-    ks[left] -= s * unit_mult
-    ks[right] -= s * unit_mult
+    ks[left] -= k
+    ks[right] -= k
     del ks[position]
     return t.with_multipliers(ks), s == -1

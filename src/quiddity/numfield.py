@@ -849,12 +849,12 @@ def field_make(min_poly: QPoly, root_hint: Optional[BoxC] = None) -> NumberField
         if factor is not None:
             raise NotIrreducible(factor)
     d = p.degree
-    if d == 1:
+    if root_hint is not None:
+        selected = _select_root(p, boxes, root_hint)
+    elif d == 1:
         selected = 0
     else:
-        if root_hint is None:
-            raise AmbiguousHint("a root hint is required for degree >= 2")
-        selected = _select_root(p, boxes, root_hint)
+        raise AmbiguousHint("a root hint is required for degree >= 2")
     return NumberField(
         min_poly=p,
         degree=d,

@@ -225,26 +225,8 @@ class QPoly:
         return a.monic() if not a.is_zero else a
 
     def shift(self, c) -> "QPoly":
-        """p(X + c), by repeated synthetic division."""
-        c = as_rat(c)
-        n = self.degree
-        if n < 0:
-            return self
-        work = list(self.coeffs)
-        out = []
-        for _ in range(n + 1):
-            # divide work by (X - (-c)) collecting the remainder
-            rem = work[-1]
-            newwork = [work[-1]]
-            for k in range(len(work) - 2, -1, -1):
-                rem = work[k] + rem * c
-                newwork.append(rem)
-            newwork.reverse()
-            out.append(newwork[0])
-            work = newwork[1:]
-            if not work:
-                break
-        return QPoly(out)
+        """p(X + c)."""
+        return QPoly(_taylor_shift(list(self.coeffs), as_rat(c)))
 
     def scale_arg(self, r) -> "QPoly":
         """p(r*X)."""
@@ -337,8 +319,8 @@ def sign_variations(coeffs: Sequence) -> int:
     return count
 
 
-def _taylor_shift(a: list[int], c: int) -> list[int]:
-    """The coefficients of A(X + c), computed in place."""
+def _taylor_shift(a: list, c) -> list:
+    """The coefficients of A(X + c), computed in place; ints or Fractions."""
     n = len(a) - 1
     for i in range(n):
         for k in range(n - 1, i - 1, -1):

@@ -441,27 +441,37 @@ def suite_conjugate_transfer() -> list[CheckResult]:
 
 def suite_reduction_oracle() -> list[CheckResult]:
     name = "reduction-oracle"
+    pool = 6  # |k| bound of the brute-force boundary pairs
     out = []
-    for label, field in (("integers", field_integers()), ("sqrt2", field_sqrt(2))):
+    for label, field, expected in (
+        ("integers", field_integers(), 211),
+        ("sqrt2", field_sqrt(2), 139),
+    ):
         w = field.generator()
         disagree = bad_replay = total = 0
         for ks, _eps in brute_force_quiddities(w, 6, 2):
             total += 1
             t = QuiddityTuple(field, w, ks)
             fast = find_reduction(t)
-            slow = brute_force_reduction(t, 6)
+            slow = brute_force_reduction(t, pool)
             if (fast is None) != (slow is None):
                 disagree += 1
                 continue
-            if fast is not None and not (
-                witness_replay(t, fast) and witness_replay(t, slow)
-            ):
+            if fast is None:
+                continue
+            # both searches visit the slots in one order, and a slot's forced
+            # boundary pair is the only pair that can close it; so when the
+            # forced pair lies in the brute-force pool, both stop at that slot
+            kb1, kbl = fast.b_multipliers[0], fast.b_multipliers[-1]
+            if max(abs(kb1), abs(kbl)) <= pool and fast != slow:
+                disagree += 1
+            if not (witness_replay(t, fast) and witness_replay(t, slow)):
                 bad_replay += 1
         out.append(
             CheckResult(
                 name,
                 f"direct and brute-force splitting agree over {label}",
-                disagree == 0 and bad_replay == 0,
+                total == expected and disagree == 0 and bad_replay == 0,
                 f"{total} tuples, {disagree} disagreements, {bad_replay} bad replays",
             )
         )

@@ -58,13 +58,9 @@ def zeta8_field():
     return field_make(QPoly((1, 0, 0, 0, 1)), root_hint=BoxC.make(0, 1, 0, 1))
 
 
-def brute_canonical(field, n_max, k_bound, w=None):
+def brute_canonical(walk):
     """Exhaustive enumeration oracle, deduplicated the same way."""
-    w = field.generator() if w is None else w
-    return {
-        canonical_multipliers(ks): eps
-        for ks, eps in brute_force_quiddities(w, n_max, k_bound)
-    }
+    return {canonical_multipliers(ks): eps for ks, eps in walk}
 
 
 @pytest.fixture(scope="module")
@@ -91,12 +87,12 @@ class TestEnumerate:
         got = {m.multipliers: m.epsilon for m in rep.members}
         assert got == {(0, 0): -1, (1, 1, 1): -1, (-1, -1, -1): 1}
 
-    @pytest.mark.parametrize("make", [int_field, sqrt2_field])
-    def test_matches_brute_force(self, make):
-        f = make()
+    @pytest.mark.parametrize("name", ["integers", "sqrt2"], ids=["int_field", "sqrt2_field"])
+    def test_matches_brute_force(self, name, brute_walks):
+        f, walk = brute_walks[name]
         rep = enumerate_quiddities(f, f.generator(), 6, 2)
         got = {m.multipliers: m.epsilon for m in rep.members}
-        assert got == brute_canonical(f, 6, 2)
+        assert got == brute_canonical(walk)
 
     @pytest.mark.parametrize(
         "coeffs,hint,coords",
@@ -118,7 +114,7 @@ class TestEnumerate:
         w = f.generator() if coords is None else FieldElement(f, coords)
         rep = enumerate_quiddities(f, w, 5, 2)
         got = {m.multipliers: m.epsilon for m in rep.members}
-        assert got and got == brute_canonical(f, 5, 2, w)
+        assert got and got == brute_canonical(brute_force_quiddities(w, 5, 2))
 
     def test_failed_recheck_raises(self, monkeypatch):
         f = sqrt2_field()

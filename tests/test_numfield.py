@@ -188,9 +188,10 @@ class TestFieldMake:
             (w * w + w + f.one()).inverse()
         assert info.value.factor == QPoly((1, 1, 1))
 
-    def test_hint_touching_no_root(self):
+    @pytest.mark.parametrize("coeffs", [(-2, 0, 1), (-2, 1)], ids=["quadratic", "linear"])
+    def test_hint_touching_no_root(self, coeffs):
         with pytest.raises(AmbiguousHint):
-            field_make(QPoly((-2, 0, 1)), root_hint=BoxC.make(5, 6, 0, 0))
+            field_make(QPoly(coeffs), root_hint=BoxC.make(5, 6, 0, 0))
 
     def test_hint_straddling_two_roots(self):
         with pytest.raises(AmbiguousHint):

@@ -33,20 +33,19 @@ def zt(field, ks):
     return QuiddityTuple(field, field.generator(), ks)
 
 
-def all_quiddities(field, n_max, k_bound):
+def as_tuples(field, walk):
     w = field.generator()
-    for ks, _eps in brute_force_quiddities(w, n_max, k_bound):
-        yield QuiddityTuple(field, w, ks)
+    return [QuiddityTuple(field, w, ks) for ks, _eps in walk]
 
 
 @pytest.fixture(scope="module")
-def int_census():
-    return list(all_quiddities(int_field(), 6, 2))
+def int_census(brute_walks):
+    return as_tuples(*brute_walks["integers"])
 
 
 @pytest.fixture(scope="module")
-def sqrt2_census():
-    return list(all_quiddities(sqrt2_field(), 6, 2))
+def sqrt2_census(brute_walks):
+    return as_tuples(*brute_walks["sqrt2"])
 
 
 class TestFindReduction:
@@ -89,7 +88,7 @@ class TestFindReduction:
     def test_longer_zero_containing(self):
         # a 6-tuple with a zero entry splits
         f = int_field()
-        for t in all_quiddities(f, 6, 1):
+        for t in as_tuples(f, brute_force_quiddities(f.generator(), 6, 1)):
             if t.n >= 5 and 0 in t.multipliers:
                 wit = find_reduction(t)
                 assert wit is not None and witness_replay(t, wit)
@@ -141,33 +140,7 @@ class TestWitnessJson:
             search(t)
 
 
-def assert_same_first_witness(fast, slow, k_bound):
-    # both searches visit the slots in one order, and a slot's forced
-    # boundary pair is the only pair that can close it; so when the
-    # forced pair lies in the brute-force pool, both stop at that slot
-    if fast is not None and max(abs(fast.b_multipliers[0]), abs(fast.b_multipliers[-1])) <= k_bound:
-        assert fast == slow
-
-
 class TestOracleEquivalence:
-    def test_integers(self, int_census):
-        assert len(int_census) == 211
-        for t in int_census:
-            fast = find_reduction(t)
-            slow = brute_force_reduction(t, 6)
-            assert (fast is None) == (slow is None), t.multipliers
-            assert_same_first_witness(fast, slow, 6)
-            if fast is not None:
-                assert witness_replay(t, fast) and witness_replay(t, slow)
-
-    def test_sqrt2(self, sqrt2_census):
-        assert len(sqrt2_census) == 139
-        for t in sqrt2_census:
-            fast = find_reduction(t)
-            slow = brute_force_reduction(t, 6)
-            assert (fast is None) == (slow is None), t.multipliers
-            assert_same_first_witness(fast, slow, 6)
-
     def test_zero_entry_splits(self, int_census, sqrt2_census):
         # size >= 5 with a zero entry is always reducible
         for t in int_census + sqrt2_census:

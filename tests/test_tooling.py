@@ -64,6 +64,47 @@ def test_brute_force_walk_stays_independent():
     assert found == []
 
 
+def test_shared_brute_force_walks_stay_shared():
+    # conftest.py builds the (6, 2) walks once per session; a test module
+    # that built its own, directly or through a local wrapper, would run
+    # the slowest oracle again
+    found = []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        walkers = {"brute_force_quiddities"} | {
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(_calls(inner, {"brute_force_quiddities"}) for inner in ast.walk(node))
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _calls(node, walkers) and _bounds(node) == (6, 2)
+        ]
+    assert found == []
+
+
+def _calls(node, names):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id in names) or (
+        isinstance(func, ast.Attribute) and func.attr in names
+    )
+
+
+def _bounds(call):
+    # (n_max, k_bound) when both are literals, positional after the
+    # generator or by keyword
+    named = {kw.arg: kw.value for kw in call.keywords}
+    given = call.args[1:3]
+    nodes = given + [named.get(k) for k in ("n_max", "k_bound")[len(given):]]
+    if all(isinstance(n, ast.Constant) for n in nodes):
+        return tuple(n.value for n in nodes)
+    return None
+
+
 def test_verify_suite_passes_optimized():
     # covers the enumeration re-check and the witness replay with asserts off
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
