@@ -8,10 +8,13 @@ membership in <w> trivially exact and enumeration an integer search.
 Three routes to the word matrix deliberately coexist.  The private word
 kernel (`_WordKernel`) works on power-basis coordinates with plain ints
 wherever they are integral; the searches in `classify` and
-`reducibility` run on it.  The direct 2x2 product over `FieldElement`
-(`Mat2`, `m_product`, `is_quiddity`) and continuant assembly share no
-code with the kernel: they are the oracles the tests compare it against,
-and the certificates (witness replay) that every search result passes.
+`reducibility` run on it.  The direct 2x2 route over `FieldElement`
+(`m_product`, `is_quiddity`) and continuant assembly share no code with
+the kernel: they are the oracles the tests compare it against, and the
+certificates (witness replay) that every search result passes.  That
+route steps a word one entry at a time, E(x) * M by `e_times` and
+M * E(x) by `times_e`, two field products each; the full product
+`Mat2.__mul__` is what the tests check both steps against.
 `brute_force_quiddities` is the one exhaustive enumeration on that
 route.
 """
@@ -69,9 +72,8 @@ class Mat2:
 
     def pm_identity_sign(self) -> Optional[int]:
         """+1 for Id, -1 for -Id, None otherwise."""
-        field = self.m11.field
-        one = field.one()
         if self.m12.is_zero and self.m21.is_zero:
+            one = self.m11.field.one()
             if self.m11 == one and self.m22 == one:
                 return 1
             if self.m11 == -one and self.m22 == -one:
@@ -163,13 +165,25 @@ def e_matrix(x: FieldElement) -> Mat2:
     return Mat2(x, -field.one(), field.one(), field.zero())
 
 
+def e_times(x: FieldElement, m: Mat2) -> Mat2:
+    """E(x) * m: the new top row is x*(top) - bottom, the new bottom row
+    the old top."""
+    return Mat2(x * m.m11 - m.m21, x * m.m12 - m.m22, m.m11, m.m12)
+
+
+def times_e(m: Mat2, x: FieldElement) -> Mat2:
+    """m * E(x): the new left column is (left)*x + right, the new right
+    column minus the old left."""
+    return Mat2(m.m11 * x + m.m12, -m.m11, m.m21 * x + m.m22, -m.m21)
+
+
 def m_product_entries(entries: Sequence[FieldElement]) -> Mat2:
     """E(a_n) * ... * E(a_1), the last entry applied on the left."""
     if not entries:
         raise ValueError("empty word")
     acc = e_matrix(entries[0])
     for a in entries[1:]:
-        acc = e_matrix(a) * acc
+        acc = e_times(a, acc)
     return acc
 
 
@@ -236,18 +250,18 @@ def brute_force_quiddities(
 
     The brute-force oracle for the searches.  It walks the word tree
     depth first on `Mat2`, extending a prefix's matrix on the left by
-    E(k*w): the products `m_product_entries` forms, so a hit is exactly
-    `is_quiddity` with the prefixes shared.  It uses no part of the word
-    kernel it checks.
+    E(k*w) with `e_times`, the step `m_product_entries` takes, so a hit
+    is exactly `is_quiddity` with the prefixes shared.  It uses no part
+    of the word kernel it checks.
     """
     one, zero = w.field.one(), w.field.zero()
-    steps = [(k, e_matrix(w * k)) for k in range(-k_bound, k_bound + 1)]
+    steps = [(k, w * k) for k in range(-k_bound, k_bound + 1)]
 
     def walk(ks: tuple[int, ...], m: Mat2):
         if len(ks) == n_max:
             return
-        for k, e in steps:
-            child_ks, child = ks + (k,), e * m
+        for k, x in steps:
+            child_ks, child = ks + (k,), e_times(x, m)
             eps = child.pm_identity_sign()
             if eps is not None:
                 yield child_ks, eps

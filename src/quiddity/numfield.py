@@ -3,10 +3,11 @@
 A field is its monic minimal polynomial plus one isolating rectangle per
 complex root; a distinguished index says which root the generator means.
 Elements are exact coordinate vectors on the power basis, so all algebra
-is rational arithmetic; only questions about a specific embedding (which
-root is bigger, is the modulus at least 2) touch the rectangles, and
-those are answered by refining rectangles until the answer is certified,
-never by floating point.  An equality is certified by a zero bound: a
+is rational arithmetic (a product folds its powers X^d..X^(2d-2) back
+with rows precomputed once per minimal polynomial); only questions about
+a specific embedding (which root is bigger, is the modulus at least 2)
+touch the rectangles, and those are answered by refining rectangles
+until the answer is certified, never by floating point.  An equality is certified by a zero bound: a
 nonzero algebraic integer has norm at least 1, so an interval narrower
 than the bound that holds both sides proves them equal.
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import ceil, floor, isqrt, prod
 from typing import Callable, Optional, Sequence
@@ -537,7 +539,13 @@ def _refine_one(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
 
 
 class FieldElement:
-    """Exact element of a NumberField in power-basis coordinates."""
+    """Exact element of a NumberField in power-basis coordinates.
+
+    A product is the schoolbook product of the two coordinate tuples,
+    whose coefficients of X^d..X^(2d-2) are then folded back with rows
+    that hold those powers reduced mod the minimal polynomial; the rows
+    are built once per polynomial.
+    """
 
     __slots__ = ("field", "coords")
 
@@ -581,39 +589,50 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
+        return _element(
+            self.field, tuple([a + b for a, b in zip(self.coords, other.coords)])
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-c for c in self.coords))
+        return _element(self.field, tuple([-c for c in self.coords]))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _element(
+            self.field, tuple([a - b for a, b in zip(self.coords, other.coords)])
+        )
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
+        if isinstance(other, FieldElement):
+            a, b = self.coords, other.coords
+            d = len(a)
+            # schoolbook product, then X^d..X^(2d-2) replaced by their rows
+            full = [_ZERO] * (2 * d - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        full[i + j] += x * y
+            coords, high = full[:d], full[d:]
+            if any(high):
+                rows = _reduction_rows(self.field.min_poly.coeffs)
+                for c, row in zip(high, rows):
+                    if c:
+                        coords = [u + c * r for u, r in zip(coords, row)]
+            return _element(self.field, tuple(coords))
         if isinstance(other, (int, Fraction)):
             q = as_rat(other)
-            return FieldElement(self.field, tuple(c * q for c in self.coords))
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        prod = self.as_poly() * other.as_poly()
-        red = prod % self.field.min_poly
-        coords = list(red.coeffs) + [Fraction(0)] * (
-            self.field.degree - len(red.coeffs)
-        )
-        return FieldElement(self.field, tuple(coords[: self.field.degree]))
+            return _element(self.field, tuple([c * q for c in self.coords]))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -658,6 +677,32 @@ class FieldElement:
                 top = dep[k]
                 return QPoly([c / top for c in dep])
         raise AssertionError("element has no minimal polynomial below field degree")
+
+
+_ZERO = Fraction(0)
+
+
+def _element(field: NumberField, coords: tuple) -> FieldElement:
+    """A FieldElement from a tuple of exact Fractions of the field's
+    degree, as arithmetic produces them, without re-checking either."""
+    x = object.__new__(FieldElement)
+    object.__setattr__(x, "field", field)
+    object.__setattr__(x, "coords", coords)
+    return x
+
+
+@lru_cache(maxsize=16)
+def _reduction_rows(coeffs: tuple) -> tuple:
+    """Power-basis coordinates of X^d, ..., X^(2d-2) mod the polynomial
+    with these coefficients (low first, degree d, any nonzero leading
+    coefficient)."""
+    *low, lc = coeffs
+    rows = [tuple([-c / lc for c in low])]  # X^d
+    for _ in range(len(low) - 2):
+        # X^(e+1) = X * X^e: shift up, and the X^d it overflows into
+        *rest, top = rows[-1]
+        rows.append(tuple([u + top * r for u, r in zip([_ZERO] + rest, rows[0])]))
+    return tuple(rows)
 
 
 def _half_ext_gcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:

@@ -28,10 +28,11 @@ from .core import (
     CertificateFailed,
     QuiddityTuple,
     _word_kernel,
-    e_matrix,
+    e_times,
     is_quiddity,
     m_product_entries,
     oplus_multipliers,
+    times_e,
 )
 
 
@@ -149,7 +150,7 @@ def brute_force_reduction(
     w = t.generator
     one = t.field.one()
     pool = range(-k_bound, k_bound + 1)
-    boundary = {k: e_matrix(w * k) for k in pool}
+    boundary = {k: w * k for k in pool}
     for reflected, rotation, l in _scan_slots(n):
         ks = _image(t.multipliers, rotation, reflected)
         m = n + 2 - l
@@ -159,9 +160,9 @@ def brute_force_reduction(
         if p.m11 != one and p.m11 != -one:
             continue
         for kb1 in pool:
-            right = p * boundary[kb1]
+            right = times_e(p, boundary[kb1])
             for kbl in pool:
-                eps = (boundary[kbl] * right).pm_identity_sign()
+                eps = e_times(boundary[kbl], right).pm_identity_sign()
                 if eps is None:
                     continue
                 a_mult = (ks[0] - kbl,) + ks[1 : m - 1] + (ks[m - 1] - kb1,)

@@ -1,8 +1,9 @@
-"""The Fraction and GaussRat kernels that the integer kernels replaced.
+"""The Fraction and GaussRat kernels that the faster kernels replaced.
 
 These are the generic versions of the disk count, the Schur-Cohn chain,
-Descartes isolation and the rational-root search, kept as an independent
-oracle: they share no arithmetic with the integer code they check.
+Descartes isolation, the rational-root search and the number-field
+product, kept as an independent oracle: they share no arithmetic with
+the code they check.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+from quiddity.numfield import FieldElement
 from quiddity.polynomials import GaussRat, QPoly
 
 
@@ -156,3 +158,12 @@ def rational_roots(ints: list[int]) -> list[Fraction]:
     }
     order = sorted(cands, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
     return roots + [r for r in order if p(r) == 0]
+
+
+def field_mul_via_qpoly(a: FieldElement, b: FieldElement) -> FieldElement:
+    """a * b as the remainder of the QPoly product by the minimal
+    polynomial, with no use of FieldElement's reduction rows."""
+    field = a.field
+    red = (a.as_poly() * b.as_poly()) % field.min_poly
+    coords = list(red.coeffs) + [Fraction(0)] * (field.degree - len(red.coeffs))
+    return FieldElement(field, coords)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quiddity.core import (
+    Mat2,
     NotPlusMinusOne,
     _word_kernel,
     QuiddityTuple,
@@ -19,14 +20,17 @@ from quiddity.core import (
     continuant,
     dihedral_images,
     e_matrix,
+    e_times,
     equivalent,
     euler_expansion,
     is_quiddity,
     m_from_continuants,
     m_product,
+    m_product_entries,
     oplus_multipliers,
     oplus_sum,
     reduce_pm_one,
+    times_e,
 )
 from quiddity.numfield import BoxC, FieldElement, field_make
 from quiddity.polynomials import QPoly
@@ -304,6 +308,40 @@ class TestWordKernel:
         assert kernel.product([3, -1]) == _coords(m_product(zt(f, [3, -1])))
         assert kernel.multiplier((0,)) == 0
         assert kernel.multiplier((1,)) is None
+
+
+STEP_GENERATORS = {
+    name: KERNEL_GENERATORS[name] for name in ("integers", "sqrt2", "1/2", "zeta5")
+} | {"2^(1/4)": lambda: _generator((-2, 0, 0, 0, 1), BoxC.make(1, 2, 0, 0))}
+
+
+def _random_element(rng, field):
+    return FieldElement(
+        field, [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(field.degree)]
+    )
+
+
+class TestWordSteps:
+    @pytest.mark.parametrize("name", sorted(STEP_GENERATORS))
+    def test_steps_match_the_full_product(self, name):
+        w = STEP_GENERATORS[name]()
+        rng = random.Random(name)
+        for _ in range(20):
+            m = Mat2(*(_random_element(rng, w.field) for _ in range(4)))
+            for x in (w * rng.randint(-3, 3), _random_element(rng, w.field)):
+                assert e_times(x, m) == e_matrix(x) * m
+                assert times_e(m, x) == m * e_matrix(x)
+
+    @pytest.mark.parametrize("name", sorted(STEP_GENERATORS))
+    def test_m_product_entries_matches_the_full_fold(self, name):
+        w = STEP_GENERATORS[name]()
+        rng = random.Random(name)
+        for _ in range(20):
+            entries = [w * rng.randint(-3, 3) for _ in range(rng.randint(1, 8))]
+            acc = e_matrix(entries[0])
+            for a in entries[1:]:
+                acc = e_matrix(a) * acc
+            assert m_product_entries(entries) == acc
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy
 import pytest
 from hypothesis import given, strategies as st
 
+import fraction_oracle as oracle
 from quiddity.numfield import (
     AmbiguousHint,
     BoxC,
@@ -297,6 +298,64 @@ class TestFieldArithmetic:
         f = sqrt2_field()
         assert f.from_rational(5).rational_value() == 5
         assert f.generator().rational_value() is None
+
+
+def _random_min_poly(rng, degree):
+    # leading coefficients that are not 1 exercise the division by lc(p)
+    lc = rng.choice((1, 2, 3, -1, F(1, 2)))
+    low = [F(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))) for _ in range(degree)]
+    return QPoly(low + [lc])
+
+
+def _random_element(rng, f):
+    roll = rng.random()
+    if roll < 0.1:
+        return f.zero()
+    if roll < 0.2:
+        return f.from_rational(F(rng.randint(-9, 9), rng.randint(1, 4)))
+    return elem(f, [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(f.degree)])
+
+
+class TestLeanProduct:
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_matches_the_qpoly_route(self, degree):
+        rng = random.Random(degree)
+        for _ in range(20):
+            p = _random_min_poly(rng, degree)
+            # a handle built without field_make keeps p as given, non-monic
+            # included; the product never looks at the root boxes
+            f = NumberField(p, degree, (BoxC.point(0),), 0)
+            for _ in range(15):
+                x, y = _random_element(rng, f), _random_element(rng, f)
+                for a, b in ((x, y), (x, x)):
+                    got = a * b
+                    assert got == oracle.field_mul_via_qpoly(a, b), (p, a, b)
+                    assert len(got.coords) == degree
+                    assert all(type(c) is F for c in got.coords)
+
+    def test_fields_in_use_match_the_qpoly_route(self):
+        rng = random.Random(7)
+        for f in (sqrt2_field(), gauss_field(), zeta8_field(), zeta9_field()):
+            w = f.generator()
+            for _ in range(30):
+                x = _random_element(rng, f)
+                assert x * w == oracle.field_mul_via_qpoly(x, w)
+                assert w * x == x * w
+
+    def test_sums_and_differences_stay_exact(self):
+        f = zeta9_field()
+        rng = random.Random(9)
+        for _ in range(30):
+            x, y = _random_element(rng, f), _random_element(rng, f)
+            for got, want in (
+                (x - y, [a - b for a, b in zip(x.coords, y.coords)]),
+                (x + y, [a + b for a, b in zip(x.coords, y.coords)]),
+                (-x, [-a for a in x.coords]),
+                (3 - x, [3 - x.coords[0]] + [-a for a in x.coords[1:]]),
+                (x * F(2, 3), [a * F(2, 3) for a in x.coords]),
+            ):
+                assert got.coords == tuple(want)
+                assert all(type(c) is F for c in got.coords)
 
 
 # ---------------------------------------------------------------------------

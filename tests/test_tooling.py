@@ -44,24 +44,48 @@ def test_resultant_route_stays_an_oracle():
     assert found == []
 
 
-def test_brute_force_walk_stays_independent():
-    # the walk is the oracle for the word kernel; one that used the
-    # kernel would agree with it by construction
+def _kernel_uses(module, names):
+    # lines inside the named top-level definitions that name any part of
+    # the word kernel
     kernel = {"_WordKernel", "_word_kernel", "_left_step", "times_w", "words"}
-    tree = ast.parse((SRC / "core.py").read_text())
-    walk = next(
+    tree = ast.parse((SRC / module).read_text())
+    defs = [
         node
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "brute_force_quiddities"
-    )
-    found = [
-        f"core.py:{node.lineno}"
-        for node in ast.walk(walk)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
+    ]
+    assert {node.name for node in defs} == set(names)
+    return [
+        f"{module}:{node.lineno}"
+        for top in defs
+        for node in ast.walk(top)
         if (isinstance(node, ast.Name) and node.id in kernel)
         or (isinstance(node, ast.Attribute) and node.attr in kernel)
         or (isinstance(node, ast.alias) and node.name in kernel)
     ]
-    assert found == []
+
+
+def test_brute_force_walk_stays_independent():
+    # the walk is the oracle for the word kernel; one that used the
+    # kernel would agree with it by construction
+    assert _kernel_uses("core.py", {"brute_force_quiddities"}) == []
+
+
+def test_certificate_route_stays_independent():
+    # every witness the kernel's scan finds is replayed on the Mat2 route,
+    # and the brute-force reduction checks that scan; a replay that ran on
+    # the kernel would certify the kernel by itself
+    route = {
+        "Mat2",
+        "e_matrix",
+        "e_times",
+        "times_e",
+        "m_product_entries",
+        "m_product",
+        "is_quiddity",
+    }
+    assert _kernel_uses("core.py", route) == []
+    assert _kernel_uses("reducibility.py", {"witness_replay", "brute_force_reduction"}) == []
 
 
 def test_shared_brute_force_walks_stay_shared():
