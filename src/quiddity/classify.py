@@ -122,6 +122,17 @@ class ParityReport:
     counts: dict
     odd_members: tuple[CensusMember, ...]
 
+    @classmethod
+    def of(cls, report: EnumerationReport) -> "ParityReport":
+        """Counts per size plus the explicit list of odd-size members."""
+        return cls(
+            field_descriptor=report.field_descriptor,
+            n_max=report.n_max,
+            k_bound=report.k_bound,
+            counts=report.counts,
+            odd_members=tuple(m for m in report.members if m.size % 2 == 1),
+        )
+
     def to_json(self) -> dict:
         return {
             "field": self.field_descriptor,
@@ -238,15 +249,7 @@ def parity_audit(
     field: NumberField, w: FieldElement, n_max: int, k_bound: int
 ) -> ParityReport:
     """Counts per size plus the explicit list of odd-size quiddities."""
-    report = enumerate_quiddities(field, w, n_max, k_bound)
-    odd = tuple(m for m in report.members if m.size % 2 == 1)
-    return ParityReport(
-        field_descriptor=report.field_descriptor,
-        n_max=n_max,
-        k_bound=k_bound,
-        counts=report.counts,
-        odd_members=odd,
-    )
+    return ParityReport.of(enumerate_quiddities(field, w, n_max, k_bound))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ from typing import Optional
 from .classify import (
     CensusMember,
     EnumerationReport,
+    ParityReport,
     classify,
     enumerate_quiddities,
     irreducible_census,
-    parity_audit,
     transfer_theta,
 )
 from .core import QuiddityTuple, is_quiddity
@@ -250,8 +250,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_parity(args) -> int:
-    field = _field_from_args(args)
-    _emit(parity_audit(field, field.generator(), args.nmax, args.kbound).to_json())
+    # the tally reads a plain enumeration, so it shares that cache
+    _emit(ParityReport.of(_enumerate_with_cache("enumerate", args)).to_json())
     return 0
 
 

@@ -308,7 +308,7 @@ class _WordKernel:
     elements and is its own hash key.
     """
 
-    __slots__ = ("_rows", "one", "w", "w2", "identity", "minus_identity", "_pivot")
+    __slots__ = ("_rows", "one", "w", "identity", "minus_identity", "_pivot")
 
     def __init__(self, w: FieldElement):
         field = w.field
@@ -323,7 +323,6 @@ class _WordKernel:
         zero = (0,) * d
         self.one = (1,) + zero[1:]
         self.w = tuple(_coord(c) for c in w.coords)
-        self.w2 = self.times_w(self.w)
         self.identity = (self.one, zero, zero, self.one)
         self.minus_identity = (_neg(self.one), zero, zero, _neg(self.one))
         # a nonzero coordinate of w, None for w = 0

@@ -287,8 +287,6 @@ def _cell_excluded(p: QPoly, cell: BoxC) -> bool:
     axis is handled like its mirror image above it.
     """
     r0 = (cell.re.width + cell.im.width) / 2
-    if r0 == 0:
-        r0 = Fraction(1, 1024)
     c = cell.center
     for mult in _LADDER:
         r = r0 * mult
@@ -311,8 +309,6 @@ def _cluster_certified_single(p: QPoly, bbox: BoxC) -> bool:
     """Certified: a disk covering bbox, strictly above the real axis,
     contains exactly one root of p."""
     r0 = (bbox.re.width + bbox.im.width) / 2
-    if r0 == 0:
-        r0 = Fraction(1, 1024)
     c = bbox.center
     for mult in _LADDER:
         r = r0 * mult
@@ -365,9 +361,7 @@ def _boxes_disjoint(boxes: Sequence[BoxC]) -> bool:
 
 def _upper_half_roots(p: QPoly, pairs: int) -> list[BoxC]:
     """Isolating boxes for the `pairs` roots of p with positive
-    imaginary part.  p squarefree with rational coefficients."""
-    if pairs == 0:
-        return []
+    imaginary part, pairs >= 1.  p squarefree with rational coefficients."""
     bound = p.cauchy_root_bound()
     cells = [BoxC(RatInterval(-bound, bound), RatInterval(Fraction(0), bound))]
     for _ in range(_MAX_DEPTH):
@@ -521,15 +515,15 @@ def _refine_one(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
     if box.is_real_line():
         lo, hi = refine_real_root(p, box.re.lo, box.re.hi, width)
         return BoxC(RatInterval(lo, hi), RatInterval.point(0))
+    if box.im.hi < 0:
+        # p is real, so the conjugate box isolates the conjugate root
+        return _refine_one(p, box.conj(), width).conj()
     if box.re.width == 0 and p.degree == 2 and p.lc() == 1:
         # quadratic-shortcut shape: exact real part -c1/2, imaginary
-        # part a square root of the rational s = c0 - c1^2/4
+        # part the positive square root of the rational s = c0 - c1^2/4
         s = p.coeffs[0] - p.coeffs[1] * p.coeffs[1] / 4
-        if box.im.lo > 0:
-            lo, hi = refine_real_root(QPoly((-s, 0, 1)), box.im.lo, box.im.hi, width)
-            return BoxC(box.re, RatInterval(lo, hi))
-        lo, hi = refine_real_root(QPoly((-s, 0, 1)), -box.im.hi, -box.im.lo, width)
-        return BoxC(box.re, RatInterval(-hi, -lo))
+        lo, hi = refine_real_root(QPoly((-s, 0, 1)), box.im.lo, box.im.hi, width)
+        return BoxC(box.re, RatInterval(lo, hi))
     # Newton with a disk certificate; where that fails, one quadtree
     # step shrinks the box and gives Newton a closer start
     while box.width > width:
@@ -787,14 +781,12 @@ def isolate_roots(p: QPoly) -> list[BoxC]:
         c1, c0 = p.coeffs[1], p.coeffs[0]
         disc = c1 * c1 - 4 * c0
         re = RatInterval.point(-c1 / 2)
-        s = -disc / 4  # im^2
+        s = -disc / 4  # im^2, and 0 < sqrt(s) < 1 + s
         if is_perfect_square(s):
-            im = rational_sqrt(s)
-            upper = [BoxC(re, RatInterval.point(im))]
+            upper = [BoxC(re, RatInterval.point(rational_sqrt(s)))]
         else:
-            hi = 1 + s
-            lo, hi = refine_real_root(QPoly((-s, 0, 1)), Fraction(0), hi, Fraction(1, 4))
-            upper = [BoxC(re, RatInterval(lo, hi))]
+            box = BoxC(re, RatInterval(Fraction(0), 1 + s))
+            upper = [_refine_one(p, box, Fraction(1, 4))]
     elif pairs > 0:
         upper = _upper_half_roots(p, pairs)
     lower = [b.conj() for b in upper]

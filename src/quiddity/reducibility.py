@@ -8,15 +8,17 @@ boundary entries of b, because
 
     E(b_l) * P * E(b_1) = eps * Id,   P := product over b's interior,
 
-has the unique solution eps = -P11, b_1 = eps*P12, b_l = -eps*P21 with
-the consistency condition P22 = eps*(b_1*b_l - 1), and P11 must be +-1
-for any solution to exist.  That turns an unbounded search into a finite
-exact scan.  The scan runs on the coordinate word kernel of `core`: per
-dihedral image it grows P one entry at a time, P <- P * E(k*w), and it
-reads b_1 and b_l as multiples of w by exact division of coordinates.
-Every witness it returns is replayed on the generic `Mat2` route.  The
-brute-force variant ignores the forcing, tries every bounded boundary
-pair on `Mat2`, and exists purely to cross-check the fast path.
+has the unique solution eps = -P11, b_1 = eps*P12, b_l = -eps*P21, and
+P11 must be +-1 for any solution to exist.  The (2,2) entry then holds
+by itself: det P = 1 gives P22 = -eps*(1 + P12*P21) = eps*(b_1*b_l - 1).
+That turns an unbounded search into a finite exact scan.  The scan runs
+on the coordinate word kernel of `core`: per dihedral image it grows P
+one entry at a time, P <- P * E(k*w), and it reads b_1 and b_l as
+multiples of w by exact division of coordinates.  Every witness it
+returns is replayed on the generic `Mat2` route, which is what catches
+a kernel fault.  The brute-force variant ignores the forcing, tries
+every bounded boundary pair on `Mat2`, and exists purely to
+cross-check the fast path.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def find_reduction(t: QuiddityTuple) -> Optional[ReductionWitness]:
     if kernel.sign(kernel.product(t.multipliers)) is None:
         raise NotAQuiddity("input word matrix is not +-Id")
     n = t.n
-    one, w2 = kernel.one, kernel.w2
+    one = kernel.one
     minus_one = kernel.minus_identity[0]
     # the slots of _scan_slots, in the same order
     for reflected in (False, True):
@@ -124,10 +126,6 @@ def find_reduction(t: QuiddityTuple) -> Optional[ReductionWitness]:
                 if k12 is None or k21 is None:
                     continue
                 kb1, kbl = eps * k12, -eps * k21
-                # P22 = eps*(b_1*b_l - 1) with b_1*b_l = kb1*kbl*w^2
-                kk = kb1 * kbl
-                if p[3] != tuple([eps * (kk * x - y) for x, y in zip(w2, one)]):
-                    continue
                 a_mult = (ks[0] - kbl,) + ks[1 : m - 1] + (ks[m - 1] - kb1,)
                 b_mult = (kb1,) + ks[m:] + (kbl,)
                 wit = ReductionWitness(rotation, reflected, m, a_mult, b_mult, eps)
@@ -161,6 +159,9 @@ def brute_force_reduction(
             continue
         for kb1 in pool:
             right = times_e(p, boundary[kb1])
+            # the (2,1) entry of E(b_l)*right is right's (1,1) entry
+            if not right.m11.is_zero:
+                continue
             for kbl in pool:
                 eps = e_times(boundary[kbl], right).pm_identity_sign()
                 if eps is None:

@@ -1,10 +1,12 @@
 """Command-line front end: exit codes, JSON shape, cache behavior."""
 
+import argparse
 import json
 
 import pytest
 
-from quiddity.cli import main
+import quiddity.cli as cli_module
+from quiddity.cli import build_parser, main
 
 INT_FIELD = {
     "min_poly": ["-1", "1"],
@@ -262,6 +264,47 @@ class TestParity:
         doc = json.loads(out)
         assert doc["odd_members"] == []
         assert doc["counts"]["2"] == 1
+
+    def test_shares_the_enumeration_cache(self, capsys, tmp_path, monkeypatch):
+        bounds = ["--min-poly", "-2,0,1", "--root-hint", "1,2", "--nmax", "5", "--kbound", "1"]
+        cache = ["--cache-dir", str(tmp_path)]
+        _, want, _ = run(capsys, "enumerate", *bounds)
+        run(capsys, "parity", *bounds, *cache)
+        # the file parity wrote serves enumerate
+        monkeypatch.setattr(cli_module, "enumerate_quiddities", _refuse)
+        assert run(capsys, "enumerate", *bounds, *cache) == (0, want, "")
+
+
+def _refuse(*args):
+    raise AssertionError("enumerated although the cache holds the answer")
+
+
+def _cached_subcommands():
+    subs = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return sorted(
+        name
+        for name, sub in subs.choices.items()
+        if "--cache-dir" in sub._option_string_actions
+    )
+
+
+def test_cached_subcommands_found():
+    assert {"census", "enumerate", "parity"} <= set(_cached_subcommands())
+
+
+@pytest.mark.parametrize("command", _cached_subcommands())
+def test_second_run_reads_the_cache(capsys, tmp_path, monkeypatch, command):
+    argv = [
+        command, "--min-poly", "-2,0,1", "--root-hint", "1,2",
+        "--nmax", "5", "--kbound", "1", "--cache-dir", str(tmp_path),
+    ]
+    code1, out1, _ = run(capsys, *argv)
+    assert code1 == 0
+    assert len(list(tmp_path.glob("*.jsonl"))) == 1
+    monkeypatch.setattr(cli_module, "enumerate_quiddities", _refuse)
+    assert run(capsys, *argv) == (0, out1, "")
 
 
 class TestPolycrit:

@@ -333,6 +333,18 @@ class TestWordSteps:
                 assert times_e(m, x) == m * e_matrix(x)
 
     @pytest.mark.parametrize("name", sorted(STEP_GENERATORS))
+    def test_kernel_products_have_determinant_one(self, name):
+        # find_reduction takes the (2,2) entry of its forced solution
+        # from det P = 1 instead of testing it
+        w = STEP_GENERATORS[name]()
+        kernel = _word_kernel(w)
+        rng = random.Random(name)
+        for _ in range(20):
+            ks = [rng.randint(-3, 3) for _ in range(rng.randint(1, 10))]
+            a, b, c, d = (FieldElement(w.field, x) for x in kernel.product(ks))
+            assert a * d - b * c == w.field.one(), ks
+
+    @pytest.mark.parametrize("name", sorted(STEP_GENERATORS))
     def test_m_product_entries_matches_the_full_fold(self, name):
         w = STEP_GENERATORS[name]()
         rng = random.Random(name)

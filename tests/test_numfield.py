@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fraction_oracle as oracle
+import quiddity.numfield as numfield_module
 from quiddity.numfield import (
     AmbiguousHint,
     BoxC,
@@ -474,6 +475,15 @@ class TestNewtonRefinement:
             z = _nearest_float_root(coeffs, fine)
             assert _float_inside(fine, z, 1e-12) in (True, None)
 
+    def test_quadtree_fallback(self, monkeypatch):
+        # with Newton never certifying, refinement is quadtree steps alone
+        p = QPoly((-1, 1, 1, -1, 1))
+        monkeypatch.setattr(numfield_module, "_newton_box", lambda p, box, width: None)
+        boxes = [b for b in isolate_roots(p) if not b.is_real_line()]
+        assert sorted(b.im.lo > 0 for b in boxes) == [False, True]
+        for box in boxes:
+            assert _refine_one(p, box, F(1, 2**10)) == _shrink_box(p, box, F(1, 2**10))
+
     def test_quadtree_step_below_the_axis(self):
         # x^4 - x^3 + x^2 + x - 1 at a lower-half root
         coeffs = [-1, 1, 1, -1, 1]
@@ -491,6 +501,76 @@ class TestNewtonRefinement:
         assert time.perf_counter() - start < 2
         assert b.width <= F(1, 2**64)
         assert abs(complex(float(b.re.lo), float(b.im.lo)) - numpy.exp(2j * numpy.pi / 9)) < 1e-12
+
+
+def _box(corners):
+    return BoxC.make(*(F(c) for c in corners))
+
+
+# upper-half roots: (isolating box, refined at 2^-30), as re_lo, re_hi,
+# im_lo, im_hi.  x^2+2 and x^2+x+1 refine the imaginary part as a square
+# root, x^2+2x+5 has a point box, and the rest run Newton
+UPPER_HALF_BOXES = [
+    ((2, 0, 1), [
+        (("0", "0", "21/16", "3/2"),
+         ("0", "0", "6074000997/4294967296", "759250125/536870912")),
+    ]),
+    ((1, 1, 1), [
+        (("-1/2", "-1/2", "21/32", "7/8"),
+         ("-1/2", "-1/2", "1859775393/2147483648", "7439101579/8589934592")),
+    ]),
+    ((5, 2, 1), [
+        (("-1", "-1", "2", "2"),
+         ("-1", "-1", "2", "2")),
+    ]),
+    ((1, 1, 1, 1, 1), [
+        (("-1", "-1/2", "3/8", "3/4"),
+         ("-13898806139/17179869184", "-13898806123/17179869184",
+          "323138359509/549755813888", "323138360021/549755813888")),
+        (("0", "1/2", "3/4", "9/8"),
+         ("5308871531/17179869184", "5308871547/17179869184",
+          "522848848913/549755813888", "522848849425/549755813888")),
+    ]),
+    ((-1, 1, 1, -1, 1), [
+        (("0", "1", "3/4", "3/2"),
+         ("326385178659/549755813888", "326385179171/549755813888",
+          "328797499665/274877906944", "328797499921/274877906944")),
+    ]),
+    ((1, 0, 0, 1, 0, 0, 1), [
+        (("-1", "-7/8", "1/4", "7/16"),
+         ("-516601481801/549755813888", "-516601481289/549755813888",
+          "47006890501/137438953472", "47006890629/137438953472")),
+        (("1/8", "1/4", "7/8", "17/16"),
+         ("95464094987/549755813888", "95464095499/549755813888",
+          "135350946881/137438953472", "135350947009/137438953472")),
+        (("5/8", "7/8", "9/16", "3/4"),
+         ("421137386045/549755813888", "421137386557/549755813888",
+          "22086014079/34359738368", "22086014111/34359738368")),
+    ]),
+]
+
+
+class TestConjugateSymmetry:
+    """A box below the real axis is refined as the conjugate of the
+    refinement of its mirror image, since p has real coefficients."""
+
+    @pytest.mark.parametrize(
+        "coeffs, pinned", UPPER_HALF_BOXES, ids=[str(c) for c, _ in UPPER_HALF_BOXES]
+    )
+    def test_pinned_boxes_in_both_half_planes(self, coeffs, pinned):
+        p = QPoly(coeffs)
+        width = F(1, 2**30)
+        nonreal = [b for b in isolate_roots(p) if not b.is_real_line()]
+        upper = [b for b in nonreal if b.im.lo >= 0]
+        lower = [b for b in nonreal if b.im.hi < 0]
+        assert upper == [_box(iso) for iso, _ in pinned]
+        assert sorted(lower, key=BoxC.sort_key) == sorted(
+            (b.conj() for b in upper), key=BoxC.sort_key
+        )
+        for box, (_, fine) in zip(upper, pinned):
+            refined = _refine_one(p, box, width)
+            assert refined == _box(fine)
+            assert _refine_one(p, box.conj(), width) == refined.conj()
 
 
 class TestModulusCompare:

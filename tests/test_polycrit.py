@@ -251,6 +251,26 @@ def test_schur_cohn_random_200_vs_numpy():
             checked += 1
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1, 1, 1, 1, 1),  # Phi5
+        (1, 0, 0, 0, 1),  # x^4 + 1
+        (1, 1, 1, 1, 1, 1, 1),  # Phi7
+        (1, -3, 1, 0, 1, -3, 1),  # (x^2 - 3x + 1)(x^4 + 1)
+    ],
+)
+@pytest.mark.parametrize("radius", [F(1, 2), F(1), F(3, 2)])
+def test_schur_cohn_palindromic_circle_factor(coeffs, radius):
+    # at radius 1 the circle factor has degree >= 4, so the X + 1/X
+    # substitution takes its Chebyshev step
+    p = QPoly(coeffs)
+    rts = np.roots([float(c) for c in reversed(p.coeffs)])
+    got = schur_cohn_count(p, radius)
+    assert got.count == sum(1 for r in rts if abs(r) < float(radius) - 1e-9)
+    assert got.boundary_clear == all(abs(abs(r) - float(radius)) > 1e-9 for r in rts)
+
+
 def test_schur_cohn_partition_invariant():
     rng = random.Random(99)
     for _ in range(60):

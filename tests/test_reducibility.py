@@ -129,6 +129,38 @@ class TestWitnessJson:
         assert not witness_replay(t, bad)
 
     @pytest.mark.parametrize(
+        "wit",
+        [
+            # (0,0) + (1,1,1) glues to (1,1,1), but a has two entries
+            ReductionWitness(0, False, 2, (0, 0), (1, 1, 1), -1),
+            # (1,1,1) + (0,0) glues to (1,1,1), but b has two entries
+            ReductionWitness(0, False, 3, (1, 1, 1), (0, 0), -1),
+        ],
+        ids=["split_m<3", "|b|<3"],
+    )
+    def test_replay_rejects_small_pieces(self, wit):
+        # each witness glues back to its tuple with b a quiddity, so
+        # only the size guard can reject it
+        t = zt(int_field(), [1, 1, 1])
+        assert oplus_multipliers(wit.a_multipliers, wit.b_multipliers) == t.multipliers
+        assert is_quiddity(zt(int_field(), wit.b_multipliers)) == wit.epsilon_b
+        assert not witness_replay(t, wit)
+
+    def test_replay_rejects_split_size_mismatch(self):
+        t = zt(int_field(), [1, 2, 1, 2])
+        wit = find_reduction(t)
+        assert witness_replay(t, wit)
+        bad = ReductionWitness(
+            wit.rotation,
+            wit.reflected,
+            wit.split_m + 1,
+            wit.a_multipliers,
+            wit.b_multipliers,
+            wit.epsilon_b,
+        )
+        assert not witness_replay(t, bad)
+
+    @pytest.mark.parametrize(
         "search",
         [find_reduction, lambda t: brute_force_reduction(t, 6)],
         ids=["find_reduction", "brute_force_reduction"],
