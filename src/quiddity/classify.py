@@ -266,10 +266,10 @@ def transfer_certificate(t: QuiddityTuple, epsilon: int) -> bool:
     ks = t.multipliers
     eps_poly = QPoly((epsilon,))
     conditions = [
-        euler_expansion(ks).poly - eps_poly,
-        euler_expansion(ks[:-1]).poly,
-        euler_expansion(ks[1:]).poly,
-        euler_expansion(ks[1:-1]).poly + eps_poly,
+        euler_expansion(ks) - eps_poly,
+        euler_expansion(ks[:-1]),
+        euler_expansion(ks[1:]),
+        euler_expansion(ks[1:-1]) + eps_poly,
     ]
     return all(c % mp == QPoly.zero() for c in conditions)
 

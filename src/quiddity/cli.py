@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional
 
@@ -199,17 +200,7 @@ def cmd_verify(args) -> int:
             + ", ".join(sorted(SUITES))
         )
     if args.json:
-        _emit(
-            [
-                {
-                    "suite": r.suite,
-                    "claim": r.claim,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in results
-            ]
-        )
+        _emit([asdict(r) for r in results])
     else:
         for r in results:
             print(r.line())
@@ -218,6 +209,8 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     if args.transcendental:
+        if args.min_poly or args.root_hint:
+            raise ValueError("--transcendental excludes --min-poly and --root-hint")
         outcome = classify(None, transcendental=True)
     else:
         field = _field_from_args(args)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .numfield import (
     FieldElement,
@@ -79,21 +79,6 @@ class Mat2:
             if self.m11 == -one and self.m22 == -one:
                 return -1
         return None
-
-
-@dataclass(frozen=True)
-class ZPolyGraded:
-    """Integer polynomial produced by expanding an n-entry word in one
-    symbolic generator; only exponents of parity n can occur."""
-
-    poly: QPoly
-    size: int
-
-    def grading_respected(self) -> bool:
-        return all(
-            c == 0 or (self.size - k) % 2 == 0
-            for k, c in enumerate(self.poly.coeffs)
-        )
 
 
 class QuiddityTuple:
@@ -201,14 +186,8 @@ def continuant(entries: Sequence, field: Optional[NumberField] = None):
         if field is not None:
             return field.one()
         return Fraction(1)
-    first = entries[0]
-    if isinstance(first, FieldElement):
-        one = first.field.one()
-    elif isinstance(first, QPoly):
-        one = QPoly.one()
-    else:
-        one = Fraction(1)
-    km2, km1 = one * 0, one  # K_{-1} = 0, K_0 = 1
+    zero = entries[0] * 0
+    km2, km1 = zero, zero + 1  # K_{-1} = 0, K_0 = 1
     for a in entries:
         km2, km1 = km1, a * km1 - km2
     return km1
@@ -229,12 +208,12 @@ def m_from_continuants(t: QuiddityTuple) -> Mat2:
     )
 
 
-def euler_expansion(multipliers: Sequence[int]) -> ZPolyGraded:
-    """The integer polynomial p with p(w) = K_n(k_1 w, ..., k_n w)."""
+def euler_expansion(multipliers: Sequence[int]) -> QPoly:
+    """The integer polynomial p with p(w) = K_n(k_1 w, ..., k_n w), for
+    n = len(multipliers); only exponents of the parity of n occur in p."""
     if not multipliers:
-        return ZPolyGraded(poly=QPoly.one(), size=0)
-    entries = [QPoly((0, int(k))) for k in multipliers]
-    return ZPolyGraded(poly=continuant(entries), size=len(multipliers))
+        return QPoly.one()
+    return continuant([QPoly((0, int(k))) for k in multipliers])
 
 
 def is_quiddity(t: QuiddityTuple) -> Optional[int]:
@@ -413,17 +392,11 @@ def oplus_sum(a: QuiddityTuple, b: QuiddityTuple) -> QuiddityTuple:
     return a.with_multipliers(oplus_multipliers(a.multipliers, b.multipliers))
 
 
-def rotations(seq: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    s = tuple(seq)
-    for r in range(len(s)):
-        yield s[r:] + s[:r]
-
-
 def dihedral_images(seq: Sequence[int]) -> list[tuple[int, ...]]:
     """All 2n rotations of the sequence and of its reversal."""
-    out = list(rotations(seq))
-    out += list(rotations(tuple(reversed(seq))))
-    return out
+    return [
+        s[r:] + s[:r] for s in (tuple(seq), tuple(reversed(seq))) for r in range(len(s))
+    ]
 
 
 def canonical_multipliers(seq: Sequence[int]) -> tuple[int, ...]:

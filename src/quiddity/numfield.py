@@ -145,9 +145,6 @@ class RatInterval:
         return RatInterval(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = as_rat(other)
-            return RatInterval(self.lo - q, self.hi - q)
         return self + (-other)
 
     def __mul__(self, other):
@@ -208,14 +205,6 @@ class BoxC:
         return BoxC(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return BoxC(-self.re, -self.im)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BoxC(self.re - other, self.im)
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -322,6 +311,11 @@ def _cluster_certified_single(p: QPoly, bbox: BoxC) -> bool:
     return False
 
 
+def _survivors(p: QPoly, cells: list[BoxC]) -> list[BoxC]:
+    """The quarters of cells, in order, that may hold a nonreal root."""
+    return [q for c in cells for q in _split4(c) if not _cell_excluded(p, q)]
+
+
 def _components(cells: list[BoxC]) -> list[list[BoxC]]:
     n = len(cells)
     parent = list(range(n))
@@ -365,10 +359,7 @@ def _upper_half_roots(p: QPoly, pairs: int) -> list[BoxC]:
     bound = p.cauchy_root_bound()
     cells = [BoxC(RatInterval(-bound, bound), RatInterval(Fraction(0), bound))]
     for _ in range(_MAX_DEPTH):
-        split: list[BoxC] = []
-        for c in cells:
-            split.extend(_split4(c))
-        cells = [c for c in split if not _cell_excluded(p, c)]
+        cells = _survivors(p, cells)
         comps = _components(cells)
         if len(comps) == pairs:
             boxes = [_bbox(comp) for comp in comps]
@@ -384,10 +375,7 @@ def _upper_half_roots(p: QPoly, pairs: int) -> list[BoxC]:
 def _regrid(p: QPoly, box: BoxC) -> BoxC:
     """One quadtree step on the isolating rectangle of a nonreal root:
     split into 16 cells, drop provably empty ones, take the hull."""
-    cells = []
-    for quarter in _split4(box):
-        cells.extend(_split4(quarter))
-    kept = [c for c in cells if not _cell_excluded(p, c)]
+    kept = _survivors(p, _split4(box))
     if not kept:
         raise UndecidableAtPrecision("root escaped its rectangle")
     nxt = _bbox(kept)
@@ -459,13 +447,16 @@ def _newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
 @dataclass(frozen=True)
 class NumberField:
     min_poly: QPoly
-    degree: int
     root_boxes: tuple[BoxC, ...]
     selected_root: int
 
     def __post_init__(self):
         if not (0 <= self.selected_root < len(self.root_boxes)):
             raise ValueError("selected root index out of range")
+
+    @property
+    def degree(self) -> int:
+        return self.min_poly.degree
 
     def selected_box(self) -> BoxC:
         return self.root_boxes[self.selected_root]
@@ -476,7 +467,7 @@ class NumberField:
     def with_selected(self, index: int) -> "NumberField":
         if not (0 <= index < self.degree):
             raise ValueError("selected root index out of range")
-        return NumberField(self.min_poly, self.degree, self.root_boxes, index)
+        return NumberField(self.min_poly, self.root_boxes, index)
 
     def refined(self, index: int, width) -> "NumberField":
         """New field handle whose index-th box has width <= width."""
@@ -487,7 +478,7 @@ class NumberField:
         new_box = _refine_one(self.min_poly, box, width)
         boxes = list(self.root_boxes)
         boxes[index] = new_box
-        return NumberField(self.min_poly, self.degree, tuple(boxes), self.selected_root)
+        return NumberField(self.min_poly, tuple(boxes), self.selected_root)
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, (Fraction(0),) * self.degree)
@@ -885,19 +876,13 @@ def field_make(min_poly: QPoly, root_hint: Optional[BoxC] = None) -> NumberField
         factor = _factor_from_roots(p, boxes)
         if factor is not None:
             raise NotIrreducible(factor)
-    d = p.degree
     if root_hint is not None:
         selected = _select_root(p, boxes, root_hint)
-    elif d == 1:
+    elif p.degree == 1:
         selected = 0
     else:
         raise AmbiguousHint("a root hint is required for degree >= 2")
-    return NumberField(
-        min_poly=p,
-        degree=d,
-        root_boxes=tuple(boxes),
-        selected_root=selected,
-    )
+    return NumberField(min_poly=p, root_boxes=tuple(boxes), selected_root=selected)
 
 
 def _select_root(p: QPoly, boxes: list[BoxC], hint: BoxC) -> int:

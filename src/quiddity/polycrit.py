@@ -7,15 +7,15 @@ reduction mod p); rational roots come from real-root isolation, not from
 divisors, so large coefficients cost no factoring.  The localization
 side counts polynomial roots in disks with rational radius, exactly,
 through the Schur-Cohn reduction.  One recurrence, `_chain`, runs every
-count on primitive Gaussian-integer coefficients, dividing each step by
-its content: with zero imaginary parts for disks at 0, and on a positive
-multiple of the recentred polynomial for the strict variant at complex
-centers, which powers the rectangle subdivision used elsewhere for root
-isolation.  The chain degenerates on a root on the circle, on a
-conjugate-reciprocal root pair, and at accidental zero steps.  The count
-at 0 splits off the first two by a gcd beforehand and brackets radius 1
-between two nearby circles when the chain still degenerates; the strict
-count returns None instead.
+count on the primitive Gaussian-integer coefficients of a positive
+multiple of the recentred polynomial, dividing each step by its content.
+It serves the strict count at complex centers, which powers the
+rectangle subdivision used elsewhere for root isolation, and the count
+at 0 runs on that strict count.  The chain degenerates on a root on the
+circle, on a conjugate-reciprocal root pair, and at accidental zero
+steps.  The count at 0 splits off the first two by a gcd beforehand and
+brackets radius 1 between two nearby circles when the chain still
+degenerates; the strict count returns None instead.
 
 No floating point is used anywhere: every verdict is replayable from
 the integers it carries.
@@ -82,7 +82,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all n below 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -164,6 +164,22 @@ def osada(p: QPoly) -> Optional[int]:
     return None
 
 
+def _rem_mod(a: list[int], f: list[int], p: int) -> list[int]:
+    """a mod (f, p) for monic f, dense int lists low-first with entries
+    in [0, p); a is reduced in place, and the remainder carries no
+    trailing zeros ([] for zero)."""
+    df = len(f) - 1
+    for k in range(len(a) - 1, df - 1, -1):
+        c = a[k]
+        if c:
+            for j in range(df):
+                a[k - df + j] = (a[k - df + j] - c * f[j]) % p
+    del a[df:]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
 def _polmul_mod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     """(a*b) mod (f, p) with f monic mod p, dense int lists low-first."""
     prod = [0] * (len(a) + len(b) - 1)
@@ -172,37 +188,20 @@ def _polmul_mod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
             continue
         for j, cb in enumerate(b):
             prod[i + j] = (prod[i + j] + ca * cb) % p
-    df = len(f) - 1
-    for k in range(len(prod) - 1, df - 1, -1):
-        c = prod[k]
-        if c:
-            for j in range(df + 1):
-                prod[k - df + j] = (prod[k - df + j] - c * f[j]) % p
-    out = prod[:df]
-    while out and out[-1] == 0:
-        out.pop()
-    return out or [0]
+    return _rem_mod(prod, f, p) or [0]
 
 
-def _polgcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    def norm(v):
-        v = [c % p for c in v]
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = norm(a), norm(b)
-    while b:
+def _polgcd_mod(f: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd over F_p of monic f and b, dense int lists low-first with
+    entries in [0, p); b is consumed."""
+    a = f
+    while True:
+        b = _rem_mod(b, a, p)
+        if not b:
+            return a
         inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        db = len(b) - 1
-        for k in range(len(r) - 1, db - 1, -1):
-            c = r[k] * inv % p
-            if c:
-                for j in range(db + 1):
-                    r[k - db + j] = (r[k - db + j] - c * b[j]) % p
-        a, b = b, norm(r[:db])
-    return a
+        # each divisor is made monic, and f itself is left as it was
+        a, b = [c * inv % p for c in b], list(a)
 
 
 def modp_irreducible(p: QPoly, prime: int) -> bool:
@@ -238,8 +237,7 @@ def modp_irreducible(p: QPoly, prime: int) -> bool:
         while len(probe) < 2:
             probe.append(0)
         probe[1] = (probe[1] - 1) % prime
-        g = _polgcd_mod(probe, f, prime)
-        if len(g) != 1 or g == [0]:
+        if len(_polgcd_mod(f, probe, prime)) != 1:
             return False
     return True
 
@@ -391,37 +389,30 @@ def _chain(f: Sequence[tuple[int, int]]) -> Optional[int]:
 
 
 _BRACKET_BITS = 64
+_ORIGIN = GaussRat.of(0)
 
 
 def _circle_free_unit_count(q: QPoly) -> int:
     """Unit-disk count for squarefree q with q(0) != 0 and no roots on
     the circle.
 
-    When the chain degenerates at radius 1, the count comes from a
-    bracket: the chain counts at radii 1 - 2^-k and 1 + 2^-k.  Each
+    When the strict count degenerates at radius 1, the count comes from
+    a bracket: the strict counts at radii 1 - 2^-k and 1 + 2^-k.  Each
     non-None count certifies its circle root-free, so two equal counts
     leave no root in the annulus between them and equal the count at
     radius 1.  Since q has no root on |z| = 1, the counts agree once
     2^-k is below the distance from the circle to the nearest root,
     unless a chain degenerates at one of finitely many radii;
     SingularStep is raised if no k up to _BRACKET_BITS settles it.
-
-    The chains run on integer multiples of q: a nonzero real factor
-    leaves every chain answer unchanged, and integer coefficients spare
-    the chain the gcds of ever larger denominators.
     """
-    a = q.int_coeffs()
-    n = len(a) - 1
-    direct = _chain([(c, 0) for c in a])
+    direct = gauss_disk_count_strict(q, _ORIGIN, 1)
     if direct is not None:
         return direct
     for k in range(1, _BRACKET_BITS + 1):
-        # 2^(kn) q(m z / 2^k) at m = 2^k -+ 1
-        inner, outer = (
-            _chain([(c * m ** i * 2 ** (k * (n - i)), 0) for i, c in enumerate(a)])
-            for m in (2 ** k - 1, 2 ** k + 1)
-        )
-        if inner is not None and inner == outer:
+        inner = gauss_disk_count_strict(q, _ORIGIN, 1 - Fraction(1, 2 ** k))
+        if inner is not None and inner == gauss_disk_count_strict(
+            q, _ORIGIN, 1 + Fraction(1, 2 ** k)
+        ):
             return inner
     raise SingularStep(
         f"Schur-Cohn counts at 1 -+ 2^-k disagree or degenerate for k <= {_BRACKET_BITS}"

@@ -142,12 +142,6 @@ class QPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = as_rat(other)
@@ -491,9 +485,6 @@ class GaussRat:
 
     def __sub__(self, other: "GaussRat") -> "GaussRat":
         return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
 
     def __mul__(self, other: "GaussRat") -> "GaussRat":
         return GaussRat(

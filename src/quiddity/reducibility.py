@@ -91,6 +91,17 @@ def witness_replay(t: QuiddityTuple, wit: ReductionWitness) -> bool:
     return is_quiddity(t.with_multipliers(wit.b_multipliers)) == wit.epsilon_b
 
 
+def _replayed_witness(t, ks, rotation, reflected, m, kb1, kbl, eps):
+    """The witness splitting image ks at m with boundary multipliers kb1
+    and kbl, once it has replayed against t."""
+    a_mult = (ks[0] - kbl,) + ks[1 : m - 1] + (ks[m - 1] - kb1,)
+    b_mult = (kb1,) + ks[m:] + (kbl,)
+    wit = ReductionWitness(rotation, reflected, m, a_mult, b_mult, eps)
+    if not witness_replay(t, wit):
+        raise CertificateFailed(f"reduction witness {wit} failed its replay")
+    return wit
+
+
 def _scan_slots(n: int):
     for reflected in (False, True):
         for rotation in range(n):
@@ -125,13 +136,9 @@ def find_reduction(t: QuiddityTuple) -> Optional[ReductionWitness]:
                 k21 = kernel.multiplier(p[2])
                 if k12 is None or k21 is None:
                     continue
-                kb1, kbl = eps * k12, -eps * k21
-                a_mult = (ks[0] - kbl,) + ks[1 : m - 1] + (ks[m - 1] - kb1,)
-                b_mult = (kb1,) + ks[m:] + (kbl,)
-                wit = ReductionWitness(rotation, reflected, m, a_mult, b_mult, eps)
-                if not witness_replay(t, wit):
-                    raise CertificateFailed(f"reduction witness {wit} failed its replay")
-                return wit
+                return _replayed_witness(
+                    t, ks, rotation, reflected, m, eps * k12, -eps * k21, eps
+                )
     return None
 
 
@@ -166,10 +173,5 @@ def brute_force_reduction(
                 eps = e_times(boundary[kbl], right).pm_identity_sign()
                 if eps is None:
                     continue
-                a_mult = (ks[0] - kbl,) + ks[1 : m - 1] + (ks[m - 1] - kb1,)
-                b_mult = (kb1,) + ks[m:] + (kbl,)
-                wit = ReductionWitness(rotation, reflected, m, a_mult, b_mult, eps)
-                if not witness_replay(t, wit):
-                    raise CertificateFailed(f"reduction witness {wit} failed its replay")
-                return wit
+                return _replayed_witness(t, ks, rotation, reflected, m, kb1, kbl, eps)
     return None

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, JSON shape, cache behavior."""
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -109,6 +110,18 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--transcendental")
         assert code == 0
         assert json.loads(out)["justification"] == "Transcendental"
+
+    @pytest.mark.parametrize("flag", [("--min-poly", "1,1"), ("--root-hint", "0,1")])
+    def test_transcendental_refuses_a_polynomial(self, capsys, flag):
+        # the library refuses a field together with the flag, and so does the CLI
+        code, out, err = run(capsys, "classify", "--transcendental", *flag)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ValueError"
+
+    def test_three_number_hint_exits_two(self, capsys):
+        code, out, err = run(capsys, "classify", "--min-poly", "-2,0,1", "--root-hint", "1,2,3")
+        assert (code, out) == (2, "")
+        assert "2 or 4" in json.loads(err)["message"]
 
     def test_factor_without_rational_root_exits_two(self, capsys):
         # X^4 + X^2 + 1 = (X^2 + X + 1)(X^2 - X + 1)
@@ -275,6 +288,19 @@ class TestParity:
         assert run(capsys, "enumerate", *bounds, *cache) == (0, want, "")
 
 
+def test_failed_cache_store_leaves_no_temporary(capsys, tmp_path, monkeypatch):
+    def refuse_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli_module.os, "replace", refuse_replace)
+    code, _, err = run(
+        capsys, "enumerate", "--int", "--nmax", "4", "--kbound", "1",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 2 and json.loads(err)["error"] == "OSError"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _refuse(*args):
     raise AssertionError("enumerated although the cache holds the answer")
 
@@ -343,3 +369,44 @@ class TestPolycrit:
         code, _, err = run(capsys, "polycrit", "--poly", "1,junk")
         assert code == 2
         assert json.loads(err)["error"] == "ValueError"
+
+
+# sha256 of stdout, recorded before the folds that kept every answer the
+# same; a refactor that changes one byte of these runs fails here
+GOLDEN_STDOUT = [
+    (
+        ("census", "--int", "--nmax", "7", "--kbound", "2"),
+        "9ef10c45ec454f58a0e65c6a599e8b1b99e3d6b8590116bff087dcd4c3d32637",
+    ),
+    (
+        ("census", "--min-poly", "2,-2,1", "--root-hint", "1/2,3/2,1/2,3/2",
+         "--nmax", "6", "--kbound", "2"),
+        "4168336c2d500a240b280f09dd1c01d94768fc75cd9ad61d56f4ea07b86a0793",
+    ),
+    (
+        ("parity", "--min-poly", "1,0,0,0,1", "--root-hint", "0,1,0,1",
+         "--nmax", "6", "--kbound", "2"),
+        "9ffe299bc3b88474e347288e3700e60f4be7acfb8dc1e74532228cd89104ca2c",
+    ),
+    (
+        ("polycrit", "--poly", "1,2,3,2,1", "--radius", "1"),
+        "4129e0b1e45421eb78e0a11fff32e94a4cc92454378f0822c7c00676ff9c3d17",
+    ),
+    (
+        ("polycrit", "--poly", "5,0,0,5,10,1", "--radius", "2", "--dominant", "4"),
+        "7e2265f93397519c89f3ff8f7ed3cee50160969f4d3d893a068dc35c392639f8",
+    ),
+    (
+        ("verify", "rouche-examples", "--json"),
+        "8e98b2d7f122a7743a051d9b254137515741912f1cc91494765b799cdf74cfc8",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_STDOUT, ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT]
+)
+def test_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

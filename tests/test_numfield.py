@@ -184,7 +184,7 @@ class TestFieldMake:
         # a handle built without field_make over X^4 + X^2 + 1: inversion
         # still refuses the zero divisor w^2 + w + 1 with a witness
         p = QPoly((1, 0, 1, 0, 1))
-        f = NumberField(p, 4, tuple(isolate_roots(p)), 0)
+        f = NumberField(p, tuple(isolate_roots(p)), 0)
         w = f.generator()
         with pytest.raises(NotIrreducible) as info:
             (w * w + w + f.one()).inverse()
@@ -325,7 +325,7 @@ class TestLeanProduct:
             p = _random_min_poly(rng, degree)
             # a handle built without field_make keeps p as given, non-monic
             # included; the product never looks at the root boxes
-            f = NumberField(p, degree, (BoxC.point(0),), 0)
+            f = NumberField(p, (BoxC.point(0),), 0)
             for _ in range(15):
                 x, y = _random_element(rng, f), _random_element(rng, f)
                 for a, b in ((x, y), (x, x)):

@@ -5,6 +5,7 @@ numpy roots; polynomials whose roots land too close to the counting
 circle for float arithmetic to referee are regenerated.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction as F
@@ -67,6 +68,47 @@ def test_modp_quartic():
     # X^4 + 1 factors mod every prime; X^4 - X - 1 is irreducible mod 2
     assert modp_irreducible(QPoly((1, 0, 0, 0, 1)), 3) is False
     assert modp_irreducible(QPoly((-1, -1, 0, 0, 1)), 2) is True
+
+
+def _divides_mod(d, f, p):
+    # long division of f by monic d over F_p, both low-first
+    r = list(f)
+    for k in range(len(f) - len(d), -1, -1):
+        c = r[k + len(d) - 1]
+        for j, x in enumerate(d):
+            r[k + j] = (r[k + j] - c * x) % p
+    return not any(r)
+
+
+def _monic_polys(p, n):
+    for low in itertools.product(range(p), repeat=n):
+        yield list(low) + [1]
+
+
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p, n_max", [(2, 4), (3, 4), (5, 3)])
+def test_modp_matches_trial_division(p, n_max):
+    for n in range(1, n_max + 1):
+        irreducible = 0
+        for f in _monic_polys(p, n):
+            divisors = (d for k in range(1, n // 2 + 1) for d in _monic_polys(p, k))
+            want = not any(_divides_mod(d, f, p) for d in divisors)
+            assert modp_irreducible(QPoly(f), p) is want, (p, f)
+            irreducible += want
+        # Gauss's count of monic irreducibles of degree n over F_p
+        necklaces = sum(_mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0)
+        assert irreducible * n == necklaces, (p, n)
 
 
 def test_pipeline_examples():
