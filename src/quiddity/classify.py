@@ -4,10 +4,16 @@ parity audits, and the generator classification decision tree.
 Enumeration is meet-in-the-middle: word matrices of all prefixes of length
 ceil(n/2) are matched against inverses of suffix matrices, so the cost is
 (2K+1)^(n/2) instead of (2K+1)^n.  It runs on the coordinate word kernel
-of `core`: prefixes are generated depth first and never all held, the
-suffix table of length floor(n/2) serves sizes 2r and 2r+1, and every
-new hit is re-checked by the full product of its word.  Everything
-downstream consumes the deduplicated canonical report.
+of `core`: prefixes are generated depth first and never all held, and
+the suffix table of length floor(n/2) serves sizes 2r and 2r+1.  Every
+rotation and reflection of a quiddity is a quiddity with the same sign,
+so the search keeps only the hits that are their own canonical form
+(the brute-force oracles of the tests check that lemma at small bounds):
+prefixes begin with their least entry, a hit whose suffix holds a
+smaller entry is dropped, and the rest are kept when the dihedral
+canonical form returns the word itself.  Each class is thus hit once,
+and its stored word is the one re-checked by its full product.
+Everything downstream consumes the canonical report.
 """
 
 from __future__ import annotations
@@ -168,8 +174,8 @@ def enumerate_quiddities(
     field: NumberField, w: FieldElement, n_max: int, k_bound: int
 ) -> EnumerationReport:
     """All quiddities with size <= n_max and |k_i| <= k_bound over <w>,
-    deduplicated by canonical form.  Size-1 words are never +-Id, so
-    sizes start at 2."""
+    one per dihedral class, stored as its canonical form.  Size-1 words
+    are never +-Id, so sizes start at 2."""
     if n_max < 1 or k_bound < 0:
         raise ValueError("need n_max >= 1 and k_bound >= 0")
     start = time.monotonic()
@@ -193,21 +199,25 @@ def enumerate_quiddities(
                 suffixes = {}
                 for ks, mat in kernel.words(r, pool):
                     suffixes.setdefault(mat, []).append(ks)
-            for ks, (a, b, c, d) in kernel.words(n - r, pool):
-                # S * P = eps * Id means S = eps * P^-1, and det P = 1
-                inv = (d, _neg(b), _neg(c), a)
-                minus_inv = (_neg(d), b, c, _neg(a))
-                for eps, target in ((1, inv), (-1, minus_inv)):
-                    for suffix in suffixes.get(target, ()):
-                        combined = ks + suffix
-                        canon = canonical_multipliers(combined)
-                        if canon in found:
-                            continue
-                        if kernel.sign(kernel.product(combined)) != eps:
-                            raise CertificateFailed(
-                                f"meet-in-the-middle hit {combined} failed the full-product check"
-                            )
-                        found[canon] = eps
+            # a canonical word begins with its least entry, so only
+            # prefixes that do are generated: k0, then entries >= k0
+            for k0 in pool:
+                for ks, (a, b, c, d) in kernel.words(n - r, range(k0, k_bound + 1), (k0,)):
+                    # S * P = eps * Id means S = eps * P^-1, and det P = 1
+                    inv = (d, _neg(b), _neg(c), a)
+                    minus_inv = (_neg(d), b, c, _neg(a))
+                    for eps, target in ((1, inv), (-1, minus_inv)):
+                        for suffix in suffixes.get(target, ()):
+                            if min(suffix) < k0:
+                                continue
+                            combined = ks + suffix
+                            if canonical_multipliers(combined) != combined:
+                                continue
+                            if kernel.sign(kernel.product(combined)) != eps:
+                                raise CertificateFailed(
+                                    f"meet-in-the-middle hit {combined} failed the full-product check"
+                                )
+                            found[combined] = eps
     members = tuple(
         CensusMember(multipliers=ks, epsilon=found[ks])
         for ks in sorted(found, key=lambda s: (len(s), s))
@@ -229,15 +239,19 @@ def enumerate_quiddities(
 
 def irreducible_census(report: EnumerationReport) -> EnumerationReport:
     """Split every size>=3 member into reducible (with witness) or
-    irreducible.  Size-2 members are excluded from both by convention."""
+    irreducible.  Size-2 members are excluded from both by convention.
+    Every witness is replayed, and each distinct summand is multiplied
+    out on `Mat2` once per call."""
     field, w = report.rebuild_context()
     members = []
     irreducible = []
+    # the Mat2 sign of each summand, replayed once in this call
+    signs: dict[tuple[int, ...], Optional[int]] = {}
     for m in report.members:
         if m.size < 3:
             members.append(m)
             continue
-        wit = find_reduction(QuiddityTuple(field, w, m.multipliers))
+        wit = find_reduction(QuiddityTuple(field, w, m.multipliers), signs)
         m = replace(m, reducible=wit is not None, witness=wit)
         members.append(m)
         if wit is None:

@@ -348,11 +348,11 @@ class _WordKernel:
             return None
         return k
 
-    def words(self, length: int, pool: Sequence[int]):
-        """Every word of the given length over the pool with its matrix,
-        generated depth first so that at most length * len(pool) words
-        are held at once."""
-        stack = [((), self.identity)]
+    def words(self, length: int, pool: Sequence[int], start: tuple[int, ...] = ()):
+        """Every word of the given length that extends the start word by
+        entries of the pool, with its matrix, generated depth first so
+        that at most length * len(pool) words are held at once."""
+        stack = [(start, self.product(start))]
         while stack:
             ks, m = stack.pop()
             if len(ks) == length:

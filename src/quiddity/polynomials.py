@@ -336,7 +336,8 @@ def _recentre(
     s = radius.numerator * (d // radius.denominator)
     re = [c * d ** (n - k) for k, c in enumerate(a)]
     im = [0] * (n + 1)
-    for i in range(n):
+    # at the centre 0 every step of the shift adds 0
+    for i in range(n if cr or ci else 0):
         for k in range(n - 1, i - 1, -1):
             r1, i1 = re[k + 1], im[k + 1]
             re[k] += cr * r1 - ci * i1

@@ -16,9 +16,12 @@ on the coordinate word kernel of `core`: per dihedral image it grows P
 one entry at a time, P <- P * E(k*w), and it reads b_1 and b_l as
 multiples of w by exact division of coordinates.  Every witness it
 returns is replayed on the generic `Mat2` route, which is what catches
-a kernel fault.  The brute-force variant ignores the forcing, tries
-every bounded boundary pair on `Mat2`, and exists purely to
-cross-check the fast path.
+a kernel fault.  Within one census each distinct summand b is multiplied
+out once: the sign is memoised on b's exact multipliers, not on its
+canonical form, so no dihedral lemma enters the certificate, and every
+witness still has its gluing equality and its sign checked.  The
+brute-force variant ignores the forcing, tries every bounded boundary
+pair on `Mat2`, and exists purely to cross-check the fast path.
 """
 
 from __future__ import annotations
@@ -78,8 +81,14 @@ def _image(ks: Sequence[int], rotation: int, reflected: bool) -> tuple[int, ...]
     return s[rotation:] + s[:rotation]
 
 
-def witness_replay(t: QuiddityTuple, wit: ReductionWitness) -> bool:
-    """Exact check of every witness invariant against the original tuple."""
+def witness_replay(
+    t: QuiddityTuple, wit: ReductionWitness, signs: Optional[dict] = None
+) -> bool:
+    """Exact check of every witness invariant against the original tuple.
+
+    `signs` memoises the `Mat2` sign of each summand over t's generator,
+    keyed by the summand's exact multipliers: a summand already in it is
+    not multiplied out again, but its sign is still compared."""
     if wit.split_m < 3 or len(wit.b_multipliers) < 3:
         return False
     if wit.split_m != len(wit.a_multipliers):
@@ -88,16 +97,22 @@ def witness_replay(t: QuiddityTuple, wit: ReductionWitness) -> bool:
     glued = oplus_multipliers(wit.a_multipliers, wit.b_multipliers)
     if glued != target:
         return False
-    return is_quiddity(t.with_multipliers(wit.b_multipliers)) == wit.epsilon_b
+    b = wit.b_multipliers
+    if signs is None:
+        signs = {}
+    if b not in signs:
+        signs[b] = is_quiddity(t.with_multipliers(b))
+    return signs[b] == wit.epsilon_b
 
 
-def _replayed_witness(t, ks, rotation, reflected, m, kb1, kbl, eps):
+def _replayed_witness(t, ks, rotation, reflected, m, kb1, kbl, eps, signs=None):
     """The witness splitting image ks at m with boundary multipliers kb1
-    and kbl, once it has replayed against t."""
+    and kbl, once it has replayed against t (through the memo `signs`
+    of witness_replay)."""
     a_mult = (ks[0] - kbl,) + ks[1 : m - 1] + (ks[m - 1] - kb1,)
     b_mult = (kb1,) + ks[m:] + (kbl,)
     wit = ReductionWitness(rotation, reflected, m, a_mult, b_mult, eps)
-    if not witness_replay(t, wit):
+    if not witness_replay(t, wit, signs):
         raise CertificateFailed(f"reduction witness {wit} failed its replay")
     return wit
 
@@ -109,8 +124,12 @@ def _scan_slots(n: int):
                 yield reflected, rotation, l
 
 
-def find_reduction(t: QuiddityTuple) -> Optional[ReductionWitness]:
-    """First witness in scan order, or None when no split exists."""
+def find_reduction(
+    t: QuiddityTuple, signs: Optional[dict] = None
+) -> Optional[ReductionWitness]:
+    """First witness in scan order, or None when no split exists.  A
+    caller that reduces many tuples over one generator may pass one
+    `signs` dict to all of them, so that each summand replays once."""
     kernel = _word_kernel(t.generator)
     if kernel.sign(kernel.product(t.multipliers)) is None:
         raise NotAQuiddity("input word matrix is not +-Id")
@@ -137,7 +156,7 @@ def find_reduction(t: QuiddityTuple) -> Optional[ReductionWitness]:
                 if k12 is None or k21 is None:
                     continue
                 return _replayed_witness(
-                    t, ks, rotation, reflected, m, eps * k12, -eps * k21, eps
+                    t, ks, rotation, reflected, m, eps * k12, -eps * k21, eps, signs
                 )
     return None
 

@@ -116,6 +116,28 @@ class TestEnumerate:
         got = {m.multipliers: m.epsilon for m in rep.members}
         assert got and got == brute_canonical(brute_force_quiddities(w, 5, 2))
 
+    @pytest.mark.parametrize("make", [int_field, sqrt2_field], ids=["int_field", "sqrt2_field"])
+    def test_full_product_check_covers_each_stored_member_once(self, make, monkeypatch):
+        # the check multiplies a word out and hands the matrix to sign,
+        # so each sign call checks the word last multiplied out
+        product, sign = core_module._WordKernel.product, core_module._WordKernel.sign
+        last, checked = [], []
+
+        def traced_product(kernel, ks):
+            last[:] = [tuple(ks)]
+            return product(kernel, ks)
+
+        def traced_sign(kernel, m):
+            checked.append(last[0])
+            return sign(kernel, m)
+
+        monkeypatch.setattr(core_module._WordKernel, "product", traced_product)
+        monkeypatch.setattr(core_module._WordKernel, "sign", traced_sign)
+        f = make()
+        rep = enumerate_quiddities(f, f.generator(), 6, 2)
+        assert rep.members and all(m.size >= 2 for m in rep.members)
+        assert sorted(checked) == sorted(m.multipliers for m in rep.members)
+
     def test_failed_recheck_raises(self, monkeypatch):
         f = sqrt2_field()
         monkeypatch.setattr(core_module._WordKernel, "sign", lambda self, m: None)
@@ -217,6 +239,54 @@ class TestCensus:
         bare = irreducible_census(dataclasses.replace(rep, field_handle=None))
         assert rebuilt == [rep.field_descriptor]
         assert bare == census and bare.to_json() == census.to_json()
+
+    def test_census_replays_each_summand_once_per_call(self, monkeypatch):
+        reducibility_module = importlib.import_module("quiddity.reducibility")
+        f = sqrt2_field()
+        rep = enumerate_quiddities(f, f.generator(), 8, 2)
+        replayed = []
+        real = reducibility_module.is_quiddity
+        monkeypatch.setattr(
+            reducibility_module, "is_quiddity", lambda t: replayed.append(t.multipliers) or real(t)
+        )
+        census = irreducible_census(rep)
+        witnesses = [m.witness for m in census.members if m.witness is not None]
+        summands = {wit.b_multipliers for wit in witnesses}
+        assert len(summands) < len(witnesses)
+        assert sorted(replayed) == sorted(summands)
+        # the memo lives in one call: a second census replays them again
+        assert irreducible_census(rep) == census
+        assert len(replayed) == 2 * len(summands)
+
+    def test_memoised_summand_still_checks_its_sign(self, monkeypatch):
+        reducibility_module = importlib.import_module("quiddity.reducibility")
+        f = sqrt2_field()
+        t = QuiddityTuple(f, f.generator(), (-1, -1, 0, 1, 1, 0))
+        wit = find_reduction(t)
+        replayed = []
+        real = reducibility_module.is_quiddity
+        monkeypatch.setattr(
+            reducibility_module, "is_quiddity", lambda t: replayed.append(t.multipliers) or real(t)
+        )
+        signs = {}
+        assert witness_replay(t, wit, signs)
+        flipped = dataclasses.replace(wit, epsilon_b=-wit.epsilon_b)
+        assert not witness_replay(t, flipped, signs)
+        assert replayed == [wit.b_multipliers]
+
+    def test_integer_census_at_ten_three(self):
+        # the members and irreducibles read on the search that kept every
+        # hit and replayed every witness
+        f = int_field()
+        rep = irreducible_census(enumerate_quiddities(f, f.generator(), 10, 3))
+        assert len(rep.members) == 14321
+        assert [m.multipliers for m in rep.irreducible] == [
+            (-1, -1, -1),
+            (1, 1, 1),
+            (-3, 0, 3, 0),
+            (-2, 0, 2, 0),
+            (0, 0, 0, 0),
+        ]
 
     def test_pair_is_not_counted_irreducible(self, int_report):
         assert all(m.size >= 3 for m in int_report.irreducible)

@@ -5,6 +5,8 @@ counts and locations; all assertions against it leave generous margins
 so float noise cannot flip a verdict.
 """
 
+import math
+import random
 import time
 from fractions import Fraction as F
 
@@ -18,6 +20,7 @@ from quiddity.polynomials import (
     GaussRat,
     NotSquarefree,
     QPoly,
+    _recentre,
     composed_product,
     count_real_roots,
     lagrange_interpolate,
@@ -224,6 +227,39 @@ def test_disk_recentre_evaluates():
     # p(i + X/2) = (i + X/2)^2 + 1 = X^2/4 + i X + 0, times 4 to be
     # primitive over the Gaussian integers
     assert cs == ((0, 0), (0, 4), (1, 0))
+
+
+def _recentre_unskipped(a, c_re, c_im, radius):
+    """The Taylor shift of `_recentre`, run whatever the centre is."""
+    n = len(a) - 1
+    d = math.lcm(c_re.denominator, c_im.denominator, radius.denominator)
+    cr = c_re.numerator * (d // c_re.denominator)
+    ci = c_im.numerator * (d // c_im.denominator)
+    s = radius.numerator * (d // radius.denominator)
+    re = [c * d ** (n - k) for k, c in enumerate(a)]
+    im = [0] * (n + 1)
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            r1, i1 = re[k + 1], im[k + 1]
+            re[k] += cr * r1 - ci * i1
+            im[k] += cr * i1 + ci * r1
+    return [c * s**k for k, c in enumerate(re)], [c * s**k for k, c in enumerate(im)]
+
+
+def test_recentre_at_zero_only_scales():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        a = [rng.randint(-9, 9) for _ in range(n)] + [rng.choice((-3, -1, 1, 2))]
+        radius = F(rng.randint(1, 9), rng.randint(1, 9))
+        d = radius.denominator
+        re, im = _recentre(a, F(0), F(0), radius)
+        assert re == [c * d ** (n - k) * radius.numerator**k for k, c in enumerate(a)]
+        assert im == [0] * (n + 1)
+        centre = (F(rng.randint(-5, 5), rng.randint(1, 4)), F(rng.randint(-5, 5), rng.randint(1, 4)))
+        if centre == (0, 0):
+            centre = (F(1, 2), F(0))
+        assert _recentre(a, *centre, radius) == _recentre_unskipped(a, *centre, radius)
 
 
 # -- resultants ---------------------------------------------------------------
