@@ -32,6 +32,7 @@ from .polynomials import (
     BigRat,
     GaussRat,
     QPoly,
+    _taylor_shift,
     as_rat,
     count_real_roots,
     qpoly_at_disk,
@@ -140,7 +141,10 @@ def eisenstein(p: QPoly) -> Optional[int]:
     a_i with i < n, q does not divide a_n, and q^2 does not divide a_0.
     Only primes dividing gcd(a_0, ..., a_(n-1)) can qualify.
     """
-    a = _int_model(p)
+    return _eisenstein_prime(_int_model(p))
+
+
+def _eisenstein_prime(a: list[int]) -> Optional[int]:
     for q in prime_divisors(math.gcd(*a[:-1])):
         if a[-1] % q and a[0] % (q * q):
             return q
@@ -292,7 +296,8 @@ def irreducible_over_Q(p: QPoly) -> IrreducibilityVerdict:
     if p.degree <= 3:
         return IrreducibilityVerdict("Proven", criterion="no-linear-factor")
     for c in _EISENSTEIN_SHIFTS:
-        q = eisenstein(prim.shift(c) if c else prim)
+        # an integer shift keeps the model primitive with the same leading term
+        q = _eisenstein_prime(_taylor_shift(list(ints), c) if c else ints)
         if q is not None:
             tag = "eisenstein" if c == 0 else f"eisenstein-shift({c})"
             return IrreducibilityVerdict("Proven", criterion=tag, prime=q)
@@ -454,7 +459,7 @@ def _squarefree_disk_count(f: QPoly, r: Fraction) -> tuple[int, int]:
     if q.degree < 1:
         return inside, 0
     on = 0
-    g = q.monic().gcd(q.reverse().monic())
+    g = q.gcd(q.reverse())
     if g.degree >= 1:
         on = _unit_circle_count(g)
         inside += (g.degree - on) // 2

@@ -1,12 +1,15 @@
 """Exact rational and Gaussian-rational polynomial arithmetic.
 
 The public type, QPoly, carries fractions.Fraction coefficients, so
-nothing ever rounds.  The two hot loops of root work run on primitive
-integer coefficient lists instead: Descartes isolation of real roots
-bisects (0, 1) by integer halvings and Taylor shifts (Collins and
-Akritas, 1976), and the Taylor shift at a Gaussian-rational centre for
-disk counts returns a positive multiple of the shifted polynomial with
-Gaussian-integer coefficients.
+nothing ever rounds.  The hot loops run on integer models, the
+primitive integer coefficient lists of int_coeffs, instead: the gcd is
+a primitive pseudo-remainder sequence, Descartes isolation of real
+roots bisects (0, 1) by integer halvings and Taylor shifts (Collins and
+Akritas, 1976), refinement reads each sign from a homogenised integer
+evaluation, and the Taylor shift at a Gaussian-rational centre for disk
+counts returns a positive multiple of the shifted polynomial with
+Gaussian-integer coefficients.  The Fraction routes they replaced are
+kept as the test oracle (tests/fraction_oracle.py).
 
 Scalar resultants, Lagrange interpolation and the composed product built
 from them serve only as the independent test oracle for the equality
@@ -211,12 +214,15 @@ class QPoly:
         return self if l == 1 else self * (1 / l)
 
     def gcd(self, other: "QPoly") -> "QPoly":
-        a, b = self, other
-        while not b.is_zero:
-            r = a % b
-            # keep coefficients small on long chains
-            a, b = b, r.monic() if not r.is_zero else r
-        return a.monic() if not a.is_zero else a
+        """The monic gcd (0 when both are 0), from the primitive
+        pseudo-remainder sequence of the integer models; the Fraction
+        Euclid it replaced is kept as the test oracle."""
+        a, b = self.int_coeffs(), other.int_coeffs()
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _primitive_prem(a, b)
+        return QPoly(a).monic()
 
     def shift(self, c) -> "QPoly":
         """p(X + c)."""
@@ -275,7 +281,7 @@ class QPoly:
         while c.degree > 0:
             a = c.gcd(d)
             if a.degree > 0:
-                out.append((a.monic(), k))
+                out.append((a, k))
             c2 = c // a
             d = d // a - c2.derivative()
             c = c2
@@ -353,6 +359,35 @@ def _recentre(
 def _primitive(a: list[int]) -> list[int]:
     g = math.gcd(*a)
     return a if g == 1 else [c // g for c in a]
+
+
+def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part, with positive leading term, of the remainder
+    of a by b (len(a) >= len(b) >= 1); [] when b divides a.
+
+    Each step cancels the top term of a as lc(b) a - c X^k b, with both
+    factors divided by gcd(lc(b), c).  The result is a positive rational
+    multiple of lc(b)^(deg a - deg b + 1) a mod b, so it has the same
+    primitive part (Collins, 1967; Brown and Traub, 1971).
+    """
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r.pop()
+        if c:
+            g = math.gcd(lb, c)
+            s, c = lb // g, c // g
+            if s != 1:
+                r = [x * s for x in r]
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    if not r:
+        return r
+    g = math.gcd(*r)
+    return [x // g for x in r] if r[-1] > 0 else [-x // g for x in r]
 
 
 def _separation_bound(a: list[int]) -> Fraction:
@@ -447,21 +482,38 @@ def count_real_roots(p: QPoly, lo: Fraction, hi: Fraction) -> int:
 def refine_real_root(
     p: QPoly, lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval of a simple root by sign bisection."""
-    flo = p(lo)
-    if flo == 0 or p(hi) == 0:
+    """Shrink an isolating interval of a simple root by sign bisection.
+
+    Each sign is read from the integer model a of degree n: at x = u/v
+    with v > 0, sum a_k u^k v^(n-k) = v^n a(x) has the sign of a(x), and
+    a is a nonzero multiple of p.  Returns (m, m) when a midpoint m is
+    the root.  The Fraction bisection it replaced is kept as the test
+    oracle.
+    """
+    a = p.int_coeffs()
+    slo = _sign_at(a, lo)
+    if slo == 0 or _sign_at(a, hi) == 0:
         raise ValueError("endpoints of an isolating interval must not be roots")
-    slo = 1 if flo > 0 else -1
     while hi - lo > width:
         m = (lo + hi) / 2
-        fm = p(m)
-        if fm == 0:
+        sm = _sign_at(a, m)
+        if sm == 0:
             return m, m
-        if (1 if fm > 0 else -1) == slo:
+        if sm == slo:
             lo = m
         else:
             hi = m
     return lo, hi
+
+
+def _sign_at(a: list[int], x: Fraction) -> int:
+    """The sign of the integer polynomial a at x, by homogenised Horner."""
+    u, v = x.numerator, x.denominator
+    acc, pw = 0, 1
+    for c in reversed(a):
+        acc = acc * u + c * pw
+        pw *= v
+    return (acc > 0) - (acc < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The Fraction and GaussRat kernels that the faster kernels replaced.
 
 These are the generic versions of the disk count, the Schur-Cohn chain,
-Descartes isolation, the rational-root search and the number-field
-product, kept as an independent oracle: they share no arithmetic with
-the code they check.
+Descartes isolation, the rational-root search, the polynomial gcd, the
+sign bisection of a real root and the number-field product, kept as an
+independent oracle: they share no arithmetic with the code they check.
 """
 
 from __future__ import annotations
@@ -136,6 +136,30 @@ def real_roots_isolated(p: QPoly, lo=None, hi=None) -> list[tuple[Fraction, Frac
                 m, denom = a + (b - a) / denom, denom * 2
             work += [(a, m), (m, b)]
     return sorted(intervals)
+
+
+def gcd(a: QPoly, b: QPoly) -> QPoly:
+    """Monic gcd by Euclid over Fractions, each remainder made monic."""
+    while not b.is_zero:
+        a, b = b, (a % b).monic()
+    return a.monic()
+
+
+def refine_real_root(p: QPoly, lo: Fraction, hi: Fraction, width: Fraction):
+    """Sign bisection with p evaluated at each midpoint over Fractions."""
+    flo = p(lo)
+    if flo == 0 or p(hi) == 0:
+        raise ValueError("endpoints of an isolating interval must not be roots")
+    while hi - lo > width:
+        m = (lo + hi) / 2
+        fm = p(m)
+        if fm == 0:
+            return m, m
+        if (fm > 0) == (flo > 0):
+            lo = m
+        else:
+            hi = m
+    return lo, hi
 
 
 def rational_roots(ints: list[int]) -> list[Fraction]:

@@ -1,9 +1,9 @@
 """The integer kernels against the Fraction oracle in fraction_oracle.
 
-Disk counts, Schur-Cohn counts and real-root isolation run on primitive
-integer coefficients; the generic Fraction/GaussRat versions they
-replaced must give the same answers, every None included, on seeded
-inputs chosen to hit the degenerate cases.
+Disk counts, Schur-Cohn counts, real-root isolation and refinement and
+the polynomial gcd run on primitive integer coefficients; the generic
+Fraction/GaussRat versions they replaced must give the same answers,
+every None included, on seeded inputs chosen to hit the degenerate cases.
 """
 
 import math
@@ -15,7 +15,13 @@ import pytest
 import fraction_oracle as oracle
 from quiddity import polycrit
 from quiddity.polycrit import _rational_roots, gauss_disk_count_strict, schur_cohn_count
-from quiddity.polynomials import GaussRat, QPoly, qpoly_at_disk, real_roots_isolated
+from quiddity.polynomials import (
+    GaussRat,
+    QPoly,
+    qpoly_at_disk,
+    real_roots_isolated,
+    refine_real_root,
+)
 
 
 def _poly(rng, degree, bound):
@@ -123,3 +129,65 @@ def test_rational_roots_match_the_divisor_search():
         ints = p.int_coeffs()
         if len(ints) >= 2:
             assert _rational_roots(ints) == oracle.rational_roots(ints), ints
+
+
+def _rat_poly(rng, degree):
+    """Rational coefficients, the leading one negative half the time."""
+    cs = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)]
+    cs.append(F(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 6)))
+    return QPoly(cs)
+
+
+def _gcd_pairs(rng):
+    """Planted common factors, squared factors with the derivative, and
+    zero and constant operands on either side."""
+    pairs = []
+    for _ in range(150):
+        common = _rat_poly(rng, rng.randint(0, 3))
+        pairs.append((common * _rat_poly(rng, rng.randint(0, 4)), common * _rat_poly(rng, rng.randint(0, 4))))
+    for _ in range(40):
+        f = _rat_poly(rng, rng.randint(1, 3))
+        a = f * f * _rat_poly(rng, rng.randint(0, 3))
+        pairs += [(a, a.derivative()), (a, f * _rat_poly(rng, rng.randint(0, 2)))]
+    zero = QPoly()
+    pairs.append((zero, zero))
+    for _ in range(10):
+        p, c = _rat_poly(rng, rng.randint(1, 5)), _rat_poly(rng, 0)
+        pairs += [(p, zero), (zero, p), (p, c), (c, p), (c, zero), (zero, c)]
+    return pairs
+
+
+def test_gcd_matches_the_euclid_oracle():
+    nontrivial = 0
+    for a, b in _gcd_pairs(random.Random(36)):
+        got = a.gcd(b)
+        assert got == oracle.gcd(a, b), (a, b)
+        nontrivial += got.degree > 0
+    assert nontrivial >= 150
+    assert QPoly().gcd(QPoly()) == QPoly()
+    assert QPoly((F(-3, 2),)).gcd(QPoly()) == QPoly.one()
+
+
+def test_refinement_matches_the_fraction_bisection():
+    rng = random.Random(37)
+    refined = 0
+    for _ in range(80):
+        sign = F(rng.choice((1, -1)), rng.randint(1, 5))
+        p = _rat_poly(rng, rng.randint(1, 7)).squarefree_part() * sign
+        for lo, hi in real_roots_isolated(p)[0]:
+            width = F(1, 2 ** rng.randint(0, 40))
+            assert refine_real_root(p, lo, hi, width) == oracle.refine_real_root(p, lo, hi, width)
+            refined += 1
+    assert refined >= 100
+
+
+def test_refinement_stops_on_a_root_at_a_midpoint():
+    # 3/8 is the third midpoint of (0, 1); sqrt(2) lies outside
+    p = QPoly((F(-3, 8), 1)) * QPoly((-2, 0, 1)) * F(-5, 3)
+    for q in (p, -p):
+        assert refine_real_root(q, F(0), F(1), F(1, 2 ** 20)) == (F(3, 8), F(3, 8))
+        assert oracle.refine_real_root(q, F(0), F(1), F(1, 2 ** 20)) == (F(3, 8), F(3, 8))
+        for lo, hi in ((F(3, 8), F(1)), (F(0), F(3, 8))):
+            for refine in (refine_real_root, oracle.refine_real_root):
+                with pytest.raises(ValueError):
+                    refine(q, lo, hi, F(1, 8))

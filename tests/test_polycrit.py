@@ -5,6 +5,7 @@ numpy roots; polynomials whose roots land too close to the counting
 circle for float arithmetic to referee are regenerated.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -130,6 +131,51 @@ def test_pipeline_more():
     # pipeline may miss, but it must never claim Proven
     v = irreducible_over_Q(QPoly((1, 0, 1, 0, 1)))
     assert v.status != "Proven"
+
+
+def test_shifted_eisenstein_pins():
+    phi5 = QPoly((1, 1, 1, 1, 1))
+    v = irreducible_over_Q(phi5)
+    assert (v.status, v.criterion, v.prime) == ("Proven", "eisenstein-shift(1)", 5)
+    # Phi5(X + 2) fails Eisenstein at the shifts 0 and 1 and passes at -1,
+    # where it is Phi5(X + 1) again
+    v = irreducible_over_Q(phi5.shift(2))
+    assert (v.status, v.criterion, v.prime) == ("Proven", "eisenstein-shift(-1)", 5)
+
+
+def _seeded_irreducibility_inputs(count=300, seed=14):
+    """Dense polynomials with rational coefficients, products with a
+    linear factor, and Eisenstein polynomials shifted by -3..3."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        deg = rng.randint(2, 10)
+        if i % 3 == 0:
+            den = rng.choice((1, 1, 2, 3))
+            cs = [F(rng.randint(-9, 9), den) for _ in range(deg)]
+            out.append(QPoly(cs + [F(rng.choice((1, -1, 2, -3)), den)]))
+        elif i % 3 == 1:
+            a, b = rng.randint(-4, 4), rng.choice((1, 2, -3))
+            rest = [rng.randint(-5, 5) for _ in range(deg - 1)] + [rng.choice((1, -1, 2))]
+            out.append(QPoly((-a, b)) * QPoly(rest))
+        else:
+            q = rng.choice((2, 3, 5, 7))
+            cs = [q * rng.randint(-2, 2) for _ in range(deg)] + [rng.choice((1, -1))]
+            cs[0] = q * rng.choice((1, -1, 2, -2, 3))
+            out.append(QPoly(cs).shift(rng.randint(-3, 3)))
+    return out
+
+
+def test_irreducibility_verdicts_digest():
+    # sha256 of every (status, criterion, prime, factor), recorded before
+    # the shifts moved to integer lists; 49 verdicts come from a shift
+    rows = []
+    for p in _seeded_irreducibility_inputs():
+        v = irreducible_over_Q(p)
+        factor = None if v.factor is None else tuple(str(c) for c in v.factor.coeffs)
+        rows.append(repr((v.status, v.criterion, v.prime, factor)))
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "3f64e19a2de8c151110169698d42faded48d9778afa676334b451f832def85df"
 
 
 @given(
