@@ -19,7 +19,9 @@ Everything downstream consumes the canonical report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
@@ -36,9 +38,7 @@ from .numfield import (
     FieldElement,
     NumberField,
     _compare_refined,
-    coords_from_json,
     coords_to_json,
-    field_from_descriptor,
     field_to_descriptor,
     modulus_compare,
 )
@@ -86,33 +86,32 @@ class CensusMember:
 
 @dataclass(frozen=True)
 class EnumerationReport:
-    field_descriptor: dict
-    generator_coords: list
+    field: NumberField
+    generator: FieldElement
     n_max: int
     k_bound: int
     members: tuple[CensusMember, ...]
-    counts: dict
+    irreducible: Optional[tuple[CensusMember, ...]]
     elapsed: float
-    irreducible: Optional[tuple[CensusMember, ...]] = None
-    # the field the enumeration ran in; in memory only, so a report
-    # loaded from JSON rebuilds it from the descriptor
-    field_handle: Optional[NumberField] = dc_field(default=None, compare=False, repr=False)
 
-    def rebuild_context(self) -> tuple[NumberField, FieldElement]:
-        field = self.field_handle
-        if field is None:
-            field = field_from_descriptor(self.field_descriptor)
-        return field, coords_from_json(field, self.generator_coords)
+    @property
+    def counts(self) -> dict[int, int]:
+        return dict(Counter(m.size for m in self.members))
+
+    def _header(self) -> dict:
+        return {
+            "field": field_to_descriptor(self.field),
+            "n_max": self.n_max,
+            "k_bound": self.k_bound,
+            "counts": {str(k): v for k, v in sorted(self.counts.items())},
+        }
 
     def to_json(self) -> dict:
         # elapsed stays in memory only so identical configs serialize
         # byte-identically
         return {
-            "field": self.field_descriptor,
-            "generator": self.generator_coords,
-            "n_max": self.n_max,
-            "k_bound": self.k_bound,
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
+            **self._header(),
+            "generator": coords_to_json(self.generator),
             "members": [m.to_json() for m in self.members],
             "irreducible": None
             if self.irreducible is None
@@ -122,29 +121,21 @@ class EnumerationReport:
 
 @dataclass(frozen=True)
 class ParityReport:
-    field_descriptor: dict
-    n_max: int
-    k_bound: int
-    counts: dict
-    odd_members: tuple[CensusMember, ...]
+    """A view of one enumeration report: counts and odd-size members."""
 
-    @classmethod
-    def of(cls, report: EnumerationReport) -> "ParityReport":
-        """Counts per size plus the explicit list of odd-size members."""
-        return cls(
-            field_descriptor=report.field_descriptor,
-            n_max=report.n_max,
-            k_bound=report.k_bound,
-            counts=report.counts,
-            odd_members=tuple(m for m in report.members if m.size % 2 == 1),
-        )
+    report: EnumerationReport
+
+    @property
+    def counts(self) -> dict[int, int]:
+        return self.report.counts
+
+    @property
+    def odd_members(self) -> tuple[CensusMember, ...]:
+        return tuple(m for m in self.report.members if m.size % 2 == 1)
 
     def to_json(self) -> dict:
         return {
-            "field": self.field_descriptor,
-            "n_max": self.n_max,
-            "k_bound": self.k_bound,
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
+            **self.report._header(),
             "odd_members": [m.to_json() for m in self.odd_members],
         }
 
@@ -222,18 +213,14 @@ def enumerate_quiddities(
         CensusMember(multipliers=ks, epsilon=found[ks])
         for ks in sorted(found, key=lambda s: (len(s), s))
     )
-    counts: dict[int, int] = {}
-    for m in members:
-        counts[m.size] = counts.get(m.size, 0) + 1
     return EnumerationReport(
-        field_descriptor=field_to_descriptor(field),
-        generator_coords=coords_to_json(w),
+        field=field,
+        generator=w,
         n_max=n_max,
         k_bound=k_bound,
         members=members,
-        counts=counts,
+        irreducible=None,
         elapsed=time.monotonic() - start,
-        field_handle=field,
     )
 
 
@@ -242,7 +229,7 @@ def irreducible_census(report: EnumerationReport) -> EnumerationReport:
     irreducible.  Size-2 members are excluded from both by convention.
     Every witness is replayed, and each distinct summand is multiplied
     out on `Mat2` once per call."""
-    field, w = report.rebuild_context()
+    field, w = report.field, report.generator
     members = []
     irreducible = []
     # the Mat2 sign of each summand, replayed once in this call
@@ -263,7 +250,7 @@ def parity_audit(
     field: NumberField, w: FieldElement, n_max: int, k_bound: int
 ) -> ParityReport:
     """Counts per size plus the explicit list of odd-size quiddities."""
-    return ParityReport.of(enumerate_quiddities(field, w, n_max, k_bound))
+    return ParityReport(enumerate_quiddities(field, w, n_max, k_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +258,18 @@ def parity_audit(
 # ---------------------------------------------------------------------------
 
 
+# every member of a census shares one generator, so its minimal
+# polynomial is derived once; elements compare algebraically, so the
+# key is sound
+_generator_min_poly = lru_cache(maxsize=16)(FieldElement.min_poly_over_Q)
+
+
 def transfer_certificate(t: QuiddityTuple, epsilon: int) -> bool:
     """Exact divisibility check that the multiplier vector is a quiddity
     over EVERY conjugate of the tuple's generator w: the word matrix
     entries, expanded as integer polynomials in w, must all lie in the
     ideal of the minimal polynomial of w over Q."""
-    mp = t.generator.min_poly_over_Q()
+    mp = _generator_min_poly(t.generator)
     ks = t.multipliers
     eps_poly = QPoly((epsilon,))
     conditions = [

@@ -31,7 +31,7 @@ from .core import QuiddityTuple, is_quiddity
 from .numfield import (
     BoxC,
     NumberField,
-    field_from_descriptor,
+    coords_to_json,
     field_make,
     field_to_descriptor,
 )
@@ -99,8 +99,6 @@ _CACHE_FORMAT = 2
 
 
 def _cache_config(op: str, field: NumberField, gen, n_max: int, k_bound: int) -> dict:
-    from .numfield import coords_to_json
-
     return {
         "format": _CACHE_FORMAT,
         "op": op,
@@ -118,7 +116,7 @@ def _cache_path(cache_dir: str, config: dict) -> str:
     return os.path.join(cache_dir, f"{digest}.jsonl")
 
 
-def _cache_load(path: str, config: dict) -> Optional[EnumerationReport]:
+def _cache_load(path: str, config: dict, field: NumberField, gen) -> Optional[EnumerationReport]:
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -128,21 +126,17 @@ def _cache_load(path: str, config: dict) -> Optional[EnumerationReport]:
     # a line of valid JSON that is not a member document raises the last two
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
-    counts: dict[int, int] = {}
-    for m in members:
-        counts[m.size] = counts.get(m.size, 0) + 1
     irreducible = None
     if config["op"] == "census":
         irreducible = tuple(m for m in members if m.reducible is False)
     return EnumerationReport(
-        field_descriptor=config["field"],
-        generator_coords=config["generator"],
+        field=field,
+        generator=gen,
         n_max=config["n_max"],
         k_bound=config["k_bound"],
         members=members,
-        counts=counts,
-        elapsed=0.0,
         irreducible=irreducible,
+        elapsed=0.0,
     )
 
 
@@ -168,7 +162,7 @@ def _enumerate_with_cache(op: str, args) -> EnumerationReport:
     path = None
     if args.cache_dir:
         path = _cache_path(args.cache_dir, config)
-        cached = _cache_load(path, config)
+        cached = _cache_load(path, config, field, gen)
         if cached is not None:
             return cached
     report = enumerate_quiddities(field, gen, args.nmax, args.kbound)
@@ -244,7 +238,7 @@ def cmd_transfer(args) -> int:
 
 def cmd_parity(args) -> int:
     # the tally reads a plain enumeration, so it shares that cache
-    _emit(ParityReport.of(_enumerate_with_cache("enumerate", args)).to_json())
+    _emit(ParityReport(_enumerate_with_cache("enumerate", args)).to_json())
     return 0
 
 

@@ -224,10 +224,6 @@ class QPoly:
             a, b = b, _primitive_prem(a, b)
         return QPoly(a).monic()
 
-    def shift(self, c) -> "QPoly":
-        """p(X + c)."""
-        return QPoly(_taylor_shift(list(self.coeffs), as_rat(c)))
-
     def scale_arg(self, r) -> "QPoly":
         """p(r*X)."""
         r = as_rat(r)
@@ -320,7 +316,7 @@ def sign_variations(coeffs: Sequence) -> int:
 
 
 def _taylor_shift(a: list, c) -> list:
-    """The coefficients of A(X + c), computed in place; ints or Fractions."""
+    """The coefficients of A(X + c) for ints, computed in place."""
     n = len(a) - 1
     for i in range(n):
         for k in range(n - 1, i - 1, -1):

@@ -222,7 +222,7 @@ def suite_continuant_closed_form() -> list[CheckResult]:
 
 def _census_checks(name: str, census_name: str, expected_irreducible: set) -> list[CheckResult]:
     rep = census_memo(census_name)
-    field, w = rep.rebuild_context()
+    field, w = rep.field, rep.generator
     got = {m.multipliers for m in rep.irreducible}
     out = [
         CheckResult(
@@ -403,7 +403,7 @@ def suite_rouche_examples() -> list[CheckResult]:
 def suite_conjugate_transfer() -> list[CheckResult]:
     name = "conjugate-transfer"
     rep = census_memo("sqrt2")
-    field, w = rep.rebuild_context()
+    field, w = rep.field, rep.generator
     other = 1 - field.selected_root
     members = [m for m in rep.members if m.size <= 6]
     bad_cert = bad_sign = bad_invol = bad_irr = 0
@@ -483,7 +483,7 @@ def suite_small_entry_pairs() -> list[CheckResult]:
     out = []
     for census_name in ("integers", "sqrt2", "sqrt3", "one-minus-sqrt2", "gauss-unit"):
         rep = census_memo(census_name)
-        field, w = rep.rebuild_context()
+        field, w = rep.field, rep.generator
         bad = 0
         for m in rep.members:
             t = QuiddityTuple(field, w, m.multipliers)

@@ -177,6 +177,9 @@ class TestEnumerate:
         for m in sqrt2_report.members:
             tally[m.size] = tally.get(m.size, 0) + 1
         assert tally == sqrt2_report.counts
+        # counts are read from the members, so they follow any edit of them
+        fewer = dataclasses.replace(sqrt2_report, members=sqrt2_report.members[1:])
+        assert sum(fewer.counts.values()) == len(sqrt2_report.members) - 1
 
     def test_rejects_bad_bounds(self):
         f = int_field()
@@ -212,7 +215,7 @@ class TestCensus:
     @pytest.mark.parametrize("fixture", ["int_report", "sqrt2_report"])
     def test_every_reducible_witness_replays(self, fixture, request):
         rep = request.getfixturevalue(fixture)
-        field, w = rep.rebuild_context()
+        field, w = rep.field, rep.generator
         for m in rep.members:
             if m.size < 3:
                 assert m.reducible is None
@@ -225,20 +228,17 @@ class TestCensus:
                 assert m.witness is None
 
     def test_census_reuses_the_enumeration_field(self, monkeypatch):
-        classify_module = importlib.import_module("quiddity.classify")
+        numfield_module = importlib.import_module("quiddity.numfield")
         f = sqrt2_field()
         rep = enumerate_quiddities(f, f.generator(), 4, 1)
-        rebuilt = []
-        real = classify_module.field_from_descriptor
-        monkeypatch.setattr(
-            classify_module, "field_from_descriptor", lambda d: rebuilt.append(d) or real(d)
-        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the census built a field of its own")
+
+        monkeypatch.setattr(numfield_module, "field_make", refuse)
         census = irreducible_census(rep)
-        assert rebuilt == [] and census.rebuild_context()[0] is f
-        # a report without the handle, as one loaded from a cache, rebuilds
-        bare = irreducible_census(dataclasses.replace(rep, field_handle=None))
-        assert rebuilt == [rep.field_descriptor]
-        assert bare == census and bare.to_json() == census.to_json()
+        assert census.field is f
+        assert census.generator == f.generator()
 
     def test_census_replays_each_summand_once_per_call(self, monkeypatch):
         reducibility_module = importlib.import_module("quiddity.reducibility")
@@ -324,7 +324,7 @@ class TestTransfer:
         assert is_quiddity(image) == -1
 
     def test_involution(self, sqrt2_report):
-        field, w = sqrt2_report.rebuild_context()
+        field, w = sqrt2_report.field, sqrt2_report.generator
         other = 1 - field.selected_root
         for m in sqrt2_report.members:
             t = QuiddityTuple(field, w, m.multipliers)
@@ -333,14 +333,14 @@ class TestTransfer:
             assert back.field.selected_root == field.selected_root
 
     def test_census_transfers_with_same_sign(self, sqrt2_report):
-        field, w = sqrt2_report.rebuild_context()
+        field, w = sqrt2_report.field, sqrt2_report.generator
         other = 1 - field.selected_root
         for m in sqrt2_report.members:
             t = QuiddityTuple(field, w, m.multipliers)
             assert is_quiddity(transfer_theta(t, other)) == m.epsilon
 
     def test_irreducibles_stay_irreducible(self, sqrt2_report):
-        field, w = sqrt2_report.rebuild_context()
+        field, w = sqrt2_report.field, sqrt2_report.generator
         other = 1 - field.selected_root
         for m in sqrt2_report.irreducible:
             t = QuiddityTuple(field, w, m.multipliers)
@@ -388,6 +388,23 @@ class TestTransfer:
             assert image.field.selected_root == other
             assert image.generator.coords == w.coords
             assert is_quiddity(image) == m.epsilon
+
+    def test_minimal_polynomial_derived_once_per_generator(self, sqrt2_report, monkeypatch):
+        classify_module = importlib.import_module("quiddity.classify")
+        numfield_module = importlib.import_module("quiddity.numfield")
+        classify_module._generator_min_poly.cache_clear()
+        calls = []
+        real = numfield_module._dependence
+        monkeypatch.setattr(
+            numfield_module, "_dependence", lambda rows: calls.append(len(rows)) or real(rows)
+        )
+        field, w = sqrt2_report.field, sqrt2_report.generator
+        after = []
+        for m in sqrt2_report.members:
+            assert transfer_certificate(QuiddityTuple(field, w, m.multipliers), m.epsilon)
+            after.append(len(calls))
+        # only the first certificate of the census derives it
+        assert len(after) > 1 and after[0] > 0 and set(after) == {after[0]}
 
     def test_failed_certificate_raises(self, monkeypatch):
         # the package exports a function named classify, so the module is
@@ -592,7 +609,7 @@ class TestSmallEntries:
         assert small_entry_positions(t) == [0, 2]
 
     def test_census_members_have_two_small(self, sqrt2_report):
-        field, w = sqrt2_report.rebuild_context()
+        field, w = sqrt2_report.field, sqrt2_report.generator
         for m in sqrt2_report.members:
             t = QuiddityTuple(field, w, m.multipliers)
             assert len(small_entry_positions(t)) >= 2

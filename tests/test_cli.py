@@ -333,6 +333,36 @@ def test_second_run_reads_the_cache(capsys, tmp_path, monkeypatch, command):
     assert run(capsys, *argv) == (0, out1, "")
 
 
+# the file an earlier build wrote for `census --int --nmax 5 --kbound 1`,
+# byte for byte, under the name its configuration hashes to
+_PARENT_CACHE_NAME = "9700be4ac6affa7826df0003576cf4ed8867ebc0e92e1f777b1f953f2985b055.jsonl"
+_PARENT_CACHE = (
+    '{"field": {"min_poly": ["-1", "1"], "root_hint": {"im": ["0", "0"], "re": ["1", "1"]}}, "format": 2, "generator": ["1"], "k_bound": 1, "n_max": 5, "op": "census"}\n'
+    '{"epsilon": -1, "multipliers": [0, 0], "reducible": null, "witness": null}\n'
+    '{"epsilon": 1, "multipliers": [-1, -1, -1], "reducible": false, "witness": null}\n'
+    '{"epsilon": -1, "multipliers": [1, 1, 1], "reducible": false, "witness": null}\n'
+    '{"epsilon": 1, "multipliers": [-1, 0, 1, 0], "reducible": true, "witness": {"a_multipliers": [1, 1, 1], "b_multipliers": [-1, -1, -1], "epsilon_b": 1, "reflected": false, "rotation": 1, "split_m": 3}}\n'
+    '{"epsilon": 1, "multipliers": [0, 0, 0, 0], "reducible": false, "witness": null}\n'
+    '{"epsilon": -1, "multipliers": [-1, -1, -1, 0, 0], "reducible": true, "witness": {"a_multipliers": [-1, -1, -1], "b_multipliers": [0, 0, 0, 0], "epsilon_b": 1, "reflected": false, "rotation": 0, "split_m": 3}}\n'
+    '{"epsilon": 1, "multipliers": [0, 0, 1, 1, 1], "reducible": true, "witness": {"a_multipliers": [-1, 0, 1, 0], "b_multipliers": [1, 1, 1], "epsilon_b": -1, "reflected": false, "rotation": 0, "split_m": 4}}\n'
+)
+
+
+def test_cache_written_by_an_earlier_build_reloads(capsys, tmp_path, monkeypatch):
+    assert len(_PARENT_CACHE) == 1095
+    (tmp_path / _PARENT_CACHE_NAME).write_text(_PARENT_CACHE)
+    monkeypatch.setattr(cli_module, "enumerate_quiddities", _refuse)
+    code, out, err = run(
+        capsys, "census", "--int", "--nmax", "5", "--kbound", "1",
+        "--cache-dir", str(tmp_path),
+    )
+    assert (code, err) == (0, "")
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "31d5dfe62e35c3c1c96df4b037fb26c41aca8f276922845528902b361a726d8d"
+    )
+
+
 class TestPolycrit:
     def test_quintic_report(self, capsys):
         code, out, _ = run(

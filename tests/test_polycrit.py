@@ -139,7 +139,7 @@ def test_shifted_eisenstein_pins():
     assert (v.status, v.criterion, v.prime) == ("Proven", "eisenstein-shift(1)", 5)
     # Phi5(X + 2) fails Eisenstein at the shifts 0 and 1 and passes at -1,
     # where it is Phi5(X + 1) again
-    v = irreducible_over_Q(phi5.shift(2))
+    v = irreducible_over_Q(phi5(QPoly((2, 1))))
     assert (v.status, v.criterion, v.prime) == ("Proven", "eisenstein-shift(-1)", 5)
 
 
@@ -162,7 +162,7 @@ def _seeded_irreducibility_inputs(count=300, seed=14):
             q = rng.choice((2, 3, 5, 7))
             cs = [q * rng.randint(-2, 2) for _ in range(deg)] + [rng.choice((1, -1))]
             cs[0] = q * rng.choice((1, -1, 2, -2, 3))
-            out.append(QPoly(cs).shift(rng.randint(-3, 3)))
+            out.append(QPoly(cs)(QPoly((rng.randint(-3, 3), 1))))
     return out
 
 

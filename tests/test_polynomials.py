@@ -21,6 +21,7 @@ from quiddity.polynomials import (
     NotSquarefree,
     QPoly,
     _recentre,
+    _taylor_shift,
     composed_product,
     count_real_roots,
     lagrange_interpolate,
@@ -91,13 +92,16 @@ def test_divmod_identity(p, d):
 
 
 def test_shift_and_scale():
+    assert _taylor_shift([0, 0, 1], 1) == [1, 2, 1]  # (X+1)^2
+    ints = [1, -3, 0, 2]
+    for c in (-3, 0, 5):
+        # the integer shift agrees with the composition p(X + c)
+        assert QPoly(_taylor_shift(list(ints), c)) == QPoly(ints)(QPoly((c, 1)))
     p = QPoly((0, 0, 1))  # X^2
-    assert p.shift(1) == QPoly((1, 2, 1))           # (X+1)^2
     assert p.scale_arg(F(1, 2)) == QPoly((0, 0, F(1, 4)))
-    q = QPoly((1, -3, 0, 2))
+    q = QPoly(ints)
     c = F(5, 3)
     x = F(7, 11)
-    assert q.shift(c)(x) == q(x + c)
     assert q.scale_arg(c)(x) == q(c * x)
 
 

@@ -44,6 +44,26 @@ def test_resultant_route_stays_an_oracle():
     assert found == []
 
 
+def test_no_unused_imports():
+    # __init__.py imports to re-export; any other module that imports a
+    # name it never uses keeps a dead dependency
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in used
+        ]
+    assert found == []
+
+
 def _kernel_uses(module, names):
     # lines inside the named top-level definitions that name any part of
     # the word kernel
