@@ -3,17 +3,20 @@ parity audits, and the generator classification decision tree.
 
 Enumeration is meet-in-the-middle: word matrices of all prefixes of length
 ceil(n/2) are matched against inverses of suffix matrices, so the cost is
-(2K+1)^(n/2) instead of (2K+1)^n.  It runs on the coordinate word kernel
-of `core`: prefixes are generated depth first and never all held, and
-the suffix table of length floor(n/2) serves sizes 2r and 2r+1.  Every
-rotation and reflection of a quiddity is a quiddity with the same sign,
-so the search keeps only the hits that are their own canonical form
-(the brute-force oracles of the tests check that lemma at small bounds):
-prefixes begin with their least entry, a hit whose suffix holds a
-smaller entry is dropped, and the rest are kept when the dihedral
-canonical form returns the word itself.  Each class is thus hit once,
-and its stored word is the one re-checked by its full product.
-Everything downstream consumes the canonical report.
+(2K+1)^(n/2) instead of (2K+1)^n.  It runs on the integer word kernel
+of `core`, which holds a word of size n scaled by d^n (d*w an algebraic
+integer): a suffix meets a prefix when its held matrix is +-adj of the
+prefix's, divided exactly by d when the prefix is one longer.  Prefixes
+are generated depth first and never all held, and the suffix table of
+length floor(n/2) serves sizes 2r and 2r+1.  Every rotation and
+reflection of a quiddity is a quiddity with the same sign, so the search
+keeps only the hits that are their own canonical form (the brute-force
+oracles of the tests check that lemma at small bounds): prefixes begin
+with their least entry, a hit whose suffix holds a smaller entry is
+dropped, and the rest are kept when the dihedral canonical form returns
+the word itself.  Each class is thus hit once, and its stored word is
+the one re-checked by its full product.  Everything downstream consumes
+the canonical report.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Optional
 from .core import (
     CertificateFailed,
     QuiddityTuple,
-    _neg,
     _word_kernel,
     canonical_multipliers,
     euler_expansion,
@@ -193,18 +195,16 @@ def enumerate_quiddities(
             # a canonical word begins with its least entry, so only
             # prefixes that do are generated: k0, then entries >= k0
             for k0 in pool:
-                for ks, (a, b, c, d) in kernel.words(n - r, range(k0, k_bound + 1), (k0,)):
-                    # S * P = eps * Id means S = eps * P^-1, and det P = 1
-                    inv = (d, _neg(b), _neg(c), a)
-                    minus_inv = (_neg(d), b, c, _neg(a))
-                    for eps, target in ((1, inv), (-1, minus_inv)):
-                        for suffix in suffixes.get(target, ()):
+                for ks, mat in kernel.words(n - r, range(k0, k_bound + 1), (k0,)):
+                    # the suffix S is n - 2r entries shorter than the prefix
+                    for eps, key in kernel.inverse_keys(mat, n - 2 * r):
+                        for suffix in suffixes.get(key, ()):
                             if min(suffix) < k0:
                                 continue
                             combined = ks + suffix
                             if canonical_multipliers(combined) != combined:
                                 continue
-                            if kernel.sign(kernel.product(combined)) != eps:
+                            if kernel.sign(combined) != eps:
                                 raise CertificateFailed(
                                     f"meet-in-the-middle hit {combined} failed the full-product check"
                                 )

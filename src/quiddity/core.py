@@ -6,12 +6,20 @@ k_i * w.  Keeping the integers rather than the field elements makes
 membership in <w> trivially exact and enumeration an integer search.
 
 Three routes to the word matrix deliberately coexist.  The private word
-kernel (`_WordKernel`) works on power-basis coordinates with plain ints
-wherever they are integral; the searches in `classify` and
-`reducibility` run on it.  The direct 2x2 route over `FieldElement`
-(`m_product`, `is_quiddity`) and continuant assembly share no code with
-the kernel: they are the oracles the tests compare it against, and the
-certificates (witness replay) that every search result passes.  That
+kernel (`_WordKernel`) runs on ints alone.  With d the least positive
+integer that makes v = d*w an algebraic integer, it holds a word M of
+size n as d^n * T*M*T^-1 over Z[v], T = diag(1, 1/d): a step E(k*w) is
+then [[k*v, -d^2], [1, 0]], and M = +-Id exactly when the held matrix is
++-d^n * Id.  Two lemmas serve the searches in `classify` and
+`reducibility`, which ask the kernel for a word's sign, an inverse's
+key and a forced boundary pair, and read neither d nor a coordinate:
+det M = 1 makes M^-1 = adj(M), and adj commutes with the scaling; and
+the reversed word has matrix D*M^T*D, D = diag(1, -1), since
+D*E(x)^T*D = E(x), so one step direction serves both.  The direct 2x2
+route over `FieldElement` (`m_product`, `is_quiddity`) and continuant
+assembly share no code with the kernel: they are the oracles the tests
+compare it against, and the certificates (witness replay) that every
+search result passes.  That
 route steps a word one entry at a time, E(x) * M by `e_times` and
 M * E(x) by `times_e`, two field products each; the full product
 `Mat2.__mul__` is what the tests check both steps against.
@@ -29,6 +37,7 @@ from typing import Iterator, Optional, Sequence
 from .numfield import (
     FieldElement,
     NumberField,
+    _integral_scale,
     coords_from_json,
     coords_to_json,
     field_from_descriptor,
@@ -234,12 +243,12 @@ def brute_force_quiddities(
     of the word kernel it checks.
     """
     one, zero = w.field.one(), w.field.zero()
-    steps = [(k, w * k) for k in range(-k_bound, k_bound + 1)]
+    pool = [(k, w * k) for k in range(-k_bound, k_bound + 1)]
 
     def walk(ks: tuple[int, ...], m: Mat2):
         if len(ks) == n_max:
             return
-        for k, x in steps:
+        for k, x in pool:
             child_ks, child = ks + (k,), e_times(x, m)
             eps = child.pm_identity_sign()
             if eps is not None:
@@ -254,114 +263,120 @@ def brute_force_quiddities(
 # ---------------------------------------------------------------------------
 
 
-def _coord(c: Fraction):
-    return c.numerator if c.denominator == 1 else c
-
-
 def _neg(x: tuple) -> tuple:
     return tuple([-c for c in x])
 
 
-def _left_step(m: tuple, wa: tuple, wb: tuple, k: int) -> tuple:
-    """E(k*w) * m given w times m's top row (wa, wb): the new top row is
-    k*(w*top) - bottom, the new bottom row the old top."""
-    a, b, c, d = m
-    return (
-        tuple([k * x - y for x, y in zip(wa, c)]),
-        tuple([k * x - y for x, y in zip(wb, d)]),
-        a,
-        b,
-    )
-
-
 class _WordKernel:
-    """Word matrices over <w> in power-basis coordinates.
+    """Word matrices over <w> held as the module docstring says.  An
+    element of Z[v] is its int coordinates on 1, v, ..., v^(m-1) for m the
+    degree of w, multiplied by v through sparse companion rows of v's
+    monic integer minimal polynomial; a held matrix is the 4-tuple
+    (m11, m12, m21, m22) of elements and is its own hash key."""
 
-    Every entry of a word matrix is an integer polynomial in w reduced
-    mod the minimal polynomial, so the one field operation a step needs
-    is multiplication by w: a fixed d x d matrix, built once from the
-    generic `FieldElement` product on the basis vectors.  A coordinate is
-    an int when its denominator is 1 and a Fraction otherwise, so
-    algebraic-integer generators run on ints alone.  An element is a
-    coordinate tuple; a matrix is the 4-tuple (m11, m12, m21, m22) of
-    elements and is its own hash key.
-    """
-
-    __slots__ = ("_rows", "one", "w", "identity", "minus_identity", "_pivot")
+    __slots__ = ("d", "_dd", "_rows", "_v", "_pivot", "_zero", "identity")
 
     def __init__(self, w: FieldElement):
-        field = w.field
-        d = field.degree
-        basis = [FieldElement(field, [int(i == j) for i in range(d)]) for j in range(d)]
-        columns = [(b * w).coords for b in basis]
-        # row i of "multiply by w", keeping only the nonzero entries
+        p = w.min_poly_over_Q()
+        m, d = p.degree, _integral_scale(p)
+        # v's minimal polynomial is X^m + sum c_j X^j, c_j = a_j * d^(m-j)
+        c = [int(a * d ** (m - j)) for j, a in enumerate(p.coeffs[:-1])]
+        # coordinate i of v*x is x_(i-1) - c_i * x_(m-1)
         self._rows = tuple(
-            tuple((j, _coord(col[i])) for j, col in enumerate(columns) if col[i] != 0)
-            for i in range(d)
+            tuple((j, f) for j, f in ((i - 1, 1), (m - 1, -c[i])) if j >= 0 and f)
+            for i in range(m)
         )
-        zero = (0,) * d
-        self.one = (1,) + zero[1:]
-        self.w = tuple(_coord(c) for c in w.coords)
-        self.identity = (self.one, zero, zero, self.one)
-        self.minus_identity = (_neg(self.one), zero, zero, _neg(self.one))
-        # a nonzero coordinate of w, None for w = 0
-        self._pivot = next((j for j, c in enumerate(self.w) if c != 0), None)
+        self.d, self._dd = d, d * d
+        self._zero = (0,) * m
+        one = (1,) + self._zero[1:]
+        self.identity = (one, self._zero, self._zero, one)
+        self._v = self.times_v(one)
+        # a nonzero coordinate of v, None for w = 0
+        self._pivot = next((j for j, x in enumerate(self._v) if x), None)
 
-    def times_w(self, x: tuple) -> tuple:
+    def times_v(self, x: tuple) -> tuple:
         return tuple([sum([c * x[j] for j, c in row]) for row in self._rows])
 
-    def right(self, m: tuple, k: int) -> tuple:
-        """m * E(k*w): the new left column is k*(w*left) + right."""
-        a, b, c, d = m
-        wa, wc = self.times_w(a), self.times_w(c)
-        return (
-            tuple([k * x + y for x, y in zip(wa, b)]),
-            _neg(a),
-            tuple([k * x + y for x, y in zip(wc, d)]),
-            _neg(c),
-        )
+    def steps(self, m: tuple, pool: Sequence[int]) -> list[tuple]:
+        """The held E(k*w) * m for each k of the pool: the new top row is
+        k*(v*top) - d^2*bottom, the new bottom row the old top."""
+        a, b, c, e = m
+        va, vb = self.times_v(a), self.times_v(b)
+        if self._dd != 1:
+            c, e = [self._dd * x for x in c], [self._dd * x for x in e]
+        return [
+            (
+                tuple([k * x - y for x, y in zip(va, c)]),
+                tuple([k * x - y for x, y in zip(vb, e)]),
+                a,
+                b,
+            )
+            for k in pool
+        ]
 
     def product(self, ks: Sequence[int]) -> tuple:
-        """E(k_n w) * ... * E(k_1 w), as m_product orders it."""
+        """E(k_n w) * ... * E(k_1 w), as m_product orders it, held."""
         m = self.identity
         for k in ks:
-            m = _left_step(m, self.times_w(m[0]), self.times_w(m[1]), k)
+            (m,) = self.steps(m, (k,))
         return m
 
-    def sign(self, m: tuple) -> Optional[int]:
-        """+1 for Id, -1 for -Id, None otherwise."""
-        if m == self.identity:
-            return 1
-        if m == self.minus_identity:
-            return -1
+    def sign(self, ks: Sequence[int]) -> Optional[int]:
+        """+1 when the word's matrix is Id, -1 when it is -Id, else None."""
+        m, z = self.product(ks), self._zero
+        for eps in (1, -1):
+            x = (eps * self.d ** len(ks),) + z[1:]
+            if m == (x, z, z, x):
+                return eps
         return None
 
-    def multiplier(self, x: tuple) -> Optional[int]:
-        """k with x = k*w, else None; <0> = {0}, where k is taken as 0."""
-        if self._pivot is None:
-            return 0 if not any(x) else None
-        q = Fraction(x[self._pivot]) / self.w[self._pivot]
-        if q.denominator != 1:
+    def inverse_keys(self, m: tuple, excess: int):
+        """(eps, held S) for eps = +-1 and S*P = eps*Id, P the word held as
+        m and S shorter by excess = 0 or 1: eps*adj(m), divided exactly by
+        d^excess; none when d does not divide."""
+        if excess and self.d != 1:
+            if any(x % self.d for row in m for x in row):
+                return ()
+            m = tuple(tuple([x // self.d for x in row]) for row in m)
+        a, b, c, e = m
+        return ((1, (e, _neg(b), _neg(c), a)), (-1, (_neg(e), b, c, _neg(a))))
+
+    def forced(self, q: tuple, size: int) -> Optional[tuple[int, int, int]]:
+        """(eps, k1, kl) with E(kl*w) * P * E(k1*w) = eps*Id, P = D*Q^T*D
+        the reversal of the word Q of the given size held as q, else None.
+        The solution eps = -P11, b_1 = eps*P12, b_l = -eps*P21 is then
+        eps = -Q11, b_1 = -eps*Q21, b_l = eps*Q12; held, with s = d^size,
+        q11 = s*Q11, k1*s*v = -eps*d^2*q21 and kl*s*v = eps*q12."""
+        a, b, c, _ = q
+        s = self.d ** size
+        if a[0] not in (s, -s) or any(a[1:]):
             return None
-        k = q.numerator
-        if any(k * c != e for c, e in zip(self.w, x)):
+        eps = -1 if a[0] == s else 1
+        k1, kl = self._multiple(c, -eps * self._dd, s), self._multiple(b, eps, s)
+        return None if k1 is None or kl is None else (eps, k1, kl)
+
+    def _multiple(self, x: tuple, f: int, s: int) -> Optional[int]:
+        """k with f*x = k*s*v, else None; <0> = {0}, where k is taken as 0."""
+        p = self._pivot
+        if p is None:
+            return None if any(x) else 0
+        k, r = divmod(f * x[p], s * self._v[p])
+        if r or any(f * y != k * s * c for y, c in zip(x, self._v)):
             return None
         return k
 
     def words(self, length: int, pool: Sequence[int], start: tuple[int, ...] = ()):
         """Every word of the given length that extends the start word by
-        entries of the pool, with its matrix, generated depth first so
-        that at most length * len(pool) words are held at once."""
+        entries of the pool, with its held matrix, generated depth first
+        so that at most length * len(pool) words are held at once."""
         stack = [(start, self.product(start))]
+        pool = pool[::-1]
         while stack:
             ks, m = stack.pop()
             if len(ks) == length:
                 yield ks, m
                 continue
-            # the children share w times the top row
-            wa, wb = self.times_w(m[0]), self.times_w(m[1])
-            for k in reversed(pool):
-                stack.append((ks + (k,), _left_step(m, wa, wb, k)))
+            stack += [(ks + (k,), child) for k, child in zip(pool, self.steps(m, pool))]
 
 
 # one kernel per generator; equal generators share one

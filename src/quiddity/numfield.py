@@ -384,14 +384,6 @@ def _regrid(p: QPoly, box: BoxC) -> BoxC:
     return nxt
 
 
-def _shrink_box(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
-    """Refine by quadtree steps alone.  Slower than _refine_one, and kept
-    as the independent reference its Newton boxes are tested against."""
-    while box.width > width:
-        box = _regrid(p, box)
-    return box
-
-
 def _dyadic(x: Fraction, shift: int) -> Fraction:
     return Fraction(round(x * (1 << shift)), 1 << shift)
 

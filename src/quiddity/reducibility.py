@@ -11,17 +11,21 @@ boundary entries of b, because
 has the unique solution eps = -P11, b_1 = eps*P12, b_l = -eps*P21, and
 P11 must be +-1 for any solution to exist.  The (2,2) entry then holds
 by itself: det P = 1 gives P22 = -eps*(1 + P12*P21) = eps*(b_1*b_l - 1).
-That turns an unbounded search into a finite exact scan.  The scan runs
-on the coordinate word kernel of `core`: per dihedral image it grows P
-one entry at a time, P <- P * E(k*w), and it reads b_1 and b_l as
-multiples of w by exact division of coordinates.  Every witness it
+That turns an unbounded search into a finite exact scan, over the n
+rotations alone: since M(rev u) = D*M(u)^T*D, D = diag(1, -1), a
+reflected image that splits as a + b reverses to a rotation of c that
+splits as rev(a) + rev(b), with the same sizes and sign, and rotations
+come first in scan order.  Per rotation the scan grows the product Q of
+the reversed window by left steps on the integer word kernel of `core`,
+which reads the forced (eps, b_1, b_l) of P = D*Q^T*D.  Every witness it
 returns is replayed on the generic `Mat2` route, which is what catches
 a kernel fault.  Within one census each distinct summand b is multiplied
 out once: the sign is memoised on b's exact multipliers, not on its
 canonical form, so no dihedral lemma enters the certificate, and every
 witness still has its gluing equality and its sign checked.  The
-brute-force variant ignores the forcing, tries every bounded boundary
-pair on `Mat2`, and exists purely to cross-check the fast path.
+brute-force variant ignores the forcing and the reversal, tries every
+bounded boundary pair on `Mat2` in both orientations, and exists purely
+to cross-check the fast path.
 """
 
 from __future__ import annotations
@@ -105,10 +109,10 @@ def witness_replay(
     return signs[b] == wit.epsilon_b
 
 
-def _replayed_witness(t, ks, rotation, reflected, m, kb1, kbl, eps, signs=None):
-    """The witness splitting image ks at m with boundary multipliers kb1
-    and kbl, once it has replayed against t (through the memo `signs`
-    of witness_replay)."""
+def _replayed_witness(t, ks, rotation, reflected, m, eps, kb1, kbl, signs=None):
+    """The witness splitting image ks at m with sign eps and boundary
+    multipliers kb1 and kbl, once it has replayed against t (through the
+    memo `signs` of witness_replay)."""
     a_mult = (ks[0] - kbl,) + ks[1 : m - 1] + (ks[m - 1] - kb1,)
     b_mult = (kb1,) + ks[m:] + (kbl,)
     wit = ReductionWitness(rotation, reflected, m, a_mult, b_mult, eps)
@@ -131,33 +135,21 @@ def find_reduction(
     caller that reduces many tuples over one generator may pass one
     `signs` dict to all of them, so that each summand replays once."""
     kernel = _word_kernel(t.generator)
-    if kernel.sign(kernel.product(t.multipliers)) is None:
+    if kernel.sign(t.multipliers) is None:
         raise NotAQuiddity("input word matrix is not +-Id")
     n = t.n
-    one = kernel.one
-    minus_one = kernel.minus_identity[0]
-    # the slots of _scan_slots, in the same order
-    for reflected in (False, True):
-        for rotation in range(n):
-            ks = _image(t.multipliers, rotation, reflected)
-            p = kernel.identity
-            for l in range(3, n):  # summand b has l entries, a has n+2-l
-                m = n + 2 - l
-                p = kernel.right(p, ks[m])  # now the product over ks[m:]
-                if p[0] == one:
-                    eps = -1
-                elif p[0] == minus_one:
-                    eps = 1
-                else:
-                    continue
-                # b_1 = eps*P12 and b_l = -eps*P21 must lie in <w>
-                k12 = kernel.multiplier(p[1])
-                k21 = kernel.multiplier(p[2])
-                if k12 is None or k21 is None:
-                    continue
-                return _replayed_witness(
-                    t, ks, rotation, reflected, m, eps * k12, -eps * k21, eps, signs
-                )
+    # the unreflected slots of _scan_slots, in the same order; by the
+    # reversal lemma no reflected slot splits where no rotation does
+    for rotation in range(n):
+        ks = _image(t.multipliers, rotation, False)
+        q = kernel.identity
+        for l in range(3, n):  # summand b has l entries, a has n+2-l
+            m = n + 2 - l
+            # now the product over the reversed window ks[m:]
+            (q,) = kernel.steps(q, (ks[m],))
+            forced = kernel.forced(q, l - 2)
+            if forced is not None:
+                return _replayed_witness(t, ks, rotation, False, m, *forced, signs)
     return None
 
 
@@ -192,5 +184,5 @@ def brute_force_reduction(
                 eps = e_times(boundary[kbl], right).pm_identity_sign()
                 if eps is None:
                     continue
-                return _replayed_witness(t, ks, rotation, reflected, m, kb1, kbl, eps)
+                return _replayed_witness(t, ks, rotation, reflected, m, eps, kb1, kbl)
     return None

@@ -56,8 +56,8 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def field_integers(value: int = 1) -> NumberField:
-    return field_make(QPoly((-Fraction(value), 1)))
+def field_integers() -> NumberField:
+    return field_make(QPoly((-1, 1)))
 
 
 def field_sqrt(k: int) -> NumberField:

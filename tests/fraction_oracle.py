@@ -4,6 +4,8 @@ These are the generic versions of the disk count, the Schur-Cohn chain,
 Descartes isolation, the rational-root search, the polynomial gcd, the
 sign bisection of a real root and the number-field product, kept as an
 independent oracle: they share no arithmetic with the code they check.
+Refinement of a nonreal root by quadtree steps alone is kept here too, as
+the reference that the Newton boxes of `numfield` are checked against.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from quiddity.numfield import FieldElement
+from quiddity.numfield import BoxC, FieldElement, _regrid
 from quiddity.polynomials import GaussRat, QPoly
 
 
@@ -191,3 +193,10 @@ def field_mul_via_qpoly(a: FieldElement, b: FieldElement) -> FieldElement:
     red = (a.as_poly() * b.as_poly()) % field.min_poly
     coords = list(red.coeffs) + [Fraction(0)] * (field.degree - len(red.coeffs))
     return FieldElement(field, coords)
+
+
+def shrink_box(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
+    """Refine the nonreal root isolated by box by quadtree steps alone."""
+    while box.width > width:
+        box = _regrid(p, box)
+    return box

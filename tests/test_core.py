@@ -31,7 +31,8 @@ from quiddity.core import (
     reduce_pm_one,
     times_e,
 )
-from quiddity.numfield import BoxC, FieldElement, field_make
+from quiddity.classify import enumerate_quiddities
+from quiddity.numfield import BoxC, FieldElement, _integral_scale, field_make, subgroup_member
 from quiddity.polynomials import QPoly
 
 
@@ -247,17 +248,67 @@ KERNEL_GENERATORS = {
     "sqrt2": lambda: _generator((-2, 0, 1), BoxC.make(1, 2, 0, 0)),
     "1+i": lambda: _generator((2, -2, 1), BoxC.make(F(1, 2), F(3, 2), F(1, 2), F(3, 2))),
     "zeta5": lambda: _generator((1, 1, 1, 1, 1), BoxC.make(0, F(1, 2), F(1, 2), 1)),
+    "2^(1/4)": lambda: _generator((-2, 0, 0, 0, 1), BoxC.make(1, 2, 0, 0)),
     "1/2": lambda: _generator(("-1/2", 1)),
     "3/2": lambda: _generator(("-3/2", 1)),
+    "2/3": lambda: _generator(("-2/3", 1)),
     "1/sqrt2": lambda: _generator(("-1/2", 0, 1), BoxC.make(0, 1, 0, 0)),
     "(1+i)/2": lambda: _generator(("1/2", -1, 1), BoxC.make(0, 1, 0, 1)),
     "1+sqrt2 in Q(sqrt2)": lambda: _sqrt2_element(1, 1),
     "2sqrt2 in Q(sqrt2)": lambda: _sqrt2_element(0, 2),
+    "0": lambda: _generator((0, 1)),
 }
 
 
-def _coords(m):
-    return (m.m11.coords, m.m12.coords, m.m21.coords, m.m22.coords)
+def _omega():
+    return _generator((1, 1, 1), BoxC.make(-1, 0, F(1, 2), 1))
+
+
+def _unheld(w, n, held):
+    """The Mat2 of a word of size n over w from the kernel's held matrix:
+    coordinates on the powers of v = d*w, and d^n * T*M*T^-1 with
+    T = diag(1, 1/d)."""
+    d = _integral_scale(w.min_poly_over_Q())
+    powers = [w.field.one()]
+    for _ in held[0][1:]:
+        powers.append(powers[-1] * w * d)
+    a, b, c, e = (sum((p * x for p, x in zip(powers, row)), w.field.zero()) for row in held)
+    s = F(1, d**n)
+    return Mat2(a * s, b * (s / d), c * (s * d), e * s)
+
+
+def _check_forced(w, words):
+    """Compare the kernel's forced solution on every cyclic window of the
+    words with the one of E(b_l) * P * E(b_1) = eps * Id read on Mat2, P
+    the window's product; return how many windows are forced and how many
+    have a forced b_1 or b_l outside <w>."""
+    kernel = _word_kernel(w)
+    one = w.field.one()
+    forced = outside = 0
+    for ks in words:
+        for r in range(len(ks)):
+            for j in range(1, len(ks) - 1):
+                window = (ks[r:] + ks[:r])[:j]
+                p = m_product_entries([w * k for k in window])
+                want = None
+                if p.m11 in (one, -one):
+                    eps = -p.m11.rational_value()
+                    k1, kl = _member(p.m12 * eps, w), _member(-p.m21 * eps, w)
+                    if k1 is None or kl is None:
+                        outside += 1
+                    else:
+                        want = (eps, k1, kl)
+                got = kernel.forced(kernel.product(window[::-1]), j)
+                assert got == want, (ks, window)
+                forced += got is not None
+    return forced, outside
+
+
+def _member(x, w):
+    """k with x = k*w on the field route, else None."""
+    if w.is_zero:
+        return 0 if x.is_zero else None
+    return subgroup_member(x, w)
 
 
 class TestWordKernel:
@@ -268,13 +319,8 @@ class TestWordKernel:
         rng = random.Random(name)
         for _ in range(12):
             ks = [rng.randint(-3, 3) for _ in range(rng.randint(1, 8))]
-            want = _coords(m_product(QuiddityTuple(w.field, w, ks)))
-            assert kernel.product(ks) == want, ks
-            # right steps taken from the last entry down give the same word
-            m = kernel.identity
-            for k in reversed(ks):
-                m = kernel.right(m, k)
-            assert m == want, ks
+            want = m_product(QuiddityTuple(w.field, w, ks))
+            assert _unheld(w, len(ks), kernel.product(ks)) == want, ks
 
     @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
     def test_words_depth_first(self, name):
@@ -287,32 +333,83 @@ class TestWordKernel:
 
     def test_signs_of_known_quiddities(self):
         kernel = _word_kernel(KERNEL_GENERATORS["sqrt2"]())
-        assert kernel.sign(kernel.product([1, 1, 1, 1])) == -1
-        assert kernel.sign(kernel.product([1] * 8)) == 1
-        assert kernel.sign(kernel.product([1, 1, 1])) is None
+        assert kernel.sign([1, 1, 1, 1]) == -1
+        assert kernel.sign([1] * 8) == 1
+        assert kernel.sign([1, 1, 1]) is None
+        # d = 2: the held matrix of a size-3 word is 8 * T*M*T^-1
+        half = _word_kernel(KERNEL_GENERATORS["1/2"]())
+        assert half.sign([2, 2, 2]) == -1
+        assert half.sign([-2, -2, -2]) == 1
+        assert half.sign([1, 1, 1]) is None
+        assert _word_kernel(KERNEL_GENERATORS["1/sqrt2"]()).sign([2, 2, 2, 2]) == -1
 
     def test_subgroup_multipliers(self):
+        # k with f*x = k*s*v, where v = 1+sqrt2 has coordinates (0, 1)
         kernel = _word_kernel(KERNEL_GENERATORS["1+sqrt2 in Q(sqrt2)"]())
-        assert kernel.multiplier((-3, -3)) == -3
-        assert kernel.multiplier((0, 0)) == 0
-        assert kernel.multiplier((1, 0)) is None  # 1 is not in <1+sqrt2>
-        assert kernel.multiplier((2, 1)) is None
+        assert kernel._multiple((0, -3), 1, 1) == -3
+        assert kernel._multiple((0, 0), 1, 1) == 0
+        assert kernel._multiple((1, 0), 1, 1) is None  # 1 is not in <1+sqrt2>
+        assert kernel._multiple((2, 1), 1, 1) is None
+        assert kernel._multiple((0, 6), -1, 2) == -3
+        assert kernel._multiple((0, 3), 1, 2) is None
+        # 1/sqrt2 has d = 2 and v = sqrt2; the rational generator 3/2 has
+        # v = 3, its one coordinate
         half = _word_kernel(KERNEL_GENERATORS["1/sqrt2"]())
-        assert half.multiplier((0, 2)) == 2  # sqrt2 = 2 * (1/sqrt2)
-        assert half.multiplier((0, F(1, 3))) is None
-        assert half.multiplier((1, 0)) is None
+        assert half.d == 2
+        assert half._multiple((0, 2), 1, 1) == 2
+        assert half._multiple((0, 1), 1, 2) is None
+        assert half._multiple((1, 0), 1, 1) is None
+        three = _word_kernel(KERNEL_GENERATORS["3/2"]())
+        assert three._multiple((12,), 1, 2) == 2
+        assert three._multiple((4,), 1, 2) is None
 
     def test_zero_generator(self):
-        f = field_make(QPoly((0, 1)))
-        kernel = _word_kernel(f.zero())
-        assert kernel.product([3, -1]) == _coords(m_product(zt(f, [3, -1])))
-        assert kernel.multiplier((0,)) == 0
-        assert kernel.multiplier((1,)) is None
+        w = KERNEL_GENERATORS["0"]()
+        kernel = _word_kernel(w)
+        assert _unheld(w, 2, kernel.product([3, -1])) == m_product(zt(w.field, [3, -1]))
+        assert kernel.sign([3, -1]) == -1
+        assert kernel._multiple((0,), 1, 1) == 0
+        assert kernel._multiple((1,), 1, 1) is None
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
+    def test_forced_boundary_matches_mat2(self, name):
+        w = KERNEL_GENERATORS[name]()
+        members = enumerate_quiddities(w.field, w, 6, 2).members
+        forced, _ = _check_forced(w, [m.multipliers for m in members])
+        assert forced
+
+    def test_forced_boundary_outside_the_subgroup(self):
+        # over omega, the root of x^2 + x + 1, these quiddities have windows
+        # whose forced b_1 or b_l is not a multiple of omega
+        w = _omega()
+        forced, outside = _check_forced(
+            w, [(-3, -1, 1, 1, -1, 3, 1, -1, -1, 1), (-3, 0, 3, -1, -1, 1, 0, -1, 1, 1)]
+        )
+        assert forced and outside
+
+    @pytest.mark.parametrize("name", ["integers", "sqrt2", "1/2", "2/3", "1/sqrt2", "(1+i)/2"])
+    def test_inverse_keys_meet_the_suffix(self, name):
+        # a quiddity P-then-S of size 2r or 2r+1 is found by the key of its
+        # prefix P, of length n - r, in the table of suffixes S of length r
+        w = KERNEL_GENERATORS[name]()
+        kernel = _word_kernel(w)
+        for ks, eps in brute_force_quiddities(w, 5, 2):
+            r = len(ks) // 2
+            keys = dict(kernel.inverse_keys(kernel.product(ks[: len(ks) - r]), len(ks) % 2))
+            assert keys[eps] == kernel.product(ks[len(ks) - r :]), ks
+            assert keys[-eps] != kernel.product(ks[len(ks) - r :]), ks
+
+    def test_odd_keys_need_the_scale_to_divide(self):
+        # over 1/2 the held E(w) is [[1, -4], [1, 0]]: adj / 2 is not integral
+        kernel = _word_kernel(KERNEL_GENERATORS["1/2"]())
+        assert kernel.inverse_keys(kernel.product([1]), 1) == ()
+        assert kernel.inverse_keys(kernel.product([2, 2]), 1) != ()
+        assert len(kernel.inverse_keys(kernel.product([1]), 0)) == 2
 
 
 STEP_GENERATORS = {
-    name: KERNEL_GENERATORS[name] for name in ("integers", "sqrt2", "1/2", "zeta5")
-} | {"2^(1/4)": lambda: _generator((-2, 0, 0, 0, 1), BoxC.make(1, 2, 0, 0))}
+    name: KERNEL_GENERATORS[name] for name in ("integers", "sqrt2", "1/2", "zeta5", "2^(1/4)")
+}
 
 
 def _random_element(rng, field):
@@ -332,17 +429,16 @@ class TestWordSteps:
                 assert e_times(x, m) == e_matrix(x) * m
                 assert times_e(m, x) == m * e_matrix(x)
 
-    @pytest.mark.parametrize("name", sorted(STEP_GENERATORS))
+    @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
     def test_kernel_products_have_determinant_one(self, name):
         # find_reduction takes the (2,2) entry of its forced solution
         # from det P = 1 instead of testing it
-        w = STEP_GENERATORS[name]()
+        w = KERNEL_GENERATORS[name]()
         kernel = _word_kernel(w)
         rng = random.Random(name)
         for _ in range(20):
             ks = [rng.randint(-3, 3) for _ in range(rng.randint(1, 10))]
-            a, b, c, d = (FieldElement(w.field, x) for x in kernel.product(ks))
-            assert a * d - b * c == w.field.one(), ks
+            assert _unheld(w, len(ks), kernel.product(ks)).det() == w.field.one(), ks
 
     @pytest.mark.parametrize("name", sorted(STEP_GENERATORS))
     def test_m_product_entries_matches_the_full_fold(self, name):

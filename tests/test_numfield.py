@@ -22,7 +22,6 @@ from quiddity.numfield import (
     _integral_scale,
     _refine_one,
     _regrid,
-    _shrink_box,
     coords_from_json,
     coords_to_json,
     embed,
@@ -471,7 +470,7 @@ class TestNewtonRefinement:
             fine = _refine_one(p, box, F(1, 2**20))
             assert fine.width <= F(1, 2**20)
             assert fine.within(box)
-            assert fine.touches(_shrink_box(p, box, F(1, 2**12)))
+            assert fine.touches(oracle.shrink_box(p, box, F(1, 2**12)))
             z = _nearest_float_root(coeffs, fine)
             assert _float_inside(fine, z, 1e-12) in (True, None)
 
@@ -482,7 +481,7 @@ class TestNewtonRefinement:
         boxes = [b for b in isolate_roots(p) if not b.is_real_line()]
         assert sorted(b.im.lo > 0 for b in boxes) == [False, True]
         for box in boxes:
-            assert _refine_one(p, box, F(1, 2**10)) == _shrink_box(p, box, F(1, 2**10))
+            assert _refine_one(p, box, F(1, 2**10)) == oracle.shrink_box(p, box, F(1, 2**10))
 
     def test_quadtree_step_below_the_axis(self):
         # x^4 - x^3 + x^2 + x - 1 at a lower-half root

@@ -1,5 +1,7 @@
 """Splitting decisions: forced-boundary scan vs brute force, and witnesses."""
 
+from fractions import Fraction as F
+
 import pytest
 
 import quiddity.reducibility as reducibility_module
@@ -8,9 +10,11 @@ from quiddity.core import (
     QuiddityTuple,
     brute_force_quiddities,
     is_quiddity,
+    m_product_entries,
     oplus_multipliers,
 )
-from quiddity.numfield import BoxC, field_make
+from quiddity.classify import enumerate_quiddities
+from quiddity.numfield import BoxC, field_make, subgroup_member
 from quiddity.polynomials import QPoly
 from quiddity.reducibility import (
     NotAQuiddity,
@@ -27,6 +31,11 @@ def int_field():
 
 def sqrt2_field():
     return field_make(QPoly((-2, 0, 1)), root_hint=BoxC.make(1, 2, 0, 0))
+
+
+def omega_field():
+    # the root of x^2 + x + 1 in the upper half plane
+    return field_make(QPoly((1, 1, 1)), root_hint=BoxC.make(-1, 0, F(1, 2), 1))
 
 
 def zt(field, ks):
@@ -184,3 +193,67 @@ class TestOracleEquivalence:
         for t in sqrt2_census:
             if t.n == 4:
                 assert find_reduction(t) is None
+
+
+def _outside_slots(t):
+    """The rotation slots (rotation, l) whose window product P has
+    P11 = +-1 but a forced b_1 = eps*P12 or b_l = -eps*P21 outside <w>,
+    read on Mat2."""
+    w, one, n = t.generator, t.field.one(), t.n
+    out = []
+    for rotation in range(n):
+        ks = t.multipliers[rotation:] + t.multipliers[:rotation]
+        for l in range(3, n):
+            p = m_product_entries([w * k for k in ks[n + 2 - l :]])
+            if p.m11 in (one, -one):
+                eps = -p.m11
+                if subgroup_member(eps * p.m12, w) is None or subgroup_member(-eps * p.m21, w) is None:
+                    out.append((rotation, l))
+    return out
+
+
+class TestForcedPairOutsideTheSubgroup:
+    def test_no_split_with_eight_skipped_slots(self):
+        t = zt(omega_field(), [-3, -1, 1, 1, -1, 3, 1, -1, -1, 1])
+        assert is_quiddity(t) == -1
+        assert len(_outside_slots(t)) == 8
+        assert find_reduction(t) is None
+        assert brute_force_reduction(t, 6) is None
+
+    def test_skipped_slot_before_the_witness(self):
+        t = zt(omega_field(), [-3, 0, 3, -1, -1, 1, 0, -1, 1, 1])
+        assert _outside_slots(t)[0] == (0, 5)
+        wit = find_reduction(t)
+        assert (wit.rotation, wit.reflected, wit.split_m) == (0, False, 4)
+        assert wit.b_multipliers == (-1, -1, 1, 0, -1, 1, 1, 0)
+        assert brute_force_reduction(t, 6) == wit
+
+
+@pytest.mark.parametrize(
+    "coeffs,hint",
+    [
+        (("-1/2", 1), None),
+        (("-3/2", 1), None),
+        (("-1/2", 0, 1), (0, 1, 0, 0)),
+        (("1/2", -1, 1), (0, 1, 0, 1)),
+        ((1, 1, 1), (-1, 0, F(1, 2), 1)),
+    ],
+    ids=["1/2", "3/2", "1/sqrt2", "(1+i)/2", "omega"],
+)
+def test_scan_matches_brute_force_off_the_integers(coeffs, hint):
+    # generators that are not algebraic integers (and omega, with d = 1):
+    # same existence, and the same first witness whenever the forced pair
+    # lies in the brute-force pool
+    f = field_make(QPoly(tuple(F(c) for c in coeffs)), root_hint=None if hint is None else BoxC.make(*hint))
+    rep = enumerate_quiddities(f, f.generator(), 6, 2)
+    split = 0
+    for m in rep.members:
+        if m.size < 3:
+            continue
+        t = zt(f, m.multipliers)
+        fast, slow = find_reduction(t), brute_force_reduction(t, 6)
+        assert (fast is None) == (slow is None), m.multipliers
+        if fast is not None and max(abs(fast.b_multipliers[0]), abs(fast.b_multipliers[-1])) <= 6:
+            assert fast == slow, m.multipliers
+            split += 1
+    assert split

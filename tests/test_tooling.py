@@ -64,10 +64,73 @@ def test_no_unused_imports():
     assert found == []
 
 
+def _kernel_defs():
+    # the top-level definitions of core.py that make up the word kernel:
+    # the class, the cached constructor, and every helper they name
+    top = {}
+    for node in ast.parse((SRC / "core.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            top[node.name] = node
+        elif isinstance(node, ast.Assign):
+            top.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    found, todo = {}, ["_WordKernel", "_word_kernel"]
+    while todo:
+        name = todo.pop()
+        if name in found:
+            continue
+        found[name] = top[name]
+        todo += [
+            node.id
+            for node in ast.walk(top[name])
+            if isinstance(node, ast.Name) and node.id in top and node.id.startswith("_")
+        ]
+    return found
+
+
+def _kernel_names():
+    # every name of the kernel: its definitions and the kernel's methods
+    defs = _kernel_defs()
+    methods = {
+        node.name
+        for node in defs["_WordKernel"].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+    }
+    return set(defs) | methods
+
+
+def test_kernel_names_are_complete():
+    # a kernel name missing here would let the oracles call it unseen
+    assert _kernel_names() == {
+        "_WordKernel",
+        "_word_kernel",
+        "_neg",
+        "times_v",
+        "steps",
+        "product",
+        "sign",
+        "inverse_keys",
+        "forced",
+        "_multiple",
+        "words",
+    }
+
+
+def test_kernel_has_no_fraction():
+    # the kernel runs on ints alone, whatever the generator
+    found = [
+        f"core.py:{node.lineno}"
+        for top in _kernel_defs().values()
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    ]
+    assert found == []
+
+
 def _kernel_uses(module, names):
     # lines inside the named top-level definitions that name any part of
     # the word kernel
-    kernel = {"_WordKernel", "_word_kernel", "_left_step", "times_w", "words"}
+    kernel = _kernel_names()
     tree = ast.parse((SRC / module).read_text())
     defs = [
         node
