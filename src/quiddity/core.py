@@ -15,16 +15,20 @@ then [[k*v, -d^2], [1, 0]], and M = +-Id exactly when the held matrix is
 key and a forced boundary pair, and read neither d nor a coordinate:
 det M = 1 makes M^-1 = adj(M), and adj commutes with the scaling; and
 the reversed word has matrix D*M^T*D, D = diag(1, -1), since
-D*E(x)^T*D = E(x), so one step direction serves both.  The direct 2x2
-route over `FieldElement` (`m_product`, `is_quiddity`) and continuant
+D*E(x)^T*D = E(x), so one step direction serves both.  The kernel
+memoises the prefix products of the last word it multiplied out, so a
+full product that shares a prefix with the one before, as consecutive
+words of a search mostly do, steps from Id only past that prefix.
+Canonical forms scan only the rotations, of the word and of its
+reversal, that begin with the least entry.  The direct 2x2 route
+over `FieldElement` (`m_product`, `is_quiddity`) and continuant
 assembly share no code with the kernel: they are the oracles the tests
 compare it against, and the certificates (witness replay) that every
-search result passes.  That
-route steps a word one entry at a time, E(x) * M by `e_times` and
-M * E(x) by `times_e`, two field products each; the full product
-`Mat2.__mul__` is what the tests check both steps against.
-`brute_force_quiddities` is the one exhaustive enumeration on that
-route.
+search result passes.  That route steps a word one entry at a time,
+E(x) * M by `e_times` and M * E(x) by `times_e`, two field products
+each; the full product `Mat2.__mul__` is what the tests check both
+steps against.  `brute_force_quiddities` is the one exhaustive
+enumeration on that route.
 """
 
 from __future__ import annotations
@@ -272,9 +276,12 @@ class _WordKernel:
     element of Z[v] is its int coordinates on 1, v, ..., v^(m-1) for m the
     degree of w, multiplied by v through sparse companion rows of v's
     monic integer minimal polynomial; a held matrix is the 4-tuple
-    (m11, m12, m21, m22) of elements and is its own hash key."""
+    (m11, m12, m21, m22) of elements and is its own hash key.  The kernel
+    keeps one memo slot: the last word `product` multiplied out, with the
+    held product of each of its n+1 prefixes.  A call steps from Id only
+    past the prefix it shares with that word, and replaces the slot."""
 
-    __slots__ = ("d", "_dd", "_rows", "_v", "_pivot", "_zero", "identity")
+    __slots__ = ("d", "_dd", "_rows", "_v", "_pivot", "_zero", "identity", "_memo")
 
     def __init__(self, w: FieldElement):
         p = w.min_poly_over_Q()
@@ -290,6 +297,9 @@ class _WordKernel:
         self._zero = (0,) * m
         one = (1,) + self._zero[1:]
         self.identity = (one, self._zero, self._zero, one)
+        # the last word multiplied out and the held product of each of
+        # its prefixes, the empty one first
+        self._memo = ((), (self.identity,))
         self._v = self.times_v(one)
         # a nonzero coordinate of v, None for w = 0
         self._pivot = next((j for j, x in enumerate(self._v) if x), None)
@@ -315,10 +325,23 @@ class _WordKernel:
         ]
 
     def product(self, ks: Sequence[int]) -> tuple:
-        """E(k_n w) * ... * E(k_1 w), as m_product orders it, held."""
-        m = self.identity
-        for k in ks:
+        """E(k_n w) * ... * E(k_1 w), as m_product orders it, held.  The
+        steps from Id start past the longest prefix shared with the last
+        word multiplied out, whose prefix products the memo holds."""
+        ks = tuple(ks)
+        last, held = self._memo
+        j = 0
+        for a, b in zip(ks, last):
+            if a != b:
+                break
+            j += 1
+        prefixes = list(held[: j + 1])
+        m = prefixes[-1]
+        for k in ks[j:]:
             (m,) = self.steps(m, (k,))
+            prefixes.append(m)
+        # replaced whole, never mutated, so no reader sees a partial slot
+        self._memo = (ks, tuple(prefixes))
         return m
 
     def sign(self, ks: Sequence[int]) -> Optional[int]:
@@ -415,7 +438,15 @@ def dihedral_images(seq: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def canonical_multipliers(seq: Sequence[int]) -> tuple[int, ...]:
-    return min(dihedral_images(seq))
+    """min(dihedral_images(seq)), scanning only the images that begin
+    with the least entry, since the least image begins with it."""
+    lo = min(seq)
+    return min(
+        s[r:] + s[:r]
+        for s in (tuple(seq), tuple(reversed(seq)))
+        for r in range(len(s))
+        if s[r] == lo
+    )
 
 
 def canonical_form(t: QuiddityTuple) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from quiddity.core import (
     CertificateFailed,
     QuiddityTuple,
     brute_force_quiddities,
-    canonical_multipliers,
+    dihedral_images,
     is_quiddity,
 )
 from quiddity.numfield import BoxC, FieldElement, field_make
@@ -59,8 +59,9 @@ def zeta8_field():
 
 
 def brute_canonical(walk):
-    """Exhaustive enumeration oracle, deduplicated the same way."""
-    return {canonical_multipliers(ks): eps for ks, eps in walk}
+    """Exhaustive enumeration oracle, deduplicated by the least dihedral
+    image straight from its definition."""
+    return {min(dihedral_images(ks)): eps for ks, eps in walk}
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ class TestEnumerate:
         ids=["1/sqrt2", "(1+i)/2", "3/2", "1+sqrt2"],
     )
     def test_matches_brute_force_other_generators(self, coeffs, hint, coords):
-        # non-integral generators run the kernel on Fraction coordinates,
+        # non-integral generators run the kernel with a scale d > 1,
         # and 1+sqrt2 is not the generator of its field
         f = field_make(
             QPoly(tuple(F(c) for c in coeffs)),
@@ -132,6 +133,35 @@ class TestEnumerate:
         assert rep.members and all(m.size >= 2 for m in rep.members)
         assert sorted(checked) == sorted(m.multipliers for m in rep.members)
 
+    @pytest.mark.parametrize("make", [int_field, sqrt2_field], ids=["int_field", "sqrt2_field"])
+    def test_full_products_share_prefix_steps(self, make, monkeypatch):
+        # the enumeration's full-product check and find_reduction's guard
+        # step from Id only past the prefix the last word shares, so the
+        # steps inside sign stay well below the entries it is handed
+        kernel_cls = core_module._WordKernel
+        steps, sign = kernel_cls.steps, kernel_cls.sign
+        count = {"entries": 0, "steps": 0, "inside": False}
+
+        def counted_steps(kernel, m, pool):
+            if count["inside"]:
+                count["steps"] += len(pool)
+            return steps(kernel, m, pool)
+
+        def counted_sign(kernel, ks):
+            count["entries"] += len(ks)
+            count["inside"] = True
+            try:
+                return sign(kernel, ks)
+            finally:
+                count["inside"] = False
+
+        monkeypatch.setattr(kernel_cls, "steps", counted_steps)
+        monkeypatch.setattr(kernel_cls, "sign", counted_sign)
+        f = make()
+        rep = irreducible_census(enumerate_quiddities(f, f.generator(), 8, 2))
+        assert rep.irreducible is not None and count["entries"]
+        assert 3 * count["steps"] <= 2 * count["entries"], count
+
     def test_failed_recheck_raises(self, monkeypatch):
         f = sqrt2_field()
         monkeypatch.setattr(core_module._WordKernel, "sign", lambda self, m: None)
@@ -140,7 +170,7 @@ class TestEnumerate:
 
     def test_members_are_canonical_and_sorted(self, int_report):
         for m in int_report.members:
-            assert m.multipliers == canonical_multipliers(m.multipliers)
+            assert m.multipliers == min(dihedral_images(m.multipliers))
         sizes = [m.size for m in int_report.members]
         assert sizes == sorted(sizes)
 

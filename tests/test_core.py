@@ -31,7 +31,7 @@ from quiddity.core import (
     reduce_pm_one,
     times_e,
 )
-from quiddity.classify import enumerate_quiddities
+from quiddity.classify import enumerate_quiddities, irreducible_census
 from quiddity.numfield import BoxC, FieldElement, _integral_scale, field_make, subgroup_member
 from quiddity.polynomials import QPoly
 
@@ -304,6 +304,14 @@ def _check_forced(w, words):
     return forced, outside
 
 
+def _fresh_product(kernel, ks):
+    """The held product of the word by left steps from Id, with no memo."""
+    m = kernel.identity
+    for k in ks:
+        (m,) = kernel.steps(m, (k,))
+    return m
+
+
 def _member(x, w):
     """k with x = k*w on the field route, else None."""
     if w.is_zero:
@@ -398,6 +406,50 @@ class TestWordKernel:
             keys = dict(kernel.inverse_keys(kernel.product(ks[: len(ks) - r]), len(ks) % 2))
             assert keys[eps] == kernel.product(ks[len(ks) - r :]), ks
             assert keys[-eps] != kernel.product(ks[len(ks) - r :]), ks
+
+    def test_prefix_memo_is_transparent(self):
+        # seeded words over six generators, kernels interleaved: repeats, a
+        # word then its own prefix, a longer word after a shorter one, and
+        # the empty word
+        names = ["integers", "sqrt2", "1/2", "1/sqrt2", "(1+i)/2", "zeta5"]
+        kernels = {name: _word_kernel(KERNEL_GENERATORS[name]()) for name in names}
+        rng = random.Random("prefix memo")
+        calls = []
+        for _ in range(120):
+            name = rng.choice(names)
+            last = next((ks for n, ks, _ in reversed(calls) if n == name), ())
+            move = rng.randrange(5)
+            if move == 0:
+                ks = last
+            elif move == 1:
+                ks = last[: rng.randint(0, len(last))]
+            elif move == 2:
+                ks = last + tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4)))
+            elif move == 3:
+                ks = ()
+            else:
+                ks = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 9)))
+            kernel = kernels[name]
+            got = kernel.product(ks)
+            assert got == _fresh_product(kernel, ks), (name, ks)
+            word, held = kernel._memo
+            assert word == ks and len(held) == len(ks) + 1
+            assert held[-1] == got and held[0] == kernel.identity
+            calls.append((name, ks, got))
+        # every matrix returned earlier is unchanged
+        for name, ks, got in calls:
+            assert got == _fresh_product(kernels[name], ks), (name, ks)
+
+    def test_warm_memo_census_matches_cold(self):
+        w = KERNEL_GENERATORS["sqrt2"]()
+
+        def census():
+            return irreducible_census(enumerate_quiddities(w.field, w, 6, 2)).to_json()
+
+        _word_kernel.cache_clear()
+        cold = census()
+        assert _word_kernel(w)._memo[0]  # the census left a word in the slot
+        assert census() == cold
 
     def test_odd_keys_need_the_scale_to_divide(self):
         # over 1/2 the held E(w) is [[1, -4], [1, 0]]: adj / 2 is not integral
@@ -526,6 +578,19 @@ class TestEquivalence:
     def test_canonical_is_least(self):
         assert canonical_multipliers((3, 1, 2)) == (1, 2, 3)
         assert canonical_multipliers((0, 2, 0, -2)) == (-2, 0, 2, 0)
+
+    def test_canonical_is_the_least_dihedral_image(self):
+        # entries in [-1, 1] make the least entry repeat, so several
+        # rotations of the word and of its reversal begin with it
+        rng = random.Random("least-entry rotations")
+        words = [tuple(rng.randint(-1, 1) for _ in range(rng.randint(1, 9))) for _ in range(300)]
+        words += [(k,) * n for k in (-2, 0, 3) for n in (1, 2, 5)]
+        words += [(4,), (-1,), (2, -3), (-3, 2), (0, 0), (1, 1)]
+        for ks in words:
+            assert canonical_multipliers(ks) == min(dihedral_images(ks)), ks
+            assert canonical_multipliers(list(ks)) == min(dihedral_images(ks)), ks
+        with pytest.raises(ValueError):
+            canonical_multipliers(())
 
     def test_canonical_form_of_tuple(self):
         t = zt(int_field(), [2, 1, 3])

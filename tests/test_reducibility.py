@@ -13,7 +13,7 @@ from quiddity.core import (
     m_product_entries,
     oplus_multipliers,
 )
-from quiddity.classify import enumerate_quiddities
+from quiddity.classify import enumerate_quiddities, irreducible_census
 from quiddity.numfield import BoxC, field_make, subgroup_member
 from quiddity.polynomials import QPoly
 from quiddity.reducibility import (
@@ -79,6 +79,26 @@ class TestFindReduction:
             find_reduction(zt(int_field(), [1, 2, 3]))
         with pytest.raises(NotAQuiddity):
             brute_force_reduction(zt(int_field(), [1, 2, 3]), 2)
+
+    @pytest.mark.parametrize("make", [int_field, sqrt2_field], ids=["integers", "sqrt2"])
+    def test_non_quiddity_rejected_after_a_census(self, make):
+        # the census leaves the kernel's memo holding its own words; each
+        # member's guard runs right before the same word with its last
+        # entry moved, and before its prefix
+        f = make()
+        rep = irreducible_census(enumerate_quiddities(f, f.generator(), 6, 2))
+        rejected = 0
+        for m in rep.members:
+            if m.size < 3:
+                continue
+            ks = m.multipliers
+            for other in (ks[:-1] + (ks[-1] + 1,), ks[:-1]):
+                find_reduction(zt(f, ks))
+                if is_quiddity(zt(f, other)) is None:
+                    with pytest.raises(NotAQuiddity):
+                        find_reduction(zt(f, other))
+                    rejected += 1
+        assert rejected > len(rep.members)
 
     def test_1212_reducible(self):
         t = zt(int_field(), [1, 2, 1, 2])

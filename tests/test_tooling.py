@@ -192,6 +192,21 @@ def test_shared_brute_force_walks_stay_shared():
     assert found == []
 
 
+def test_enumeration_oracle_dedups_by_definition():
+    # the brute-force oracle in test_classify.py takes the least dihedral
+    # image itself; deduplicating with canonical_multipliers would check
+    # the enumeration against the function it calls
+    tree = ast.parse((ROOT / "tests" / "test_classify.py").read_text())
+    (oracle,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "brute_canonical"
+    ]
+    nodes = list(ast.walk(oracle))
+    assert any(_calls(node, {"dihedral_images"}) for node in nodes)
+    assert not any(_calls(node, {"canonical_multipliers", "canonical_form"}) for node in nodes)
+
+
 def _calls(node, names):
     if not isinstance(node, ast.Call):
         return False
