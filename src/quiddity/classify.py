@@ -15,8 +15,9 @@ oracles of the tests check that lemma at small bounds): prefixes begin
 with their least entry, a hit whose suffix holds a smaller entry is
 dropped, and the rest are kept when the dihedral canonical form returns
 the word itself.  Each class is thus hit once, and its stored word is
-the one re-checked by its full product.  Everything downstream consumes
-the canonical report.
+the one re-checked by its full product.  Over <0> every multiplier
+gives the entry 0, so the same search runs with the pool {0}.
+Everything downstream consumes the canonical report.
 """
 
 from __future__ import annotations
@@ -173,42 +174,35 @@ def enumerate_quiddities(
         raise ValueError("need n_max >= 1 and k_bound >= 0")
     start = time.monotonic()
     found: dict[tuple[int, ...], int] = {}
-    if w.is_zero:
-        # every entry is 0 whatever the multiplier; clamp the census to
-        # the all-zero representative per size
-        for n in range(2, n_max + 1):
-            t = QuiddityTuple(field, w, (0,) * n)
-            eps = is_quiddity(t)
-            if eps is not None:
-                found[(0,) * n] = eps
-    else:
-        kernel = _word_kernel(w)
-        pool = range(-k_bound, k_bound + 1)
-        suffixes: dict[tuple, list[tuple[int, ...]]] = {}
-        for n in range(2, n_max + 1):
-            r = n // 2
-            if n % 2 == 0:
-                # sizes 2r and 2r+1 share the suffix length r
-                suffixes = {}
-                for ks, mat in kernel.words(r, pool):
-                    suffixes.setdefault(mat, []).append(ks)
-            # a canonical word begins with its least entry, so only
-            # prefixes that do are generated: k0, then entries >= k0
-            for k0 in pool:
-                for ks, mat in kernel.words(n - r, range(k0, k_bound + 1), (k0,)):
-                    # the suffix S is n - 2r entries shorter than the prefix
-                    for eps, key in kernel.inverse_keys(mat, n - 2 * r):
-                        for suffix in suffixes.get(key, ()):
-                            if min(suffix) < k0:
-                                continue
-                            combined = ks + suffix
-                            if canonical_multipliers(combined) != combined:
-                                continue
-                            if kernel.sign(combined) != eps:
-                                raise CertificateFailed(
-                                    f"meet-in-the-middle hit {combined} failed the full-product check"
-                                )
-                            found[combined] = eps
+    kernel = _word_kernel(w)
+    # over <0> every multiplier gives the entry 0, so the pool is {0}
+    top = 0 if w.is_zero else k_bound
+    pool = range(-top, top + 1)
+    suffixes: dict[tuple, list[tuple[int, ...]]] = {}
+    for n in range(2, n_max + 1):
+        r = n // 2
+        if n % 2 == 0:
+            # sizes 2r and 2r+1 share the suffix length r
+            suffixes = {}
+            for ks, mat in kernel.words(r, pool):
+                suffixes.setdefault(mat, []).append(ks)
+        # a canonical word begins with its least entry, so only
+        # prefixes that do are generated: k0, then entries >= k0
+        for k0 in pool:
+            for ks, mat in kernel.words(n - r, range(k0, top + 1), (k0,)):
+                # the suffix S is n - 2r entries shorter than the prefix
+                for eps, key in kernel.inverse_keys(mat, n - 2 * r):
+                    for suffix in suffixes.get(key, ()):
+                        if min(suffix) < k0:
+                            continue
+                        combined = ks + suffix
+                        if canonical_multipliers(combined) != combined:
+                            continue
+                        if kernel.sign(combined) != eps:
+                            raise CertificateFailed(
+                                f"meet-in-the-middle hit {combined} failed the full-product check"
+                            )
+                        found[combined] = eps
     members = tuple(
         CensusMember(multipliers=ks, epsilon=found[ks])
         for ks in sorted(found, key=lambda s: (len(s), s))

@@ -29,7 +29,10 @@ refined box is the square around one open disk that lies inside the old
 box and has a strict disk count of exactly 1.  The old box isolates one
 root, so the disk holds that same root.  When Newton does not converge
 or the count is not 1, one quadtree step shrinks the box and Newton
-starts again from the smaller box.
+starts again from the smaller box.  Both steps commute with complex
+conjugation (the dyadic rounding is half to even, and the cell test
+reads a centre's imaginary part only through its absolute value), so a
+box below the real axis needs no path of its own.
 
 A field is only built over an irreducible polynomial, and that is
 decided, not assumed.  The cheap certificates of polycrit settle most
@@ -62,7 +65,7 @@ from .polynomials import (
     real_roots_isolated,
     refine_real_root,
 )
-from .polycrit import gauss_disk_count_strict, irreducible_over_Q
+from .polycrit import _trial_division, gauss_disk_count_strict, irreducible_over_Q
 
 
 class NotMonic(ValueError):
@@ -498,9 +501,6 @@ def _refine_one(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
     if box.is_real_line():
         lo, hi = refine_real_root(p, box.re.lo, box.re.hi, width)
         return BoxC(RatInterval(lo, hi), RatInterval.point(0))
-    if box.im.hi < 0:
-        # p is real, so the conjugate box isolates the conjugate root
-        return _refine_one(p, box.conj(), width).conj()
     if box.re.width == 0 and p.degree == 2 and p.lc() == 1:
         # quadratic-shortcut shape: exact real part -c1/2, imaginary
         # part the positive square root of the rational s = c0 - c1^2/4
@@ -855,7 +855,7 @@ def field_make(min_poly: QPoly, root_hint: Optional[BoxC] = None) -> NumberField
     that there is none.  A reducible polynomial raises NotIrreducible
     with a witness factor that divides it exactly.
     """
-    if min_poly.is_zero or min_poly.degree < 1:
+    if min_poly.degree < 1:
         raise NotMonic("minimal polynomial must have degree >= 1")
     p = min_poly.monic()
     if p.gcd(p.derivative()).degree > 0:
@@ -887,8 +887,7 @@ def _select_root(p: QPoly, boxes: list[BoxC], hint: BoxC) -> int:
         if sum(boxes[i].within(hint) for i in hits) >= 2:
             raise AmbiguousHint("root hint contains more than one root")
         for i in hits:
-            if boxes[i].width > 0:
-                boxes[i] = _refine_one(p, boxes[i], boxes[i].width / 4)
+            boxes[i] = _refine_one(p, boxes[i], boxes[i].width / 4)
     raise AmbiguousHint("root hint cannot be narrowed to a single root")
 
 
@@ -912,12 +911,9 @@ def embed(x: FieldElement, conjugate_index: int, precision: int) -> BoxC:
     # the interval evaluation is Lipschitz on the bounded box
     target = tol
     for _ in range(_MAX_DEPTH):
-        box = field.root_boxes[conjugate_index]
-        if box.width > target:
-            field = field.refined(conjugate_index, target)
-            box = field.root_boxes[conjugate_index]
-        out = poly(box)
-        if max(out.re.width, out.im.width) <= tol:
+        field = field.refined(conjugate_index, target)
+        out = poly(field.root_boxes[conjugate_index])
+        if out.width <= tol:
             return out
         target = target / 4
     raise UndecidableAtPrecision("embedding did not converge")
@@ -1007,15 +1003,8 @@ def _integral_scale(p: QPoly) -> int:
     2^16; a rest without such factors enters c whole, so c stays valid."""
     n, exps = p.degree, {}
     for j, a in enumerate(p.coeffs[:-1]):
-        d, f = a.denominator, 2
-        while d > 1:
-            f = d if f * f > d or f >= 1 << 16 else f
-            e = 0
-            while d % f == 0:
-                d, e = d // f, e + 1
-            if e:
-                exps[f] = max(exps.get(f, 0), -(-e // (n - j)))
-            f += 1
+        for f, e in _trial_division(a.denominator):
+            exps[f] = max(exps.get(f, 0), -(-e // (n - j)))
     return prod(f ** e for f, e in exps.items())
 
 

@@ -103,23 +103,36 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_divisors(n: int) -> list[int]:
-    """Prime divisors of n, ascending: those below 2^16 by trial
-    division, and the cofactor left over when it is prime.  A cofactor
-    that is_prime cannot certify (composite, or above 3.3e24) is left
-    out, so a large n costs no more than the trial division."""
+def _trial_division(n: int) -> list[tuple[int, int]]:
+    """(factor, exponent) pairs of |n|, ascending: the primes below 2^16
+    with their exponents, then the rest, when it is not 1, entered last
+    and whole with exponent 1.  The rest has no prime factor below 2^16,
+    so it is prime when it is below 2^32."""
     n = abs(n)
     out = []
     d = 2
     while d * d <= n and d < 1 << 16:
         if n % d == 0:
-            out.append(d)
+            e = 0
             while n % d == 0:
-                n //= d
+                n, e = n // d, e + 1
+            out.append((d, e))
         d += 1 if d == 2 else 2
-    if n > 1 and (d * d > n or (n < 33 * 10 ** 23 and is_prime(n))):
-        out.append(n)
+    if n > 1:
+        out.append((n, 1))
     return out
+
+
+def prime_divisors(n: int) -> list[int]:
+    """Prime divisors of n, ascending: those below 2^16 by trial
+    division, and the rest left over when it is prime.  A rest that
+    is_prime cannot certify (composite, or above 3.3e24) is left out,
+    so a large n costs no more than the trial division."""
+    return [
+        f
+        for f, _ in _trial_division(n)
+        if f < 1 << 32 or (f < 33 * 10 ** 23 and is_prime(f))
+    ]
 
 
 def _int_model(p: QPoly) -> list[int]:
@@ -219,8 +232,6 @@ def modp_irreducible(p: QPoly, prime: int) -> bool:
     if a[-1] % prime == 0:
         raise BadPrime(f"{prime} divides the leading coefficient")
     n = len(a) - 1
-    if n == 1:
-        return True
     inv = pow(a[-1] % prime, prime - 2, prime)
     f = [c * inv % prime for c in a]
     # no irreducible factor of degree k for any k <= n/2 iff
@@ -257,8 +268,6 @@ def _rational_roots(ints: list[int]) -> list[Fraction]:
     """
     v, core = QPoly(ints).strip_low()
     roots = [Fraction(0)] if v else []
-    if core.degree < 1:
-        return roots
     h = core.squarefree_part()
     a = h.int_coeffs()[-1]
     found = []
@@ -284,7 +293,6 @@ def irreducible_over_Q(p: QPoly) -> IrreducibilityVerdict:
     if p.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")
     ints = p.int_coeffs()
-    prim = QPoly(ints)
     if p.degree == 1:
         return IrreducibilityVerdict("Proven", criterion="degree-1")
     roots = _rational_roots(ints)
@@ -301,15 +309,13 @@ def irreducible_over_Q(p: QPoly) -> IrreducibilityVerdict:
         if q is not None:
             tag = "eisenstein" if c == 0 else f"eisenstein-shift({c})"
             return IrreducibilityVerdict("Proven", criterion=tag, prime=q)
-    q = osada(prim)
+    q = osada(p)
     if q is not None:
         return IrreducibilityVerdict("Proven", criterion="osada", prime=q)
     for pr in _MODP_PRIMES:
-        try:
-            if modp_irreducible(prim, pr):
-                return IrreducibilityVerdict("Proven", criterion="modp", prime=pr)
-        except BadPrime:
-            continue
+        # a prime dividing the leading coefficient says nothing
+        if ints[-1] % pr and modp_irreducible(p, pr):
+            return IrreducibilityVerdict("Proven", criterion="modp", prime=pr)
     return IrreducibilityVerdict("Unknown")
 
 
@@ -445,9 +451,8 @@ def _unit_circle_count(g: QPoly) -> int:
         if g(Fraction(pt)) == 0:
             circle += 1
             g = g // QPoly((-pt, 1))
-    if g.degree >= 2:
-        h = _cos_substitution(g)
-        circle += 2 * count_real_roots(h.squarefree_part(), Fraction(-2), Fraction(2))
+    h = _cos_substitution(g)
+    circle += 2 * count_real_roots(h.squarefree_part(), Fraction(-2), Fraction(2))
     return circle
 
 
@@ -456,8 +461,6 @@ def _squarefree_disk_count(f: QPoly, r: Fraction) -> tuple[int, int]:
     q = f.scale_arg(r)
     v, q = q.strip_low()
     inside = v
-    if q.degree < 1:
-        return inside, 0
     on = 0
     g = q.gcd(q.reverse())
     if g.degree >= 1:
@@ -480,8 +483,6 @@ def schur_cohn_count(p: QPoly, radius) -> DiskRootCount:
     r = as_rat(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
-    if p.degree < 1:
-        return DiskRootCount(p, r, 0, "SchurCohn", True)
     total = 0
     boundary = 0
     for factor, mult in p.yun_decomposition():

@@ -289,7 +289,7 @@ class QPoly:
         if self.degree < 1:
             return ONE
         l = abs(self.lc())
-        m = max(abs(c) for c in self.coeffs[:-1]) if self.degree > 0 else ZERO
+        m = max(abs(c) for c in self.coeffs[:-1])
         return 1 + m / l
 
 

@@ -175,10 +175,18 @@ class TestEnumerate:
         assert sizes == sorted(sizes)
 
     def test_zero_generator_clamps(self):
-        f = field_make(QPoly((0, 1)))
-        rep = enumerate_quiddities(f, f.zero(), 5, 2)
-        got = {m.multipliers: m.epsilon for m in rep.members}
-        assert got == {(0, 0): -1, (0, 0, 0, 0): 1}
+        # over <0> every multiplier gives the entry 0, and E(0)^2 = -Id;
+        # the search runs with the pool {0} and reports the caller's bound
+        for f in (int_field(), sqrt2_field(), gauss_field()):
+            for n_max in (1, 2, 5, 12):
+                for k in (0, 2):
+                    rep = enumerate_quiddities(f, f.zero(), n_max, k)
+                    got = {m.multipliers: m.epsilon for m in rep.members}
+                    assert got == {(0,) * n: (-1) ** (n // 2) for n in range(2, n_max + 1, 2)}
+                    assert rep.k_bound == k
+                    irreducible = irreducible_census(rep).irreducible
+                    want = ((0, 0, 0, 0),) if n_max >= 4 else ()
+                    assert tuple(m.multipliers for m in irreducible) == want
 
     def test_gauss_generator_even_sizes_with_zero(self):
         f = gauss_field()

@@ -18,6 +18,7 @@ from quiddity.numfield import (
     NotMonic,
     NotSquarefree,
     NumberField,
+    UndecidableAtPrecision,
     ZeroGenerator,
     _integral_scale,
     _refine_one,
@@ -483,6 +484,20 @@ class TestNewtonRefinement:
         for box in boxes:
             assert _refine_one(p, box, F(1, 2**10)) == oracle.shrink_box(p, box, F(1, 2**10))
 
+    def test_isolation_cap_fails_fast(self, monkeypatch):
+        # two subdivision rounds cannot separate the two root pairs of
+        # X^4 + 1, whose upper-half survivors still touch at Re = 0
+        monkeypatch.setattr(numfield_module, "_MAX_DEPTH", 2)
+        with pytest.raises(UndecidableAtPrecision, match="subdivision failed"):
+            field_make(QPoly((1, 0, 0, 0, 1)), root_hint=BoxC.make(0, 1, 0, 1))
+
+    def test_embedding_cap_fails_fast(self, monkeypatch):
+        f = zeta8_field()
+        stored = f.selected_box().width
+        monkeypatch.setattr(numfield_module, "_MAX_DEPTH", 0)
+        with pytest.raises(UndecidableAtPrecision, match="did not converge"):
+            embed(f.generator(), f.selected_root, stored.denominator.bit_length() + 8)
+
     def test_quadtree_step_below_the_axis(self):
         # x^4 - x^3 + x^2 + x - 1 at a lower-half root
         coeffs = [-1, 1, 1, -1, 1]
@@ -550,8 +565,11 @@ UPPER_HALF_BOXES = [
 
 
 class TestConjugateSymmetry:
-    """A box below the real axis is refined as the conjugate of the
-    refinement of its mirror image, since p has real coefficients."""
+    """A box below the real axis refines, on the general path, to exactly
+    the conjugate of its mirror image's refinement: p has real
+    coefficients, Newton's dyadic rounding is symmetric, and the disk
+    counts and the quadtree step read the imaginary part only through
+    its absolute value."""
 
     @pytest.mark.parametrize(
         "coeffs, pinned", UPPER_HALF_BOXES, ids=[str(c) for c, _ in UPPER_HALF_BOXES]
@@ -570,6 +588,18 @@ class TestConjugateSymmetry:
             refined = _refine_one(p, box, width)
             assert refined == _box(fine)
             assert _refine_one(p, box.conj(), width) == refined.conj()
+
+    @pytest.mark.parametrize("newton", [True, False], ids=["newton", "quadtree"])
+    @pytest.mark.parametrize("degree", [4, 5, 6])
+    def test_seeded_boxes_in_both_half_planes(self, monkeypatch, degree, newton):
+        if not newton:
+            monkeypatch.setattr(numfield_module, "_newton_box", lambda p, box, width: None)
+        rng = random.Random(1800 + degree)
+        coeffs, boxes = _nonreal_field_poly(rng, degree)
+        p = QPoly(coeffs)
+        box = rng.choice([b for b in boxes if b.im.lo > 0])
+        for width in (F(1, 2**12), F(1, 2**40)):
+            assert _refine_one(p, box.conj(), width) == _refine_one(p, box, width).conj()
 
 
 class TestModulusCompare:

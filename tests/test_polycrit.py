@@ -16,15 +16,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import quiddity.polycrit as polycrit_module
 from quiddity.polynomials import GaussRat, QPoly
 from quiddity.polycrit import (
+    _MODP_PRIMES,
     BadPrime,
+    SingularStep,
     eisenstein,
     gauss_disk_count_strict,
     irreducible_over_Q,
     is_prime,
     modp_irreducible,
     osada,
+    prime_divisors,
     rouche_dominant_count,
     schur_cohn_count,
 )
@@ -36,6 +40,32 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2 ** 31 - 1)
     assert not is_prime(2 ** 32 + 1)
+
+
+def _naive_prime_divisors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] * (n > 1)
+
+
+def test_prime_divisors():
+    rng = random.Random(18)
+    for n in list(range(1, 3000)) + [rng.randrange(1, 10 ** 6) for _ in range(3000)]:
+        assert prime_divisors(n) == _naive_prime_divisors(n), n
+        assert prime_divisors(-n) == prime_divisors(n)
+    # a prime rest above 2^16 is kept
+    assert prime_divisors(12 * 65537) == [2, 3, 65537]
+    assert prime_divisors(6 * (2 ** 61 - 1)) == [2, 3, 2 ** 61 - 1]
+    # a composite rest above 2^32 is left out, with the small primes kept
+    assert prime_divisors(10 * 1000003 * 1000033) == [2, 5]
+    assert prime_divisors((2 ** 31 - 1) ** 2) == []
+    # a rest beyond the range of is_prime is left out, prime or not
+    assert prime_divisors(7 * (10 ** 30 + 57)) == [7]
 
 
 # -- eisenstein / osada / modp ------------------------------------------------
@@ -63,6 +93,18 @@ def test_modp_examples():
         modp_irreducible(QPoly((1, 0, 2)), 2)
     with pytest.raises(BadPrime):
         modp_irreducible(QPoly((1, 0, 1)), 4)
+
+
+def test_modp_linear_and_constant_cases():
+    # a linear reduction is irreducible at every prime not dividing its
+    # leading coefficient, on the general Frobenius loop
+    for q in _MODP_PRIMES:
+        assert modp_irreducible(QPoly((3, 1)), q) is True
+        assert modp_irreducible(QPoly((-7, 53)), q) is True
+    # X^2 and 5X^3 have no constant core left past their root 0
+    for p in (QPoly((0, 0, 1)), QPoly((0, 0, 0, 5))):
+        v = irreducible_over_Q(p)
+        assert (v.status, v.criterion, v.factor) == ("Disproven", "rational-root", QPoly((0, 1)))
 
 
 def test_modp_quartic():
@@ -278,6 +320,22 @@ def test_schur_cohn_degenerate_chain():
     got = schur_cohn_count(QPoly((1, -1, -2, -1, 7, 3, -5, 5, -5, -4, 1)), 1)
     assert time.perf_counter() - start < 2.0
     assert got.count == 6 and got.boundary_clear
+
+
+def test_schur_cohn_bracket_cap(monkeypatch):
+    # with no bracket allowed, the degenerate direct chain fails fast
+    monkeypatch.setattr(polycrit_module, "_BRACKET_BITS", 0)
+    p = QPoly((-2, 1)) * QPoly((F(-1, 3), 1)) * QPoly((F(-3, 2), 1))
+    with pytest.raises(SingularStep):
+        schur_cohn_count(p, 1)
+
+
+def test_schur_cohn_constants():
+    # 0 and nonzero constants have no roots, on the general path
+    for c in ((), (3,), (F(-1, 2),)):
+        for r in (1, F(5, 2)):
+            got = schur_cohn_count(QPoly(c), r)
+            assert (got.count, got.boundary_clear, got.radius) == (0, True, r)
 
 
 def test_schur_cohn_reciprocal_pair():

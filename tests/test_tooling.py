@@ -127,10 +127,8 @@ def test_kernel_has_no_fraction():
     assert found == []
 
 
-def _kernel_uses(module, names):
-    # lines inside the named top-level definitions that name any part of
-    # the word kernel
-    kernel = _kernel_names()
+def _uses(module, names, used):
+    # lines inside the named top-level definitions that name any of used
     tree = ast.parse((SRC / module).read_text())
     defs = [
         node
@@ -142,16 +140,16 @@ def _kernel_uses(module, names):
         f"{module}:{node.lineno}"
         for top in defs
         for node in ast.walk(top)
-        if (isinstance(node, ast.Name) and node.id in kernel)
-        or (isinstance(node, ast.Attribute) and node.attr in kernel)
-        or (isinstance(node, ast.alias) and node.name in kernel)
+        if (isinstance(node, ast.Name) and node.id in used)
+        or (isinstance(node, ast.Attribute) and node.attr in used)
+        or (isinstance(node, ast.alias) and node.name in used)
     ]
 
 
 def test_brute_force_walk_stays_independent():
     # the walk is the oracle for the word kernel; one that used the
     # kernel would agree with it by construction
-    assert _kernel_uses("core.py", {"brute_force_quiddities"}) == []
+    assert _uses("core.py", {"brute_force_quiddities"}, _kernel_names()) == []
 
 
 def test_certificate_route_stays_independent():
@@ -167,8 +165,18 @@ def test_certificate_route_stays_independent():
         "m_product",
         "is_quiddity",
     }
-    assert _kernel_uses("core.py", route) == []
-    assert _kernel_uses("reducibility.py", {"witness_replay", "brute_force_reduction"}) == []
+    assert _uses("core.py", route, _kernel_names()) == []
+    replay = {"witness_replay", "brute_force_reduction"}
+    assert _uses("reducibility.py", replay, _kernel_names()) == []
+
+
+def test_searches_run_on_the_kernel():
+    # the searches run on the word kernel alone and the Mat2 route only
+    # certifies their results; a search that multiplied out a word there
+    # would be a second search path, for w = 0 or any other generator
+    route = {"Mat2", "is_quiddity", "m_product", "m_product_entries", "e_times", "times_e"}
+    assert _uses("classify.py", {"enumerate_quiddities"}, route) == []
+    assert _uses("reducibility.py", {"find_reduction"}, route) == []
 
 
 def test_shared_brute_force_walks_stay_shared():
