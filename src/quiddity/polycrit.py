@@ -3,19 +3,22 @@
 Two families of tools live here.  The irreducibility side proves or
 refutes irreducibility over Q with cheap classical certificates
 (rational roots, Eisenstein with small shifts, Osada's prime bound,
-reduction mod p); rational roots come from real-root isolation, not from
-divisors, so large coefficients cost no factoring.  The localization
-side counts polynomial roots in disks with rational radius, exactly,
-through the Schur-Cohn reduction.  One recurrence, `_chain`, runs every
-count on the primitive Gaussian-integer coefficients of a positive
-multiple of the recentred polynomial, dividing each step by its content.
-It serves the strict count at complex centers, which powers the
-rectangle subdivision used elsewhere for root isolation, and the count
-at 0 runs on that strict count.  The chain degenerates on a root on the
-circle, on a conjugate-reciprocal root pair, and at accidental zero
-steps.  The count at 0 splits off the first two by a gcd beforehand and
-brackets radius 1 between two nearby circles when the chain still
-degenerates; the strict count returns None instead.
+reduction mod p).  Rational roots come first from a sieve: a polynomial
+with no root mod some small prime not dividing its leading coefficient
+has none.  Only inputs with a root mod every such prime go on to
+real-root isolation, not to divisors, so large coefficients cost no
+factoring.  The localization side counts polynomial roots in disks with
+rational radius, exactly, through the Schur-Cohn reduction.  One
+recurrence, `_chain`, runs every count on the primitive Gaussian-integer
+coefficients of a positive multiple of the recentred polynomial,
+dividing each step by its content.  It serves the strict count at
+complex centers, which powers the rectangle subdivision used elsewhere
+for root isolation, and the count at 0 runs on that strict count.  The
+chain degenerates on a root on the circle, on a conjugate-reciprocal
+root pair, and at accidental zero steps.  The count at 0 splits off the
+first two by a gcd beforehand and brackets radius 1 between two nearby
+circles when the chain still degenerates; the strict count returns None
+instead.
 
 No floating point is used anywhere: every verdict is replayable from
 the integers it carries.
@@ -257,17 +260,41 @@ def modp_irreducible(p: QPoly, prime: int) -> bool:
     return True
 
 
+def _has_root_mod(ints: list[int], p: int) -> bool:
+    """True iff the integer polynomial, low-first, has a root in F_p:
+    Horner evaluation mod p at each of the p residues."""
+    high = [c % p for c in reversed(ints)]
+    for x in range(p):
+        acc = 0
+        for c in high:
+            acc = (acc * x + c) % p
+        if acc == 0:
+            return True
+    return False
+
+
+_MODP_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
 def _rational_roots(ints: list[int]) -> list[Fraction]:
     """All rational roots of the primitive integer polynomial: 0 first,
     then by (|numerator|, denominator), positive before negative.
 
-    A root u/v in lowest terms of the squarefree part h, whose primitive
-    integer model has leading coefficient a, has v | a, so a u/v is an
-    integer.  An isolating interval of h refined to width <= 1/(2a)
-    holds a u/v for at most one integer, and exact evaluation tests it.
+    A root u/v in lowest terms of the core (ints without its low zeros)
+    has v | lc, the core's leading coefficient.  At a prime q of
+    _MODP_PRIMES that does not divide lc, u * v^-1 is then a root of the
+    core mod q, so a core with no root mod such a prime has no rational
+    root.  Only the rest reach real-root isolation: a root u/v of the
+    squarefree part h, whose primitive integer model has leading
+    coefficient a, has v | a, so a u/v is an integer.  An isolating
+    interval of h refined to width <= 1/(2a) holds a u/v for at most one
+    integer, and exact evaluation tests it.
     """
     v, core = QPoly(ints).strip_low()
     roots = [Fraction(0)] if v else []
+    core_ints = ints[v:]
+    if any(core_ints[-1] % q and not _has_root_mod(core_ints, q) for q in _MODP_PRIMES):
+        return roots
     h = core.squarefree_part()
     a = h.int_coeffs()[-1]
     found = []
@@ -281,14 +308,15 @@ def _rational_roots(ints: list[int]) -> list[Fraction]:
 
 
 _EISENSTEIN_SHIFTS = (0, 1, -1, 2, -2, 3, -3)
-_MODP_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def irreducible_over_Q(p: QPoly) -> IrreducibilityVerdict:
     """Cheap-certificate pipeline; Unknown when every criterion misses.
 
     Order: rational roots (refute, or settle degree <= 3), Eisenstein on
-    p(X+c) for small shifts, Osada, reduction mod primes below 50.
+    p(X+c) for small shifts, Osada, reduction mod primes below 50.  The
+    last step skips each prime at which p has a root: there p has a
+    linear factor mod the prime, so modp_irreducible would answer False.
     """
     if p.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")
@@ -313,8 +341,9 @@ def irreducible_over_Q(p: QPoly) -> IrreducibilityVerdict:
     if q is not None:
         return IrreducibilityVerdict("Proven", criterion="osada", prime=q)
     for pr in _MODP_PRIMES:
-        # a prime dividing the leading coefficient says nothing
-        if ints[-1] % pr and modp_irreducible(p, pr):
+        # a prime dividing the leading coefficient says nothing, and at
+        # degree >= 4 a root mod pr is a linear factor mod pr
+        if ints[-1] % pr and not _has_root_mod(ints, pr) and modp_irreducible(p, pr):
             return IrreducibilityVerdict("Proven", criterion="modp", prime=pr)
     return IrreducibilityVerdict("Unknown")
 

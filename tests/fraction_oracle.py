@@ -164,9 +164,26 @@ def refine_real_root(p: QPoly, lo: Fraction, hi: Fraction, width: Fraction):
     return lo, hi
 
 
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n > 0, built from its factorisation by
+    trial division, so a product of many small primes costs no search
+    up to n."""
+    divs, d = [1], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n, e = n // d, e + 1
+        divs = [x * d ** k for x in divs for k in range(e + 1)]
+        d += 1
+    if n > 1:
+        divs += [x * n for x in divs]
+    return divs
+
+
 def rational_roots(ints: list[int]) -> list[Fraction]:
     """Every rational root of the integer polynomial by the divisors of
-    its end coefficients: 0 first, then by (|numerator|, denominator),
+    its end coefficients, each candidate u/v tested exactly as
+    v^n p(u/v) = 0: 0 first, then by (|numerator|, denominator),
     positive before negative."""
     p = QPoly(ints)
     roots = []
@@ -175,15 +192,24 @@ def rational_roots(ints: list[int]) -> list[Fraction]:
         p = p.strip_low()[1]
         if p.degree < 1:
             return roots
-    a0, an = int(abs(p.coeffs[0])), int(abs(p.coeffs[-1]))
-    cands = {
+    cs = [int(c) for c in p.coeffs]
+
+    def vanishes(u, v):
+        # v^n p(u/v), by Horner on the homogeneous form
+        acc, vk = cs[-1], 1
+        for c in reversed(cs[:-1]):
+            vk *= v
+            acc = acc * u + c * vk
+        return acc == 0
+
+    found = {
         Fraction(s * u, v)
-        for u in range(1, a0 + 1) if a0 % u == 0
-        for v in range(1, an + 1) if an % v == 0
+        for u in _divisors(abs(cs[0]))
+        for v in _divisors(abs(cs[-1]))
         for s in (1, -1)
+        if vanishes(s * u, v)
     }
-    order = sorted(cands, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
-    return roots + [r for r in order if p(r) == 0]
+    return roots + sorted(found, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 
 
 def field_mul_via_qpoly(a: FieldElement, b: FieldElement) -> FieldElement:

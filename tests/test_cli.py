@@ -427,6 +427,17 @@ GOLDEN_STDOUT = [
         "7e2265f93397519c89f3ff8f7ed3cee50160969f4d3d893a068dc35c392639f8",
     ),
     (
+        # no rational root, and a root mod every prime: settled by isolation
+        ("polycrit", "--poly=-36,0,36,0,-11,0,1", "--radius", "1"),
+        "68013366e7bd09fa73b306eb38770de127d196768b8c776034d00c0e557d3cdc",
+    ),
+    (
+        # (30030X - 1)(X^3 + X + 1): the root's denominator is the
+        # product of the six smallest primes
+        ("polycrit", "--poly=-1,30029,30030,-1,30030", "--radius", "1"),
+        "ce1875bee78a35ff51d826fe20c79388129af8c2b8c3bcbbb6133bc0ca8462dc",
+    ),
+    (
         ("verify", "rouche-examples", "--json"),
         "8e98b2d7f122a7743a051d9b254137515741912f1cc91494765b799cdf74cfc8",
     ),

@@ -131,6 +131,39 @@ def test_rational_roots_match_the_divisor_search():
             assert _rational_roots(ints) == oracle.rational_roots(ints), ints
 
 
+_CUBIC = QPoly((1, 1, 0, 1))  # X^3 + X + 1, no root mod 2
+_LEAD = math.prod(polycrit._MODP_PRIMES)
+
+
+@pytest.mark.parametrize(
+    "p, roots, isolated",
+    [
+        # the root 1/30030 is no residue mod 2, 3, 5, 7, 11 or 13; those
+        # primes divide the leading coefficient, so the sieve must pass
+        # over them, not read them as "no root"
+        (QPoly((-1, 30030)) * _CUBIC, [F(1, 30030)], 1),
+        # no prime of the sieve is usable, so the search goes on to isolation
+        (QPoly((-7, _LEAD)) * _CUBIC, [F(7, _LEAD)], 1),
+        # 2, 3 or 6 is a square mod every prime, so only isolation shows
+        # that no root is rational
+        (QPoly((-2, 0, 1)) * QPoly((-3, 0, 1)) * QPoly((-6, 0, 1)), [], 1),
+        (_CUBIC, [], 0),
+    ],
+    ids=["denominator-30030", "every-prime-in-lead", "root-mod-every-prime", "no-root-mod-2"],
+)
+def test_root_sieve(monkeypatch, p, roots, isolated):
+    seen = []
+
+    def counting(h, *args):
+        seen.append(h)
+        return real_roots_isolated(h, *args)
+
+    monkeypatch.setattr(polycrit, "real_roots_isolated", counting)
+    ints = p.int_coeffs()
+    assert _rational_roots(ints) == oracle.rational_roots(ints) == roots
+    assert len(seen) == isolated
+
+
 def _rat_poly(rng, degree):
     """Rational coefficients, the leading one negative half the time."""
     cs = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)]

@@ -20,6 +20,7 @@ import quiddity.polycrit as polycrit_module
 from quiddity.polynomials import GaussRat, QPoly
 from quiddity.polycrit import (
     _MODP_PRIMES,
+    _has_root_mod,
     BadPrime,
     SingularStep,
     eisenstein,
@@ -111,6 +112,54 @@ def test_modp_quartic():
     # X^4 + 1 factors mod every prime; X^4 - X - 1 is irreducible mod 2
     assert modp_irreducible(QPoly((1, 0, 0, 0, 1)), 3) is False
     assert modp_irreducible(QPoly((-1, -1, 0, 0, 1)), 2) is True
+
+
+def _value_mod(ints, x, p):
+    return sum(c * x ** i for i, c in enumerate(ints)) % p
+
+
+def test_has_root_mod_matches_evaluation_at_every_residue():
+    rng = random.Random(1901)
+    for _ in range(200):
+        ints = [rng.randint(-60, 60) for _ in range(rng.randint(1, 9))]
+        for q in _MODP_PRIMES:
+            want = any(_value_mod(ints, x, q) == 0 for x in range(q))
+            assert _has_root_mod(ints, q) is want, (ints, q)
+
+
+@given(
+    st.sampled_from(_MODP_PRIMES),
+    st.integers(min_value=0, max_value=46),
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=9),
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=6),
+)
+def test_a_root_mod_q_means_reducible_mod_q(q, r, low, lead, noise):
+    # (X - r) g + q h has the root r mod q; its content divides lc(g),
+    # so when q does not divide lc(g) the primitive model keeps that root
+    g = QPoly(low + [lead])
+    h = QPoly(noise[: g.degree + 1])
+    p = QPoly((-r, 1)) * g + h * q
+    if lead % q:
+        assert _has_root_mod(p.int_coeffs(), q)
+        assert modp_irreducible(p, q) is False
+
+
+def test_modp_loop_runs_only_at_primes_without_a_root(monkeypatch):
+    calls = []
+
+    def counting(p, q):
+        calls.append((p.int_coeffs(), q))
+        return modp_irreducible(p, q)
+
+    monkeypatch.setattr(polycrit_module, "modp_irreducible", counting)
+    rng = random.Random(1902)
+    for _ in range(120):
+        degree = rng.randint(4, 8)
+        irreducible_over_Q(QPoly([rng.randint(-3, 3) for _ in range(degree)] + [rng.randint(1, 3)]))
+    assert calls
+    for ints, q in calls:
+        assert all(_value_mod(ints, x, q) for x in range(q)), (ints, q)
 
 
 def _divides_mod(d, f, p):

@@ -179,6 +179,12 @@ def test_searches_run_on_the_kernel():
     assert _uses("reducibility.py", {"find_reduction"}, route) == []
 
 
+def test_modp_layer_has_no_fraction():
+    # the root sieve and the Frobenius chain run on ints mod p alone
+    layer = {"_has_root_mod", "_rem_mod", "_polmul_mod", "_polgcd_mod", "modp_irreducible"}
+    assert _uses("polycrit.py", layer, {"Fraction"}) == []
+
+
 def test_shared_brute_force_walks_stay_shared():
     # conftest.py builds the (6, 2) walks once per session; a test module
     # that built its own, directly or through a local wrapper, would run
