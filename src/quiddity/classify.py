@@ -6,9 +6,11 @@ ceil(n/2) are matched against inverses of suffix matrices, so the cost is
 (2K+1)^(n/2) instead of (2K+1)^n.  It runs on the integer word kernel
 of `core`, which holds a word of size n scaled by d^n (d*w an algebraic
 integer): a suffix meets a prefix when its held matrix is +-adj of the
-prefix's, divided exactly by d when the prefix is one longer.  Prefixes
-are generated depth first and never all held, and the suffix table of
-length floor(n/2) serves sizes 2r and 2r+1.  Every rotation and
+prefix's, divided exactly by d when the prefix is one longer.  Each side
+is walked once for all sizes: one depth-first walk builds the suffix
+table of every length r <= floor(n_max/2), and the prefixes are walked
+depth first, never all held, once per least entry, a prefix of length l
+serving sizes 2l-1 and 2l.  Every rotation and
 reflection of a quiddity is a quiddity with the same sign, so the search
 keeps only the hits that are their own canonical form (the brute-force
 oracles of the tests check that lemma at small bounds): prefixes begin
@@ -178,21 +180,22 @@ def enumerate_quiddities(
     # over <0> every multiplier gives the entry 0, so the pool is {0}
     top = 0 if w.is_zero else k_bound
     pool = range(-top, top + 1)
-    suffixes: dict[tuple, list[tuple[int, ...]]] = {}
-    for n in range(2, n_max + 1):
-        r = n // 2
-        if n % 2 == 0:
-            # sizes 2r and 2r+1 share the suffix length r
-            suffixes = {}
-            for ks, mat in kernel.words(r, pool):
-                suffixes.setdefault(mat, []).append(ks)
-        # a canonical word begins with its least entry, so only
-        # prefixes that do are generated: k0, then entries >= k0
-        for k0 in pool:
-            for ks, mat in kernel.words(n - r, range(k0, top + 1), (k0,)):
-                # the suffix S is n - 2r entries shorter than the prefix
-                for eps, key in kernel.inverse_keys(mat, n - 2 * r):
-                    for suffix in suffixes.get(key, ()):
+    # one walk builds the suffix table of every length r <= n_max // 2
+    tables: list[dict[tuple, list[tuple[int, ...]]]] = [{} for _ in range(n_max // 2 + 1)]
+    for ks, mat in kernel.words(n_max // 2, pool):
+        tables[len(ks)].setdefault(mat, []).append(ks)
+    # a canonical word begins with its least entry, so only prefixes
+    # that do are walked: k0, then entries >= k0.  A prefix of length l
+    # serves size 2l - 1 with the suffixes of length l - 1, which are one
+    # entry shorter, and size 2l with those of length l
+    for k0 in pool:
+        for ks, mat in kernel.words(n_max - n_max // 2, range(k0, top + 1), (k0,)):
+            l = len(ks)
+            for excess in (1, 0):
+                if not 2 <= 2 * l - excess <= n_max:
+                    continue
+                for eps, key in kernel.inverse_keys(mat, excess):
+                    for suffix in tables[l - excess].get(key, ()):
                         if min(suffix) < k0:
                             continue
                         combined = ks + suffix
@@ -233,7 +236,7 @@ def irreducible_census(report: EnumerationReport) -> EnumerationReport:
             members.append(m)
             continue
         wit = find_reduction(QuiddityTuple(field, w, m.multipliers), signs)
-        m = replace(m, reducible=wit is not None, witness=wit)
+        m = CensusMember(m.multipliers, m.epsilon, wit is not None, wit)
         members.append(m)
         if wit is None:
             irreducible.append(m)

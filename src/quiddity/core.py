@@ -10,7 +10,10 @@ kernel (`_WordKernel`) runs on ints alone.  With d the least positive
 integer that makes v = d*w an algebraic integer, it holds a word M of
 size n as d^n * T*M*T^-1 over Z[v], T = diag(1, 1/d): a step E(k*w) is
 then [[k*v, -d^2], [1, 0]], and M = +-Id exactly when the held matrix is
-+-d^n * Id.  Two lemmas serve the searches in `classify` and
++-d^n * Id.  One primitive takes that step, with v*x a shift and a
+subtraction on the coefficients of v's minimal polynomial, and every
+product, walk and scan of the kernel goes through it.  Two lemmas serve
+the searches in `classify` and
 `reducibility`, which ask the kernel for a word's sign, an inverse's
 key and a forced boundary pair, and read neither d nor a coordinate:
 det M = 1 makes M^-1 = adj(M), and adj commutes with the scaling; and
@@ -274,25 +277,21 @@ def _neg(x: tuple) -> tuple:
 class _WordKernel:
     """Word matrices over <w> held as the module docstring says.  An
     element of Z[v] is its int coordinates on 1, v, ..., v^(m-1) for m the
-    degree of w, multiplied by v through sparse companion rows of v's
-    monic integer minimal polynomial; a held matrix is the 4-tuple
-    (m11, m12, m21, m22) of elements and is its own hash key.  The kernel
-    keeps one memo slot: the last word `product` multiplied out, with the
-    held product of each of its n+1 prefixes.  A call steps from Id only
-    past the prefix it shares with that word, and replaces the slot."""
+    degree of w; a held matrix is the 4-tuple (m11, m12, m21, m22) of
+    elements and is its own hash key.  One primitive, `step`, multiplies
+    a held matrix on the left by a held E(k*w), and every product, walk
+    and scan goes through it.  The kernel keeps one memo slot: the last
+    word `product` multiplied out, with the held product of each of its
+    n+1 prefixes.  A call steps from Id only past the prefix it shares
+    with that word, and replaces the slot."""
 
-    __slots__ = ("d", "_dd", "_rows", "_v", "_pivot", "_zero", "identity", "_memo")
+    __slots__ = ("d", "_dd", "_c", "_v", "_pivot", "_zero", "identity", "_memo")
 
     def __init__(self, w: FieldElement):
         p = w.min_poly_over_Q()
         m, d = p.degree, _integral_scale(p)
         # v's minimal polynomial is X^m + sum c_j X^j, c_j = a_j * d^(m-j)
-        c = [int(a * d ** (m - j)) for j, a in enumerate(p.coeffs[:-1])]
-        # coordinate i of v*x is x_(i-1) - c_i * x_(m-1)
-        self._rows = tuple(
-            tuple((j, f) for j, f in ((i - 1, 1), (m - 1, -c[i])) if j >= 0 and f)
-            for i in range(m)
-        )
+        self._c = tuple(int(a * d ** (m - j)) for j, a in enumerate(p.coeffs[:-1]))
         self.d, self._dd = d, d * d
         self._zero = (0,) * m
         one = (1,) + self._zero[1:]
@@ -300,29 +299,22 @@ class _WordKernel:
         # the last word multiplied out and the held product of each of
         # its prefixes, the empty one first
         self._memo = ((), (self.identity,))
-        self._v = self.times_v(one)
+        self._v = self.step(self.identity, 1)[0]
         # a nonzero coordinate of v, None for w = 0
         self._pivot = next((j for j, x in enumerate(self._v) if x), None)
 
-    def times_v(self, x: tuple) -> tuple:
-        return tuple([sum([c * x[j] for j, c in row]) for row in self._rows])
-
-    def steps(self, m: tuple, pool: Sequence[int]) -> list[tuple]:
-        """The held E(k*w) * m for each k of the pool: the new top row is
-        k*(v*top) - d^2*bottom, the new bottom row the old top."""
+    def step(self, m: tuple, k: int) -> tuple:
+        """The held E(k*w) * m: the new top row is k*(v*top) - d^2*bottom,
+        the new bottom row the old top.  Coordinate i of v*x is
+        x_(i-1) - c_i * x_(m-1), a shift and a subtraction."""
         a, b, c, e = m
-        va, vb = self.times_v(a), self.times_v(b)
-        if self._dd != 1:
-            c, e = [self._dd * x for x in c], [self._dd * x for x in e]
-        return [
-            (
-                tuple([k * x - y for x, y in zip(va, c)]),
-                tuple([k * x - y for x, y in zip(vb, e)]),
-                a,
-                b,
-            )
-            for k in pool
-        ]
+        dd, cs, ta, tb = self._dd, self._c, a[-1], b[-1]
+        return (
+            tuple([k * (x - f * ta) - dd * y for x, f, y in zip((0,) + a, cs, c)]),
+            tuple([k * (x - f * tb) - dd * y for x, f, y in zip((0,) + b, cs, e)]),
+            a,
+            b,
+        )
 
     def product(self, ks: Sequence[int]) -> tuple:
         """E(k_n w) * ... * E(k_1 w), as m_product orders it, held.  The
@@ -338,20 +330,20 @@ class _WordKernel:
         prefixes = list(held[: j + 1])
         m = prefixes[-1]
         for k in ks[j:]:
-            (m,) = self.steps(m, (k,))
+            m = self.step(m, k)
             prefixes.append(m)
         # replaced whole, never mutated, so no reader sees a partial slot
         self._memo = (ks, tuple(prefixes))
         return m
 
     def sign(self, ks: Sequence[int]) -> Optional[int]:
-        """+1 when the word's matrix is Id, -1 when it is -Id, else None."""
-        m, z = self.product(ks), self._zero
-        for eps in (1, -1):
-            x = (eps * self.d ** len(ks),) + z[1:]
-            if m == (x, z, z, x):
-                return eps
-        return None
+        """+1 when the word's matrix is Id, -1 when it is -Id, else None:
+        the held matrix must be +-d^n * Id."""
+        a, b, c, e = self.product(ks)
+        s, z = self.d ** len(ks), self._zero
+        if b != z or c != z or a != e or any(a[1:]):
+            return None
+        return 1 if a[0] == s else -1 if a[0] == -s else None
 
     def inverse_keys(self, m: tuple, excess: int):
         """(eps, held S) for eps = +-1 and S*P = eps*Id, P the word held as
@@ -389,17 +381,17 @@ class _WordKernel:
         return k
 
     def words(self, length: int, pool: Sequence[int], start: tuple[int, ...] = ()):
-        """Every word of the given length that extends the start word by
-        entries of the pool, with its held matrix, generated depth first
-        so that at most length * len(pool) words are held at once."""
+        """Every word of length <= the given length that extends the start
+        word by entries of the pool, the start word included, with its
+        held matrix, generated depth first so that at most
+        length * len(pool) words are held at once."""
         stack = [(start, self.product(start))]
         pool = pool[::-1]
         while stack:
             ks, m = stack.pop()
-            if len(ks) == length:
-                yield ks, m
-                continue
-            stack += [(ks + (k,), child) for k, child in zip(pool, self.steps(m, pool))]
+            yield ks, m
+            if len(ks) < length:
+                stack += [(ks + (k,), self.step(m, k)) for k in pool]
 
 
 # one kernel per generator; equal generators share one

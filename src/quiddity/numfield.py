@@ -524,7 +524,9 @@ class FieldElement:
     are built once per polynomial.
     """
 
-    __slots__ = ("field", "coords")
+    # _hash is set on the first hash, so elements built by arithmetic
+    # pay for it only when they are hashed
+    __slots__ = ("field", "coords", "_hash")
 
     def __init__(self, field: NumberField, coords: Sequence[Fraction]):
         coords = tuple(as_rat(c) for c in coords)
@@ -550,7 +552,11 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._key()))
+            return self._hash
 
     def __repr__(self):
         return f"FieldElement{self.coords}"

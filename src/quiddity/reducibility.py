@@ -146,7 +146,7 @@ def find_reduction(
         for l in range(3, n):  # summand b has l entries, a has n+2-l
             m = n + 2 - l
             # now the product over the reversed window ks[m:]
-            (q,) = kernel.steps(q, (ks[m],))
+            q = kernel.step(q, ks[m])
             forced = kernel.forced(q, l - 2)
             if forced is not None:
                 return _replayed_witness(t, ks, rotation, False, m, *forced, signs)

@@ -107,15 +107,33 @@ class TestEnumerate:
     )
     def test_matches_brute_force_other_generators(self, coeffs, hint, coords):
         # non-integral generators run the kernel with a scale d > 1,
-        # and 1+sqrt2 is not the generator of its field
+        # and 1+sqrt2 is not the generator of its field; n_max = 2 uses
+        # the suffix table of length 1 alone, and at odd n_max the
+        # longest prefixes serve size 2l - 1 alone
         f = field_make(
             QPoly(tuple(F(c) for c in coeffs)),
             root_hint=None if hint is None else BoxC.make(*hint),
         )
         w = f.generator() if coords is None else FieldElement(f, coords)
-        rep = enumerate_quiddities(f, w, 5, 2)
-        got = {m.multipliers: m.epsilon for m in rep.members}
-        assert got and got == brute_canonical(brute_force_quiddities(w, 5, 2))
+        for n_max in (2, 3, 5):
+            rep = enumerate_quiddities(f, w, n_max, 2)
+            got = {m.multipliers: m.epsilon for m in rep.members}
+            assert got and got == brute_canonical(brute_force_quiddities(w, n_max, 2)), n_max
+
+    @pytest.mark.parametrize("n_max,k_bound", [(2, 1), (5, 2), (8, 2), (9, 3)])
+    def test_one_walk_per_side(self, n_max, k_bound, monkeypatch):
+        # one suffix walk builds every table, and the prefixes are walked
+        # once per least entry, whatever the number of sizes
+        words, calls = core_module._WordKernel.words, []
+
+        def counted_words(kernel, *args):
+            calls.append(args)
+            return words(kernel, *args)
+
+        monkeypatch.setattr(core_module._WordKernel, "words", counted_words)
+        f = int_field()
+        enumerate_quiddities(f, f.generator(), n_max, k_bound)
+        assert len(calls) == 1 + (2 * k_bound + 1)
 
     @pytest.mark.parametrize("make", [int_field, sqrt2_field], ids=["int_field", "sqrt2_field"])
     def test_full_product_check_covers_each_stored_member_once(self, make, monkeypatch):
@@ -139,13 +157,13 @@ class TestEnumerate:
         # step from Id only past the prefix the last word shares, so the
         # steps inside sign stay well below the entries it is handed
         kernel_cls = core_module._WordKernel
-        steps, sign = kernel_cls.steps, kernel_cls.sign
+        step, sign = kernel_cls.step, kernel_cls.sign
         count = {"entries": 0, "steps": 0, "inside": False}
 
-        def counted_steps(kernel, m, pool):
+        def counted_step(kernel, m, k):
             if count["inside"]:
-                count["steps"] += len(pool)
-            return steps(kernel, m, pool)
+                count["steps"] += 1
+            return step(kernel, m, k)
 
         def counted_sign(kernel, ks):
             count["entries"] += len(ks)
@@ -155,7 +173,7 @@ class TestEnumerate:
             finally:
                 count["inside"] = False
 
-        monkeypatch.setattr(kernel_cls, "steps", counted_steps)
+        monkeypatch.setattr(kernel_cls, "step", counted_step)
         monkeypatch.setattr(kernel_cls, "sign", counted_sign)
         f = make()
         rep = irreducible_census(enumerate_quiddities(f, f.generator(), 8, 2))

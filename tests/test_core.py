@@ -257,6 +257,8 @@ KERNEL_GENERATORS = {
     "1+sqrt2 in Q(sqrt2)": lambda: _sqrt2_element(1, 1),
     "2sqrt2 in Q(sqrt2)": lambda: _sqrt2_element(0, 2),
     "0": lambda: _generator((0, 1)),
+    # degree 3 with d = 2: X^3 - 1/4
+    "2^(1/3)/2": lambda: _generator(("-1/4", 0, 0, 1), BoxC.make(0, 1, 0, 0)),
 }
 
 
@@ -308,7 +310,7 @@ def _fresh_product(kernel, ks):
     """The held product of the word by left steps from Id, with no memo."""
     m = kernel.identity
     for k in ks:
-        (m,) = kernel.steps(m, (k,))
+        m = kernel.step(m, k)
     return m
 
 
@@ -331,13 +333,45 @@ class TestWordKernel:
             assert _unheld(w, len(ks), kernel.product(ks)) == want, ks
 
     @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
-    def test_words_depth_first(self, name):
+    def test_step_matches_e_times(self, name):
+        # on any held matrix, not only a word's: the held E(k*w) * M of a
+        # word of size n + 1 is step of the held M of size n
+        w = KERNEL_GENERATORS[name]()
+        kernel = _word_kernel(w)
+        rng = random.Random(name)
+        size = len(kernel.identity[0])
+        for _ in range(20):
+            n, k = rng.randint(0, 4), rng.randint(-3, 3)
+            held = tuple(tuple(rng.randint(-9, 9) for _ in range(size)) for _ in range(4))
+            want = e_times(w * k, _unheld(w, n, held))
+            assert _unheld(w, n + 1, kernel.step(held, k)) == want, (n, k, held)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
+    def test_words_depth_first(self, name, monkeypatch):
+        # every word of length <= 3 that extends the start word, the start
+        # word included, in depth-first order, which is sorted order; the
+        # words held at once are those stepped and not yet yielded, plus
+        # the one being yielded
         kernel = _word_kernel(KERNEL_GENERATORS[name]())
-        words = list(kernel.words(3, range(-1, 2)))
-        assert [ks for ks, _ in words] == sorted(ks for ks, _ in words)
-        assert len(words) == 27
-        for ks, m in words:
-            assert m == kernel.product(ks)
+        step, count = type(kernel).step, {"steps": 0}
+
+        def counted_step(kernel, m, k):
+            count["steps"] += 1
+            return step(kernel, m, k)
+
+        monkeypatch.setattr(type(kernel), "step", counted_step)
+        for start, pool, want in (((), range(-1, 2), 40), ((1,), range(0, 2), 7)):
+            count["steps"], words, held = 0, [], 0
+            for ks, m in kernel.words(3, pool, start):
+                words.append((ks, m))
+                held = max(held, 2 + count["steps"] - len(words))
+            got = [ks for ks, _ in words]
+            assert got == sorted(got) and len(set(got)) == len(got) == want
+            assert all(len(ks) <= 3 and ks[: len(start)] == start for ks in got)
+            assert all(k in pool for ks in got for k in ks[len(start) :])
+            assert held <= 3 * len(pool)
+            for ks, m in words:
+                assert m == kernel.product(ks)
 
     def test_signs_of_known_quiddities(self):
         kernel = _word_kernel(KERNEL_GENERATORS["sqrt2"]())
@@ -407,12 +441,19 @@ class TestWordKernel:
             assert keys[eps] == kernel.product(ks[len(ks) - r :]), ks
             assert keys[-eps] != kernel.product(ks[len(ks) - r :]), ks
 
-    def test_prefix_memo_is_transparent(self):
+    def test_prefix_memo_is_transparent(self, monkeypatch):
         # seeded words over six generators, kernels interleaved: repeats, a
         # word then its own prefix, a longer word after a shorter one, and
         # the empty word
         names = ["integers", "sqrt2", "1/2", "1/sqrt2", "(1+i)/2", "zeta5"]
         kernels = {name: _word_kernel(KERNEL_GENERATORS[name]()) for name in names}
+        step, count = type(kernels["integers"]).step, {"steps": 0}
+
+        def counted_step(kernel, m, k):
+            count["steps"] += 1
+            return step(kernel, m, k)
+
+        monkeypatch.setattr(type(kernels["integers"]), "step", counted_step)
         rng = random.Random("prefix memo")
         calls = []
         for _ in range(120):
@@ -430,7 +471,14 @@ class TestWordKernel:
             else:
                 ks = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 9)))
             kernel = kernels[name]
+            word = kernel._memo[0]
+            shared = next(
+                (i for i, (a, b) in enumerate(zip(ks, word)) if a != b), min(len(ks), len(word))
+            )
+            before = count["steps"]
             got = kernel.product(ks)
+            # one step for each entry past the prefix shared with the slot's word
+            assert count["steps"] - before == len(ks) - shared, (name, ks, word)
             assert got == _fresh_product(kernel, ks), (name, ks)
             word, held = kernel._memo
             assert word == ks and len(held) == len(ks) + 1

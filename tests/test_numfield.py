@@ -300,6 +300,37 @@ class TestFieldArithmetic:
         assert f.from_rational(5).rational_value() == 5
         assert f.generator().rational_value() is None
 
+    def test_hash_cache(self):
+        # equal elements built by the constructor, by arithmetic and by
+        # from_rational hash equal, whichever of them is hashed first
+        for order in ((0, 1, 2), (2, 1, 0), (1, 2, 0)):
+            f = sqrt2_field()
+            w = f.generator()
+            made = [
+                FieldElement(f, (F(3), F(0))),
+                w * w + f.one(),
+                f.from_rational(3),
+            ]
+            hashes = {i: hash(made[i]) for i in order}
+            assert len(set(hashes.values())) == 1
+            assert made[0] == made[1] == made[2]
+            assert hash(made[1]) == hashes[1]  # a second hash reads the cache
+            assert {made[0], made[1], made[2]} == {made[order[0]]}
+            for x in made:
+                with pytest.raises(AttributeError):
+                    x.coords = (F(1), F(0))
+                with pytest.raises(AttributeError):
+                    x._hash = 0
+
+    def test_equal_generators_share_one_word_kernel(self):
+        from quiddity.core import _word_kernel
+
+        _word_kernel.cache_clear()
+        first, second = sqrt2_field().generator(), sqrt2_field().generator()
+        assert first is not second and first == second
+        assert _word_kernel(first) is _word_kernel(second)
+        assert _word_kernel.cache_info().currsize == 1
+
 
 def _random_min_poly(rng, degree):
     # leading coefficients that are not 1 exercise the division by lc(p)

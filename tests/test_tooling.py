@@ -104,8 +104,7 @@ def test_kernel_names_are_complete():
         "_WordKernel",
         "_word_kernel",
         "_neg",
-        "times_v",
-        "steps",
+        "step",
         "product",
         "sign",
         "inverse_keys",
