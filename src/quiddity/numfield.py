@@ -3,13 +3,13 @@
 A field is its monic minimal polynomial plus one isolating rectangle per
 complex root; a distinguished index says which root the generator means.
 Elements are exact coordinate vectors on the power basis, so all algebra
-is rational arithmetic (a product folds its powers X^d..X^(2d-2) back
-with rows precomputed once per minimal polynomial); only questions about
-a specific embedding (which root is bigger, is the modulus at least 2)
-touch the rectangles, and those are answered by refining rectangles
-until the answer is certified, never by floating point.  An equality is certified by a zero bound: a
-nonzero algebraic integer has norm at least 1, so an interval narrower
-than the bound that holds both sides proves them equal.
+is rational arithmetic (a product folds its powers X^(2d-2)..X^d back
+top-down by the minimal polynomial); only questions about a specific
+embedding (which root is bigger, is the modulus at least 2) touch the
+rectangles, and those are answered by refining rectangles until the
+answer is certified, never by floating point.  An equality is certified
+by a zero bound: a nonzero algebraic integer has norm at least 1, so an
+interval narrower than the bound that holds both sides proves them equal.
 
 Real roots are isolated by sign-variation bisection on integer
 coefficients and refined by rational bisection.  Nonreal roots are
@@ -46,9 +46,8 @@ proves irreducibility by exhaustion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import ceil, floor, isqrt, prod
 from typing import Callable, Optional, Sequence
@@ -348,14 +347,6 @@ def _bbox(cells: Sequence[BoxC]) -> BoxC:
     )
 
 
-def _boxes_disjoint(boxes: Sequence[BoxC]) -> bool:
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if boxes[i].touches(boxes[j]):
-                return False
-    return True
-
-
 def _upper_half_roots(p: QPoly, pairs: int) -> list[BoxC]:
     """Isolating boxes for the `pairs` roots of p with positive
     imaginary part, pairs >= 1.  p squarefree with rational coefficients."""
@@ -366,7 +357,8 @@ def _upper_half_roots(p: QPoly, pairs: int) -> list[BoxC]:
         comps = _components(cells)
         if len(comps) == pairs:
             boxes = [_bbox(comp) for comp in comps]
-            if _boxes_disjoint(boxes) and all(
+            # the hulls are disjoint when each is a component of its own
+            if len(_components(boxes)) == pairs and all(
                 _cluster_certified_single(p, b) for b in boxes
             ):
                 return sorted(boxes, key=BoxC.sort_key)
@@ -441,8 +433,11 @@ def _newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
 
 @dataclass(frozen=True)
 class NumberField:
+    """Compares and hashes by min_poly and selected_root alone, so a
+    refined handle equals the one it came from."""
+
     min_poly: QPoly
-    root_boxes: tuple[BoxC, ...]
+    root_boxes: tuple[BoxC, ...] = dataclass_field(compare=False)
     selected_root: int
 
     def __post_init__(self):
@@ -502,9 +497,12 @@ def _refine_one(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
         lo, hi = refine_real_root(p, box.re.lo, box.re.hi, width)
         return BoxC(RatInterval(lo, hi), RatInterval.point(0))
     if box.re.width == 0 and p.degree == 2 and p.lc() == 1:
-        # quadratic-shortcut shape: exact real part -c1/2, imaginary
-        # part the positive square root of the rational s = c0 - c1^2/4
+        # quadratic shape: exact real part -c1/2, imaginary part the root
+        # of the rational s = c0 - c1^2/4, a point when s is a square (the
+        # lower box of a square s is already the conjugate point)
         s = p.coeffs[0] - p.coeffs[1] * p.coeffs[1] / 4
+        if is_perfect_square(s):
+            return BoxC(box.re, RatInterval.point(rational_sqrt(s)))
         lo, hi = refine_real_root(QPoly((-s, 0, 1)), box.im.lo, box.im.hi, width)
         return BoxC(box.re, RatInterval(lo, hi))
     # Newton with a disk certificate; where that fails, one quadtree
@@ -519,9 +517,8 @@ class FieldElement:
     """Exact element of a NumberField in power-basis coordinates.
 
     A product is the schoolbook product of the two coordinate tuples,
-    whose coefficients of X^d..X^(2d-2) are then folded back with rows
-    that hold those powers reduced mod the minimal polynomial; the rows
-    are built once per polynomial.
+    whose coefficients of X^(2d-2)..X^d are then folded back top-down by
+    the minimal polynomial, each into the d coefficients below it.
     """
 
     # _hash is set on the first hash, so elements built by arithmetic
@@ -538,13 +535,9 @@ class FieldElement:
     def __setattr__(self, *a):
         raise AttributeError("FieldElement is immutable")
 
-    # identity is algebraic: refinement state of the boxes is irrelevant
+    # identity is algebraic: a field compares without its boxes
     def _key(self):
-        return (
-            self.field.min_poly.coeffs,
-            self.field.selected_root,
-            self.coords,
-        )
+        return (self.field, self.coords)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -599,19 +592,22 @@ class FieldElement:
         if isinstance(other, FieldElement):
             a, b = self.coords, other.coords
             d = len(a)
-            # schoolbook product, then X^d..X^(2d-2) replaced by their rows
+            # schoolbook product, then c*X^top = c*X^(top-d)*X^d folded
+            # into X^(top-d)..X^(top-1) by the minimal polynomial
             full = [_ZERO] * (2 * d - 1)
             for i, x in enumerate(a):
                 if x:
                     for j, y in enumerate(b):
                         full[i + j] += x * y
-            coords, high = full[:d], full[d:]
-            if any(high):
-                rows = _reduction_rows(self.field.min_poly.coeffs)
-                for c, row in zip(high, rows):
-                    if c:
-                        coords = [u + c * r for u, r in zip(coords, row)]
-            return _element(self.field, tuple(coords))
+            poly = self.field.min_poly.coeffs
+            for top in range(2 * d - 2, d - 1, -1):
+                c = full[top]
+                if c:
+                    if poly[d] != 1:
+                        c = c / poly[d]
+                    low = full[top - d:top]
+                    full[top - d:top] = [u - c * m if m else u for u, m in zip(low, poly)]
+            return _element(self.field, tuple(full[:d]))
         if isinstance(other, (int, Fraction)):
             q = as_rat(other)
             return _element(self.field, tuple([c * q for c in self.coords]))
@@ -672,20 +668,6 @@ def _element(field: NumberField, coords: tuple) -> FieldElement:
     object.__setattr__(x, "field", field)
     object.__setattr__(x, "coords", coords)
     return x
-
-
-@lru_cache(maxsize=16)
-def _reduction_rows(coeffs: tuple) -> tuple:
-    """Power-basis coordinates of X^d, ..., X^(2d-2) mod the polynomial
-    with these coefficients (low first, degree d, any nonzero leading
-    coefficient)."""
-    *low, lc = coeffs
-    rows = [tuple([-c / lc for c in low])]  # X^d
-    for _ in range(len(low) - 2):
-        # X^(e+1) = X * X^e: shift up, and the X^d it overflows into
-        *rest, top = rows[-1]
-        rows.append(tuple([u + top * r for u, r in zip([_ZERO] + rest, rows[0])]))
-    return tuple(rows)
 
 
 def _half_ext_gcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
@@ -768,14 +750,9 @@ def isolate_roots(p: QPoly) -> list[BoxC]:
     upper: list[BoxC] = []
     if pairs > 0 and d == 2:
         c1, c0 = p.coeffs[1], p.coeffs[0]
-        disc = c1 * c1 - 4 * c0
-        re = RatInterval.point(-c1 / 2)
-        s = -disc / 4  # im^2, and 0 < sqrt(s) < 1 + s
-        if is_perfect_square(s):
-            upper = [BoxC(re, RatInterval.point(rational_sqrt(s)))]
-        else:
-            box = BoxC(re, RatInterval(Fraction(0), 1 + s))
-            upper = [_refine_one(p, box, Fraction(1, 4))]
+        s = c0 - c1 * c1 / 4  # im^2, and 0 < sqrt(s) < 1 + s
+        box = BoxC(RatInterval.point(-c1 / 2), RatInterval(Fraction(0), 1 + s))
+        upper = [_refine_one(p, box, Fraction(1, 4))]
     elif pairs > 0:
         upper = _upper_half_roots(p, pairs)
     lower = [b.conj() for b in upper]
@@ -883,7 +860,10 @@ def field_make(min_poly: QPoly, root_hint: Optional[BoxC] = None) -> NumberField
     return NumberField(min_poly=p, root_boxes=tuple(boxes), selected_root=selected)
 
 
-def _select_root(p: QPoly, boxes: list[BoxC], hint: BoxC) -> int:
+def _select_root(p: QPoly, boxes: Sequence[BoxC], hint: BoxC) -> int:
+    # touched boxes are refined on a copy, so a field keeps the
+    # isolating boxes whatever the hint's shape
+    boxes = list(boxes)
     for _ in range(80):
         hits = [i for i, b in enumerate(boxes) if b.touches(hint)]
         if len(hits) == 1:
@@ -1027,7 +1007,7 @@ def field_to_descriptor(field: NumberField) -> dict:
     """Serializable form: coefficients low degree first, as exact strings.
 
     The selected root's isolating box doubles as the root hint, so the
-    descriptor round-trips to a field handle with the same embedding.
+    descriptor reloads to an equal field with the same descriptor.
     """
     box = field.selected_box()
     return {

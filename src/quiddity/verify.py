@@ -483,12 +483,12 @@ def suite_small_entry_pairs() -> list[CheckResult]:
     out = []
     for census_name in ("integers", "sqrt2", "sqrt3", "one-minus-sqrt2", "gauss-unit"):
         rep = census_memo(census_name)
-        field, w = rep.field, rep.generator
-        bad = 0
-        for m in rep.members:
-            t = QuiddityTuple(field, w, m.multipliers)
-            if len(small_entry_positions(t)) < 2:
-                bad += 1
+        # an entry's modulus depends on its multiplier alone, so each k in
+        # [-K, K] is decided once
+        ks = range(-rep.k_bound, rep.k_bound + 1)
+        t = QuiddityTuple(rep.field, rep.generator, ks)
+        small = {ks[i] for i in small_entry_positions(t)}
+        bad = sum(sum(k in small for k in m.multipliers) < 2 for m in rep.members)
         out.append(
             CheckResult(
                 name,

@@ -237,6 +237,18 @@ class TestCensus:
         reducible = [m for m in doc["members"] if m["reducible"]]
         assert reducible and all(m["witness"] for m in reducible)
 
+    def test_two_box_hint_descriptor_reloads(self, capsys):
+        # the hint holds the upper root of X^2 + 2 and reaches into the
+        # isolating box of the lower one; the descriptor names the
+        # isolating box, and as a hint it gives the same run back
+        argv = ("census", "--min-poly", "2,0,1", "--nmax", "6", "--kbound", "2")
+        code, out, _ = run(capsys, *argv, "--root-hint=-1/2,1/2,-4/3,2")
+        assert code == 0
+        hint = json.loads(out)["field"]["root_hint"]
+        assert hint == {"re": ["0", "0"], "im": ["21/16", "3/2"]}
+        code, again, _ = run(capsys, *argv, "--root-hint", ",".join(hint["re"] + hint["im"]))
+        assert code == 0 and again == out
+
 
 class TestTransfer:
     def test_constant_four_to_other_root(self, capsys):

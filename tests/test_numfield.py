@@ -1,5 +1,7 @@
 """Number field handles: root isolation, exact arithmetic, embeddings."""
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction as F
@@ -235,6 +237,47 @@ class TestIsolateRoots:
         assert all(b.is_real_line() for b in boxes)
 
 
+def _pin_polys():
+    """X^2 - 2X + 2 and X^2 + 4, whose imaginary parts squared are
+    squares, and X^2 + 2, whose is not; then four seeded monic squarefree
+    polynomials of each degree 2..6 with coefficients in {-3..3} / {1, 2}."""
+    polys = [QPoly((2, -2, 1)), QPoly((4, 0, 1)), QPoly((2, 0, 1))]
+    rng = random.Random(22)
+    for degree in range(2, 7):
+        count = 0
+        while count < 4:
+            low = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(degree)]
+            p = QPoly(low + [1])
+            if low[0] == 0 or p.gcd(p.derivative()).degree > 0:
+                continue
+            polys.append(p)
+            count += 1
+    return polys
+
+
+def _box_text(b):
+    return ",".join(str(v) for v in (b.re.lo, b.re.hi, b.im.lo, b.im.hi))
+
+
+def test_pinned_boxes_and_descriptors():
+    """The isolating boxes of _pin_polys, and the descriptor of the field
+    that each box selects as its own hint, hash to the digest recorded
+    before the field layer was simplified."""
+    lines = []
+    for p in _pin_polys():
+        boxes = isolate_roots(p)
+        lines.append(" ".join([str(c) for c in p.coeffs] + ["|"] + [_box_text(b) for b in boxes]))
+        for box in boxes:
+            try:
+                f = field_make(p, root_hint=box)
+            except NotIrreducible:
+                lines.append("reducible")
+                break
+            lines.append(json.dumps(field_to_descriptor(f), sort_keys=True))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "6b6ca4b7ef8608557818804cbcc70aaaf650555508aa6a193fc8dfdeee2557cc"
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic.
 # ---------------------------------------------------------------------------
@@ -454,6 +497,18 @@ class TestEmbed:
         g = f.refined(f.selected_root, F(1, 10**6))
         assert g.selected_box().width <= F(1, 10**6)
         assert g.selected_box().touches(f.selected_box())
+
+    def test_refined_handle_equals_its_source(self):
+        width = F(1, 2**20)
+        for f in (sqrt2_field(), zeta8_field(), zeta9_field()):
+            coords = [F(i - 1, 3) for i in range(f.degree)]
+            for i in range(f.degree):
+                g = f.refined(i, width)
+                assert g.root_boxes[i].width <= width < f.root_boxes[i].width
+                assert g == f and hash(g) == hash(f)
+                assert g != f.with_selected((f.selected_root + 1) % f.degree)
+                x, y = FieldElement(f, coords), FieldElement(g, coords)
+                assert x == y and hash(x) == hash(y) and len({x, y}) == 1
 
 
 def _float_inside(box, z, margin):
@@ -750,7 +805,44 @@ class TestModulusCompare:
 # ---------------------------------------------------------------------------
 
 
+def _stretched_hint(boxes, i):
+    """Box i stretched to the centre of the nearest other box, so the
+    hint touches at least two isolating boxes."""
+    b = boxes[i]
+    c = min(
+        (o.center for j, o in enumerate(boxes) if j != i),
+        key=lambda z: (z.re - b.center.re) ** 2 + (z.im - b.center.im) ** 2,
+    )
+    return BoxC.make(
+        min(b.re.lo, c.re), max(b.re.hi, c.re), min(b.im.lo, c.im), max(b.im.hi, c.im)
+    )
+
+
 class TestDescriptors:
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_round_trip_after_a_two_box_hint(self, degree):
+        rng = random.Random(40 + degree)
+        trips = 0
+        while trips < 6:
+            p = QPoly([F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(degree)] + [1])
+            if irreducible_over_Q(p).status != "Proven":
+                continue
+            boxes = isolate_roots(p)
+            hint = _stretched_hint(boxes, rng.randrange(degree))
+            assert sum(b.touches(hint) for b in boxes) >= 2
+            try:
+                f = field_make(p, root_hint=hint)
+            except AmbiguousHint:
+                continue  # the hint reached the other root too
+            # the field keeps the isolating boxes, and its descriptor
+            # names the selected one, so a reload is a fixed point
+            assert f.root_boxes == tuple(boxes)
+            d = field_to_descriptor(f)
+            g = field_from_descriptor(d)
+            assert g == f and g.root_boxes == f.root_boxes
+            assert field_to_descriptor(g) == d
+            trips += 1
+
     def test_round_trip_sqrt2(self):
         f = sqrt2_field()
         d = field_to_descriptor(f)
