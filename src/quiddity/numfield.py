@@ -13,26 +13,24 @@ interval narrower than the bound that holds both sides proves them equal.
 
 Real roots are isolated by sign-variation bisection on integer
 coefficients and refined by rational bisection.  Nonreal roots are
-isolated in the upper half plane by rectangle subdivision (a quadtree),
-where a cell is discarded once a disk around it provably contains no
-root and a cluster of surviving cells is accepted once a disk around it
-provably contains exactly one; both certificates come from the strict
-disk counts in polycrit, which run on Gaussian integers.  Totality is an
-exact counting argument, so cells that straddle the real axis can linger
-harmlessly until excluded.  The lower half plane holds the conjugates.
+isolated in the upper half plane by a quadtree on integer cells: each
+depth forms one integer model of p, which every disk count there shifts
+by a Gaussian integer.  A cell is dropped once a disk around it provably
+holds no nonreal root: the constant term dominates, or the strict count
+of polycrit equals the real roots on the disk's trace, counted on their
+isolating intervals.  A cluster of cells is accepted once a disk around
+it provably holds exactly one root.  The lower half holds the conjugates.
 
 A nonreal isolating box is refined by Newton's method from its centre,
 on Gaussian rationals rounded to a dyadic grid; each step reads p(z) and
 p'(z) off one integer Taylor shift, up to a common positive factor that
-their ratio does not see.  The iterate proves nothing by itself: the
-refined box is the square around one open disk that lies inside the old
-box and has a strict disk count of exactly 1.  The old box isolates one
-root, so the disk holds that same root.  When Newton does not converge
-or the count is not 1, one quadtree step shrinks the box and Newton
-starts again from the smaller box.  Both steps commute with complex
-conjugation (the dyadic rounding is half to even, and the cell test
-reads a centre's imaginary part only through its absolute value), so a
-box below the real axis needs no path of its own.
+their ratio does not see.  The refined box is the square around one open
+disk inside the old box with a strict disk count of exactly 1, so it
+holds the old box's one root.  When Newton does not converge or the
+count is not 1, one quadtree step shrinks the box and Newton starts
+again.  Both steps commute with complex conjugation (the dyadic rounding
+is half to even, and the cell test is symmetric), so a box below the
+real axis needs no path of its own.
 
 A field is only built over an irreducible polynomial, and that is
 decided, not assumed.  The cheap certificates of polycrit settle most
@@ -49,22 +47,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, isqrt, prod
+from math import ceil, floor, gcd, isqrt, lcm, prod
 from typing import Callable, Optional, Sequence
 
 from .polynomials import (
     GaussRat,
     NotSquarefree,
     QPoly,
+    _recentre,
+    _sign_at,
     as_rat,
-    count_real_roots,
     is_perfect_square,
     qpoly_at_disk,
     rational_sqrt,
     real_roots_isolated,
     refine_real_root,
 )
-from .polycrit import _trial_division, gauss_disk_count_strict, irreducible_over_Q
+from .polycrit import _chain, _trial_division, gauss_disk_count_strict, irreducible_over_Q
 
 
 class NotMonic(ValueError):
@@ -93,14 +92,6 @@ class UndecidableAtPrecision(RuntimeError):
 
 
 _MAX_DEPTH = 64
-_LADDER = (
-    Fraction(1),
-    Fraction(18, 17),
-    Fraction(19, 17),
-    Fraction(21, 17),
-    Fraction(23, 17),
-    Fraction(26, 17),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -247,133 +238,145 @@ class BoxC:
 # Rectangle subdivision for nonreal roots.
 # ---------------------------------------------------------------------------
 
-
-def _split4(cell: BoxC) -> list[BoxC]:
-    rm, im = cell.re.mid, cell.im.mid
-    return [
-        BoxC(RatInterval(cell.re.lo, rm), RatInterval(cell.im.lo, im)),
-        BoxC(RatInterval(rm, cell.re.hi), RatInterval(cell.im.lo, im)),
-        BoxC(RatInterval(cell.re.lo, rm), RatInterval(im, cell.im.hi)),
-        BoxC(RatInterval(rm, cell.re.hi), RatInterval(im, cell.im.hi)),
-    ]
+# A cell (x0, x1, y0, y1) of integers is [x0 u, x1 u] x [y0 u, y1 u] for
+# the unit u of its depth.  In the unit u/34 its centre 17(x0 + x1, y0 + y1)
+# and its disk's radius (x1 - x0 + y1 - y0)m at the rung m/17 are integers.
+_RUNGS = (17, 18, 19, 21, 23, 26)
 
 
-def _sqrt_lower(s: Fraction) -> Fraction:
-    """A rational lower bound for sqrt(s), s >= 0, within 2^-12."""
-    scale = 1 << 12
-    return Fraction(
-        isqrt(s.numerator * s.denominator * scale * scale),
-        s.denominator * scale,
+def _split4(cell: tuple) -> list[tuple]:
+    """The quarters of cell, in the unit halved."""
+    x0, x1, y0, y1 = (2 * v for v in cell)
+    xm, ym = (x0 + x1) // 2, (y0 + y1) // 2
+    return [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
+
+
+def _grid(p: QPoly, reals, unit: Fraction) -> tuple:
+    """p at the unit u: its integer model with positive leading term, the
+    intervals reals, u, and an integer positive multiple of p(uY/34)."""
+    ints = p.int_coeffs()
+    u, n = unit / 34, len(ints) - 1
+    model = [c * u.numerator ** k * u.denominator ** (n - k) for k, c in enumerate(ints)]
+    return ints, reals, unit, model
+
+
+def _disk_count(model: list[int], cx: int, cy: int, r: int) -> Optional[int]:
+    """gauss_disk_count_strict at the centre cx + cy i and radius r on the
+    model.  If |q_0| > sum |q_k| for q = p(c + rX), by integer bounds on
+    the moduli, no polynomial of the chain has a root on the closed disk
+    (Rouche), so each gamma is positive and the chain would count 0 (the
+    T_0 test of Becker, Sagraloff, Sharma and Yap, 2018)."""
+    re, im = _recentre(model, cx, cy, r)
+    q = list(zip(re, im))
+    if isqrt(re[0] ** 2 + im[0] ** 2) > sum(isqrt(x * x + y * y) + 1 for x, y in q[1:]):
+        return 0
+    g = gcd(*re, *im)
+    return _chain([(x // g, y // g) for x, y in q])
+
+
+def _real_count(ints: list[int], reals, lo: Fraction, hi: Fraction) -> int:
+    """Roots of ints in (lo, hi), given ascending isolating intervals of all
+    its real roots (open, with no root at an end, or points); with a positive
+    leading term, ints has the sign (-1)^(n - i) left of root i = 0..n-1."""
+    n = len(reals)
+    return sum(
+        lo < b and a < hi
+        and (lo <= a or _sign_at(ints, lo) == (-1) ** (n - i))
+        and (b <= hi or _sign_at(ints, hi) == (-1) ** (n - i + 1))
+        for i, (a, b) in enumerate(reals)
     )
 
 
-def _cell_excluded(p: QPoly, cell: BoxC) -> bool:
-    """Certified: the closed cell contains no nonreal root of p.
-
-    Real roots never obstruct: when the covering disk crosses the real
-    axis, the roots on its real trace are counted exactly and subtracted.
-    The disk count matching the real count forces the disk (hence the
-    cell) to be free of nonreal roots.  The test reads the centre's
-    imaginary part only through its absolute value, so a cell below the
-    axis is handled like its mirror image above it.
-    """
-    r0 = (cell.re.width + cell.im.width) / 2
-    c = cell.center
-    for mult in _LADDER:
-        r = r0 * mult
-        got = gauss_disk_count_strict(p, c, r)
+def _cell_excluded(grid: tuple, cell: tuple) -> bool:
+    """Certified: the closed cell holds no nonreal root of p.  A disk count
+    equal to the number of real roots on the disk's trace leaves the disk
+    free of nonreal roots; counts are symmetric under conjugation and the
+    rest reads |Im c| alone, so a cell below the axis is tested as its mirror."""
+    ints, reals, unit, model = grid
+    x0, x1, y0, y1 = cell
+    cx, cy, half = 17 * (x0 + x1), 17 * (y0 + y1), x1 - x0 + y1 - y0
+    for rung in _RUNGS:
+        r = half * rung
+        got = _disk_count(model, cx, cy, r)
         if got is None:
             continue
-        if got == 0:
+        if got == 0 or abs(cy) >= r:
+            return got == 0  # a disk off the axis is genuinely occupied
+        # rho <= sqrt(r^2 - Im(c)^2) < wide <= rho + 2^-12: the short trace
+        # only misses exclusions, and a disk with more roots than the long
+        # trace holds a nonreal one, and so does every larger disk
+        s = Fraction(r * r - cy * cy, 34 * 34) * unit * unit
+        root, den = isqrt(s.numerator * s.denominator << 24), s.denominator << 12
+        rho, wide, c = Fraction(root, den), Fraction(root + 1, den), Fraction(cx, 34) * unit
+        if got == _real_count(ints, reals, c - rho, c + rho):
             return True
-        if abs(c.im) >= r:
-            # disk entirely off the axis: genuinely occupied
+        if got > _real_count(ints, reals, c - wide, c + wide):
             return False
-        # undershooting the trace radius only risks missing an exclusion
-        rho = _sqrt_lower(r * r - c.im * c.im)
-        if rho > 0 and got == count_real_roots(p, c.re - rho, c.re + rho):
-            return True
     return False
 
 
-def _cluster_certified_single(p: QPoly, bbox: BoxC) -> bool:
-    """Certified: a disk covering bbox, strictly above the real axis,
+def _holds_one(grid: tuple, cell: tuple) -> bool:
+    """Certified: a disk covering the cell, strictly above the real axis,
     contains exactly one root of p."""
-    r0 = (bbox.re.width + bbox.im.width) / 2
-    c = bbox.center
-    for mult in _LADDER:
-        r = r0 * mult
-        if c.im <= r:
-            break  # disk would dip below the axis
-        got = gauss_disk_count_strict(p, c, r)
-        if got == 1:
-            return True
-        if got is not None and got != 1:
-            return False
+    x0, x1, y0, y1 = cell
+    cx, cy, half = 17 * (x0 + x1), 17 * (y0 + y1), x1 - x0 + y1 - y0
+    for r in [half * rung for rung in _RUNGS if half * rung < cy]:
+        got = _disk_count(grid[3], cx, cy, r)
+        if got is not None:
+            return got == 1
     return False
 
 
-def _survivors(p: QPoly, cells: list[BoxC]) -> list[BoxC]:
-    """The quarters of cells, in order, that may hold a nonreal root."""
-    return [q for c in cells for q in _split4(c) if not _cell_excluded(p, q)]
+def _components(cells: list[tuple]) -> list[list[tuple]]:
+    """The cells grouped into classes of cells connected by touching."""
+    comps: list[list[tuple]] = []
+    for cell in cells:
+        x0, x1, y0, y1 = cell
+        near = [c for c in comps if any(
+            a0 <= x1 and x0 <= a1 and b0 <= y1 and y0 <= b1 for a0, a1, b0, b1 in c)]
+        comps = [c for c in comps if c not in near] + [[cell] + [x for c in near for x in c]]
+    return comps
 
 
-def _components(cells: list[BoxC]) -> list[list[BoxC]]:
-    n = len(cells)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cells[i].touches(cells[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[BoxC]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(cells[i])
-    return list(groups.values())
+def _hull(cells: Sequence[tuple]) -> tuple:
+    x0s, x1s, y0s, y1s = zip(*cells)
+    return min(x0s), max(x1s), min(y0s), max(y1s)
 
 
-def _bbox(cells: Sequence[BoxC]) -> BoxC:
-    return BoxC(
-        RatInterval(min(c.re.lo for c in cells), max(c.re.hi for c in cells)),
-        RatInterval(min(c.im.lo for c in cells), max(c.im.hi for c in cells)),
-    )
+def _box(cell: tuple, unit: Fraction) -> BoxC:
+    x0, x1, y0, y1 = cell
+    return BoxC(RatInterval(x0 * unit, x1 * unit), RatInterval(y0 * unit, y1 * unit))
 
 
-def _upper_half_roots(p: QPoly, pairs: int) -> list[BoxC]:
-    """Isolating boxes for the `pairs` roots of p with positive
-    imaginary part, pairs >= 1.  p squarefree with rational coefficients."""
-    bound = p.cauchy_root_bound()
-    cells = [BoxC(RatInterval(-bound, bound), RatInterval(Fraction(0), bound))]
+def _upper_half_roots(p: QPoly, pairs: int, reals) -> list[BoxC]:
+    """Isolating boxes for the `pairs` >= 1 roots above the real axis of
+    the squarefree p, given ascending isolating intervals of its real roots."""
+    unit = p.cauchy_root_bound()
+    cells = [(-1, 1, 0, 1)]
     for _ in range(_MAX_DEPTH):
-        cells = _survivors(p, cells)
+        unit /= 2
+        grid = _grid(p, reals, unit)
+        cells = [q for c in cells for q in _split4(c) if not _cell_excluded(grid, q)]
         comps = _components(cells)
         if len(comps) == pairs:
-            boxes = [_bbox(comp) for comp in comps]
+            hulls = [_hull(comp) for comp in comps]
             # the hulls are disjoint when each is a component of its own
-            if len(_components(boxes)) == pairs and all(
-                _cluster_certified_single(p, b) for b in boxes
-            ):
-                return sorted(boxes, key=BoxC.sort_key)
-    raise UndecidableAtPrecision(
-        "rectangle subdivision failed to isolate the nonreal roots"
-    )
+            if len(_components(hulls)) == pairs and all(_holds_one(grid, h) for h in hulls):
+                return sorted([_box(h, unit) for h in hulls], key=BoxC.sort_key)
+    raise UndecidableAtPrecision("rectangle subdivision failed to isolate the nonreal roots")
 
 
 def _regrid(p: QPoly, box: BoxC) -> BoxC:
     """One quadtree step on the isolating rectangle of a nonreal root:
     split into 16 cells, drop provably empty ones, take the hull."""
-    kept = _survivors(p, _split4(box))
+    corners = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
+    den = lcm(*(c.denominator for c in corners))
+    grid = _grid(p, real_roots_isolated(p)[0], Fraction(1, 4 * den))
+    halves = _split4(tuple(int(c * den) for c in corners))
+    kept = [q for c in halves for q in _split4(c) if not _cell_excluded(grid, q)]
     if not kept:
         raise UndecidableAtPrecision("root escaped its rectangle")
-    nxt = _bbox(kept)
+    nxt = _box(_hull(kept), grid[2])
     if nxt.width >= box.width:
         raise UndecidableAtPrecision("rectangle refinement stalled")
     return nxt
@@ -455,8 +458,6 @@ class NumberField:
         return self.root_boxes[index].is_real_line()
 
     def with_selected(self, index: int) -> "NumberField":
-        if not (0 <= index < self.degree):
-            raise ValueError("selected root index out of range")
         return NumberField(self.min_poly, self.root_boxes, index)
 
     def refined(self, index: int, width) -> "NumberField":
@@ -742,11 +743,8 @@ def isolate_roots(p: QPoly) -> list[BoxC]:
                 for lo, hi in (pending[i], pending[i + 1])
             ]
             changed = True
-    real_boxes = [
-        BoxC(RatInterval(lo, hi), RatInterval.point(0)) for lo, hi in pending
-    ]
-    n_real = len(real_boxes)
-    pairs = (d - n_real) // 2
+    real_boxes = [BoxC(RatInterval(lo, hi), RatInterval.point(0)) for lo, hi in pending]
+    pairs = (d - len(pending)) // 2
     upper: list[BoxC] = []
     if pairs > 0 and d == 2:
         c1, c0 = p.coeffs[1], p.coeffs[0]
@@ -754,7 +752,7 @@ def isolate_roots(p: QPoly) -> list[BoxC]:
         box = BoxC(RatInterval.point(-c1 / 2), RatInterval(Fraction(0), 1 + s))
         upper = [_refine_one(p, box, Fraction(1, 4))]
     elif pairs > 0:
-        upper = _upper_half_roots(p, pairs)
+        upper = _upper_half_roots(p, pairs, pending)
     lower = [b.conj() for b in upper]
     return sorted(real_boxes + upper + lower, key=BoxC.sort_key)
 
@@ -891,8 +889,7 @@ def embed(x: FieldElement, conjugate_index: int, precision: int) -> BoxC:
     tol = Fraction(1, 2 ** precision)
     poly = x.as_poly()
     if poly.degree < 1:
-        v = x.coords[0]
-        return BoxC.point(v)
+        return BoxC.point(x.coords[0])
     # crude growth estimate: each refinement halves the box width, and
     # the interval evaluation is Lipschitz on the bounded box
     target = tol

@@ -11,7 +11,7 @@ factoring.  The localization side counts polynomial roots in disks with
 rational radius, exactly, through the Schur-Cohn reduction.  One
 recurrence, `_chain`, runs every count on the primitive Gaussian-integer
 coefficients of a positive multiple of the recentred polynomial,
-dividing each step by its content.  It serves the strict count at
+dividing a step by its content once its integers grow long.  It serves the strict count at
 complex centers, which powers the rectangle subdivision used elsewhere
 for root isolation, and the count at 0 runs on that strict count.  The
 chain degenerates on a root on the circle, on a conjugate-reciprocal
@@ -389,22 +389,30 @@ def rouche_dominant_count(
 # ---------------------------------------------------------------------------
 
 
+_CONTENT_BITS = 1024
+
+
 def _chain(f: Sequence[tuple[int, int]]) -> Optional[int]:
     """Unit-disk root count of f by the Schur-Cohn reduction; None on a
     degenerate step.
 
     f holds Gaussian-integer coefficients (re, im), low degree first,
-    with f[0] and f[-1] nonzero.  One step replaces f of degree n by
+    with f[-1] nonzero; its low zero coefficients are roots at 0, split
+    off first.  One step replaces f of degree n by
     T f = conj(a0) f - an f*, where f* is the conjugate reverse
     z^n conj(f(1/conj z)); its constant term is the real number
     gamma = |a0|^2 - |an|^2 and its degree is below n.  When gamma != 0,
     Rouche's theorem on |z| = 1 gives T f the roots of f inside the disk
-    (gamma > 0) or those of f* (gamma < 0).  Each step is divided by its
-    content, a positive integer that changes neither the next gamma's
-    sign nor any root (Collins, 1967).  A non-None answer also certifies
+    (gamma > 0) or those of f* (gamma < 0).  A step whose gamma has
+    more than _CONTENT_BITS bits is divided by its content, a positive
+    integer that changes neither the next gamma's sign nor any root
+    (Collins, 1967); below that the gcd costs more than the longer
+    integers it would save.  A non-None answer also certifies
     that no root lies on |z| = 1, since such a root is a common root of
     f and f* (see gauss_disk_count_strict).
     """
+    inside = next(k for k, c in enumerate(f) if c != (0, 0))
+    f = f[inside:]
     steps = []
     while len(f) > 1:
         n = len(f) - 1
@@ -413,19 +421,23 @@ def _chain(f: Sequence[tuple[int, int]]) -> Optional[int]:
         if gamma == 0:
             return None
         steps.append((n, gamma > 0))
-        t = []
-        for k in range(n):
-            (fr, fi), (gr, gi) = f[k], f[n - k]
-            t.append((ar * fr + ai * fi - br * gr - bi * gi, ar * fi - ai * fr - bi * gr + br * gi))
+        # f[:0:-1] pairs f[k] with f[n - k]
+        t = [
+            (ar * fr + ai * fi - br * gr - bi * gi, ar * fi - ai * fr - bi * gr + br * gi)
+            for (fr, fi), (gr, gi) in zip(f, f[:0:-1])
+        ]
         while t[-1] == (0, 0):
             t.pop()
+        if gamma.bit_length() <= _CONTENT_BITS:
+            f = t
+            continue
         # a list, not a generator, for the reason in qpoly_at_disk
         g = math.gcd(*[x for pair in t for x in pair])
         f = t if g == 1 else [(x // g, y // g) for x, y in t]
     count = 0
-    for n, inside in reversed(steps):
-        count = count if inside else n - count
-    return count
+    for n, positive in reversed(steps):
+        count = count if positive else n - count
+    return inside + count
 
 
 _BRACKET_BITS = 64
@@ -550,11 +562,4 @@ def gauss_disk_count_strict(
         raise ValueError("radius must be positive")
     if p.degree < 1:
         return 0
-    q = qpoly_at_disk(p, center, r)
-    inside = 0
-    while q[inside] == (0, 0):
-        inside += 1
-    got = _chain(q[inside:])
-    if got is None:
-        return None
-    return inside + got
+    return _chain(qpoly_at_disk(p, center, r))

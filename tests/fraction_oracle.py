@@ -6,15 +6,21 @@ sign bisection of a real root and the number-field product, kept as an
 independent oracle: they share no arithmetic with the code they check.
 Refinement of a nonreal root by quadtree steps alone is kept here too, as
 the reference that the Newton boxes of `numfield` are checked against.
+So is the quadtree's cell test on rectangles with rational corners, the
+reference for the cell test on integer coordinates; it shares the strict
+disk count with that test, and checks the cells, models, pre-tests and
+real-root counts built around it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Optional
 
-from quiddity.numfield import BoxC, FieldElement, _regrid
-from quiddity.polynomials import GaussRat, QPoly
+from quiddity import polycrit
+from quiddity.numfield import BoxC, FieldElement, RatInterval, _regrid
+from quiddity.polynomials import GaussRat, QPoly, count_real_roots
 
 
 def _conj(x):
@@ -226,3 +232,55 @@ def shrink_box(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
     while box.width > width:
         box = _regrid(p, box)
     return box
+
+
+LADDER = tuple(Fraction(m, 17) for m in (17, 18, 19, 21, 23, 26))
+
+
+def split4(cell: BoxC) -> list[BoxC]:
+    """The quarters of cell: lower left, lower right, upper left, upper right."""
+    rm, im = cell.re.mid, cell.im.mid
+    return [
+        BoxC(RatInterval(cell.re.lo, rm), RatInterval(cell.im.lo, im)),
+        BoxC(RatInterval(rm, cell.re.hi), RatInterval(cell.im.lo, im)),
+        BoxC(RatInterval(cell.re.lo, rm), RatInterval(im, cell.im.hi)),
+        BoxC(RatInterval(rm, cell.re.hi), RatInterval(im, cell.im.hi)),
+    ]
+
+
+def sqrt_lower(s: Fraction) -> Fraction:
+    """A rational lower bound for sqrt(s), s >= 0, within 2^-12."""
+    scale = 1 << 12
+    return Fraction(isqrt(s.numerator * s.denominator * scale * scale), s.denominator * scale)
+
+
+def cell_excluded(p: QPoly, cell: BoxC, seen: Optional[set] = None) -> bool:
+    """The quadtree's cell test on a rectangle with rational corners:
+    the strict disk count of polycrit at the Fraction centre and radius
+    of each rung, and count_real_roots on the real trace of each disk
+    that crosses the axis.  `seen`, when given, collects the branches
+    taken: "below" (a centre below the axis), "none" (a rung whose count
+    degenerated), "tangent" (a disk tangent to the axis with roots in
+    it) and "trace" (an exclusion by the real count)."""
+    seen = set() if seen is None else seen
+    r0 = (cell.re.width + cell.im.width) / 2
+    c = cell.center
+    if c.im < 0:
+        seen.add("below")
+    for mult in LADDER:
+        r = r0 * mult
+        got = polycrit.gauss_disk_count_strict(p, c, r)
+        if got is None:
+            seen.add("none")
+            continue
+        if got == 0:
+            return True
+        if abs(c.im) >= r:
+            if abs(c.im) == r:
+                seen.add("tangent")
+            return False
+        rho = sqrt_lower(r * r - c.im * c.im)
+        if rho > 0 and got == count_real_roots(p, c.re - rho, c.re + rho):
+            seen.add("trace")
+            return True
+    return False

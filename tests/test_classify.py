@@ -308,6 +308,30 @@ class TestCensus:
         assert irreducible_census(rep) == census
         assert len(replayed) == 2 * len(summands)
 
+    def test_census_compares_an_equal_generator_once(self, monkeypatch):
+        # the kernel cache is keyed by the first handle's generator; each
+        # lookup by an equal generator of a second handle compares the two
+        # in full, which the census makes once, not once per member
+        core_module._word_kernel.cache_clear()
+        first = sqrt2_field().generator()
+        core_module._word_kernel(first)
+        f = sqrt2_field()
+        w = f.generator()
+        assert w is not first and w == first
+        compared = []
+        eq = FieldElement.__eq__
+
+        def counting(x, y):
+            if (x is first) != (y is first):
+                compared.append((x, y))
+            return eq(x, y)
+
+        rep = enumerate_quiddities(f, w, 8, 2)
+        monkeypatch.setattr(FieldElement, "__eq__", counting)
+        census = irreducible_census(rep)
+        assert sum(m.size >= 3 for m in census.members) > 100
+        assert len(compared) == 1
+
     def test_memoised_summand_still_checks_its_sign(self, monkeypatch):
         reducibility_module = importlib.import_module("quiddity.reducibility")
         f = sqrt2_field()

@@ -35,8 +35,14 @@ from quiddity.numfield import (
     modulus_compare,
     subgroup_member,
 )
-from quiddity.polycrit import irreducible_over_Q
-from quiddity.polynomials import QPoly, composed_product
+from quiddity.polycrit import gauss_disk_count_strict, irreducible_over_Q
+from quiddity.polynomials import (
+    GaussRat,
+    QPoly,
+    composed_product,
+    count_real_roots,
+    real_roots_isolated,
+)
 
 
 def sqrt2_field():
@@ -686,6 +692,128 @@ class TestConjugateSymmetry:
         box = rng.choice([b for b in boxes if b.im.lo > 0])
         for width in (F(1, 2**12), F(1, 2**40)):
             assert _refine_one(p, box.conj(), width) == _refine_one(p, box, width).conj()
+
+
+def _squarefree_polys(seed, count, degrees, bound):
+    """Seeded monic squarefree integer polynomials with p(0) != 0 and the
+    other coefficients in [-bound, bound]."""
+    rng = random.Random(seed)
+    polys = []
+    while len(polys) < count:
+        degree = rng.choice(degrees)
+        coeffs = [rng.randint(-bound, bound) for _ in range(degree)] + [1]
+        p = QPoly(coeffs)
+        if coeffs[0] != 0 and p.gcd(p.derivative()).degree == 0:
+            polys.append(p)
+    return polys
+
+
+class TestIntegerCells:
+    """The quadtree runs its cell test on integer cell coordinates; the
+    cell test it replaced, on rectangles with rational corners, is the
+    oracle in fraction_oracle."""
+
+    def test_decisions_and_boxes_match_the_fraction_oracle(self, monkeypatch):
+        # every cell visited while isolating the roots of 200 polynomials,
+        # and taking one quadtree step below the axis on every tenth
+        seen, visited, tangent_rows = set(), [], set()
+        integer_test = numfield_module._cell_excluded
+
+        def both(grid, cell):
+            got = integer_test(grid, cell)
+            box, events = numfield_module._box(cell, grid[2]), set()
+            assert got == oracle.cell_excluded(QPoly(grid[0]), box, events), (grid[0], box)
+            if "tangent" in events:
+                tangent_rows.add(cell[2] / (cell[3] - cell[2]))
+            seen.update(events)
+            visited.append(got)
+            return got
+
+        monkeypatch.setattr(numfield_module, "_cell_excluded", both)
+        lines = []
+        for i, p in enumerate(_squarefree_polys(23, 200, range(3, 9), 1)):
+            boxes = isolate_roots(p)
+            lines.append(" ".join([str(c) for c in p.coeffs] + ["|"] + [_box_text(b) for b in boxes]))
+            lower = [b for b in boxes if b.im.hi < 0]
+            if lower and i % 10 == 0:
+                lines.append(_box_text(_regrid(p, lower[0])))
+        # a degenerate rung, an exclusion by the trace count, a cell of the
+        # second row whose first disk is tangent to the axis, a step below it
+        assert {"below", "none", "tangent", "trace"} <= seen and 1 in tangent_rows
+        assert len(visited) > 10_000 and 0 < sum(visited) < len(visited)
+        # the boxes isolated before the cells moved onto integer coordinates
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "6421447e7f7ac12a860f1ddef0814eacc5729f1af7cbece0453a7d4d297e026b"
+
+    def test_quarters_match_the_rectangle_split(self):
+        rng = random.Random(4)
+        for _ in range(50):
+            x0, y0 = rng.randint(-40, 40), rng.randint(-40, 40)
+            cell = (x0, x0 + rng.randint(1, 9), y0, y0 + rng.randint(1, 9))
+            unit = F(rng.randint(1, 99), rng.randint(1, 99))
+            quarters = [numfield_module._box(q, unit / 2) for q in numfield_module._split4(cell)]
+            assert quarters == oracle.split4(numfield_module._box(cell, unit))
+
+    def test_real_root_between_the_short_and_the_long_trace(self):
+        # the disk of radius 3/2 around i/2 meets the axis in (-sqrt 2, sqrt 2);
+        # its short trace ends at 5792/4096 < 1.4141 < sqrt 2, so the first
+        # rung counts one root, finds none on the short trace and one on the
+        # long one, and the second rung excludes the cell
+        p = QPoly((F(-14141, 10000), 1)) * QPoly((100, 0, 1))
+        grid = numfield_module._grid(p, real_roots_isolated(p)[0], F(1))
+        cell = (-1, 1, 0, 1)
+        seen = set()
+        assert oracle.cell_excluded(p, numfield_module._box(cell, F(1)), seen)
+        assert seen == {"trace"}
+        assert numfield_module._cell_excluded(grid, cell)
+
+    @given(
+        roots=st.lists(st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=5, unique=True),
+        nonreal=st.booleans(),
+        points=st.lists(st.booleans(), min_size=5, max_size=5),
+        ends=st.lists(st.fractions(-4, 4, max_denominator=8), min_size=2, max_size=2),
+        on_roots=st.lists(st.integers(0, 4), min_size=2, max_size=2),
+        use_root=st.lists(st.booleans(), min_size=2, max_size=2),
+    )
+    def test_interval_count_matches_count_real_roots(
+        self, roots, nonreal, points, ends, on_roots, use_root
+    ):
+        p = QPoly((1,))
+        for r in roots:
+            p = p * QPoly((-r, 1))
+        if nonreal:
+            p = p * QPoly((2, 1, 1))
+        # some roots isolated by points (m, m), as refinement can return
+        reals = [
+            (r, r) if point else (lo, hi)
+            for (lo, hi), r, point in zip(real_roots_isolated(p)[0], sorted(roots), points)
+        ]
+        # ends on roots, between roots or inside isolating intervals
+        ends = [sorted(roots)[k % len(roots)] if on else e for e, k, on in zip(ends, on_roots, use_root)]
+        lo, hi = min(ends), max(ends)
+        if lo == hi:
+            hi += F(1, 3)
+        assert numfield_module._real_count(p.int_coeffs(), reals, lo, hi) == count_real_roots(p, lo, hi)
+
+    def test_dominance_clears_only_empty_disks(self, monkeypatch):
+        chained = []
+        chain = numfield_module._chain
+        monkeypatch.setattr(numfield_module, "_chain", lambda f: chained.append(f) or chain(f))
+        rng = random.Random(2018)
+        cleared = 0
+        for p in _squarefree_polys(2018, 300, range(3, 9), 3):
+            unit = F(rng.randint(1, 9), rng.choice((1, 2, 8, 17)))
+            model = numfield_module._grid(p, [], unit)[3]
+            cx, cy, r = rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(1, 60)
+            calls = len(chained)
+            got = numfield_module._disk_count(model, cx, cy, r)
+            centre = GaussRat(F(cx, 34) * unit, F(cy, 34) * unit)
+            strict = gauss_disk_count_strict(p, centre, F(r, 34) * unit)
+            assert got == strict
+            if len(chained) == calls:
+                cleared += 1
+                assert strict == 0
+        assert cleared >= 30
 
 
 class TestModulusCompare:

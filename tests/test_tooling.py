@@ -184,6 +184,13 @@ def test_modp_layer_has_no_fraction():
     assert _uses("polycrit.py", layer, {"Fraction"}) == []
 
 
+def test_quadtree_cells_have_no_fraction():
+    # cells, their disk counts and their components run on ints; the
+    # Fraction and rectangle arithmetic they replaced is the oracle
+    cells = {"_split4", "_disk_count", "_components", "_hull"}
+    assert _uses("numfield.py", cells, {"Fraction", "BoxC", "GaussRat", "int_coeffs"}) == []
+
+
 def test_shared_brute_force_walks_stay_shared():
     # conftest.py builds the (6, 2) walks once per session; a test module
     # that built its own, directly or through a local wrapper, would run
