@@ -7,18 +7,23 @@ reduction mod p).  Rational roots come first from a sieve: a polynomial
 with no root mod some small prime not dividing its leading coefficient
 has none.  Only inputs with a root mod every such prime go on to
 real-root isolation, not to divisors, so large coefficients cost no
-factoring.  The localization side counts polynomial roots in disks with
-rational radius, exactly, through the Schur-Cohn reduction.  One
-recurrence, `_chain`, runs every count on the primitive Gaussian-integer
-coefficients of a positive multiple of the recentred polynomial,
-dividing a step by its content once its integers grow long.  It serves the strict count at
-complex centers, which powers the rectangle subdivision used elsewhere
-for root isolation, and the count at 0 runs on that strict count.  The
-chain degenerates on a root on the circle, on a conjugate-reciprocal
-root pair, and at accidental zero steps.  The count at 0 splits off the
-first two by a gcd beforehand and brackets radius 1 between two nearby
-circles when the chain still degenerates; the strict count returns None
-instead.
+factoring.  The sieve's root test at each prime also tells the mod-p
+step which primes to skip, and runs once per input and prime.  The mod-p
+step is Ben-Or's test: one power X^p mod f, then one product with the
+Frobenius matrix per further step.  The localization side counts
+polynomial roots in disks with rational radius, exactly, through the
+Schur-Cohn reduction.  One recurrence, `_chain`, runs every count on the
+primitive Gaussian-integer coefficients of a positive multiple of the
+recentred polynomial, dividing a step by its content once its integers
+grow long.  It serves the strict count at complex centers, which powers
+the rectangle subdivision used elsewhere for root isolation, and the
+count at 0 runs on that strict count.  The chain degenerates on a root
+on the circle, on a conjugate-reciprocal root pair, and at accidental
+zero steps.  The count at 0 runs the chain first, on the whole
+polynomial; only when it degenerates does it split into squarefree
+factors, split off the first two cases by a gcd, and bracket radius 1
+between two nearby circles when the chain still degenerates.  The strict
+count returns None instead.
 
 No floating point is used anywhere: every verdict is replayable from
 the integers it carries.
@@ -26,10 +31,11 @@ the integers it carries.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .polynomials import (
     BigRat,
@@ -185,16 +191,17 @@ def osada(p: QPoly) -> Optional[int]:
 
 
 def _rem_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    """a mod (f, p) for monic f, dense int lists low-first with entries
-    in [0, p); a is reduced in place, and the remainder carries no
-    trailing zeros ([] for zero)."""
+    """a mod (f, p) for monic f, dense int lists low-first; a is reduced
+    in place, each coefficient mod p once, and the remainder has entries
+    in [0, p) and no trailing zeros ([] for zero)."""
     df = len(f) - 1
     for k in range(len(a) - 1, df - 1, -1):
-        c = a[k]
+        c = a[k] % p
         if c:
             for j in range(df):
-                a[k - df + j] = (a[k - df + j] - c * f[j]) % p
+                a[k - df + j] -= c * f[j]
     del a[df:]
+    a[:] = [c % p for c in a]
     while a and a[-1] == 0:
         a.pop()
     return a
@@ -207,7 +214,7 @@ def _polmul_mod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
         if ca == 0:
             continue
         for j, cb in enumerate(b):
-            prod[i + j] = (prod[i + j] + ca * cb) % p
+            prod[i + j] += ca * cb
     return _rem_mod(prod, f, p) or [0]
 
 
@@ -224,10 +231,39 @@ def _polgcd_mod(f: list[int], b: list[int], p: int) -> list[int]:
         a, b = [c * inv % p for c in b], list(a)
 
 
+def _frobenius_rows(xp: list[int], f: list[int], p: int) -> list[list[int]]:
+    """The rows X^(p*i) mod (f, p), i < deg f, of the Frobenius matrix,
+    from xp = X^p mod f (Berlekamp's Q-matrix)."""
+    rows = [[1], xp]
+    while len(rows) < len(f) - 1:
+        rows.append(_polmul_mod(rows[-1], xp, f, p))
+    return rows
+
+
+def _frobenius_step(g: list[int], rows: list[list[int]], p: int) -> list[int]:
+    """g^p mod (f, p) as g(X^p) = sum g_i X^(p*i): one product of the
+    coefficient vector of g with the Frobenius rows of f, deg f entries
+    long (trailing zeros kept)."""
+    out = [0] * len(rows)
+    for c, row in zip(g, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return [c % p for c in out]
+
+
 def modp_irreducible(p: QPoly, prime: int) -> bool:
     """True iff the reduction of p mod prime is irreducible over F_prime.
 
     A true answer proves irreducibility over Q for the primitive model.
+    The reduction f of degree n is irreducible iff
+    gcd(X^(prime^k) - X, f) = 1 for every k <= n/2 (Ben-Or's form of
+    Rabin's test).
+    X^prime mod f comes by square-and-multiply; from k = 2 on, each
+    X^(prime^k) is one matrix-vector product with the rows
+    X^(prime*i) mod f, since g(X)^prime = g(X^prime) over F_prime.  The
+    rows are built only when k = 2 is reached, so an early False costs
+    no more than the first power.
     """
     if not is_prime(prime):
         raise BadPrime(f"{prime} is not prime")
@@ -237,20 +273,19 @@ def modp_irreducible(p: QPoly, prime: int) -> bool:
     n = len(a) - 1
     inv = pow(a[-1] % prime, prime - 2, prime)
     f = [c * inv % prime for c in a]
-    # no irreducible factor of degree k for any k <= n/2 iff
-    # gcd(X^(prime^k) - X, f) = 1 at every such k
-    xq = [0, 1]
-    for _ in range(n // 2):
-        # Frobenius step: xq <- xq^prime mod f
-        acc = [1]
-        base = xq
-        e = prime
-        while e:
-            if e & 1:
-                acc = _polmul_mod(acc, base, f, prime)
+    # X^prime mod f by square-and-multiply, the k = 1 probe
+    xq, base, e = [1], [0, 1], prime
+    while e:
+        if e & 1:
+            xq = _polmul_mod(xq, base, f, prime)
+        e >>= 1
+        if e:
             base = _polmul_mod(base, base, f, prime)
-            e >>= 1
-        xq = acc
+    xp, rows = xq, None
+    for k in range(1, n // 2 + 1):
+        if k > 1:
+            rows = rows or _frobenius_rows(xp, f, prime)
+            xq = _frobenius_step(xq, rows, prime)
         probe = list(xq)
         while len(probe) < 2:
             probe.append(0)
@@ -276,7 +311,14 @@ def _has_root_mod(ints: list[int], p: int) -> bool:
 _MODP_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _rational_roots(ints: list[int]) -> list[Fraction]:
+def _rootless_primes(ints: list[int]) -> Iterator[int]:
+    """The primes of _MODP_PRIMES, ascending, that do not divide the
+    leading coefficient of the integer polynomial and at which it has no
+    root; each prime is tested when the iterator reaches it."""
+    return (q for q in _MODP_PRIMES if ints[-1] % q and not _has_root_mod(ints, q))
+
+
+def _rational_roots(ints: list[int], rootless: Optional[Iterator[int]] = None) -> list[Fraction]:
     """All rational roots of the primitive integer polynomial: 0 first,
     then by (|numerator|, denominator), positive before negative.
 
@@ -289,11 +331,16 @@ def _rational_roots(ints: list[int]) -> list[Fraction]:
     coefficient a, has v | a, so a u/v is an integer.  An isolating
     interval of h refined to width <= 1/(2a) holds a u/v for at most one
     integer, and exact evaluation tests it.
+
+    `rootless` is _rootless_primes(ints) when the caller reads on past
+    the prime the sieve stops at; it serves only when ints is its own
+    core.
     """
     v, core = QPoly(ints).strip_low()
     roots = [Fraction(0)] if v else []
-    core_ints = ints[v:]
-    if any(core_ints[-1] % q and not _has_root_mod(core_ints, q) for q in _MODP_PRIMES):
+    if v or rootless is None:
+        rootless = _rootless_primes(ints[v:])
+    if next(rootless, None) is not None:
         return roots
     h = core.squarefree_part()
     a = h.int_coeffs()[-1]
@@ -323,7 +370,10 @@ def irreducible_over_Q(p: QPoly) -> IrreducibilityVerdict:
     ints = p.int_coeffs()
     if p.degree == 1:
         return IrreducibilityVerdict("Proven", criterion="degree-1")
-    roots = _rational_roots(ints)
+    # one sieve serves the rational roots and the mod-p loop, so no prime's
+    # root test runs twice
+    sieve, rootless = itertools.tee(_rootless_primes(ints))
+    roots = _rational_roots(ints, sieve)
     if roots:
         r = roots[0]
         return IrreducibilityVerdict(
@@ -340,10 +390,10 @@ def irreducible_over_Q(p: QPoly) -> IrreducibilityVerdict:
     q = osada(p)
     if q is not None:
         return IrreducibilityVerdict("Proven", criterion="osada", prime=q)
-    for pr in _MODP_PRIMES:
-        # a prime dividing the leading coefficient says nothing, and at
-        # degree >= 4 a root mod pr is a linear factor mod pr
-        if ints[-1] % pr and not _has_root_mod(ints, pr) and modp_irreducible(p, pr):
+    # a prime dividing the leading coefficient says nothing, and at
+    # degree >= 4 a root mod pr is a linear factor mod pr
+    for pr in rootless:
+        if modp_irreducible(p, pr):
             return IrreducibilityVerdict("Proven", criterion="modp", prime=pr)
     return IrreducibilityVerdict("Unknown")
 
@@ -516,14 +566,22 @@ def _squarefree_disk_count(f: QPoly, r: Fraction) -> tuple[int, int]:
 def schur_cohn_count(p: QPoly, radius) -> DiskRootCount:
     """Exact multiplicity-weighted count of roots of p with |z| < radius.
 
-    Boundary roots are detected exactly (gcd with the reversed
-    polynomial, then unit-circle analysis through the X + 1/X
-    substitution); boundary_clear reports their absence.  Repeated
-    roots are handled by counting each squarefree factor separately.
+    The strict chain count comes first.  Rouche's theorem on |z| = 1
+    counts roots with multiplicity, so repeated roots need no split, and
+    a root on the circle or a conjugate-reciprocal pair forces a zero
+    step (see gauss_disk_count_strict); a count therefore also certifies
+    the circle root-free.  Only when the chain degenerates is p split
+    into squarefree factors, each counted separately: boundary roots are
+    found exactly (gcd with the reversed polynomial, then unit-circle
+    analysis through the X + 1/X substitution) and the rest counted by
+    _circle_free_unit_count.  boundary_clear reports no boundary root.
     """
     r = as_rat(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
+    direct = gauss_disk_count_strict(p, _ORIGIN, r)
+    if direct is not None:
+        return DiskRootCount(p, r, direct, "SchurCohn", True)
     total = 0
     boundary = 0
     for factor, mult in p.yun_decomposition():
@@ -542,7 +600,8 @@ def schur_cohn_count(p: QPoly, radius) -> DiskRootCount:
 def gauss_disk_count_strict(
     p: QPoly, center: GaussRat, radius
 ) -> Optional[int]:
-    """Roots of squarefree p in the open disk |z - center| < radius.
+    """Roots of p in the open disk |z - center| < radius, counted with
+    multiplicity.
 
     Returns None whenever the certificate would need more care: a root
     on the boundary circle, a conjugate-reciprocal pair straddling it,

@@ -9,7 +9,10 @@ the reference that the Newton boxes of `numfield` are checked against.
 So is the quadtree's cell test on rectangles with rational corners, the
 reference for the cell test on integer coordinates; it shares the strict
 disk count with that test, and checks the cells, models, pre-tests and
-real-root counts built around it.
+real-root counts built around it.  So is the Schur-Cohn count at 0 by
+squarefree factors, the route the chain-first count falls back to; it
+shares the squarefree split and the unit-circle count with that
+fallback, and checks the direct chain count on every other input.
 """
 
 from __future__ import annotations
@@ -103,6 +106,29 @@ def circle_free_unit_count(q: QPoly) -> int:
         if inner is not None and inner == outer:
             return inner
     raise RuntimeError("bracket did not settle")
+
+
+def schur_cohn_count(p: QPoly, radius) -> polycrit.DiskRootCount:
+    """The count at 0 by the route that the chain-first count replaced:
+    Yun's squarefree split, then per factor q = f(rX) without its roots
+    at 0, the gcd of q with its reverse for the roots on the circle and
+    the conjugate-reciprocal pairs, then the bracketed Fraction chain on
+    the rest."""
+    r = Fraction(radius)
+    total = boundary = 0
+    for factor, mult in p.yun_decomposition():
+        v, q = factor.scale_arg(r).strip_low()
+        inside, on = v, 0
+        g = gcd(q, q.reverse())
+        if g.degree >= 1:
+            on = polycrit._unit_circle_count(g)
+            inside += (g.degree - on) // 2
+            q = q // g
+        if q.degree >= 1:
+            inside += circle_free_unit_count(q)
+        total += mult * inside
+        boundary += mult * on
+    return polycrit.DiskRootCount(p, r, total, "SchurCohn", boundary == 0)
 
 
 def sign_variations(coeffs) -> int:

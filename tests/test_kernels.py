@@ -87,7 +87,11 @@ def test_strict_counts_match_the_oracle():
     assert nones >= 80
 
 
-def test_schur_cohn_counts_match_the_oracle(monkeypatch):
+def _disk_fields(s):
+    return s.count, s.boundary_clear, s.method, s.radius
+
+
+def test_schur_cohn_counts_match_the_oracle():
     rng = random.Random(33)
     cases = []
     for _ in range(60):
@@ -98,10 +102,65 @@ def test_schur_cohn_counts_match_the_oracle(monkeypatch):
         # |a0| = |an| at radius 1: the chain degenerates and the bracket runs
         p = _poly(rng, rng.randint(3, 8), 9)
         cases.append((QPoly((rng.choice((1, -1)) * p.coeffs[-1],) + p.coeffs[1:]), F(1)))
-    got = [schur_cohn_count(p, r) for p, r in cases]
-    monkeypatch.setattr(polycrit, "_circle_free_unit_count", oracle.circle_free_unit_count)
-    want = [schur_cohn_count(p, r) for p, r in cases]
-    assert [(s.count, s.boundary_clear) for s in got] == [(s.count, s.boundary_clear) for s in want]
+    for p, r in cases:
+        assert _disk_fields(schur_cohn_count(p, r)) == _disk_fields(oracle.schur_cohn_count(p, r)), (p, r)
+
+
+# factors with roots on the unit circle or a conjugate-reciprocal pair
+# about it: X, X -+ 1, X^2 + 1, (3 +- 4i)/5, 2 and 1/2, and 2 +- 3i with
+# (2 +- 3i)/13
+_CIRCLE_FACTORS = (
+    QPoly((0, 1)),
+    QPoly((-1, 1)),
+    QPoly((1, 1)),
+    QPoly((1, 0, 1)),
+    QPoly((5, -6, 5)),
+    QPoly((2, -5, 2)),
+    QPoly((13, -4, 1)) * QPoly((1, -4, 13)),
+)
+
+
+def _schur_cohn_inputs(rng, count):
+    """(p, radius) pairs where the chain and the squarefree split part
+    ways: squares and cubes, roots at 0 and +-1, roots on the circle and
+    conjugate-reciprocal pairs (scaled to the radius), non-monic rational
+    inputs, and |a0| = |an| at radius 1."""
+    cases = []
+    for i in range(count):
+        r = rng.choice((F(1), F(1), F(2), F(1, 2), F(3, 2), F(rng.randint(1, 40), rng.randint(1, 20))))
+        kind = i % 6
+        if kind == 0:
+            g = _rat_poly(rng, rng.randint(1, 3))
+            p = g * g * (g if rng.random() < 0.5 else _rat_poly(rng, rng.randint(0, 3)))
+        elif kind == 1:
+            p = _rat_poly(rng, rng.randint(0, 5)) * rng.choice(_CIRCLE_FACTORS).scale_arg(1 / r)
+        elif kind == 2:
+            f = rng.choice(_CIRCLE_FACTORS)
+            p = f * f * _rat_poly(rng, rng.randint(0, 3))
+        elif kind == 3:
+            p, r = _poly(rng, rng.randint(2, 8), 9), F(1)
+            p = QPoly((rng.choice((1, -1)) * p.coeffs[-1],) + p.coeffs[1:])
+        else:
+            p = _rat_poly(rng, rng.randint(0, 9))
+        cases.append((p, r))
+    return cases
+
+
+def test_chain_first_counts_match_the_split_route(monkeypatch):
+    calls = []
+    yun = QPoly.yun_decomposition
+    monkeypatch.setattr(QPoly, "yun_decomposition", lambda self: calls.append(self) or yun(self))
+    fallback = 0
+    cases = _schur_cohn_inputs(random.Random(38), 2100)
+    for p, r in cases:
+        before = len(calls)
+        got = schur_cohn_count(p, r)
+        split = len(calls) > before
+        # the split runs exactly when the chain at radius r degenerates
+        assert split == (gauss_disk_count_strict(p, GaussRat.of(0), r) is None), (p, r)
+        fallback += split
+        assert _disk_fields(got) == _disk_fields(oracle.schur_cohn_count(p, r)), (p, r)
+    assert 500 <= fallback <= len(cases) - 500
 
 
 def test_isolation_matches_the_oracle_with_roots_on_split_points():

@@ -20,7 +20,10 @@ import quiddity.polycrit as polycrit_module
 from quiddity.polynomials import GaussRat, QPoly
 from quiddity.polycrit import (
     _MODP_PRIMES,
+    _frobenius_rows,
+    _frobenius_step,
     _has_root_mod,
+    _rem_mod,
     BadPrime,
     SingularStep,
     eisenstein,
@@ -189,7 +192,7 @@ def _mobius(n):
     return -out if n > 1 else out
 
 
-@pytest.mark.parametrize("p, n_max", [(2, 4), (3, 4), (5, 3)])
+@pytest.mark.parametrize("p, n_max", [(2, 4), (3, 4), (5, 3), (2, 6), (3, 5)])
 def test_modp_matches_trial_division(p, n_max):
     for n in range(1, n_max + 1):
         irreducible = 0
@@ -201,6 +204,56 @@ def test_modp_matches_trial_division(p, n_max):
         # Gauss's count of monic irreducibles of degree n over F_p
         necklaces = sum(_mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0)
         assert irreducible * n == necklaces, (p, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_frobenius_is_the_identity_on_a_split_product(p):
+    # f = X (X - 1) ... (X - n + 1) with n <= p distinct roots divides
+    # X^p - X, so X^p = X mod f, the Frobenius rows are X^0, ..., X^(n-1)
+    # and each matrix step maps g to g
+    rng = random.Random(p)
+    f = [1]
+    for a in range(min(p, 6)):
+        f = [((f[i - 1] if i else 0) - a * (f[i] if i < len(f) else 0)) % p for i in range(len(f) + 1)]
+        if len(f) < 3:
+            continue
+        n = len(f) - 1
+        assert _rem_mod([0] * p + [1], f, p) == [0, 1]
+        rows = _frobenius_rows([0, 1], f, p)
+        assert rows == [[0] * i + [1] for i in range(n)]
+        for _ in range(10):
+            g = [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)]
+            assert _frobenius_step(g, rows, p) == g
+        assert modp_irreducible(QPoly(f), p) is False
+
+
+def test_root_sieve_tests_each_prime_once(monkeypatch):
+    # the sieve of the rational roots and the mod-p loop share their root
+    # tests: no (input, prime) pair is tested twice in one verdict
+    tested = []
+
+    def counting(ints, q):
+        tested.append((tuple(ints), q))
+        return _has_root_mod(ints, q)
+
+    monkeypatch.setattr(polycrit_module, "_has_root_mod", counting)
+    rng = random.Random(2501)
+    reached = 0
+    for i in range(400):
+        degree = rng.randint(2, 10)
+        cs = [rng.randint(-5, 5) for _ in range(degree)] + [rng.choice((1, 2, 6, 30, 210))]
+        p = QPoly(cs)
+        if i % 4 == 1:
+            p = p * QPoly((rng.randint(-3, 3), rng.randint(1, 4)))  # a rational root, 0 at times
+        elif i % 4 == 2:
+            p = p * QPoly((1, 0, 1)) * QPoly((-2, 0, 1))  # roots mod many primes, none rational
+        if p.degree < 2:
+            continue
+        tested.clear()
+        v = irreducible_over_Q(p)
+        assert len(tested) == len(set(tested)), (cs, tested)
+        reached += v.criterion == "modp" or v.status == "Unknown"
+    assert reached >= 50
 
 
 def test_pipeline_examples():

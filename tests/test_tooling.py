@@ -180,7 +180,10 @@ def test_searches_run_on_the_kernel():
 
 def test_modp_layer_has_no_fraction():
     # the root sieve and the Frobenius chain run on ints mod p alone
-    layer = {"_has_root_mod", "_rem_mod", "_polmul_mod", "_polgcd_mod", "modp_irreducible"}
+    layer = {
+        "_has_root_mod", "_rootless_primes", "_rem_mod", "_polmul_mod", "_polgcd_mod",
+        "_frobenius_rows", "_frobenius_step", "modp_irreducible",
+    }
     assert _uses("polycrit.py", layer, {"Fraction"}) == []
 
 
