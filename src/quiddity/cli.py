@@ -9,32 +9,21 @@ configurations print byte-identical documents.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
-import tempfile
 from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional
 
 from .classify import (
-    CensusMember,
-    EnumerationReport,
-    ParityReport,
     classify,
     enumerate_quiddities,
     irreducible_census,
+    parity_audit,
     transfer_theta,
 )
 from .core import QuiddityTuple, is_quiddity
-from .numfield import (
-    BoxC,
-    NumberField,
-    coords_to_json,
-    field_make,
-    field_to_descriptor,
-)
+from .numfield import BoxC, NumberField, field_make
 from .polycrit import (
     eisenstein,
     irreducible_over_Q,
@@ -57,12 +46,18 @@ def _diagnostic(exc: BaseException) -> int:
 
 
 def _parse_rats(text: str) -> list[Fraction]:
-    # accepts integers, fractions like -5/2, and decimal strings
-    return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    # accepts integers, fractions like -5/2, and decimal strings; an empty
+    # token would shift every later coefficient, so it is refused
+    tokens = [tok.strip() for tok in text.split(",")]
+    if "" in tokens:
+        raise ValueError(f"empty number in {text!r}")
+    return [Fraction(tok) for tok in tokens]
 
 
 def _field_from_args(args) -> NumberField:
     if getattr(args, "int_field", False):
+        if args.min_poly is not None or args.root_hint is not None:
+            raise ValueError("--int excludes --min-poly and --root-hint")
         return field_make(QPoly((-1, 1)))
     if not args.min_poly:
         raise ValueError("need --min-poly (or --int where supported)")
@@ -86,91 +81,6 @@ def _load_tuple(args) -> QuiddityTuple:
     else:
         data = json.loads(args.tuple)
     return QuiddityTuple.from_json(data)
-
-
-# ---------------------------------------------------------------------------
-# Enumeration cache: JSON-lines files named by a config hash.
-# ---------------------------------------------------------------------------
-
-
-# Bump whenever the enumeration or census algorithm changes what it
-# writes, so caches written by an older algorithm are never loaded.
-_CACHE_FORMAT = 2
-
-
-def _cache_config(op: str, field: NumberField, gen, n_max: int, k_bound: int) -> dict:
-    return {
-        "format": _CACHE_FORMAT,
-        "op": op,
-        "field": field_to_descriptor(field),
-        "generator": coords_to_json(gen),
-        "n_max": n_max,
-        "k_bound": k_bound,
-    }
-
-
-def _cache_path(cache_dir: str, config: dict) -> str:
-    digest = hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode()
-    ).hexdigest()
-    return os.path.join(cache_dir, f"{digest}.jsonl")
-
-
-def _cache_load(path: str, config: dict, field: NumberField, gen) -> Optional[EnumerationReport]:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        if not lines or json.loads(lines[0]) != config:
-            return None
-        members = tuple(CensusMember.from_json(json.loads(ln)) for ln in lines[1:])
-    # a line of valid JSON that is not a member document raises the last two
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        return None
-    irreducible = None
-    if config["op"] == "census":
-        irreducible = tuple(m for m in members if m.reducible is False)
-    return EnumerationReport(
-        field=field,
-        generator=gen,
-        n_max=config["n_max"],
-        k_bound=config["k_bound"],
-        members=members,
-        irreducible=irreducible,
-        elapsed=0.0,
-    )
-
-
-def _cache_store(path: str, config: dict, report: EnumerationReport) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    lines = [json.dumps(config, sort_keys=True)]
-    lines.extend(json.dumps(m.to_json(), sort_keys=True) for m in report.members)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _enumerate_with_cache(op: str, args) -> EnumerationReport:
-    field = _field_from_args(args)
-    gen = field.generator()
-    config = _cache_config(op, field, gen, args.nmax, args.kbound)
-    path = None
-    if args.cache_dir:
-        path = _cache_path(args.cache_dir, config)
-        cached = _cache_load(path, config, field, gen)
-        if cached is not None:
-            return cached
-    report = enumerate_quiddities(field, gen, args.nmax, args.kbound)
-    if op == "census":
-        report = irreducible_census(report)
-    if path is not None:
-        _cache_store(path, config, report)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +113,7 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     if args.transcendental:
-        if args.min_poly or args.root_hint:
+        if args.min_poly is not None or args.root_hint is not None:
             raise ValueError("--transcendental excludes --min-poly and --root-hint")
         outcome = classify(None, transcendental=True)
     else:
@@ -214,12 +124,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    _emit(_enumerate_with_cache("enumerate", args).to_json())
+    field = _field_from_args(args)
+    _emit(enumerate_quiddities(field, field.generator(), args.nmax, args.kbound).to_json())
     return 0
 
 
 def cmd_census(args) -> int:
-    _emit(_enumerate_with_cache("census", args).to_json())
+    field = _field_from_args(args)
+    report = enumerate_quiddities(field, field.generator(), args.nmax, args.kbound)
+    _emit(irreducible_census(report).to_json())
     return 0
 
 
@@ -237,8 +150,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_parity(args) -> int:
-    # the tally reads a plain enumeration, so it shares that cache
-    _emit(ParityReport(_enumerate_with_cache("enumerate", args)).to_json())
+    field = _field_from_args(args)
+    _emit(parity_audit(field, field.generator(), args.nmax, args.kbound).to_json())
     return 0
 
 
@@ -308,7 +221,6 @@ def _add_bounds(sub) -> None:
     sub.add_argument(
         "--kbound", type=int, required=True, help="largest |multiplier|"
     )
-    sub.add_argument("--cache-dir", help="JSON-lines cache directory")
 
 
 def build_parser() -> argparse.ArgumentParser:

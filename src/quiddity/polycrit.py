@@ -76,10 +76,6 @@ class IrreducibilityVerdict:
     prime: Optional[int] = None
     factor: Optional[QPoly] = None
 
-    @property
-    def proven(self) -> bool:
-        return self.status == "Proven"
-
 
 # ---------------------------------------------------------------------------
 # Prime helpers.

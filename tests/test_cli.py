@@ -1,13 +1,11 @@
-"""Command-line front end: exit codes, JSON shape, cache behavior."""
+"""Command-line front end: exit codes, JSON shape, input refusals and golden outputs."""
 
-import argparse
 import hashlib
 import json
 
 import pytest
 
-import quiddity.cli as cli_module
-from quiddity.cli import build_parser, main
+from quiddity.cli import main
 
 INT_FIELD = {
     "min_poly": ["-1", "1"],
@@ -111,7 +109,9 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["justification"] == "Transcendental"
 
-    @pytest.mark.parametrize("flag", [("--min-poly", "1,1"), ("--root-hint", "0,1")])
+    @pytest.mark.parametrize(
+        "flag", [("--min-poly", "1,1"), ("--root-hint", "0,1"), ("--min-poly", "")]
+    )
     def test_transcendental_refuses_a_polynomial(self, capsys, flag):
         # the library refuses a field together with the flag, and so does the CLI
         code, out, err = run(capsys, "classify", "--transcendental", *flag)
@@ -149,68 +149,13 @@ class TestEnumerate:
         assert (-2, 0, 2, 0) in classes  # the class of (0,2,0,-2)
         assert (1, 2, 1, 2) in classes
 
-    def test_cache_roundtrip_identical(self, capsys, tmp_path):
-        argv = [
-            "enumerate", "--int", "--nmax", "4", "--kbound", "2",
-            "--cache-dir", str(tmp_path),
-        ]
-        code1, out1, _ = run(capsys, *argv)
-        assert code1 == 0
-        files = list(tmp_path.glob("*.jsonl"))
-        assert len(files) == 1
-        code2, out2, _ = run(capsys, *argv)
-        assert code2 == 0 and out1 == out2
-
-    def test_cache_distinguishes_census(self, capsys, tmp_path):
-        base = ["--int", "--nmax", "3", "--kbound", "1", "--cache-dir", str(tmp_path)]
-        run(capsys, "enumerate", *base)
-        run(capsys, "census", *base)
-        assert len(list(tmp_path.glob("*.jsonl"))) == 2
-
-    def test_other_format_cache_is_recomputed(self, capsys, tmp_path):
-        argv = [
-            "enumerate", "--int", "--nmax", "4", "--kbound", "1",
-            "--cache-dir", str(tmp_path),
-        ]
-        code1, out1, _ = run(capsys, *argv)
-        path = next(tmp_path.glob("*.jsonl"))
-        header = json.loads(path.read_text().splitlines()[0])
-        # a header that differs only in its format, and no members
-        header["format"] = header["format"] + 1
-        path.write_text(json.dumps(header, sort_keys=True) + "\n")
-        code2, out2, _ = run(capsys, *argv)
-        assert (code1, out1) == (code2, out2)
-        assert json.loads(out2)["members"]
-
-    def test_stale_cache_is_recomputed(self, capsys, tmp_path):
-        argv = [
-            "enumerate", "--int", "--nmax", "3", "--kbound", "1",
-            "--cache-dir", str(tmp_path),
-        ]
-        code1, out1, _ = run(capsys, *argv)
-        path = next(tmp_path.glob("*.jsonl"))
-        path.write_text("garbage\n")
-        code2, out2, _ = run(capsys, *argv)
-        assert (code1, out1) == (code2, out2)
-
-    @pytest.mark.parametrize(
-        "edit",
-        [lambda doc: None, lambda doc: dict(doc, multipliers=None)],
-        ids=["null-line", "null-multipliers"],
-    )
-    def test_malformed_member_line_is_recomputed(self, capsys, tmp_path, edit):
-        # valid JSON that is not a member document
-        argv = [
-            "enumerate", "--int", "--nmax", "3", "--kbound", "1",
-            "--cache-dir", str(tmp_path),
-        ]
-        code1, out1, _ = run(capsys, *argv)
-        path = next(tmp_path.glob("*.jsonl"))
-        lines = path.read_text().splitlines()
-        lines[1] = json.dumps(edit(json.loads(lines[1])))
-        path.write_text("\n".join(lines) + "\n")
-        code2, out2, _ = run(capsys, *argv)
-        assert (code1, out1) == (code2, out2)
+    @pytest.mark.parametrize("flag", [("--min-poly", "-2,0,1"), ("--root-hint", "1,2")])
+    def test_int_refuses_a_polynomial(self, capsys, flag):
+        # --int names the generator 1, so a second description of the field
+        # would be ignored; it is refused instead
+        code, out, err = run(capsys, "enumerate", "--int", *flag, "--nmax", "3", "--kbound", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ValueError"
 
 
 class TestCensus:
@@ -290,89 +235,19 @@ class TestParity:
         assert doc["odd_members"] == []
         assert doc["counts"]["2"] == 1
 
-    def test_shares_the_enumeration_cache(self, capsys, tmp_path, monkeypatch):
-        bounds = ["--min-poly", "-2,0,1", "--root-hint", "1,2", "--nmax", "5", "--kbound", "1"]
-        cache = ["--cache-dir", str(tmp_path)]
-        _, want, _ = run(capsys, "enumerate", *bounds)
-        run(capsys, "parity", *bounds, *cache)
-        # the file parity wrote serves enumerate
-        monkeypatch.setattr(cli_module, "enumerate_quiddities", _refuse)
-        assert run(capsys, "enumerate", *bounds, *cache) == (0, want, "")
 
-
-def test_failed_cache_store_leaves_no_temporary(capsys, tmp_path, monkeypatch):
-    def refuse_replace(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(cli_module.os, "replace", refuse_replace)
-    code, _, err = run(
-        capsys, "enumerate", "--int", "--nmax", "4", "--kbound", "1",
-        "--cache-dir", str(tmp_path),
-    )
-    assert code == 2 and json.loads(err)["error"] == "OSError"
-    assert list(tmp_path.iterdir()) == []
-
-
-def _refuse(*args):
-    raise AssertionError("enumerated although the cache holds the answer")
-
-
-def _cached_subcommands():
-    subs = next(
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    return sorted(
-        name
-        for name, sub in subs.choices.items()
-        if "--cache-dir" in sub._option_string_actions
-    )
-
-
-def test_cached_subcommands_found():
-    assert {"census", "enumerate", "parity"} <= set(_cached_subcommands())
-
-
-@pytest.mark.parametrize("command", _cached_subcommands())
-def test_second_run_reads_the_cache(capsys, tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("command", ["enumerate", "census", "parity"])
+def test_cache_dir_is_refused(capsys, tmp_path, command):
+    # every census is computed; no file is read back into a report
     argv = [
         command, "--min-poly", "-2,0,1", "--root-hint", "1,2",
         "--nmax", "5", "--kbound", "1", "--cache-dir", str(tmp_path),
     ]
-    code1, out1, _ = run(capsys, *argv)
-    assert code1 == 0
-    assert len(list(tmp_path.glob("*.jsonl"))) == 1
-    monkeypatch.setattr(cli_module, "enumerate_quiddities", _refuse)
-    assert run(capsys, *argv) == (0, out1, "")
-
-
-# the file an earlier build wrote for `census --int --nmax 5 --kbound 1`,
-# byte for byte, under the name its configuration hashes to
-_PARENT_CACHE_NAME = "9700be4ac6affa7826df0003576cf4ed8867ebc0e92e1f777b1f953f2985b055.jsonl"
-_PARENT_CACHE = (
-    '{"field": {"min_poly": ["-1", "1"], "root_hint": {"im": ["0", "0"], "re": ["1", "1"]}}, "format": 2, "generator": ["1"], "k_bound": 1, "n_max": 5, "op": "census"}\n'
-    '{"epsilon": -1, "multipliers": [0, 0], "reducible": null, "witness": null}\n'
-    '{"epsilon": 1, "multipliers": [-1, -1, -1], "reducible": false, "witness": null}\n'
-    '{"epsilon": -1, "multipliers": [1, 1, 1], "reducible": false, "witness": null}\n'
-    '{"epsilon": 1, "multipliers": [-1, 0, 1, 0], "reducible": true, "witness": {"a_multipliers": [1, 1, 1], "b_multipliers": [-1, -1, -1], "epsilon_b": 1, "reflected": false, "rotation": 1, "split_m": 3}}\n'
-    '{"epsilon": 1, "multipliers": [0, 0, 0, 0], "reducible": false, "witness": null}\n'
-    '{"epsilon": -1, "multipliers": [-1, -1, -1, 0, 0], "reducible": true, "witness": {"a_multipliers": [-1, -1, -1], "b_multipliers": [0, 0, 0, 0], "epsilon_b": 1, "reflected": false, "rotation": 0, "split_m": 3}}\n'
-    '{"epsilon": 1, "multipliers": [0, 0, 1, 1, 1], "reducible": true, "witness": {"a_multipliers": [-1, 0, 1, 0], "b_multipliers": [1, 1, 1], "epsilon_b": -1, "reflected": false, "rotation": 0, "split_m": 4}}\n'
-)
-
-
-def test_cache_written_by_an_earlier_build_reloads(capsys, tmp_path, monkeypatch):
-    assert len(_PARENT_CACHE) == 1095
-    (tmp_path / _PARENT_CACHE_NAME).write_text(_PARENT_CACHE)
-    monkeypatch.setattr(cli_module, "enumerate_quiddities", _refuse)
-    code, out, err = run(
-        capsys, "census", "--int", "--nmax", "5", "--kbound", "1",
-        "--cache-dir", str(tmp_path),
-    )
-    assert (code, err) == (0, "")
-    assert (
-        hashlib.sha256(out.encode()).hexdigest()
-        == "31d5dfe62e35c3c1c96df4b037fb26c41aca8f276922845528902b361a726d8d"
-    )
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestPolycrit:
@@ -411,6 +286,18 @@ class TestPolycrit:
         code, _, err = run(capsys, "polycrit", "--poly", "1,junk")
         assert code == 2
         assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("classify", "--min-poly", "1,,1"), ("polycrit", "--poly", "1,,0,1")],
+    ids=["classify", "polycrit"],
+)
+def test_empty_coefficient_exits_two(capsys, argv):
+    # dropping the empty token would read 1 + X and 1 + X^2
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "empty number" in json.loads(err)["message"]
 
 
 # sha256 of stdout, recorded before the folds that kept every answer the

@@ -264,6 +264,23 @@ def test_verify_suite_passes_optimized():
     assert "FAIL" not in done.stdout
 
 
+def test_package_import_leaves_out_the_command_line():
+    # the benchmark imports the package from source on every run, so code
+    # only the command line uses stays off that path
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, quiddity; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(ast.literal_eval(done.stdout))
+    assert "quiddity" in loaded
+    assert not {"quiddity.cli", "quiddity.verify"} & loaded
+
+
 def _module_constant(tree, name):
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
