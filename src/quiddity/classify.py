@@ -27,7 +27,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
@@ -38,6 +37,7 @@ from .core import (
     canonical_multipliers,
     euler_expansion,
     is_quiddity,
+    multipliers_from_json,
 )
 from .numfield import (
     FieldElement,
@@ -82,7 +82,7 @@ class CensusMember:
     def from_json(cls, data: dict) -> "CensusMember":
         wit = data.get("witness")
         return cls(
-            multipliers=tuple(int(k) for k in data["multipliers"]),
+            multipliers=multipliers_from_json(data["multipliers"]),
             epsilon=int(data["epsilon"]),
             reducible=data.get("reducible"),
             witness=ReductionWitness.from_json(wit) if wit else None,
@@ -255,18 +255,12 @@ def parity_audit(
 # ---------------------------------------------------------------------------
 
 
-# every member of a census shares one generator, so its minimal
-# polynomial is derived once; elements compare algebraically, so the
-# key is sound
-_generator_min_poly = lru_cache(maxsize=16)(FieldElement.min_poly_over_Q)
-
-
 def transfer_certificate(t: QuiddityTuple, epsilon: int) -> bool:
     """Exact divisibility check that the multiplier vector is a quiddity
     over EVERY conjugate of the tuple's generator w: the word matrix
     entries, expanded as integer polynomials in w, must all lie in the
     ideal of the minimal polynomial of w over Q."""
-    mp = _generator_min_poly(t.generator)
+    mp = t.generator.min_poly_over_Q()
     ks = t.multipliers
     eps_poly = QPoly((epsilon,))
     conditions = [

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .numfield import (
@@ -153,7 +152,15 @@ class QuiddityTuple:
     def from_json(cls, data: dict) -> "QuiddityTuple":
         field = field_from_descriptor(data["field"])
         gen = coords_from_json(field, data["generator"])
-        return cls(field, gen, data["multipliers"])
+        return cls(field, gen, multipliers_from_json(data["multipliers"]))
+
+
+def multipliers_from_json(values) -> tuple[int, ...]:
+    """Multipliers written in JSON, each an integer.  A float, which int()
+    would truncate, a boolean or a string is refused."""
+    if not isinstance(values, (list, tuple)) or any(type(k) is not int for k in values):
+        raise ValueError(f"multipliers must be a list of JSON integers, not {values!r}")
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +293,8 @@ class _WordKernel:
     with that word, and replaces the slot."""
 
     __slots__ = ("d", "_dd", "_c", "_v", "_pivot", "_zero", "identity", "_memo")
+    # the slot of _word_kernel: a generator and its kernel
+    last: tuple = (None, None)
 
     def __init__(self, w: FieldElement):
         p = w.min_poly_over_Q()
@@ -394,8 +403,17 @@ class _WordKernel:
                 stack += [(ks + (k,), self.step(m, k)) for k in pool]
 
 
-# one kernel per generator; equal generators share one
-_word_kernel = lru_cache(maxsize=16)(_WordKernel)
+def _word_kernel(w: FieldElement) -> _WordKernel:
+    """The kernel of w.  One slot holds the last generator asked for and
+    its kernel: an equal generator of another field handle takes that
+    kernel over and re-keys the slot, so a run of calls on it compares
+    the two once, and any other generator rebuilds it."""
+    held, kernel = _WordKernel.last
+    if held is not w:
+        if not held == w:
+            kernel = _WordKernel(w)
+        _WordKernel.last = (w, kernel)
+    return kernel
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ coefficients and refined by rational bisection.  Nonreal roots are
 isolated in the upper half plane by a quadtree on integer cells: each
 depth forms one integer model of p, which every disk count there shifts
 by a Gaussian integer.  A cell is dropped once a disk around it provably
-holds no nonreal root: the constant term dominates, or the strict count
-of polycrit equals the real roots on the disk's trace, counted on their
+holds no nonreal root: the strict count of polycrit, run on the depth's
+model, equals the real roots on the disk's trace, counted on their
 isolating intervals.  A cluster of cells is accepted once a disk around
 it provably holds exactly one root.  The lower half holds the conjugates.
 
@@ -47,14 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd, isqrt, lcm, prod
+from math import ceil, floor, isqrt, lcm, prod
 from typing import Callable, Optional, Sequence
 
 from .polynomials import (
     GaussRat,
     NotSquarefree,
     QPoly,
-    _recentre,
     _sign_at,
     as_rat,
     is_perfect_square,
@@ -63,7 +62,7 @@ from .polynomials import (
     real_roots_isolated,
     refine_real_root,
 )
-from .polycrit import _chain, _trial_division, gauss_disk_count_strict, irreducible_over_Q
+from .polycrit import _disk_count, _trial_division, gauss_disk_count_strict, irreducible_over_Q
 
 
 class NotMonic(ValueError):
@@ -258,20 +257,6 @@ def _grid(p: QPoly, reals, unit: Fraction) -> tuple:
     u, n = unit / 34, len(ints) - 1
     model = [c * u.numerator ** k * u.denominator ** (n - k) for k, c in enumerate(ints)]
     return ints, reals, unit, model
-
-
-def _disk_count(model: list[int], cx: int, cy: int, r: int) -> Optional[int]:
-    """gauss_disk_count_strict at the centre cx + cy i and radius r on the
-    model.  If |q_0| > sum |q_k| for q = p(c + rX), by integer bounds on
-    the moduli, no polynomial of the chain has a root on the closed disk
-    (Rouche), so each gamma is positive and the chain would count 0 (the
-    T_0 test of Becker, Sagraloff, Sharma and Yap, 2018)."""
-    re, im = _recentre(model, cx, cy, r)
-    q = list(zip(re, im))
-    if isqrt(re[0] ** 2 + im[0] ** 2) > sum(isqrt(x * x + y * y) + 1 for x, y in q[1:]):
-        return 0
-    g = gcd(*re, *im)
-    return _chain([(x // g, y // g) for x, y in q])
 
 
 def _real_count(ints: list[int], reals, lo: Fraction, hi: Fraction) -> int:
@@ -522,9 +507,9 @@ class FieldElement:
     the minimal polynomial, each into the d coefficients below it.
     """
 
-    # _hash is set on the first hash, so elements built by arithmetic
-    # pay for it only when they are hashed
-    __slots__ = ("field", "coords", "_hash")
+    # _min_poly is set on the first min_poly_over_Q, so elements built
+    # by arithmetic pay for it only when they are asked
+    __slots__ = ("field", "coords", "_min_poly")
 
     def __init__(self, field: NumberField, coords: Sequence[Fraction]):
         coords = tuple(as_rat(c) for c in coords)
@@ -546,11 +531,7 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(self._key()))
-            return self._hash
+        return hash(self._key())
 
     def __repr__(self):
         return f"FieldElement{self.coords}"
@@ -643,7 +624,12 @@ class FieldElement:
         return None
 
     def min_poly_over_Q(self) -> QPoly:
-        """Monic minimal polynomial of this element over Q."""
+        """Monic minimal polynomial of this element over Q, kept in the
+        element once derived."""
+        try:
+            return self._min_poly
+        except AttributeError:
+            pass
         d = self.field.degree
         powers = [self.field.one()]
         for _ in range(d):
@@ -655,7 +641,8 @@ class FieldElement:
             if dep is not None:
                 # normalize to monic in the top power
                 top = dep[k]
-                return QPoly([c / top for c in dep])
+                object.__setattr__(self, "_min_poly", QPoly([c / top for c in dep]))
+                return self._min_poly
         raise AssertionError("element has no minimal polynomial below field degree")
 
 
@@ -1019,17 +1006,21 @@ def field_to_descriptor(field: NumberField) -> dict:
 def field_from_descriptor(desc: dict) -> NumberField:
     """Inverse of field_to_descriptor.  Other keys are ignored, among
     them the irreducibility flag that older documents carry."""
-    poly = QPoly(tuple(Fraction(c) for c in desc["min_poly"]))
+    poly = QPoly(tuple(_rats_from_json(desc["min_poly"])))
     hint = None
     if "root_hint" in desc and desc["root_hint"] is not None:
-        rh = desc["root_hint"]
-        hint = BoxC.make(
-            Fraction(rh["re"][0]),
-            Fraction(rh["re"][1]),
-            Fraction(rh["im"][0]),
-            Fraction(rh["im"][1]),
-        )
+        re, im = (_rats_from_json(desc["root_hint"][k]) for k in ("re", "im"))
+        hint = BoxC.make(re[0], re[1], im[0], im[1])
     return field_make(poly, root_hint=hint)
+
+
+def _rats_from_json(values) -> list[Fraction]:
+    """Rationals written in JSON, each an integer or a string such as
+    "-5/2" or "1.6".  A float is refused, as JSON has already rounded it,
+    and so is a boolean."""
+    if not isinstance(values, (list, tuple)) or any(type(c) not in (int, str) for c in values):
+        raise ValueError(f"expected a list of JSON integers or strings, not {values!r}")
+    return [Fraction(c) for c in values]
 
 
 def coords_to_json(x: FieldElement) -> list[str]:
@@ -1037,7 +1028,7 @@ def coords_to_json(x: FieldElement) -> list[str]:
 
 
 def coords_from_json(field: NumberField, data) -> FieldElement:
-    coords = [Fraction(c) for c in data]
+    coords = _rats_from_json(data)
     if len(coords) != field.degree:
         raise ValueError("coordinate vector length does not match the field degree")
     return FieldElement(field, coords)

@@ -17,7 +17,9 @@ primitive Gaussian-integer coefficients of a positive multiple of the
 recentred polynomial, dividing a step by its content once its integers
 grow long.  It serves the strict count at complex centers, which powers
 the rectangle subdivision used elsewhere for root isolation, and the
-count at 0 runs on that strict count.  The chain degenerates on a root
+count at 0 runs on that strict count.  Every strict count first tries
+the T_0 dominance test, which settles a disk whose constant term beats
+the other terms without the chain.  The chain degenerates on a root
 on the circle, on a conjugate-reciprocal root pair, and at accidental
 zero steps.  The count at 0 runs the chain first, on the whole
 polynomial; only when it degenerates does it split into squarefree
@@ -41,10 +43,10 @@ from .polynomials import (
     BigRat,
     GaussRat,
     QPoly,
+    _recentre,
     _taylor_shift,
     as_rat,
     count_real_roots,
-    qpoly_at_disk,
     real_roots_isolated,
     refine_real_root,
 )
@@ -81,12 +83,16 @@ class IrreducibilityVerdict:
 # Prime helpers.
 # ---------------------------------------------------------------------------
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# below this bound no composite is a strong pseudoprime to every witness
+# (Sorenson and Webster, 2017); the least one is 3317044064679887385961981
+_MR_BOUND = 33 * 10 ** 23
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n below 3.3e24."""
-    if n < 2:
+    """Deterministic Miller-Rabin: True only for a certified prime.  Exact
+    below _MR_BOUND; from there up it answers False, not certified."""
+    if n < 2 or n >= _MR_BOUND:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
@@ -131,13 +137,9 @@ def _trial_division(n: int) -> list[tuple[int, int]]:
 def prime_divisors(n: int) -> list[int]:
     """Prime divisors of n, ascending: those below 2^16 by trial
     division, and the rest left over when it is prime.  A rest that
-    is_prime cannot certify (composite, or above 3.3e24) is left out,
-    so a large n costs no more than the trial division."""
-    return [
-        f
-        for f, _ in _trial_division(n)
-        if f < 1 << 32 or (f < 33 * 10 ** 23 and is_prime(f))
-    ]
+    is_prime cannot certify (composite, or from _MR_BOUND up) is left
+    out, so a large n costs no more than the trial division."""
+    return [f for f, _ in _trial_division(n) if f < 1 << 32 or is_prime(f)]
 
 
 def _int_model(p: QPoly) -> list[int]:
@@ -402,7 +404,8 @@ def irreducible_over_Q(p: QPoly) -> IrreducibilityVerdict:
 def rouche_dominant_count(
     p: QPoly, dominant_index: int, radius
 ) -> Optional[DiskRootCount]:
-    """Count = dominant_index when that term beats all others on |z| = r.
+    """Count = dominant_index when that term beats all others on |z| = r,
+    else None; ValueError for an index that names no term.
 
     The check sum_{i != j} |a_i| r^i < |a_j| r^j is exact rational
     arithmetic; strict inequality also rules out boundary roots.
@@ -410,8 +413,10 @@ def rouche_dominant_count(
     r = as_rat(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
-    if dominant_index < 0 or dominant_index > p.degree:
-        return None
+    if not 0 <= dominant_index <= p.degree:
+        raise ValueError(
+            f"dominant index {dominant_index} names no term of a degree-{p.degree} polynomial"
+        )
     aj = p.coeffs[dominant_index]
     if aj == 0:
         return None
@@ -617,4 +622,21 @@ def gauss_disk_count_strict(
         raise ValueError("radius must be positive")
     if p.degree < 1:
         return 0
-    return _chain(qpoly_at_disk(p, center, r))
+    return _disk_count(p.int_coeffs(), center.re, center.im, r)
+
+
+def _disk_count(ints: list[int], c_re, c_im, r) -> Optional[int]:
+    """gauss_disk_count_strict for the integer polynomial ints, low degree
+    first, at the centre c_re + c_im i and radius r > 0, each an int or a
+    Fraction.  If |q_0| > sum |q_k| for q = ints(c + rX), by integer bounds
+    on the moduli, no polynomial of the chain has a root on the closed
+    disk (Rouche), so each gamma is positive and the chain would count 0
+    (the T_0 test of Becker, Sagraloff, Sharma and Yap, 2018)."""
+    re, im = _recentre(ints, c_re, c_im, r)
+    q = list(zip(re, im))
+    if math.isqrt(re[0] ** 2 + im[0] ** 2) > sum(
+        math.isqrt(x * x + y * y) + 1 for x, y in q[1:]
+    ):
+        return 0
+    g = math.gcd(*re, *im)
+    return _chain([(x // g, y // g) for x, y in q])

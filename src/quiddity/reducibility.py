@@ -40,6 +40,7 @@ from .core import (
     e_times,
     is_quiddity,
     m_product_entries,
+    multipliers_from_json,
     oplus_multipliers,
     times_e,
 )
@@ -74,8 +75,8 @@ class ReductionWitness:
             rotation=int(data["rotation"]),
             reflected=bool(data["reflected"]),
             split_m=int(data["split_m"]),
-            a_multipliers=tuple(int(k) for k in data["a_multipliers"]),
-            b_multipliers=tuple(int(k) for k in data["b_multipliers"]),
+            a_multipliers=multipliers_from_json(data["a_multipliers"]),
+            b_multipliers=multipliers_from_json(data["b_multipliers"]),
             epsilon_b=int(data["epsilon_b"]),
         )
 
@@ -128,29 +129,13 @@ def _scan_slots(n: int):
                 yield reflected, rotation, l
 
 
-# the last generator object find_reduction met, with its word kernel
-_last_kernel: tuple = (None, None)
-
-
-def _kernel_of(w):
-    """_word_kernel(w), looked up once per run of calls on one generator
-    object.  A census reduces every member over one generator; when the
-    cached kernel was built for an equal generator of another field
-    handle, each lookup would compare the two in full."""
-    global _last_kernel
-    last = _last_kernel
-    if last[0] is not w:
-        last = _last_kernel = (w, _word_kernel(w))
-    return last[1]
-
-
 def find_reduction(
     t: QuiddityTuple, signs: Optional[dict] = None
 ) -> Optional[ReductionWitness]:
     """First witness in scan order, or None when no split exists.  A
     caller that reduces many tuples over one generator may pass one
     `signs` dict to all of them, so that each summand replays once."""
-    kernel = _kernel_of(t.generator)
+    kernel = _word_kernel(t.generator)
     if kernel.sign(t.multipliers) is None:
         raise NotAQuiddity("input word matrix is not +-Id")
     n = t.n

@@ -51,6 +51,23 @@ class TestCheck:
         assert code == 2
         assert json.loads(err)["error"] == "JSONDecodeError"
 
+    @pytest.mark.parametrize(
+        "field, multipliers",
+        [
+            (INT_FIELD, [1.9, 1, 1]),
+            (INT_FIELD, [True, 1, 1]),
+            (INT_FIELD, ["1", 1, 1]),
+            ({"min_poly": [-0.1, 1]}, [1, 1, 1]),
+        ],
+        ids=["float", "boolean", "string", "float-coefficient"],
+    )
+    def test_inexact_number_exits_two(self, capsys, field, multipliers):
+        # int(1.9) would check (1, 1, 1), and a JSON float is already rounded
+        doc = {"field": field, "generator": ["1"], "multipliers": multipliers}
+        code, out, err = run(capsys, "check", "--tuple", json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_tuple_file(self, capsys, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(int_tuple_json((1, 1, 1)))
@@ -281,6 +298,28 @@ class TestPolycrit:
         assert code == 0
         doc = json.loads(out)
         assert doc["disk_count"] == {"radius": "1", "count": 4, "boundary_clear": True}
+
+    @pytest.mark.parametrize(
+        "poly, index", [("1,3", "7"), ("1,1", "-1")], ids=["above", "below"]
+    )
+    def test_dominant_index_naming_no_term_exits_two(self, capsys, poly, index):
+        code, out, err = run(capsys, "polycrit", "--poly", poly, "--dominant", index)
+        assert (code, out) == (2, "")
+        assert "names no term" in json.loads(err)["message"]
+
+    def test_pseudoprime_constant_term_proves_nothing(self, capsys):
+        # (X^2 + X + 399165290221)(X^2 + X + 798330580441): its constant
+        # term is a strong pseudoprime to the bases 2..37
+        poly = "318665857834031151167461,1197495870662,1197495870663,2,1"
+        code, out, _ = run(capsys, "polycrit", "--poly", poly)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["irreducible"]["status"] == "Unknown" and doc["osada_prime"] is None
+        code, out, err = run(
+            capsys, "classify", "--min-poly", poly, "--root-hint", "-1,0,600000,700000"
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "NotIrreducible"
 
     def test_bad_poly_exits_two(self, capsys):
         code, _, err = run(capsys, "polycrit", "--poly", "1,junk")

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 import fraction_oracle as oracle
 import quiddity.numfield as numfield_module
+import quiddity.polycrit as polycrit_module
 from quiddity.numfield import (
     AmbiguousHint,
     BoxC,
@@ -41,6 +42,7 @@ from quiddity.polynomials import (
     QPoly,
     composed_product,
     count_real_roots,
+    qpoly_at_disk,
     real_roots_isolated,
 )
 
@@ -156,6 +158,15 @@ class TestFieldMake:
         factor = info.value.factor
         assert 2 <= factor.degree <= p.degree // 2
         assert (p % factor).is_zero
+
+    def test_pseudoprime_constant_term_refused(self):
+        # Osada's prime: 318665857834031151167461 is a strong pseudoprime
+        # to the bases 2..37, and the quartic is a product of quadratics
+        f = 399165290221
+        p = QPoly((f, 1, 1)) * QPoly((2 * f - 1, 1, 1))
+        with pytest.raises(NotIrreducible) as info:
+            field_make(p, root_hint=BoxC.make(-1, 0, 600000, 700000))
+        assert info.value.factor == QPoly((f, 1, 1))
 
     def test_irreducible_mod_no_prime_accepted(self):
         # sqrt(2) + sqrt(3): X^4 - 10X^2 + 1 factors mod every prime
@@ -349,7 +360,7 @@ class TestFieldArithmetic:
         assert f.from_rational(5).rational_value() == 5
         assert f.generator().rational_value() is None
 
-    def test_hash_cache(self):
+    def test_equal_elements_hash_equal(self):
         # equal elements built by the constructor, by arithmetic and by
         # from_rational hash equal, whichever of them is hashed first
         for order in ((0, 1, 2), (2, 1, 0), (1, 2, 0)):
@@ -363,22 +374,20 @@ class TestFieldArithmetic:
             hashes = {i: hash(made[i]) for i in order}
             assert len(set(hashes.values())) == 1
             assert made[0] == made[1] == made[2]
-            assert hash(made[1]) == hashes[1]  # a second hash reads the cache
+            assert hash(made[1]) == hashes[1]
             assert {made[0], made[1], made[2]} == {made[order[0]]}
             for x in made:
                 with pytest.raises(AttributeError):
                     x.coords = (F(1), F(0))
                 with pytest.raises(AttributeError):
-                    x._hash = 0
+                    x._min_poly = QPoly((0, 1))
 
     def test_equal_generators_share_one_word_kernel(self):
         from quiddity.core import _word_kernel
 
-        _word_kernel.cache_clear()
         first, second = sqrt2_field().generator(), sqrt2_field().generator()
         assert first is not second and first == second
         assert _word_kernel(first) is _word_kernel(second)
-        assert _word_kernel.cache_info().currsize == 1
 
 
 def _random_min_poly(rng, degree):
@@ -797,8 +806,8 @@ class TestIntegerCells:
 
     def test_dominance_clears_only_empty_disks(self, monkeypatch):
         chained = []
-        chain = numfield_module._chain
-        monkeypatch.setattr(numfield_module, "_chain", lambda f: chained.append(f) or chain(f))
+        chain = polycrit_module._chain
+        monkeypatch.setattr(polycrit_module, "_chain", lambda f: chained.append(f) or chain(f))
         rng = random.Random(2018)
         cleared = 0
         for p in _squarefree_polys(2018, 300, range(3, 9), 3):
@@ -806,11 +815,13 @@ class TestIntegerCells:
             model = numfield_module._grid(p, [], unit)[3]
             cx, cy, r = rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(1, 60)
             calls = len(chained)
-            got = numfield_module._disk_count(model, cx, cy, r)
+            got = polycrit_module._disk_count(model, cx, cy, r)
+            skipped = len(chained) == calls
             centre = GaussRat(F(cx, 34) * unit, F(cy, 34) * unit)
-            strict = gauss_disk_count_strict(p, centre, F(r, 34) * unit)
-            assert got == strict
-            if len(chained) == calls:
+            # the chain alone, on the rational disk, is the oracle
+            strict = chain(qpoly_at_disk(p, centre, F(r, 34) * unit))
+            assert got == strict == gauss_disk_count_strict(p, centre, F(r, 34) * unit)
+            if skipped:
                 cleared += 1
                 assert strict == 0
         assert cleared >= 30

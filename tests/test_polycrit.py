@@ -46,6 +46,21 @@ def test_is_prime_small():
     assert not is_prime(2 ** 32 + 1)
 
 
+# strong pseudoprimes to the bases 2..37 and 2..41 (Sorenson and Webster,
+# 2017), each f * (2f - 1)
+PSEUDOPRIMES = {318665857834031151167461: 399165290221, 3317044064679887385961981: 1287836182261}
+
+
+def test_is_prime_refuses_strong_pseudoprimes():
+    for n, f in PSEUDOPRIMES.items():
+        assert n == f * (2 * f - 1)
+        assert not is_prime(n)
+        # Osada would read the constant term n as a prime
+        product = QPoly((f, 1, 1)) * QPoly((2 * f - 1, 1, 1))
+        assert osada(product) is None
+        assert irreducible_over_Q(product).status != "Proven"
+
+
 def _naive_prime_divisors(n):
     out, d = [], 2
     while d * d <= n:
@@ -373,6 +388,14 @@ def test_rouche_examples():
     got = rouche_dominant_count(QPoly((1, 0, 1)), 2, 2)
     assert got is not None and got.count == 2
     assert rouche_dominant_count(QPoly((1, 1)), 0, 1) is None  # 1 < 1 fails
+
+
+def test_rouche_index_must_name_a_term():
+    # None means a term that does not dominate; an index past either end
+    # names no term at all
+    for coeffs, j in (((1, 3), 7), ((1, 1), -1), ((1, 1), 2)):
+        with pytest.raises(ValueError, match="names no term"):
+            rouche_dominant_count(QPoly(coeffs), j, 2)
 
 
 def test_rouche_margin_values():

@@ -190,8 +190,9 @@ def test_modp_layer_has_no_fraction():
 def test_quadtree_cells_have_no_fraction():
     # cells, their disk counts and their components run on ints; the
     # Fraction and rectangle arithmetic they replaced is the oracle
-    cells = {"_split4", "_disk_count", "_components", "_hull"}
-    assert _uses("numfield.py", cells, {"Fraction", "BoxC", "GaussRat", "int_coeffs"}) == []
+    cells = {"_split4", "_components", "_hull"}
+    used = {"Fraction", "BoxC", "GaussRat", "int_coeffs"}
+    assert _uses("numfield.py", cells, used) + _uses("polycrit.py", {"_disk_count"}, used) == []
 
 
 def test_shared_brute_force_walks_stay_shared():
@@ -349,3 +350,16 @@ def test_census_demo_runs():
 def test_classify_gallery_runs():
     lines = _run_script("classify_gallery.py")
     assert any(line.split() == ["sqrt2", "SqrtKFamily", "[k=2]"] for line in lines)
+
+
+def test_readme_library_quickstart_runs():
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Library quickstart"):]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("\n```", start)]
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "SqrtKFamily" in done.stdout
