@@ -37,7 +37,6 @@ from .core import (
     canonical_multipliers,
     euler_expansion,
     is_quiddity,
-    multipliers_from_json,
 )
 from .numfield import (
     FieldElement,
@@ -77,16 +76,6 @@ class CensusMember:
             "reducible": self.reducible,
             "witness": self.witness.to_json() if self.witness else None,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CensusMember":
-        wit = data.get("witness")
-        return cls(
-            multipliers=multipliers_from_json(data["multipliers"]),
-            epsilon=int(data["epsilon"]),
-            reducible=data.get("reducible"),
-            witness=ReductionWitness.from_json(wit) if wit else None,
-        )
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ enumeration on that route.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -97,7 +98,9 @@ class Mat2:
 
 
 class QuiddityTuple:
-    """Integer multipliers over a chosen generator of a number field."""
+    """Integer multipliers over a chosen generator of a number field.  A
+    multiplier that is not an integer, such as a float or a Fraction, raises
+    TypeError rather than being truncated."""
 
     __slots__ = ("field", "generator", "multipliers")
 
@@ -111,7 +114,7 @@ class QuiddityTuple:
             raise ValueError("a tuple needs at least one entry")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "multipliers", tuple(int(k) for k in multipliers))
+        object.__setattr__(self, "multipliers", tuple(map(operator.index, multipliers)))
 
     def __setattr__(self, *a):
         raise AttributeError("QuiddityTuple is immutable")

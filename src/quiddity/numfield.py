@@ -335,10 +335,12 @@ def _box(cell: tuple, unit: Fraction) -> BoxC:
 
 def _upper_half_roots(p: QPoly, pairs: int, reals) -> list[BoxC]:
     """Isolating boxes for the `pairs` >= 1 roots above the real axis of
-    the squarefree p, given ascending isolating intervals of its real roots."""
+    the squarefree p, given ascending isolating intervals of its real roots.
+    The cells start at the Cauchy bound, at least 1, and subdivision stops
+    once their unit falls below 2^-_MAX_DEPTH."""
     unit = p.cauchy_root_bound()
     cells = [(-1, 1, 0, 1)]
-    for _ in range(_MAX_DEPTH):
+    while unit / 2 >= Fraction(1, 2 ** _MAX_DEPTH):
         unit /= 2
         grid = _grid(p, reals, unit)
         cells = [q for c in cells for q in _split4(c) if not _cell_excluded(grid, q)]

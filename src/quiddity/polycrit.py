@@ -22,10 +22,11 @@ the T_0 dominance test, which settles a disk whose constant term beats
 the other terms without the chain.  The chain degenerates on a root
 on the circle, on a conjugate-reciprocal root pair, and at accidental
 zero steps.  The count at 0 runs the chain first, on the whole
-polynomial; only when it degenerates does it split into squarefree
-factors, split off the first two cases by a gcd, and bracket radius 1
-between two nearby circles when the chain still degenerates.  The strict
-count returns None instead.
+polynomial; only when it degenerates does it split off, by a gcd with
+the reversed polynomial, the roots on the circle, counted exactly, and
+the inverse root pairs, one inside per pair, and then bracket the circle
+once, counting the rest on two nearby circles.  The strict count
+returns None instead.
 
 No floating point is used anywhere: every verdict is replayable from
 the integers it carries.
@@ -57,7 +58,7 @@ class BadPrime(ValueError):
 
 
 class SingularStep(RuntimeError):
-    """The Schur-Cohn bracket around radius 1 settled no count."""
+    """The Schur-Cohn bracket around the radius settled no count."""
 
 
 @dataclass(frozen=True)
@@ -495,33 +496,6 @@ _BRACKET_BITS = 64
 _ORIGIN = GaussRat.of(0)
 
 
-def _circle_free_unit_count(q: QPoly) -> int:
-    """Unit-disk count for squarefree q with q(0) != 0 and no roots on
-    the circle.
-
-    When the strict count degenerates at radius 1, the count comes from
-    a bracket: the strict counts at radii 1 - 2^-k and 1 + 2^-k.  Each
-    non-None count certifies its circle root-free, so two equal counts
-    leave no root in the annulus between them and equal the count at
-    radius 1.  Since q has no root on |z| = 1, the counts agree once
-    2^-k is below the distance from the circle to the nearest root,
-    unless a chain degenerates at one of finitely many radii;
-    SingularStep is raised if no k up to _BRACKET_BITS settles it.
-    """
-    direct = gauss_disk_count_strict(q, _ORIGIN, 1)
-    if direct is not None:
-        return direct
-    for k in range(1, _BRACKET_BITS + 1):
-        inner = gauss_disk_count_strict(q, _ORIGIN, 1 - Fraction(1, 2 ** k))
-        if inner is not None and inner == gauss_disk_count_strict(
-            q, _ORIGIN, 1 + Fraction(1, 2 ** k)
-        ):
-            return inner
-    raise SingularStep(
-        f"Schur-Cohn counts at 1 -+ 2^-k disagree or degenerate for k <= {_BRACKET_BITS}"
-    )
-
-
 def _cos_substitution(g: QPoly) -> QPoly:
     """For palindromic g of even degree 2m, the polynomial h with
     g(X)/X^m = h(X + 1/X); roots of g on the unit circle off +-1
@@ -548,22 +522,6 @@ def _unit_circle_count(g: QPoly) -> int:
     return circle
 
 
-def _squarefree_disk_count(f: QPoly, r: Fraction) -> tuple[int, int]:
-    """(inside, on-boundary) root counts of squarefree f for |z| < r."""
-    q = f.scale_arg(r)
-    v, q = q.strip_low()
-    inside = v
-    on = 0
-    g = q.gcd(q.reverse())
-    if g.degree >= 1:
-        on = _unit_circle_count(g)
-        inside += (g.degree - on) // 2
-        q = q // g
-    if q.degree >= 1:
-        inside += _circle_free_unit_count(q)
-    return inside, on
-
-
 def schur_cohn_count(p: QPoly, radius) -> DiskRootCount:
     """Exact multiplicity-weighted count of roots of p with |z| < radius.
 
@@ -571,11 +529,21 @@ def schur_cohn_count(p: QPoly, radius) -> DiskRootCount:
     counts roots with multiplicity, so repeated roots need no split, and
     a root on the circle or a conjugate-reciprocal pair forces a zero
     step (see gauss_disk_count_strict); a count therefore also certifies
-    the circle root-free.  Only when the chain degenerates is p split
-    into squarefree factors, each counted separately: boundary roots are
-    found exactly (gcd with the reversed polynomial, then unit-circle
-    analysis through the X + 1/X substitution) and the rest counted by
-    _circle_free_unit_count.  boundary_clear reports no boundary root.
+    the circle root-free.  Only when the chain degenerates is q = p(rX),
+    without its v roots at 0, split by g = gcd(q, q reversed).  g holds
+    each root z of q whose inverse 1/z is a root too, with the smaller
+    of the two multiplicities: all roots on |z| = 1 with theirs, and the
+    rest in pairs z, 1/z with one of each pair inside.  Each Yun factor
+    of g is inversion-closed, so _unit_circle_count counts the roots on
+    the circle exactly.  The rest, q // g, has no root on the circle and
+    no such pair, so its count comes from a bracket: its strict counts
+    at 1 - 2^-k and 1 + 2^-k.  Each non-None count certifies its circle
+    root-free, so two equal counts leave no root in the annulus between
+    them and equal the count at 1.  That happens once 2^-k is below the
+    distance from the circle to the nearest root of q // g, unless a
+    chain degenerates at one of finitely many radii; SingularStep is
+    raised if no k up to _BRACKET_BITS settles it.  boundary_clear
+    reports no root on |z| = r.
     """
     r = as_rat(radius)
     if r <= 0:
@@ -583,13 +551,22 @@ def schur_cohn_count(p: QPoly, radius) -> DiskRootCount:
     direct = gauss_disk_count_strict(p, _ORIGIN, r)
     if direct is not None:
         return DiskRootCount(p, r, direct, "SchurCohn", True)
-    total = 0
-    boundary = 0
-    for factor, mult in p.yun_decomposition():
-        inside, on = _squarefree_disk_count(factor, r)
-        total += mult * inside
-        boundary += mult * on
-    return DiskRootCount(p, r, total, "SchurCohn", boundary == 0)
+    v, q = p.scale_arg(r).strip_low()
+    g = q.gcd(q.reverse())
+    on = sum(m * _unit_circle_count(f) for f, m in g.yun_decomposition())
+    inside = v + (g.degree - on) // 2
+    rest = q // g
+    if rest.degree < 1:
+        return DiskRootCount(p, r, inside, "SchurCohn", on == 0)
+    for k in range(1, _BRACKET_BITS + 1):
+        inner = gauss_disk_count_strict(rest, _ORIGIN, 1 - Fraction(1, 2 ** k))
+        if inner is not None and inner == gauss_disk_count_strict(
+            rest, _ORIGIN, 1 + Fraction(1, 2 ** k)
+        ):
+            return DiskRootCount(p, r, inside + inner, "SchurCohn", on == 0)
+    raise SingularStep(
+        f"Schur-Cohn counts at 1 -+ 2^-k disagree or degenerate for k <= {_BRACKET_BITS}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .core import (
     e_times,
     is_quiddity,
     m_product_entries,
-    multipliers_from_json,
     oplus_multipliers,
     times_e,
 )
@@ -68,17 +67,6 @@ class ReductionWitness:
             "b_multipliers": list(self.b_multipliers),
             "epsilon_b": self.epsilon_b,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ReductionWitness":
-        return cls(
-            rotation=int(data["rotation"]),
-            reflected=bool(data["reflected"]),
-            split_m=int(data["split_m"]),
-            a_multipliers=multipliers_from_json(data["a_multipliers"]),
-            b_multipliers=multipliers_from_json(data["b_multipliers"]),
-            epsilon_b=int(data["epsilon_b"]),
-        )
 
 
 def _image(ks: Sequence[int], rotation: int, reflected: bool) -> tuple[int, ...]:

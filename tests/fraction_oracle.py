@@ -10,9 +10,12 @@ So is the quadtree's cell test on rectangles with rational corners, the
 reference for the cell test on integer coordinates; it shares the strict
 disk count with that test, and checks the cells, models, pre-tests and
 real-root counts built around it.  So is the Schur-Cohn count at 0 by
-squarefree factors, the route the chain-first count falls back to; it
-shares the squarefree split and the unit-circle count with that
-fallback, and checks the direct chain count on every other input.
+squarefree factors, each split by a gcd with its reverse and the rest
+bracketed alone.  The chain-first count falls back instead to one gcd
+of the whole scaled polynomial with its reverse and one bracket of
+what that gcd leaves, with no squarefree split and no second direct
+chain, so the two routes share only `_unit_circle_count`; the oracle
+also checks the direct chain count on every other input.
 """
 
 from __future__ import annotations
@@ -92,7 +95,9 @@ def gauss_disk_count_strict(p: QPoly, center: GaussRat, radius) -> Optional[int]
 
 
 def circle_free_unit_count(q: QPoly) -> int:
-    """polycrit._circle_free_unit_count on the Fraction chain."""
+    """Unit-disk count of squarefree q with q(0) != 0 and no root on the
+    circle: the Fraction chain, or when it degenerates the first equal
+    pair of chain counts at radii 1 -+ 2^-k."""
     a = [Fraction(c) for c in q.int_coeffs()]
     n = len(a) - 1
     direct = chain(a)

@@ -8,7 +8,6 @@ from fractions import Fraction as F
 import pytest
 
 from quiddity.classify import (
-    CensusMember,
     _complex_ab_product_ge_one,
     ClassificationOutcome,
     classify,
@@ -363,10 +362,6 @@ class TestCensus:
 
     def test_pair_is_not_counted_irreducible(self, int_report):
         assert all(m.size >= 3 for m in int_report.irreducible)
-
-    def test_member_json_roundtrip(self, int_report):
-        for m in int_report.members:
-            assert CensusMember.from_json(m.to_json()) == m
 
     def test_report_json_shape(self, int_report):
         data = int_report.to_json()

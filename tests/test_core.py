@@ -744,3 +744,17 @@ class TestTupleJson:
         assert d["multipliers"] == [0, 3, -1]
         back = QuiddityTuple.from_json(d)
         assert back == t
+
+
+class TestTupleMultipliers:
+    @pytest.mark.parametrize("ks", [(1.9, 1.2, 1.7, 1), (1, F(3, 2), 1), (1, F(2), 1)])
+    def test_non_integers_refused(self, ks):
+        # int() would truncate (1.9, 1.2, 1.7, 1) to the quiddity (1, 1, 1, 1)
+        with pytest.raises(TypeError):
+            zt(sqrt2_field(), ks)
+
+    def test_with_multipliers_refuses_non_integers(self):
+        t = zt(sqrt2_field(), [1, 1, 1, 1])
+        with pytest.raises(TypeError):
+            t.with_multipliers((0.5, 0.5))
+        assert t.with_multipliers((0, 0)).multipliers == (0, 0)

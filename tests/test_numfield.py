@@ -168,6 +168,17 @@ class TestFieldMake:
             field_make(p, root_hint=BoxC.make(-1, 0, 600000, 700000))
         assert info.value.factor == QPoly((f, 1, 1))
 
+    def test_roots_far_below_the_cauchy_bound_refused(self):
+        # the Cauchy bound 1 + max|a_i| is about 3.3e24 while every root
+        # has modulus below 1.7e6, so the quadtree needs more than 64
+        # halvings before its cells come down to the roots
+        f = 1287836182261
+        p = QPoly((f, 1, 1)) * QPoly((2 * f - 1, 1, 1))
+        assert p.cauchy_root_bound() > 2 ** 81
+        with pytest.raises(NotIrreducible) as info:
+            field_make(p)
+        assert info.value.factor == QPoly((f, 1, 1))
+
     def test_irreducible_mod_no_prime_accepted(self):
         # sqrt(2) + sqrt(3): X^4 - 10X^2 + 1 factors mod every prime
         p = QPoly((1, 0, -10, 0, 1))
@@ -586,8 +597,9 @@ class TestNewtonRefinement:
             assert _refine_one(p, box, F(1, 2**10)) == oracle.shrink_box(p, box, F(1, 2**10))
 
     def test_isolation_cap_fails_fast(self, monkeypatch):
-        # two subdivision rounds cannot separate the two root pairs of
-        # X^4 + 1, whose upper-half survivors still touch at Re = 0
+        # a cap of 2 bits allows three rounds from the Cauchy bound 2
+        # (cell units 1, 1/2, 1/4), and the upper-half survivors of
+        # X^4 + 1 still touch at Re = 0 until the fourth
         monkeypatch.setattr(numfield_module, "_MAX_DEPTH", 2)
         with pytest.raises(UndecidableAtPrecision, match="subdivision failed"):
             field_make(QPoly((1, 0, 0, 0, 1)), root_hint=BoxC.make(0, 1, 0, 1))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 import quiddity.polycrit as polycrit_module
 from quiddity.polynomials import GaussRat, QPoly
 from quiddity.polycrit import (
@@ -455,6 +456,47 @@ def test_schur_cohn_bracket_cap(monkeypatch):
         schur_cohn_count(p, 1)
 
 
+def test_schur_cohn_fallback_runs_radius_one_once(monkeypatch):
+    radii = []
+    strict = polycrit_module.gauss_disk_count_strict
+    monkeypatch.setattr(
+        polycrit_module, "gauss_disk_count_strict", lambda p, c, r: radii.append(r) or strict(p, c, r)
+    )
+    # the degenerate chain at radius 1 runs once; 3/2 is a root, so k = 1
+    # is refused and k = 2 brackets the root 1/3 alone
+    p = QPoly((-2, 1)) * QPoly((F(-1, 3), 1)) * QPoly((F(-3, 2), 1))
+    got = schur_cohn_count(p, 1)
+    assert (got.count, got.boundary_clear) == (1, True)
+    assert radii == [1, F(1, 2), F(3, 2), F(3, 4), F(5, 4)]
+    # +-i twice on the circle and the inverse pair 2, 1/2: the gcd with
+    # the reverse takes all six roots, so the count is 1/2 alone and no
+    # bracket runs
+    p = QPoly((1, 0, 1)) * QPoly((1, 0, 1)) * QPoly((-2, 1)) * QPoly((F(-1, 2), 1))
+    radii.clear()
+    got = schur_cohn_count(p, 1)
+    assert (got.count, got.boundary_clear) == (1, False)
+    assert radii == [1]
+    assert got == oracle.schur_cohn_count(p, 1)
+
+
+def test_schur_cohn_inverse_pair_next_to_the_circle():
+    # a = 1 + 2^-70 and 1/a lie in every annulus the bracket may try, on
+    # either side of the circle; the gcd with the reverse counts 1/a
+    # exactly, alone and beside roots that the bracket settles
+    a = 1 + F(1, 2 ** 70)
+    pair = QPoly((-a, 1)) * QPoly((-1 / a, 1))
+    for p, count in ((pair, 1), (pair * QPoly((F(-1, 3), 1)) * QPoly((-3, 0, 1)), 2)):
+        got = schur_cohn_count(p, 1)
+        assert (got.count, got.boundary_clear) == (count, True)
+        assert got == oracle.schur_cohn_count(p, 1)
+    # irreducible, with roots 2b and 2/b for b + 1/b = 2 + 2^-141: an
+    # inverse pair next to the circle at radius 2
+    p = QPoly((4, -(4 + F(1, 2 ** 140)), 1))
+    got = schur_cohn_count(p, 2)
+    assert got == oracle.schur_cohn_count(p, 2)
+    assert (got.count, got.boundary_clear) == (1, True)
+
+
 def test_schur_cohn_constants():
     # 0 and nonzero constants have no roots, on the general path
     for c in ((), (3,), (F(-1, 2),)):
@@ -464,7 +506,8 @@ def test_schur_cohn_constants():
 
 
 def test_schur_cohn_reciprocal_pair():
-    # (X - 2)(X - 1/2): reciprocal pair handled by the gcd split
+    # (X - 2)(X - 1/2): the reciprocal pair degenerates the chain at radius 1,
+    # and the bracket settles it with no root on the circle
     p = QPoly((-2, 1)) * QPoly((F(-1, 2), 1))
     got = schur_cohn_count(p, 1)
     assert got.count == 1 and got.boundary_clear
