@@ -22,15 +22,20 @@ isolating intervals.  A cluster of cells is accepted once a disk around
 it provably holds exactly one root.  The lower half holds the conjugates.
 
 A nonreal isolating box is refined by Newton's method from its centre,
-on Gaussian rationals rounded to a dyadic grid; each step reads p(z) and
-p'(z) off one integer Taylor shift, up to a common positive factor that
-their ratio does not see.  The refined box is the square around one open
-disk inside the old box with a strict disk count of exactly 1, so it
-holds the old box's one root.  When Newton does not converge or the
-count is not 1, one quadtree step shrinks the box and Newton starts
-again.  Both steps commute with complex conjugation (the dyadic rounding
-is half to even, and the cell test is symmetric), so a box below the
-real axis needs no path of its own.
+on Gaussian rationals rounded to a dyadic grid; each step is one integer
+Horner pass over the grid point's Gaussian-integer numerator, which gives
+p(z) and p'(z) up to powers of the grid's step.  The refined box is the
+square around one open disk inside the old box that provably holds
+exactly one root, so it holds the old box's one root: Pellet's test
+certifies the disk when the linear term of p recentred on it dominates,
+and the strict disk count decides otherwise.  When Newton does not
+converge or the disk is not certified, one quadtree step shrinks the box
+and Newton starts again.  Both steps commute with complex conjugation
+(the dyadic rounding is half to even, and the cell test is symmetric),
+so a box below the real axis needs no path of its own.  An embedding
+evaluates the element's polynomial on the root's box by interval Horner
+on integers, over the common denominators of the corners and of the
+coefficients.
 
 A field is only built over an irreducible polynomial, and that is
 decided, not assumed.  The cheap certificates of polycrit settle most
@@ -57,12 +62,11 @@ from .polynomials import (
     _sign_at,
     as_rat,
     is_perfect_square,
-    qpoly_at_disk,
     rational_sqrt,
     real_roots_isolated,
     refine_real_root,
 )
-from .polycrit import _disk_count, _trial_division, gauss_disk_count_strict, irreducible_over_Q
+from .polycrit import _disk_count, _disk_holds_one, _trial_division, irreducible_over_Q
 
 
 class NotMonic(ValueError):
@@ -369,51 +373,65 @@ def _regrid(p: QPoly, box: BoxC) -> BoxC:
     return nxt
 
 
-def _dyadic(x: Fraction, shift: int) -> Fraction:
-    return Fraction(round(x * (1 << shift)), 1 << shift)
+def _round_div(a: int, b: int) -> int:
+    """a / b for b > 0, rounded half to even, as `round` rounds a Fraction."""
+    q, r = divmod(a, b)
+    return q + (2 * r > b or (2 * r == b and q & 1))
 
 
 def _newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
     """A square of side <= width around the root isolated by box, or None.
 
-    Newton's method runs from the centre of box on a dyadic grid of
-    about width/256, which keeps the numerators bounded.  Converging
-    iterates prove nothing, so the result is certified by one strict
-    disk count: the open disk of radius r <= width/2 around the last
-    iterate lies inside box, and box holds exactly one root, so a count
-    of 1 means the disk holds that root.
+    Newton's method runs from the centre of box on the grid of step
+    2^-s, about width/256, which keeps the numerators bounded.  At
+    z = (x + iy)/2^s one integer Horner pass over the Gaussian integer
+    x + iy gives 2^(sn) P(z) and 2^(s(n-1)) P'(z) for the integer model
+    P of p, so their quotient is the step P(z)/P'(z) in grid units, and
+    the next iterate is z less that step, rounded half to even to the
+    grid.  Converging iterates prove nothing, so the result is certified
+    by polycrit._disk_holds_one: the open disk of radius r <= width/2
+    around the last iterate lies inside box, and box holds exactly one
+    root, so a disk that holds exactly one root holds that root.  That
+    test tries Pellet's test before the strict disk count, and Pellet's
+    test also certifies a disk on which the count's chain degenerates (a
+    conjugate-reciprocal pair across its circle, or an accidental zero
+    step).  On such a disk the strict count alone returns None, and
+    refinement takes a quadtree step instead, so there the box can differ
+    from the one the strict count alone would give.
     """
     shift = (width.denominator // width.numerator).bit_length() + 8
-    unit = Fraction(1, 1 << shift)
-    z = GaussRat(_dyadic(box.re.mid, shift), _dyadic(box.im.mid, shift))
+    grid = 1 << shift
+    ints = p.int_coeffs()
+    n = len(ints) - 1
+    # the model's coefficients on the grid: 2^(sn) P(X/2^s) = sum b_k X^k
+    b = [c << shift * (n - k) for k, c in enumerate(ints)]
+    lo_re, hi_re = ceil(box.re.lo * grid), floor(box.re.hi * grid)
+    lo_im, hi_im = ceil(box.im.lo * grid), floor(box.im.hi * grid)
+    x, y = round(box.re.mid * grid), round(box.im.mid * grid)
     # near a simple root each step doubles the correct bits, so a few
     # more than log2(shift) steps reach the grid
     for _ in range(shift.bit_length() + 4):
-        # the Taylor coefficients of p at z are a positive multiple of
-        # p(z), p'(z), ..., and the step p(z)/p'(z) is free of the scale
-        (vr, vi), (sr, si) = qpoly_at_disk(p, z, Fraction(1))[:2]
-        norm = sr * sr + si * si
+        vr, vi, dr, di = b[-1], 0, 0, 0
+        for c in reversed(b[:-1]):
+            dr, di = dr * x - di * y + vr, dr * y + di * x + vi
+            vr, vi = vr * x - vi * y + c, vr * y + vi * x
+        norm = dr * dr + di * di
         if not norm:
             return None
-        step_re = Fraction(vr * sr + vi * si, norm)
-        step_im = Fraction(vi * sr - vr * si, norm)
-        z = GaussRat(_dyadic(z.re - step_re, shift), _dyadic(z.im - step_im, shift))
-        if not (box.re.contains(z.re) and box.im.contains(z.im)):
+        # the step is v/d = v conj(d)/|d|^2 grid units
+        sr, si = vr * dr + vi * di, vi * dr - vr * di
+        x, y = _round_div(x * norm - sr, norm), _round_div(y * norm - si, norm)
+        if not (lo_re <= x <= hi_re and lo_im <= y <= hi_im):
             return None
-        if abs(step_re) <= unit and abs(step_im) <= unit:
+        if abs(sr) <= norm and abs(si) <= norm:
             break
     else:
         return None
-    r = min(
-        width / 2,
-        z.re - box.re.lo,
-        box.re.hi - z.re,
-        z.im - box.im.lo,
-        box.im.hi - z.im,
-    )
-    if r <= 0 or gauss_disk_count_strict(p, z, r) != 1:
+    c_re, c_im = Fraction(x, grid), Fraction(y, grid)
+    r = min(width / 2, c_re - box.re.lo, box.re.hi - c_re, c_im - box.im.lo, box.im.hi - c_im)
+    if r <= 0 or not _disk_holds_one(ints, c_re, c_im, r):
         return None
-    return BoxC(RatInterval(z.re - r, z.re + r), RatInterval(z.im - r, z.im + r))
+    return BoxC(RatInterval(c_re - r, c_re + r), RatInterval(c_im - r, c_im + r))
 
 
 # ---------------------------------------------------------------------------
@@ -869,12 +887,48 @@ def _select_root(p: QPoly, boxes: Sequence[BoxC], hint: BoxC) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _range(a0: int, a1: int, b0: int, b1: int) -> tuple[int, int]:
+    ps = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+    return min(ps), max(ps)
+
+
+def _box_image(poly: QPoly, box: BoxC) -> BoxC:
+    """poly(box) by interval Horner, the rectangle that QPoly.__call__
+    gives, on integers: with the corners over their common denominator d
+    and the coefficients over theirs, q, the bounds after k steps are
+    q d^k times the rational ones, and a positive scale moves no min or
+    max.  poly is not zero."""
+    corners = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
+    d = lcm(*(c.denominator for c in corners))
+    x0, x1, y0, y1 = (c.numerator * (d // c.denominator) for c in corners)
+    q = lcm(*(c.denominator for c in poly.coeffs))
+    ints = [c.numerator * (q // c.denominator) for c in poly.coeffs]
+    re0 = re1 = ints[-1]
+    im0 = im1 = 0
+    scale = 1
+    for c in reversed(ints[:-1]):
+        scale *= d
+        a0, a1 = _range(re0, re1, x0, x1)
+        b0, b1 = _range(im0, im1, y0, y1)
+        e0, e1 = _range(re0, re1, y0, y1)
+        f0, f1 = _range(im0, im1, x0, x1)
+        re0, re1 = a0 - b1 + c * scale, a1 - b0 + c * scale
+        im0, im1 = e0 + f0, e1 + f1
+    den = q * scale
+    return BoxC(
+        RatInterval(Fraction(re0, den), Fraction(re1, den)),
+        RatInterval(Fraction(im0, den), Fraction(im1, den)),
+    )
+
+
 def embed(x: FieldElement, conjugate_index: int, precision: int) -> BoxC:
     """Rectangle of width <= 2^-precision containing the image of x
     under the embedding sending the generator to the chosen root."""
     field = x.field
     if not (0 <= conjugate_index < field.degree):
         raise ValueError("conjugate index out of range")
+    if not isinstance(precision, int) or precision < 0:
+        raise ValueError("precision must be a nonnegative integer")
     tol = Fraction(1, 2 ** precision)
     poly = x.as_poly()
     if poly.degree < 1:
@@ -884,7 +938,7 @@ def embed(x: FieldElement, conjugate_index: int, precision: int) -> BoxC:
     target = tol
     for _ in range(_MAX_DEPTH):
         field = field.refined(conjugate_index, target)
-        out = poly(field.root_boxes[conjugate_index])
+        out = _box_image(poly, field.root_boxes[conjugate_index])
         if out.width <= tol:
             return out
         target = target / 4

@@ -19,9 +19,11 @@ grow long.  It serves the strict count at complex centers, which powers
 the rectangle subdivision used elsewhere for root isolation, and the
 count at 0 runs on that strict count.  Every strict count first tries
 the T_0 dominance test, which settles a disk whose constant term beats
-the other terms without the chain.  The chain degenerates on a root
-on the circle, on a conjugate-reciprocal root pair, and at accidental
-zero steps.  The count at 0 runs the chain first, on the whole
+the other terms without the chain; the disks of numfield's Newton
+refinement first try Pellet's test, its k = 1 case, which certifies one
+root when the linear term beats the others.  The chain degenerates on a
+root on the circle, on a conjugate-reciprocal root pair, and at
+accidental zero steps.  The count at 0 runs the chain first, on the whole
 polynomial; only when it degenerates does it split off, by a gcd with
 the reversed polynomial, the roots on the circle, counted exactly, and
 the inverse root pairs, one inside per pair, and then bracket the circle
@@ -617,3 +619,20 @@ def _disk_count(ints: list[int], c_re, c_im, r) -> Optional[int]:
         return 0
     g = math.gcd(*re, *im)
     return _chain([(x // g, y // g) for x, y in q])
+
+
+def _disk_holds_one(ints: list[int], c_re, c_im, r) -> bool:
+    """Certified: the open disk of _disk_count holds exactly one root of
+    ints, counted with multiplicity, and its circle none.  If |q_1| >
+    sum_{k != 1} |q_k| for q = ints(c + rX), by the integer bounds of the
+    T_0 test, q has one root in the unit disk and none on its circle
+    (Rouche against q_1 X; Pellet's test with k = 1).  Otherwise the
+    strict count decides.  Where the chain degenerates, as on a
+    conjugate-reciprocal pair across the circle, Pellet's test can still
+    certify the disk."""
+    re, im = _recentre(ints, c_re, c_im, r)
+    if math.isqrt(re[1] ** 2 + im[1] ** 2) > sum(
+        math.isqrt(x * x + y * y) + 1 for k, (x, y) in enumerate(zip(re, im)) if k != 1
+    ):
+        return True
+    return _disk_count(ints, c_re, c_im, r) == 1

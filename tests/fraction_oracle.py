@@ -5,7 +5,9 @@ Descartes isolation, the rational-root search, the polynomial gcd, the
 sign bisection of a real root and the number-field product, kept as an
 independent oracle: they share no arithmetic with the code they check.
 Refinement of a nonreal root by quadtree steps alone is kept here too, as
-the reference that the Newton boxes of `numfield` are checked against.
+the reference that the Newton boxes of `numfield` are checked against,
+and so is the Newton step on GaussRats, certified by the Fraction disk
+count, the reference for the Newton step on integers and Pellet's test.
 So is the quadtree's cell test on rectangles with rational corners, the
 reference for the cell test on integer coordinates; it shares the strict
 disk count with that test, and checks the cells, models, pre-tests and
@@ -256,6 +258,36 @@ def field_mul_via_qpoly(a: FieldElement, b: FieldElement) -> FieldElement:
     red = (a.as_poly() * b.as_poly()) % field.min_poly
     coords = list(red.coeffs) + [Fraction(0)] * (field.degree - len(red.coeffs))
     return FieldElement(field, coords)
+
+
+def _dyadic(x: Fraction, shift: int) -> Fraction:
+    return Fraction(round(x * (1 << shift)), 1 << shift)
+
+
+def newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
+    """numfield._newton_box over GaussRats: each step reads p(z) and
+    p'(z) off the Taylor coefficients of p at z, rounds z - p(z)/p'(z)
+    half to even to the grid of step 2^-shift, and the last iterate's
+    disk is certified by the Fraction chain alone."""
+    shift = (width.denominator // width.numerator).bit_length() + 8
+    unit = Fraction(1, 1 << shift)
+    z = GaussRat(_dyadic(box.re.mid, shift), _dyadic(box.im.mid, shift))
+    for _ in range(shift.bit_length() + 4):
+        value, slope = qpoly_at_disk(p, z, 1)[:2]
+        if not slope:
+            return None
+        step = value * slope.inverse()
+        z = GaussRat(_dyadic(z.re - step.re, shift), _dyadic(z.im - step.im, shift))
+        if not (box.re.contains(z.re) and box.im.contains(z.im)):
+            return None
+        if abs(step.re) <= unit and abs(step.im) <= unit:
+            break
+    else:
+        return None
+    r = min(width / 2, z.re - box.re.lo, box.re.hi - z.re, z.im - box.im.lo, box.im.hi - z.im)
+    if r <= 0 or gauss_disk_count_strict(p, z, r) != 1:
+        return None
+    return BoxC(RatInterval(z.re - r, z.re + r), RatInterval(z.im - r, z.im + r))
 
 
 def shrink_box(p: QPoly, box: BoxC, width: Fraction) -> BoxC:

@@ -23,7 +23,9 @@ from quiddity.numfield import (
     NumberField,
     UndecidableAtPrecision,
     ZeroGenerator,
+    _box_image,
     _integral_scale,
+    _newton_box,
     _refine_one,
     _regrid,
     coords_from_json,
@@ -524,6 +526,36 @@ class TestEmbed:
         assert g.selected_box().width <= F(1, 10**6)
         assert g.selected_box().touches(f.selected_box())
 
+    @pytest.mark.parametrize("precision", [-1, 2.5])
+    def test_bad_precision_refused(self, precision):
+        f = sqrt2_field()
+        with pytest.raises(ValueError, match="precision"):
+            embed(f.generator(), 0, precision)
+
+    def test_box_image_matches_interval_horner(self):
+        # the integer route gives QPoly.__call__'s rectangle exactly, on
+        # point boxes, boxes on the real line and degree 1 too
+        rng = random.Random(30)
+
+        def rat():
+            return F(rng.randint(-40, 40), rng.choice((1, 2, 3, 8, 12, 1024)))
+
+        shapes = {"point": 0, "real": 0, "linear": 0}
+        for i in range(300):
+            p = QPoly([rat() for _ in range(rng.randint(1, 7))] + [rat() or F(1)])
+            re = sorted((rat(), rat()))
+            im = sorted((rat(), rat()))
+            if i % 5 == 0:
+                re = im = [rat()] * 2
+            elif i % 5 == 1:
+                im = [F(0)] * 2
+            box = BoxC.make(re[0], re[1], im[0], im[1])
+            shapes["point"] += box.is_point()
+            shapes["real"] += box.is_real_line()
+            shapes["linear"] += p.degree == 1
+            assert _box_image(p, box) == p(box), (p, box)
+        assert min(shapes.values()) > 10
+
     def test_refined_handle_equals_its_source(self):
         width = F(1, 2**20)
         for f in (sqrt2_field(), zeta8_field(), zeta9_field()):
@@ -586,6 +618,51 @@ class TestNewtonRefinement:
             assert fine.touches(oracle.shrink_box(p, box, F(1, 2**12)))
             z = _nearest_float_root(coeffs, fine)
             assert _float_inside(fine, z, 1e-12) in (True, None)
+
+    def test_matches_the_fraction_newton(self):
+        # the integer Newton and Pellet's certificate give the Fraction
+        # route's box, or its None, on every upper-half isolating box, on
+        # a seeded box inside it that holds its root off centre, and on
+        # one whose corner is within 2^-30 of the root
+        rng = random.Random(31)
+
+        def between(a, b):
+            return a + (b - a) * F(rng.randint(0, 64), 64)
+
+        results = []
+        for degree in (3, 4, 5, 6, 6):
+            coeffs, boxes = _nonreal_field_poly(rng, degree)
+            p = QPoly(coeffs)
+            for box in [b for b in boxes if b.im.lo > 0]:
+                root = _refine_one(p, box, F(1, 2**30))
+                starts = [
+                    box,
+                    BoxC.make(
+                        between(box.re.lo, root.re.lo), between(root.re.hi, box.re.hi),
+                        between(box.im.lo, root.im.lo), between(root.im.hi, box.im.hi),
+                    ),
+                    BoxC.make(root.re.lo, box.re.hi, root.im.lo, box.im.hi),
+                ]
+                for start in starts:
+                    for bits in (3, 5, 8, 12, 20, 30, 40):
+                        got = _newton_box(p, start, F(1, 2**bits))
+                        assert got == oracle.newton_box(p, start, F(1, 2**bits)), (p, start, bits)
+                        results.append(got is not None)
+        assert 0 < sum(results) < len(results)
+
+    def test_phi13_at_1024_bits_runs_no_chain(self, monkeypatch):
+        # Pellet's test certifies every Newton disk on the way, so no
+        # Schur-Cohn chain runs; the box is the one the chain certified
+        f = field_make(QPoly((1,) * 13), root_hint=BoxC.make(F(88, 100), F(89, 100), F(46, 100), F(47, 100)))
+        chains = []
+        chain = polycrit_module._chain
+        monkeypatch.setattr(polycrit_module, "_chain", lambda g: chains.append(g) or chain(g))
+        start = time.perf_counter()
+        b = embed(f.generator(), f.selected_root, 1024)
+        assert time.perf_counter() - start < 1
+        assert chains == [] and b.width <= F(1, 2**1024)
+        digest = hashlib.sha256(_box_text(b).encode()).hexdigest()
+        assert digest == "a965b625a6ccf788e619edfdc3e6d226adcc29ad46e2fcd48c2eacce43f7f582"
 
     def test_quadtree_fallback(self, monkeypatch):
         # with Newton never certifying, refinement is quadtree steps alone

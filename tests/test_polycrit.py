@@ -21,6 +21,8 @@ import quiddity.polycrit as polycrit_module
 from quiddity.polynomials import GaussRat, QPoly
 from quiddity.polycrit import (
     _MODP_PRIMES,
+    _disk_count,
+    _disk_holds_one,
     _frobenius_rows,
     _frobenius_step,
     _has_root_mod,
@@ -700,3 +702,35 @@ def test_gauss_strict_random_centres_vs_numpy():
             counted += 1
             assert got == sum(1 for d in dists if d < float(r)), (p, c, r)
     assert counted >= 140
+
+
+def test_disk_holds_one_matches_the_strict_count(monkeypatch):
+    # disks near a root, most of which Pellet's test settles; wherever the
+    # strict count is defined, the verdict is whether it counts one root
+    rng = random.Random(30)
+    fallbacks = []
+    monkeypatch.setattr(
+        polycrit_module, "_disk_count", lambda *args: fallbacks.append(args) or _disk_count(*args)
+    )
+    checked = ones = 0
+    while checked < 300:
+        z = _gauss_point(rng, 4)
+        ints = _with_roots(rng, z, _gauss_point(rng, 4)).int_coeffs()
+        c = z + _gauss_point(rng, 64).scale(F(1, rng.choice((1, 4, 16))))
+        r = F(rng.randint(1, 64), rng.choice((16, 64, 256)))
+        want = _disk_count(ints, c.re, c.im, r)
+        if want is None:
+            continue
+        checked += 1
+        ones += want == 1
+        assert _disk_holds_one(ints, c.re, c.im, r) == (want == 1), (ints, c, r)
+    assert 50 < ones < checked - 50
+    assert 50 < len(fallbacks) < checked - 50
+
+
+def test_disk_holds_one_where_the_chain_degenerates():
+    # X^2 + 10X + 1 has the inverse pair -5 -+ sqrt(24) across |z| = 1,
+    # so the chain's first step is 0, and |10| > 1 + 1 certifies one root
+    ints = [1, 10, 1]
+    assert _disk_count(ints, F(0), F(0), F(1)) is None
+    assert _disk_holds_one(ints, F(0), F(0), F(1))

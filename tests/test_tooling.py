@@ -44,6 +44,22 @@ def test_resultant_route_stays_an_oracle():
     assert found == []
 
 
+def test_taylor_expansion_stays_out_of_the_hot_path():
+    # Newton reads p(z) and p'(z) off one integer Horner pass and the disk
+    # counts recentre on their own integers; the full Taylor expansion at
+    # a disk serves only the tests and the benchmark's layer timing
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "polynomials"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "qpoly_at_disk")
+        or (isinstance(node, ast.Attribute) and node.attr == "qpoly_at_disk")
+        or (isinstance(node, ast.alias) and node.name == "qpoly_at_disk")
+    ]
+    assert found == []
+
+
 def test_no_unused_imports():
     # __init__.py imports to re-export; any other module that imports a
     # name it never uses keeps a dead dependency
