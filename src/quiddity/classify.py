@@ -17,8 +17,9 @@ oracles of the tests check that lemma at small bounds): prefixes begin
 with their least entry, a hit whose suffix holds a smaller entry is
 dropped, and the rest are kept when the dihedral canonical form returns
 the word itself.  Each class is thus hit once, and its stored word is
-the one re-checked by its full product.  Over <0> every multiplier
-gives the entry 0, so the same search runs with the pool {0}.
+the one re-checked by its full product, which steps the suffix on from
+the prefix's held matrix.  Over <0> every multiplier gives the entry 0,
+so the same search runs with the pool {0}.
 Everything downstream consumes the canonical report.
 """
 
@@ -33,6 +34,7 @@ from typing import Optional
 from .core import (
     CertificateFailed,
     QuiddityTuple,
+    _check_generator,
     _word_kernel,
     canonical_multipliers,
     euler_expansion,
@@ -160,9 +162,11 @@ def enumerate_quiddities(
 ) -> EnumerationReport:
     """All quiddities with size <= n_max and |k_i| <= k_bound over <w>,
     one per dihedral class, stored as its canonical form.  Size-1 words
-    are never +-Id, so sizes start at 2."""
+    are never +-Id, so sizes start at 2.  A generator of another field
+    raises ValueError."""
     if n_max < 1 or k_bound < 0:
         raise ValueError("need n_max >= 1 and k_bound >= 0")
+    _check_generator(field, w)
     start = time.monotonic()
     found: dict[tuple[int, ...], int] = {}
     kernel = _word_kernel(w)
@@ -190,7 +194,12 @@ def enumerate_quiddities(
                         combined = ks + suffix
                         if canonical_multipliers(combined) != combined:
                             continue
-                        if kernel.sign(combined) != eps:
+                        # the full product of the stored word, stepped on
+                        # from the prefix's
+                        full = mat
+                        for k in suffix:
+                            full = kernel.step(full, k)
+                        if kernel.identity_sign(full, len(combined)) != eps:
                             raise CertificateFailed(
                                 f"meet-in-the-middle hit {combined} failed the full-product check"
                             )

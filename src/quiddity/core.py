@@ -18,12 +18,11 @@ the searches in `classify` and
 key and a forced boundary pair, and read neither d nor a coordinate:
 det M = 1 makes M^-1 = adj(M), and adj commutes with the scaling; and
 the reversed word has matrix D*M^T*D, D = diag(1, -1), since
-D*E(x)^T*D = E(x), so one step direction serves both.  The kernel
-memoises the prefix products of the last word it multiplied out, so a
-full product that shares a prefix with the one before, as consecutive
-words of a search mostly do, steps from Id only past that prefix.
-Canonical forms scan only the rotations, of the word and of its
-reversal, that begin with the least entry.  The direct 2x2 route
+D*E(x)^T*D = E(x), so one step direction serves both.  The kernel holds
+no state past what its generator fixes: a search checks a word by
+stepping on from a product it already holds.  Canonical forms scan only
+the rotations, of the word and of its reversal, that begin with the
+least entry.  The direct 2x2 route
 over `FieldElement` (`m_product`, `is_quiddity`) and continuant
 assembly share no code with the kernel: they are the oracles the tests
 compare it against, and the certificates (witness replay) that every
@@ -100,7 +99,8 @@ class Mat2:
 class QuiddityTuple:
     """Integer multipliers over a chosen generator of a number field.  A
     multiplier that is not an integer, such as a float or a Fraction, raises
-    TypeError rather than being truncated."""
+    TypeError rather than being truncated, and a generator of another field
+    raises ValueError."""
 
     __slots__ = ("field", "generator", "multipliers")
 
@@ -112,6 +112,7 @@ class QuiddityTuple:
     ):
         if len(multipliers) < 1:
             raise ValueError("a tuple needs at least one entry")
+        _check_generator(field, generator)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "multipliers", tuple(map(operator.index, multipliers)))
@@ -156,6 +157,13 @@ class QuiddityTuple:
         field = field_from_descriptor(data["field"])
         gen = coords_from_json(field, data["generator"])
         return cls(field, gen, multipliers_from_json(data["multipliers"]))
+
+
+def _check_generator(field: NumberField, w: FieldElement) -> None:
+    """Refuse a generator that is not an element of the field.  Identity is
+    tested first; a refined handle of the field still compares equal."""
+    if w.field is not field and w.field != field:
+        raise ValueError("the generator is not an element of the given field")
 
 
 def multipliers_from_json(values) -> tuple[int, ...]:
@@ -290,12 +298,10 @@ class _WordKernel:
     degree of w; a held matrix is the 4-tuple (m11, m12, m21, m22) of
     elements and is its own hash key.  One primitive, `step`, multiplies
     a held matrix on the left by a held E(k*w), and every product, walk
-    and scan goes through it.  The kernel keeps one memo slot: the last
-    word `product` multiplied out, with the held product of each of its
-    n+1 prefixes.  A call steps from Id only past the prefix it shares
-    with that word, and replaces the slot."""
+    and scan goes through it.  Nothing but `__init__` sets an attribute,
+    so a held matrix means the same whatever was asked before."""
 
-    __slots__ = ("d", "_dd", "_c", "_v", "_pivot", "_zero", "identity", "_memo")
+    __slots__ = ("d", "_dd", "_c", "_v", "_pivot", "_zero", "identity")
     # the slot of _word_kernel: a generator and its kernel
     last: tuple = (None, None)
 
@@ -308,9 +314,6 @@ class _WordKernel:
         self._zero = (0,) * m
         one = (1,) + self._zero[1:]
         self.identity = (one, self._zero, self._zero, one)
-        # the last word multiplied out and the held product of each of
-        # its prefixes, the empty one first
-        self._memo = ((), (self.identity,))
         self._v = self.step(self.identity, 1)[0]
         # a nonzero coordinate of v, None for w = 0
         self._pivot = next((j for j, x in enumerate(self._v) if x), None)
@@ -329,30 +332,17 @@ class _WordKernel:
         )
 
     def product(self, ks: Sequence[int]) -> tuple:
-        """E(k_n w) * ... * E(k_1 w), as m_product orders it, held.  The
-        steps from Id start past the longest prefix shared with the last
-        word multiplied out, whose prefix products the memo holds."""
-        ks = tuple(ks)
-        last, held = self._memo
-        j = 0
-        for a, b in zip(ks, last):
-            if a != b:
-                break
-            j += 1
-        prefixes = list(held[: j + 1])
-        m = prefixes[-1]
-        for k in ks[j:]:
+        """E(k_n w) * ... * E(k_1 w), as m_product orders it, held."""
+        m = self.identity
+        for k in ks:
             m = self.step(m, k)
-            prefixes.append(m)
-        # replaced whole, never mutated, so no reader sees a partial slot
-        self._memo = (ks, tuple(prefixes))
         return m
 
-    def sign(self, ks: Sequence[int]) -> Optional[int]:
-        """+1 when the word's matrix is Id, -1 when it is -Id, else None:
-        the held matrix must be +-d^n * Id."""
-        a, b, c, e = self.product(ks)
-        s, z = self.d ** len(ks), self._zero
+    def identity_sign(self, m: tuple, size: int) -> Optional[int]:
+        """+1 when the word of the given size held as m has matrix Id, -1
+        when it has -Id, else None: m must be +-d^size * Id."""
+        a, b, c, e = m
+        s, z = self.d ** size, self._zero
         if b != z or c != z or a != e or any(a[1:]):
             return None
         return 1 if a[0] == s else -1 if a[0] == -s else None

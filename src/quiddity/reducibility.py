@@ -17,7 +17,10 @@ reflected image that splits as a + b reverses to a rotation of c that
 splits as rev(a) + rev(b), with the same sizes and sign, and rotations
 come first in scan order.  Per rotation the scan grows the product Q of
 the reversed window by left steps on the integer word kernel of `core`,
-which reads the forced (eps, b_1, b_l) of P = D*Q^T*D.  Every witness it
+which reads the forced (eps, b_1, b_l) of P = D*Q^T*D.  The first
+rotation's scan runs on through the whole reversed word, so its last
+product is D*M^T*D for M the word matrix of c itself, and that decides,
+before any witness is returned, that c is a quiddity.  Every witness it
 returns is replayed on the generic `Mat2` route, which is what catches
 a kernel fault.  Within one census each distinct summand b is multiplied
 out once: the sign is memoised on b's exact multipliers, not on its
@@ -124,12 +127,26 @@ def find_reduction(
     caller that reduces many tuples over one generator may pass one
     `signs` dict to all of them, so that each summand replays once."""
     kernel = _word_kernel(t.generator)
-    if kernel.sign(t.multipliers) is None:
+    ks, n = t.multipliers, t.n
+    # the first rotation's scan runs on through the whole reversed word,
+    # whose matrix D*M^T*D is +-Id exactly when t's is, and its hit is
+    # returned only once that product has been checked
+    q, hit = kernel.identity, None
+    for m in range(n - 1, -1, -1):
+        # now the product over the reversed window ks[m:]; at m >= 3 its
+        # summand b has n + 2 - m entries, a has m
+        q = kernel.step(q, ks[m])
+        if hit is None and m >= 3:
+            forced = kernel.forced(q, n - m)
+            if forced is not None:
+                hit = (m, *forced)
+    if kernel.identity_sign(q, n) is None:
         raise NotAQuiddity("input word matrix is not +-Id")
-    n = t.n
-    # the unreflected slots of _scan_slots, in the same order; by the
-    # reversal lemma no reflected slot splits where no rotation does
-    for rotation in range(n):
+    if hit is not None:
+        return _replayed_witness(t, ks, 0, False, *hit, signs)
+    # the other unreflected slots of _scan_slots, in the same order; by
+    # the reversal lemma no reflected slot splits where no rotation does
+    for rotation in range(1, n):
         ks = _image(t.multipliers, rotation, False)
         q = kernel.identity
         for l in range(3, n):  # summand b has l entries, a has n+2-l

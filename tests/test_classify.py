@@ -2,7 +2,9 @@
 
 import dataclasses
 import importlib
+import sys
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -136,54 +138,80 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("make", [int_field, sqrt2_field], ids=["int_field", "sqrt2_field"])
     def test_full_product_check_covers_each_stored_member_once(self, make, monkeypatch):
-        # the check hands the word to sign, which multiplies it out
-        sign = core_module._WordKernel.sign
+        # the check reads the sign of each stored word's full held product
+        kernel_cls = core_module._WordKernel
+        identity_sign = kernel_cls.identity_sign
         checked = []
 
-        def traced_sign(kernel, ks):
-            checked.append(tuple(ks))
-            return sign(kernel, ks)
+        def traced_sign(kernel, m, size):
+            checked.append((m, size))
+            return identity_sign(kernel, m, size)
 
-        monkeypatch.setattr(core_module._WordKernel, "sign", traced_sign)
+        monkeypatch.setattr(kernel_cls, "identity_sign", traced_sign)
         f = make()
         rep = enumerate_quiddities(f, f.generator(), 6, 2)
         assert rep.members and all(m.size >= 2 for m in rep.members)
-        assert sorted(checked) == sorted(m.multipliers for m in rep.members)
+        kernel = core_module._word_kernel(f.generator())
+        want = [(kernel.product(m.multipliers), m.size) for m in rep.members]
+        assert sorted(checked) == sorted(want)
 
     @pytest.mark.parametrize("make", [int_field, sqrt2_field], ids=["int_field", "sqrt2_field"])
-    def test_full_products_share_prefix_steps(self, make, monkeypatch):
-        # the enumeration's full-product check and find_reduction's guard
-        # step from Id only past the prefix the last word shares, so the
-        # steps inside sign stay well below the entries it is handed
+    def test_full_product_checks_step_on_from_held_work(self, make, monkeypatch):
+        # the enumeration's check steps each hit's suffix onto the prefix
+        # its walk yielded, and find_reduction's check takes at most three
+        # steps beyond a full scan of the first rotation, with no product
+        # of its own
         kernel_cls = core_module._WordKernel
-        step, sign = kernel_cls.step, kernel_cls.sign
-        count = {"entries": 0, "steps": 0, "inside": False}
+        step = kernel_cls.step
+        steps = Counter()
 
         def counted_step(kernel, m, k):
-            if count["inside"]:
-                count["steps"] += 1
+            steps[sys._getframe(1).f_code.co_name] += 1
             return step(kernel, m, k)
 
-        def counted_sign(kernel, ks):
-            count["entries"] += len(ks)
-            count["inside"] = True
-            try:
-                return sign(kernel, ks)
-            finally:
-                count["inside"] = False
-
         monkeypatch.setattr(kernel_cls, "step", counted_step)
-        monkeypatch.setattr(kernel_cls, "sign", counted_sign)
         f = make()
-        rep = irreducible_census(enumerate_quiddities(f, f.generator(), 8, 2))
-        assert rep.irreducible is not None and count["entries"]
-        assert 3 * count["steps"] <= 2 * count["entries"], count
+        rep = enumerate_quiddities(f, f.generator(), 8, 2)
+        assert steps["enumerate_quiddities"] == sum(m.size // 2 for m in rep.members)
+        signs, scanned = {}, 0
+        for member in rep.members:
+            n = member.size
+            if n < 3:
+                continue
+            steps.clear()
+            wit = find_reduction(QuiddityTuple(f, f.generator(), member.multipliers), signs)
+            # the scan with its first rotation run in full takes n - 3
+            # steps there, then n - 3 per later rotation up to the hit's,
+            # which stops after n - split_m
+            if wit is None:
+                scan = (n - 3) * n
+            elif wit.rotation == 0:
+                scan = n - 3
+            else:
+                scan = (n - 3) * wit.rotation + n - wit.split_m
+            assert set(steps) == {"find_reduction"}, steps
+            assert steps["find_reduction"] <= scan + 3, member
+            scanned += 1
+        assert scanned > 100
 
     def test_failed_recheck_raises(self, monkeypatch):
         f = sqrt2_field()
-        monkeypatch.setattr(core_module._WordKernel, "sign", lambda self, m: None)
+        monkeypatch.setattr(core_module._WordKernel, "identity_sign", lambda self, m, size: None)
         with pytest.raises(CertificateFailed):
             enumerate_quiddities(f, f.generator(), 4, 1)
+
+    def test_generator_of_another_field_is_refused(self):
+        # sqrt3 under the descriptor of Q(sqrt2) would serialize as sqrt2
+        f, w = sqrt2_field(), sqrt3_field().generator()
+        with pytest.raises(ValueError):
+            enumerate_quiddities(f, w, 6, 1)
+        with pytest.raises(ValueError):
+            QuiddityTuple(f, w, (1,) * 6)
+        # a refined handle compares equal to its source and is accepted
+        refined = f.refined(f.selected_root, F(1, 2**20))
+        assert refined is not f and refined == f
+        assert enumerate_quiddities(refined, f.generator(), 4, 1).members
+        assert QuiddityTuple(refined, f.generator(), (1,) * 4).field is refined
 
     def test_members_are_canonical_and_sorted(self, int_report):
         for m in int_report.members:

@@ -8,6 +8,7 @@ import quiddity.reducibility as reducibility_module
 from quiddity.core import (
     CertificateFailed,
     QuiddityTuple,
+    _word_kernel,
     brute_force_quiddities,
     is_quiddity,
     m_product_entries,
@@ -82,9 +83,10 @@ class TestFindReduction:
 
     @pytest.mark.parametrize("make", [int_field, sqrt2_field], ids=["integers", "sqrt2"])
     def test_non_quiddity_rejected_after_a_census(self, make):
-        # the census leaves the kernel's memo holding its own words; each
-        # member's guard runs right before the same word with its last
-        # entry moved, and before its prefix
+        # a check that carried state from one word to the next would show
+        # here: each near miss runs right after a census over the same
+        # generator and right after the quiddity it differs from, that
+        # word with its last entry moved or dropped
         f = make()
         rep = irreducible_census(enumerate_quiddities(f, f.generator(), 6, 2))
         rejected = 0
@@ -99,6 +101,30 @@ class TestFindReduction:
                         find_reduction(zt(f, other))
                     rejected += 1
         assert rejected > len(rep.members)
+
+    @pytest.mark.parametrize("make", [int_field, sqrt2_field], ids=["integers", "sqrt2"])
+    def test_non_quiddity_gluing_rejected(self, make):
+        # c = a (+) b with b a least census quiddity and a not a quiddity:
+        # b's interior ends c, so the first rotation's scan finds b, and
+        # that witness replays, but c is not a quiddity and is refused
+        # before any split is returned
+        f = make()
+        w = f.generator()
+        b = next(m for m in enumerate_quiddities(f, w, 4, 1).members if m.size >= 3)
+        a = (2, 2, 2)
+        assert is_quiddity(zt(f, a)) is None
+        c = zt(f, oplus_multipliers(a, b.multipliers))
+        assert is_quiddity(c) is None
+        wit = ReductionWitness(0, False, len(a), a, b.multipliers, b.epsilon)
+        assert witness_replay(c, wit)
+        # cold, with the kernel slot holding another generator, then right
+        # after a census over this one
+        _word_kernel(omega_field().generator())
+        with pytest.raises(NotAQuiddity):
+            find_reduction(c)
+        irreducible_census(enumerate_quiddities(f, w, 6, 2))
+        with pytest.raises(NotAQuiddity):
+            find_reduction(c)
 
     def test_1212_reducible(self):
         t = zt(int_field(), [1, 2, 1, 2])

@@ -122,12 +122,28 @@ def test_kernel_names_are_complete():
         "_neg",
         "step",
         "product",
-        "sign",
+        "identity_sign",
         "inverse_keys",
         "forced",
         "_multiple",
         "words",
     }
+
+
+def test_kernel_is_stateless():
+    # only __init__ sets what the kernel holds, so no call can change
+    # what a later call computes
+    found = [
+        f"core.py:{node.lineno} {method.name}"
+        for method in _kernel_defs()["_WordKernel"].body
+        if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ]
+    assert found == []
 
 
 def test_kernel_has_no_fraction():
