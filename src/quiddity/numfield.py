@@ -19,7 +19,8 @@ by a Gaussian integer.  A cell is dropped once a disk around it provably
 holds no nonreal root: the strict count of polycrit, run on the depth's
 model, equals the real roots on the disk's trace, counted on their
 isolating intervals.  A cluster of cells is accepted once a disk around
-it provably holds exactly one root.  The lower half holds the conjugates.
+it provably holds exactly one root, by the one-root certificate of
+polycrit that Newton's disks use too.  The lower half holds the conjugates.
 
 A nonreal isolating box is refined by Newton's method from its centre,
 on Gaussian rationals rounded to a dyadic grid; each step is one integer
@@ -28,14 +29,14 @@ p(z) and p'(z) up to powers of the grid's step.  The refined box is the
 square around one open disk inside the old box that provably holds
 exactly one root, so it holds the old box's one root: Pellet's test
 certifies the disk when the linear term of p recentred on it dominates,
-and the strict disk count decides otherwise.  When Newton does not
-converge or the disk is not certified, one quadtree step shrinks the box
-and Newton starts again.  Both steps commute with complex conjugation
-(the dyadic rounding is half to even, and the cell test is symmetric),
-so a box below the real axis needs no path of its own.  An embedding
-evaluates the element's polynomial on the root's box by interval Horner
-on integers, over the common denominators of the corners and of the
-coefficients.
+and the strict count on the same recentred model decides otherwise.
+When Newton does not converge or the disk is not certified, one
+quadtree step shrinks the box and Newton starts again.  Both steps
+commute with complex conjugation (the dyadic rounding is half to even,
+and the cell test is symmetric), so a box below the real axis needs no
+path of its own.  An embedding evaluates the element's polynomial on
+the root's box by interval Horner on integers, over the common
+denominators of the corners and of the coefficients.
 
 A field is only built over an irreducible polynomial, and that is
 decided, not assumed.  The cheap certificates of polycrit settle most
@@ -306,13 +307,14 @@ def _cell_excluded(grid: tuple, cell: tuple) -> bool:
 
 def _holds_one(grid: tuple, cell: tuple) -> bool:
     """Certified: a disk covering the cell, strictly above the real axis,
-    contains exactly one root of p."""
+    contains exactly one root of p, by polycrit's one-root certificate at
+    the first rung where it decides."""
     x0, x1, y0, y1 = cell
     cx, cy, half = 17 * (x0 + x1), 17 * (y0 + y1), x1 - x0 + y1 - y0
     for r in [half * rung for rung in _RUNGS if half * rung < cy]:
-        got = _disk_count(grid[3], cx, cy, r)
+        got = _disk_holds_one(grid[3], cx, cy, r)
         if got is not None:
-            return got == 1
+            return got
     return False
 
 
@@ -391,13 +393,8 @@ def _newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
     grid.  Converging iterates prove nothing, so the result is certified
     by polycrit._disk_holds_one: the open disk of radius r <= width/2
     around the last iterate lies inside box, and box holds exactly one
-    root, so a disk that holds exactly one root holds that root.  That
-    test tries Pellet's test before the strict disk count, and Pellet's
-    test also certifies a disk on which the count's chain degenerates (a
-    conjugate-reciprocal pair across its circle, or an accidental zero
-    step).  On such a disk the strict count alone returns None, and
-    refinement takes a quadtree step instead, so there the box can differ
-    from the one the strict count alone would give.
+    root, so a disk that holds exactly one root holds that root.  Where
+    that certificate fails, refinement takes a quadtree step instead.
     """
     shift = (width.denominator // width.numerator).bit_length() + 8
     grid = 1 << shift
@@ -727,7 +724,9 @@ def _dependence(rows: list[list[Fraction]]) -> Optional[list[Fraction]]:
 
 def isolate_roots(p: QPoly) -> list[BoxC]:
     """Pairwise-disjoint isolating boxes for all complex roots of the
-    monic squarefree p, sorted by (re.lo, re.hi, im.lo, im.hi)."""
+    squarefree p, sorted by (re.lo, re.hi, im.lo, im.hi); p and its
+    monic form get the same boxes."""
+    p = p.monic()
     d = p.degree
     if d == 1:
         return [BoxC.point(-p.coeffs[0])]

@@ -17,11 +17,12 @@ primitive Gaussian-integer coefficients of a positive multiple of the
 recentred polynomial, dividing a step by its content once its integers
 grow long.  It serves the strict count at complex centers, which powers
 the rectangle subdivision used elsewhere for root isolation, and the
-count at 0 runs on that strict count.  Every strict count first tries
-the T_0 dominance test, which settles a disk whose constant term beats
-the other terms without the chain; the disks of numfield's Newton
-refinement first try Pellet's test, its k = 1 case, which certifies one
-root when the linear term beats the others.  The chain degenerates on a
+count at 0 runs on that strict count.  One integer test, Pellet's,
+comes first on every disk: a term of the recentred polynomial whose
+modulus beats the sum of the others fixes the count at its index.  Its
+k = 0 case, the T_0 test, clears a disk without the chain; its k = 1
+case certifies the one-root disks of numfield; and the dominant-term
+count is that test at the dominant index.  The chain degenerates on a
 root on the circle, on a conjugate-reciprocal root pair, and at
 accidental zero steps.  The count at 0 runs the chain first, on the whole
 polynomial; only when it degenerates does it split off, by a gcd with
@@ -410,8 +411,11 @@ def rouche_dominant_count(
     """Count = dominant_index when that term beats all others on |z| = r,
     else None; ValueError for an index that names no term.
 
-    The check sum_{i != j} |a_i| r^i < |a_j| r^j is exact rational
-    arithmetic; strict inequality also rules out boundary roots.
+    The check sum_{i != j} |a_i| r^i < |a_j| r^j is Pellet's test with
+    k = j on the integer model of p(rX), which multiplies both sides by
+    one positive integer; its coefficients are real integers, so the
+    bounds of _pellet are exact.  Strict inequality also rules out
+    boundary roots.
     """
     r = as_rat(radius)
     if r <= 0:
@@ -420,22 +424,10 @@ def rouche_dominant_count(
         raise ValueError(
             f"dominant index {dominant_index} names no term of a degree-{p.degree} polynomial"
         )
-    aj = p.coeffs[dominant_index]
-    if aj == 0:
+    re, im = _recentre(p.int_coeffs(), 0, 0, r)
+    if not _pellet(re, im, dominant_index):
         return None
-    dominant = abs(aj) * r ** dominant_index
-    rest = sum(
-        abs(c) * r ** i for i, c in enumerate(p.coeffs) if i != dominant_index
-    )
-    if rest < dominant:
-        return DiskRootCount(
-            poly=p,
-            radius=r,
-            count=dominant_index,
-            method="RoucheBound",
-            boundary_clear=True,
-        )
-    return None
+    return DiskRootCount(p, r, dominant_index, "RoucheBound", True)
 
 
 # ---------------------------------------------------------------------------
@@ -599,40 +591,54 @@ def gauss_disk_count_strict(
     r = as_rat(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
-    if p.degree < 1:
-        return 0
+    if p.is_zero:
+        raise ValueError("the zero polynomial vanishes on every disk")
     return _disk_count(p.int_coeffs(), center.re, center.im, r)
 
 
-def _disk_count(ints: list[int], c_re, c_im, r) -> Optional[int]:
-    """gauss_disk_count_strict for the integer polynomial ints, low degree
-    first, at the centre c_re + c_im i and radius r > 0, each an int or a
-    Fraction.  If |q_0| > sum |q_k| for q = ints(c + rX), by integer bounds
-    on the moduli, no polynomial of the chain has a root on the closed
-    disk (Rouche), so each gamma is positive and the chain would count 0
-    (the T_0 test of Becker, Sagraloff, Sharma and Yap, 2018)."""
-    re, im = _recentre(ints, c_re, c_im, r)
-    q = list(zip(re, im))
-    if math.isqrt(re[0] ** 2 + im[0] ** 2) > sum(
-        math.isqrt(x * x + y * y) + 1 for x, y in q[1:]
-    ):
+def _pellet(re: list[int], im: list[int], k: int) -> bool:
+    """Pellet's test on q = re + i im, Gaussian integers low degree first:
+    True certifies |q_k| > sum_{j != k} |q_j|, so q has exactly k roots in
+    the open unit disk, counted with multiplicity, and none on its circle
+    (Rouche against q_k X^k on |z| = 1).  |q_k| is bounded below by the
+    integer square root of its norm m, and every other modulus above by
+    the ceiling square root, isqrt(m - 1) + 1, and 0 for m = 0; the test
+    is exact where every modulus is an integer, as on real coefficients.
+    With k = 0 it is the T_0 test of Becker, Sagraloff, Sharma and Yap
+    (2018)."""
+    norms = [x * x + y * y for x, y in zip(re, im)]
+    mk = norms.pop(k)
+    return math.isqrt(mk) > sum(math.isqrt(m - 1) + 1 for m in norms if m)
+
+
+def _count(re: list[int], im: list[int]) -> Optional[int]:
+    """The strict unit-disk count of q = re + i im: 0 when T_0 passes,
+    else the chain on q's primitive part.  Where T_0 passes, the chain
+    would count 0 too: with no root on the closed disk, every Schur-Cohn
+    step keeps |a0| > |an|, so no gamma is 0."""
+    if _pellet(re, im, 0):
         return 0
     g = math.gcd(*re, *im)
-    return _chain([(x // g, y // g) for x, y in q])
+    return _chain([(x // g, y // g) for x, y in zip(re, im)])
 
 
-def _disk_holds_one(ints: list[int], c_re, c_im, r) -> bool:
-    """Certified: the open disk of _disk_count holds exactly one root of
-    ints, counted with multiplicity, and its circle none.  If |q_1| >
-    sum_{k != 1} |q_k| for q = ints(c + rX), by the integer bounds of the
-    T_0 test, q has one root in the unit disk and none on its circle
-    (Rouche against q_1 X; Pellet's test with k = 1).  Otherwise the
-    strict count decides.  Where the chain degenerates, as on a
-    conjugate-reciprocal pair across the circle, Pellet's test can still
-    certify the disk."""
+def _disk_count(ints: list[int], c_re, c_im, r) -> Optional[int]:
+    """gauss_disk_count_strict for the nonzero integer polynomial ints, low
+    degree first, at the centre c_re + c_im i and radius r > 0, each an int
+    or a Fraction: _count on the integer model of ints(c + rX)."""
+    return _count(*_recentre(ints, c_re, c_im, r))
+
+
+def _disk_holds_one(ints: list[int], c_re, c_im, r) -> Optional[bool]:
+    """Whether the open disk of _disk_count holds exactly one root of ints,
+    counted with multiplicity, and its circle none; None where that is not
+    certified.  One integer model q of ints(c + rX) serves both tests:
+    Pellet's test with k = 1 certifies one root, and otherwise the strict
+    count decides.  Pellet's test also certifies a disk on which the chain
+    degenerates, as on a conjugate-reciprocal pair across the circle;
+    where both fail, the answer is None."""
     re, im = _recentre(ints, c_re, c_im, r)
-    if math.isqrt(re[1] ** 2 + im[1] ** 2) > sum(
-        math.isqrt(x * x + y * y) + 1 for k, (x, y) in enumerate(zip(re, im)) if k != 1
-    ):
+    if _pellet(re, im, 1):
         return True
-    return _disk_count(ints, c_re, c_im, r) == 1
+    got = _count(re, im)
+    return None if got is None else got == 1

@@ -123,39 +123,33 @@ def _scan_slots(n: int):
 def find_reduction(
     t: QuiddityTuple, signs: Optional[dict] = None
 ) -> Optional[ReductionWitness]:
-    """First witness in scan order, or None when no split exists.  A
-    caller that reduces many tuples over one generator may pass one
-    `signs` dict to all of them, so that each summand replays once."""
+    """First witness in scan order, or None when no split exists;
+    NotAQuiddity when t's word matrix is not +-Id.  One loop scans the
+    unreflected slots of _scan_slots in order; by the reversal lemma no
+    reflected slot splits where no rotation does.  The first rotation's
+    scan runs on through the whole reversed word, whose matrix D*M^T*D
+    is +-Id exactly when t's is, and its hit is returned only once that
+    product has been checked; the other rotations stop at their first
+    hit.  A caller that reduces many tuples over one generator may pass
+    one `signs` dict to all of them, so that each summand replays once."""
     kernel = _word_kernel(t.generator)
-    ks, n = t.multipliers, t.n
-    # the first rotation's scan runs on through the whole reversed word,
-    # whose matrix D*M^T*D is +-Id exactly when t's is, and its hit is
-    # returned only once that product has been checked
-    q, hit = kernel.identity, None
-    for m in range(n - 1, -1, -1):
-        # now the product over the reversed window ks[m:]; at m >= 3 its
-        # summand b has n + 2 - m entries, a has m
-        q = kernel.step(q, ks[m])
-        if hit is None and m >= 3:
-            forced = kernel.forced(q, n - m)
+    n = t.n
+    for rotation in range(n):
+        ks = _image(t.multipliers, rotation, False)
+        q, hit = kernel.identity, None
+        for m in range(n - 1, 2 if rotation else -1, -1):
+            # now the product over the reversed window ks[m:]; at m >= 3
+            # its summand b has n + 2 - m entries, a has m
+            q = kernel.step(q, ks[m])
+            forced = kernel.forced(q, n - m) if hit is None and m >= 3 else None
             if forced is not None:
                 hit = (m, *forced)
-    if kernel.identity_sign(q, n) is None:
-        raise NotAQuiddity("input word matrix is not +-Id")
-    if hit is not None:
-        return _replayed_witness(t, ks, 0, False, *hit, signs)
-    # the other unreflected slots of _scan_slots, in the same order; by
-    # the reversal lemma no reflected slot splits where no rotation does
-    for rotation in range(1, n):
-        ks = _image(t.multipliers, rotation, False)
-        q = kernel.identity
-        for l in range(3, n):  # summand b has l entries, a has n+2-l
-            m = n + 2 - l
-            # now the product over the reversed window ks[m:]
-            q = kernel.step(q, ks[m])
-            forced = kernel.forced(q, l - 2)
-            if forced is not None:
-                return _replayed_witness(t, ks, rotation, False, m, *forced, signs)
+                if rotation:
+                    break
+        if not rotation and kernel.identity_sign(q, n) is None:
+            raise NotAQuiddity("input word matrix is not +-Id")
+        if hit is not None:
+            return _replayed_witness(t, ks, rotation, False, *hit, signs)
     return None
 
 

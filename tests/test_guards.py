@@ -57,6 +57,11 @@ GUARDS = {
         lambda: gauss_disk_count_strict(CUBIC, GaussRat.of(0), F(-1, 2)),
     ),
     "dominant radius zero": (ValueError, lambda: rouche_dominant_count(CUBIC, 3, 0)),
+    "strict count of the zero polynomial": (
+        ValueError,
+        lambda: gauss_disk_count_strict(QPoly(()), GaussRat.of(0), 1),
+    ),
+    "Schur-Cohn count of the zero polynomial": (ValueError, lambda: schur_cohn_count(QPoly(()), 1)),
     "irreducibility of a constant": (ValueError, lambda: irreducible_over_Q(QPoly((3,)))),
     "isolating interval ending on a root": (
         ValueError,

@@ -266,6 +266,14 @@ class TestIsolateRoots:
         assert len(boxes) == 4
         assert all(b.is_real_line() for b in boxes)
 
+    def test_non_monic_input_gets_its_monic_forms_boxes(self):
+        # 4X^2 + 2X + 1 and 2X^2 + 2 have nonreal roots; read as if monic,
+        # the first lost its root and the second got a box that was no point
+        for coeffs in ((1, 2, 4), (2, 0, 2), (-6, 4, 8), (3, 0, 2, -4), (6, 2, 0, 2)):
+            p = QPoly(coeffs)
+            assert isolate_roots(p) == isolate_roots(p.monic()), coeffs
+        assert isolate_roots(QPoly((2, 0, 2))) == [BoxC.point(0, -1), BoxC.point(0, 1)]
+
 
 def _pin_polys():
     """X^2 - 2X + 2 and X^2 + 4, whose imaginary parts squared are

@@ -401,6 +401,35 @@ def test_rouche_index_must_name_a_term():
             rouche_dominant_count(QPoly(coeffs), j, 2)
 
 
+def test_rouche_matches_the_rational_inequality():
+    # the integer Pellet test against sum_{i != j} |a_i| r^i < |a_j| r^j,
+    # on rational inputs with zero coefficients and ties: 1 + X at r = 1
+    # ties 1 with 1, and every fourth random input is made a tie
+    rng = random.Random(32)
+    cases = [((1, 1), 0, F(1)), ((1, 1), 1, F(1)), ((2, 1, 1), 0, F(1)), ((0, 0, 3), 2, F(1, 2))]
+    for _ in range(400):
+        deg = rng.randint(0, 7)
+        coeffs = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(deg)]
+        coeffs.append(F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))))
+        j, r = rng.randint(0, deg), F(rng.randint(1, 6), rng.randint(1, 4))
+        rest = sum(abs(c) * r ** i for i, c in enumerate(coeffs) if i != j)
+        if rest and rng.random() < 0.25:
+            coeffs[j] = rng.choice((1, -1)) * rest / r ** j
+        cases.append((coeffs, j, r))
+    ties = 0
+    for coeffs, j, r in cases:
+        p = QPoly(coeffs)
+        dominant = abs(p.coeffs[j]) * r ** j
+        rest = sum(abs(c) * r ** i for i, c in enumerate(p.coeffs) if i != j)
+        ties += rest == dominant
+        got = rouche_dominant_count(p, j, r)
+        if rest < dominant:
+            assert got == polycrit_module.DiskRootCount(p, r, j, "RoucheBound", True)
+        else:
+            assert got is None, (coeffs, j, r)
+    assert ties >= 50
+
+
 def test_rouche_margin_values():
     # the two inequalities behind the quintic/septic examples: 77 < 160
     # and 161 < 320 at radius 2
@@ -500,11 +529,15 @@ def test_schur_cohn_inverse_pair_next_to_the_circle():
 
 
 def test_schur_cohn_constants():
-    # 0 and nonzero constants have no roots, on the general path
-    for c in ((), (3,), (F(-1, 2),)):
+    # nonzero constants have no roots, on the general path; the zero
+    # polynomial vanishes everywhere, so no count is certified
+    for c in ((3,), (F(-1, 2),)):
         for r in (1, F(5, 2)):
             got = schur_cohn_count(QPoly(c), r)
             assert (got.count, got.boundary_clear, got.radius) == (0, True, r)
+    for r in (1, F(5, 2)):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            schur_cohn_count(QPoly(()), r)
 
 
 def test_schur_cohn_reciprocal_pair():
@@ -704,14 +737,12 @@ def test_gauss_strict_random_centres_vs_numpy():
     assert counted >= 140
 
 
-def test_disk_holds_one_matches_the_strict_count(monkeypatch):
+def test_disk_holds_one_matches_the_strict_count():
     # disks near a root, most of which Pellet's test settles; wherever the
     # strict count is defined, the verdict is whether it counts one root
     rng = random.Random(30)
     fallbacks = []
-    monkeypatch.setattr(
-        polycrit_module, "_disk_count", lambda *args: fallbacks.append(args) or _disk_count(*args)
-    )
+    count = polycrit_module._count
     checked = ones = 0
     while checked < 300:
         z = _gauss_point(rng, 4)
@@ -723,14 +754,37 @@ def test_disk_holds_one_matches_the_strict_count(monkeypatch):
             continue
         checked += 1
         ones += want == 1
-        assert _disk_holds_one(ints, c.re, c.im, r) == (want == 1), (ints, c, r)
+        # only the strict counts that _disk_holds_one falls back on count
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polycrit_module, "_count", lambda *q: fallbacks.append(q) or count(*q))
+            got = _disk_holds_one(ints, c.re, c.im, r)
+        assert got == (want == 1), (ints, c, r)
     assert 50 < ones < checked - 50
     assert 50 < len(fallbacks) < checked - 50
 
 
 def test_disk_holds_one_where_the_chain_degenerates():
     # X^2 + 10X + 1 has the inverse pair -5 -+ sqrt(24) across |z| = 1,
-    # so the chain's first step is 0, and |10| > 1 + 1 certifies one root
-    ints = [1, 10, 1]
-    assert _disk_count(ints, F(0), F(0), F(1)) is None
-    assert _disk_holds_one(ints, F(0), F(0), F(1))
+    # so the chain's first step is 0, and |10| > 1 + 1 certifies one root;
+    # the chain of X^3 + 5X + 1 degenerates too, and |5| > 1 + 0 + 1 holds
+    # once a zero coefficient's modulus is bounded by 0
+    for ints in ([1, 10, 1], [1, 5, 0, 1]):
+        assert _disk_count(ints, F(0), F(0), F(1)) is None
+        assert _disk_holds_one(ints, F(0), F(0), F(1))
+        assert schur_cohn_count(QPoly(ints), 1).count == 1
+
+
+def test_disk_holds_one_is_undecided_where_both_tests_fail():
+    # X^2 + 1 at 0, radius 1: the roots +-i lie on the circle, so the chain
+    # degenerates and |0| beats nothing
+    assert _disk_holds_one([1, 0, 1], F(0), F(0), F(1)) is None
+
+
+def test_t0_clears_a_disk_without_the_chain(monkeypatch):
+    # X^4 + 3: |3| > 1 with the zero coefficients bounded by 0, so T_0
+    # decides the count; rounded up to 1 each, they would leave 3 <= 5
+    def chain(f):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(polycrit_module, "_chain", chain)
+    assert _disk_count([3, 0, 0, 0, 1], F(0), F(0), F(1)) == 0

@@ -224,7 +224,23 @@ def test_quadtree_cells_have_no_fraction():
     # Fraction and rectangle arithmetic they replaced is the oracle
     cells = {"_split4", "_components", "_hull"}
     used = {"Fraction", "BoxC", "GaussRat", "int_coeffs"}
-    assert _uses("numfield.py", cells, used) + _uses("polycrit.py", {"_disk_count"}, used) == []
+    counts = {"_disk_count", "_count", "_pellet"}
+    assert _uses("numfield.py", cells, used) + _uses("polycrit.py", counts, used) == []
+
+
+def test_one_dominance_test_in_polycrit():
+    # T_0, the one-root test and the dominant-term count are all Pellet's
+    # test; a second copy of its modulus bounds would be a second path
+    tree = ast.parse((SRC / "polycrit.py").read_text())
+    named = {
+        getattr(top, "name", f"line {top.lineno}")
+        for top in tree.body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Name) and node.id == "isqrt")
+        or (isinstance(node, ast.Attribute) and node.attr == "isqrt")
+        or (isinstance(node, ast.alias) and node.name == "isqrt")
+    }
+    assert named == {"_pellet"}
 
 
 def test_shared_brute_force_walks_stay_shared():
