@@ -13,14 +13,18 @@ interval narrower than the bound that holds both sides proves them equal.
 
 Real roots are isolated by sign-variation bisection on integer
 coefficients and refined by rational bisection.  Nonreal roots are
-isolated in the upper half plane by a quadtree on integer cells: each
-depth forms one integer model of p, which every disk count there shifts
-by a Gaussian integer.  A cell is dropped once a disk around it provably
-holds no nonreal root: the strict count of polycrit, run on the depth's
-model, equals the real roots on the disk's trace, counted on their
-isolating intervals.  A cluster of cells is accepted once a disk around
-it provably holds exactly one root, by the one-root certificate of
-polycrit that Newton's disks use too.  The lower half holds the conjugates.
+isolated in the upper half plane by a quadtree on integer cells.  Each
+disk count there is read first off polycrit's root enclosures, disjoint
+disks on the 2^-64 grid that each hold one root, computed once per
+isolation; only where an enclosure straddles the disk's circle, or the
+enclosures are not certified, does it fall back to the strict count of
+polycrit, run on the depth's integer model of p, which every count there
+shifts by a Gaussian integer.  A cell is dropped once a disk around it
+provably holds no nonreal root: its count equals the real roots on the
+disk's trace, counted on their isolating intervals.  A cluster of cells is
+accepted once a disk around it provably holds exactly one root, by the
+enclosures or else by the one-root certificate of polycrit that Newton's
+disks use too.  The lower half holds the conjugates.
 
 A nonreal isolating box is refined by Newton's method from its centre,
 on Gaussian rationals rounded to a dyadic grid; each step is one integer
@@ -67,7 +71,15 @@ from .polynomials import (
     real_roots_isolated,
     refine_real_root,
 )
-from .polycrit import _disk_count, _disk_holds_one, _trial_division, irreducible_over_Q
+from .polycrit import (
+    _disk_count,
+    _disk_holds_one,
+    _enclosure_count,
+    _horner,
+    _trial_division,
+    irreducible_over_Q,
+    root_enclosures,
+)
 
 
 class NotMonic(ValueError):
@@ -255,13 +267,14 @@ def _split4(cell: tuple) -> list[tuple]:
     return [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
 
 
-def _grid(p: QPoly, reals, unit: Fraction) -> tuple:
+def _grid(p: QPoly, reals, unit: Fraction, enclosures=None) -> tuple:
     """p at the unit u: its integer model with positive leading term, the
-    intervals reals, u, and an integer positive multiple of p(uY/34)."""
+    intervals reals, u, an integer positive multiple of p(uY/34), and the
+    root enclosures of polycrit for p, or None."""
     ints = p.int_coeffs()
     u, n = unit / 34, len(ints) - 1
     model = [c * u.numerator ** k * u.denominator ** (n - k) for k, c in enumerate(ints)]
-    return ints, reals, unit, model
+    return ints, reals, unit, model, enclosures
 
 
 def _real_count(ints: list[int], reals, lo: Fraction, hi: Fraction) -> int:
@@ -280,14 +293,23 @@ def _real_count(ints: list[int], reals, lo: Fraction, hi: Fraction) -> int:
 def _cell_excluded(grid: tuple, cell: tuple) -> bool:
     """Certified: the closed cell holds no nonreal root of p.  A disk count
     equal to the number of real roots on the disk's trace leaves the disk
-    free of nonreal roots; counts are symmetric under conjugation and the
-    rest reads |Im c| alone, so a cell below the axis is tested as its mirror."""
-    ints, reals, unit, model = grid
+    free of nonreal roots.  Each rung's count comes from the grid's root
+    enclosures where they decide it, else from the strict count, and a rung
+    that neither decides is skipped.  Both counts are exact, so the verdict
+    is the strict count's alone, except where the chain degenerates with
+    every enclosure clear of the circle (an inverse root pair across it, or
+    an accidental zero step): there the enclosures decide a rung that the
+    strict count skips, and the ladder of rungs can stop earlier.  Exact
+    counts are symmetric under conjugation and the rest reads |Im c| alone,
+    so a cell below the axis is tested as its mirror."""
+    ints, reals, unit, model, enc = grid
     x0, x1, y0, y1 = cell
     cx, cy, half = 17 * (x0 + x1), 17 * (y0 + y1), x1 - x0 + y1 - y0
     for rung in _RUNGS:
         r = half * rung
-        got = _disk_count(model, cx, cy, r)
+        got = None if enc is None else _enclosure_count(enc, cx, cy, r, unit)
+        if got is None:
+            got = _disk_count(model, cx, cy, r)
         if got is None:
             continue
         if got == 0 or abs(cy) >= r:
@@ -307,12 +329,14 @@ def _cell_excluded(grid: tuple, cell: tuple) -> bool:
 
 def _holds_one(grid: tuple, cell: tuple) -> bool:
     """Certified: a disk covering the cell, strictly above the real axis,
-    contains exactly one root of p, by polycrit's one-root certificate at
-    the first rung where it decides."""
+    contains exactly one root of p, by the grid's root enclosures or else
+    polycrit's one-root certificate, at the first rung where one decides."""
+    _, _, unit, model, enc = grid
     x0, x1, y0, y1 = cell
     cx, cy, half = 17 * (x0 + x1), 17 * (y0 + y1), x1 - x0 + y1 - y0
     for r in [half * rung for rung in _RUNGS if half * rung < cy]:
-        got = _disk_holds_one(grid[3], cx, cy, r)
+        count = None if enc is None else _enclosure_count(enc, cx, cy, r, unit)
+        got = _disk_holds_one(model, cx, cy, r) if count is None else count == 1
         if got is not None:
             return got
     return False
@@ -343,12 +367,16 @@ def _upper_half_roots(p: QPoly, pairs: int, reals) -> list[BoxC]:
     """Isolating boxes for the `pairs` >= 1 roots above the real axis of
     the squarefree p, given ascending isolating intervals of its real roots.
     The cells start at the Cauchy bound, at least 1, and subdivision stops
-    once their unit falls below 2^-_MAX_DEPTH."""
+    once their unit falls below 2^-_MAX_DEPTH.  polycrit's root enclosures
+    of p, on the 2^-64 grid, are computed once here and serve every depth;
+    where they are None, as around a cluster the grid cannot separate,
+    every count is the strict one, as in _regrid."""
     unit = p.cauchy_root_bound()
     cells = [(-1, 1, 0, 1)]
+    enc = root_enclosures(p.int_coeffs())
     while unit / 2 >= Fraction(1, 2 ** _MAX_DEPTH):
         unit /= 2
-        grid = _grid(p, reals, unit)
+        grid = _grid(p, reals, unit, enc)
         cells = [q for c in cells for q in _split4(c) if not _cell_excluded(grid, q)]
         comps = _components(cells)
         if len(comps) == pairs:
@@ -361,7 +389,8 @@ def _upper_half_roots(p: QPoly, pairs: int, reals) -> list[BoxC]:
 
 def _regrid(p: QPoly, box: BoxC) -> BoxC:
     """One quadtree step on the isolating rectangle of a nonreal root:
-    split into 16 cells, drop provably empty ones, take the hull."""
+    split into 16 cells, drop provably empty ones, take the hull.  Its grid
+    carries no enclosures, so every count is the strict one."""
     corners = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
     den = lcm(*(c.denominator for c in corners))
     grid = _grid(p, real_roots_isolated(p)[0], Fraction(1, 4 * den))
@@ -408,10 +437,7 @@ def _newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
     # near a simple root each step doubles the correct bits, so a few
     # more than log2(shift) steps reach the grid
     for _ in range(shift.bit_length() + 4):
-        vr, vi, dr, di = b[-1], 0, 0, 0
-        for c in reversed(b[:-1]):
-            dr, di = dr * x - di * y + vr, dr * y + di * x + vi
-            vr, vi = vr * x - vi * y + c, vr * y + vi * x
+        vr, vi, dr, di = _horner(b, x, y)
         norm = dr * dr + di * di
         if not norm:
             return None
@@ -725,7 +751,12 @@ def _dependence(rows: list[list[Fraction]]) -> Optional[list[Fraction]]:
 def isolate_roots(p: QPoly) -> list[BoxC]:
     """Pairwise-disjoint isolating boxes for all complex roots of the
     squarefree p, sorted by (re.lo, re.hi, im.lo, im.hi); p and its
-    monic form get the same boxes."""
+    monic form get the same boxes.  The zero polynomial is refused with
+    ValueError, and a repeated root with NotSquarefree: a real one by the
+    real-root isolation, a nonreal one once the quadtree has failed, so
+    squarefree inputs pay for no check."""
+    if p.is_zero:
+        raise ValueError("the zero polynomial vanishes everywhere")
     p = p.monic()
     d = p.degree
     if d == 1:
@@ -758,7 +789,12 @@ def isolate_roots(p: QPoly) -> list[BoxC]:
         box = BoxC(RatInterval.point(-c1 / 2), RatInterval(Fraction(0), 1 + s))
         upper = [_refine_one(p, box, Fraction(1, 4))]
     elif pairs > 0:
-        upper = _upper_half_roots(p, pairs, pending)
+        try:
+            upper = _upper_half_roots(p, pairs, pending)
+        except UndecidableAtPrecision:
+            if p.gcd(p.derivative()).degree > 0:
+                raise NotSquarefree(f"{p!r} has a repeated nonreal root") from None
+            raise
     lower = [b.conj() for b in upper]
     return sorted(real_boxes + upper + lower, key=BoxC.sort_key)
 

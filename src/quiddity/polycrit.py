@@ -31,6 +31,15 @@ the inverse root pairs, one inside per pair, and then bracket the circle
 once, counting the rest on two nearby circles.  The strict count
 returns None instead.
 
+Root enclosures certify all the roots at once.  An Aberth-Ehrlich
+iteration on Gaussian integers of the 2^-64 grid approximates them, and
+Smith's theorem turns the points into closed disks, returned only when
+they are pairwise disjoint, so that each holds exactly one root.  A
+disk's count is then read off them wherever every enclosure lies strictly
+inside or strictly outside it; where one straddles its circle, or the
+disks overlap, as around a cluster of roots closer than the grid
+resolves, the caller falls back to the strict count.
+
 No floating point is used anywhere: every verdict is replayable from
 the integers it carries.
 """
@@ -596,19 +605,23 @@ def gauss_disk_count_strict(
     return _disk_count(p.int_coeffs(), center.re, center.im, r)
 
 
+def _ceil_sqrt(m: int) -> int:
+    """The least integer whose square is at least m >= 0."""
+    return math.isqrt(m - 1) + 1 if m else 0
+
+
 def _pellet(re: list[int], im: list[int], k: int) -> bool:
     """Pellet's test on q = re + i im, Gaussian integers low degree first:
     True certifies |q_k| > sum_{j != k} |q_j|, so q has exactly k roots in
     the open unit disk, counted with multiplicity, and none on its circle
     (Rouche against q_k X^k on |z| = 1).  |q_k| is bounded below by the
-    integer square root of its norm m, and every other modulus above by
-    the ceiling square root, isqrt(m - 1) + 1, and 0 for m = 0; the test
-    is exact where every modulus is an integer, as on real coefficients.
-    With k = 0 it is the T_0 test of Becker, Sagraloff, Sharma and Yap
-    (2018)."""
+    integer square root of its norm, and every other modulus above by
+    the ceiling square root of its norm; the test is exact where every
+    modulus is an integer, as on real coefficients.  With k = 0 it is the
+    T_0 test of Becker, Sagraloff, Sharma and Yap (2018)."""
     norms = [x * x + y * y for x, y in zip(re, im)]
     mk = norms.pop(k)
-    return math.isqrt(mk) > sum(math.isqrt(m - 1) + 1 for m in norms if m)
+    return math.isqrt(mk) > sum(_ceil_sqrt(m) for m in norms)
 
 
 def _count(re: list[int], im: list[int]) -> Optional[int]:
@@ -642,3 +655,130 @@ def _disk_holds_one(ints: list[int], c_re, c_im, r) -> Optional[bool]:
         return True
     got = _count(re, im)
     return None if got is None else got == 1
+
+
+# ---------------------------------------------------------------------------
+# Certified root enclosures on the 2^-64 grid.
+# ---------------------------------------------------------------------------
+
+_GRID_BITS = 64
+# sigma is near 2^-64 / d for points d apart, so 2^128 sigma keeps about
+# 64 significant bits wherever d is near 1
+_SIGMA_BITS = 2 * _GRID_BITS
+# seeded inputs of degree 3-16 certify within 10 sweeps; towards a cluster
+# the points close in about a bit a sweep, and a^k (X^2 + 1)^k + 1 for
+# k = 3..6 and a = 2^20..2^60, with k roots about 1/a apart, took 49-58
+_ABERTH_SWEEPS = 2 * _GRID_BITS
+
+
+def _horner(b: list[int], x: int, y: int) -> tuple[int, int, int, int]:
+    """B(z) and B'(z) at the Gaussian integer z = x + iy, as (re, im, re,
+    im), by one Horner pass over the integers b, low degree first."""
+    vr, vi, dr, di = b[-1], 0, 0, 0
+    for c in reversed(b[:-1]):
+        dr, di = dr * x - di * y + vr, dr * y + di * x + vi
+        vr, vi = vr * x - vi * y + c, vr * y + vi * x
+    return vr, vi, dr, di
+
+
+def _smith_disks(
+    ints: list[int], zs: list[tuple[int, int]]
+) -> Optional[list[tuple[int, int, int]]]:
+    """Disjoint closed disks (x, y, r) around the grid points zs, one per
+    degree of the integer polynomial ints, each holding exactly one of its
+    roots with its multiplicity: centre (x + iy) 2^-64 and radius r 2^-64;
+    None where they are not disjoint.  With distinct z_i, every root lies in
+    a disk |z - z_i| <= n |p(z_i)| / (|a_n| prod_{j != i} |z_i - z_j|), and
+    a disk that meets no other holds exactly one (B. T. Smith, 1970).  Each
+    r is the integer ceiling of that radius in grid units, from exact
+    Gaussian-integer norms, and the disks are returned only when
+    N(Z_i - Z_j) > (r_i + r_j)^2 for every pair."""
+    n = len(ints) - 1
+    b = [c << _GRID_BITS * (n - k) for k, c in enumerate(ints)]
+    norms = [[(x - u) ** 2 + (y - v) ** 2 for u, v in zs] for x, y in zs]
+    scale = ints[-1] ** 2
+    radii = []
+    for i, (x, y) in enumerate(zs):
+        # |p(z_i)| 2^(64n) = |V|, and prod |z_i - z_j| 2^(64(n-1)) = sqrt(gaps)
+        vr, vi = _horner(b, x, y)[:2]
+        gaps = math.prod(m for j, m in enumerate(norms[i]) if j != i)
+        if not gaps:
+            return None
+        radii.append(_ceil_sqrt(-(-n * n * (vr * vr + vi * vi) // (scale * gaps))))
+    if any(norms[i][j] <= (radii[i] + radii[j]) ** 2 for i in range(n) for j in range(i)):
+        return None
+    return [(x, y, r) for (x, y), r in zip(zs, radii)]
+
+
+def root_enclosures(ints: list[int]) -> Optional[list[tuple[int, int, int]]]:
+    """The disks of _smith_disks around approximations to all the roots of
+    the integer polynomial ints, low degree first; None where the disks are
+    not certified disjoint.
+
+    The points come from the Aberth-Ehrlich iteration (Aberth, 1973; Bini,
+    1996) on the 2^-64 grid, started from rho ((3 + 4i)/5)^j, j = 1..n, with
+    rho half the Cauchy bound: points off the real axis and not closed under
+    conjugation.  At the grid point Z_i one Horner pass gives V = 2^(64n)
+    p(z_i) and D = 2^(64(n-1)) p'(z_i), and sigma = sum_{j != i} 1/(Z_i -
+    Z_j) is kept in fixed point with _SIGMA_BITS bits, so the correction
+    V / (D - V sigma) is one quotient of integers, in grid units.  A point
+    stops moving once its correction is at most one unit in each part, and
+    the sweeps stop at _ABERTH_SWEEPS.  Converging points prove nothing;
+    Smith's theorem does."""
+    n = len(ints) - 1
+    b = [c << _GRID_BITS * (n - k) for k, c in enumerate(ints)]
+    lead = abs(ints[-1])
+    rho = ((lead + max(abs(c) for c in ints[:-1])) << _GRID_BITS - 1) // lead
+    zs, wr, wi = [], 1, 0
+    for j in range(1, n + 1):
+        wr, wi = 3 * wr - 4 * wi, 4 * wr + 3 * wi
+        zs.append((rho * wr // 5 ** j, rho * wi // 5 ** j))
+    moving = set(range(n))
+    for _ in range(_ABERTH_SWEEPS):
+        for i in sorted(moving):
+            x, y = zs[i]
+            vr, vi, dr, di = _horner(b, x, y)
+            sr = si = 0
+            for j, (u, v) in enumerate(zs):
+                if j != i:
+                    ex, ey = x - u, y - v
+                    m = ex * ex + ey * ey
+                    if not m:
+                        return None
+                    sr += (ex << _SIGMA_BITS) // m
+                    si -= (ey << _SIGMA_BITS) // m
+            # V / (D - V sigma) in grid units, with sr + i si = 2^_SIGMA_BITS sigma
+            er = (dr << _SIGMA_BITS) - vr * sr + vi * si
+            ei = (di << _SIGMA_BITS) - vr * si - vi * sr
+            m = er * er + ei * ei
+            if not m:
+                return None
+            cr = ((vr * er + vi * ei) << _SIGMA_BITS + 1) // m + 1 >> 1
+            ci = ((vi * er - vr * ei) << _SIGMA_BITS + 1) // m + 1 >> 1
+            zs[i] = x - cr, y - ci
+            if abs(cr) <= 1 and abs(ci) <= 1:
+                moving.discard(i)
+        if not moving:
+            break
+    return _smith_disks(ints, zs)
+
+
+def _enclosure_count(enc, cx: int, cy: int, r: int, unit) -> Optional[int]:
+    """The roots in the open disk of centre (cx + i cy) unit/34 and radius
+    r unit/34, for integers cx, cy, r and a positive rational unit, read off
+    the enclosures of root_enclosures: the number that lie strictly inside
+    it, when every other one lies strictly outside its closed disk; None
+    where an enclosure meets its circle.  All sizes are compared as
+    integers, in the unit 2^-64 / (34 times the denominator of unit)."""
+    k = 34 * unit.denominator
+    cx, cy, r = (v * unit.numerator << _GRID_BITS for v in (cx, cy, r))
+    count = 0
+    for x, y, rho in enc:
+        dx, dy, rho = cx - k * x, cy - k * y, k * rho
+        d2 = dx * dx + dy * dy
+        if d2 > (r + rho) ** 2:
+            continue
+        if rho >= r or d2 >= (r - rho) ** 2:
+            return None
+        count += 1
+    return count

@@ -11,6 +11,7 @@ from quiddity.numfield import (
     RatInterval,
     coords_from_json,
     embed,
+    isolate_roots,
     modulus_compare,
 )
 from quiddity.polycrit import (
@@ -19,7 +20,7 @@ from quiddity.polycrit import (
     rouche_dominant_count,
     schur_cohn_count,
 )
-from quiddity.polynomials import GaussRat, QPoly, as_rat, refine_real_root
+from quiddity.polynomials import GaussRat, NotSquarefree, QPoly, as_rat, refine_real_root
 from quiddity.verify import field_sqrt
 
 SQRT2 = field_sqrt(2)
@@ -62,6 +63,15 @@ GUARDS = {
         lambda: gauss_disk_count_strict(QPoly(()), GaussRat.of(0), 1),
     ),
     "Schur-Cohn count of the zero polynomial": (ValueError, lambda: schur_cohn_count(QPoly(()), 1)),
+    "isolating the roots of the zero polynomial": (ValueError, lambda: isolate_roots(QPoly(()))),
+    "isolating a repeated nonreal root, (X^2 + 1)^2": (
+        NotSquarefree,
+        lambda: isolate_roots(QPoly((1, 0, 2, 0, 1))),
+    ),
+    "isolating a repeated nonreal root, (X^2 + X + 1)^3": (
+        NotSquarefree,
+        lambda: isolate_roots(QPoly((1, 3, 6, 7, 6, 3, 1))),
+    ),
     "irreducibility of a constant": (ValueError, lambda: irreducible_over_Q(QPoly((3,)))),
     "isolating interval ending on a root": (
         ValueError,

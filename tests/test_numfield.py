@@ -924,6 +924,104 @@ class TestIntegerCells:
         assert cleared >= 30
 
 
+_GRID = 2 ** 64
+
+
+class TestRootEnclosures:
+    """Smith's disks around the Aberth points of polycrit answer the
+    quadtree's disk counts first; the strict count and the Fraction count
+    of fraction_oracle are their oracles."""
+
+    def test_each_enclosure_holds_one_root(self):
+        # widened by one grid unit, each disk holds one root by the one-root
+        # certificate, and up to degree 6 by the Fraction count, which grows
+        # too slow above it
+        for degree in range(3, 17):
+            for p in _squarefree_polys(1970 + degree, 2, [degree], 2):
+                enc = polycrit_module.root_enclosures(p.int_coeffs())
+                assert enc is not None and len(enc) == degree
+                for x, y, r in enc:
+                    re, im, radius = F(x, _GRID), F(y, _GRID), F(r + 1, _GRID)
+                    assert polycrit_module._disk_holds_one(p.int_coeffs(), re, im, radius)
+                    if degree <= 6:
+                        assert oracle.gauss_disk_count_strict(p, GaussRat(re, im), radius) == 1
+
+    def test_smith_disks_off_the_roots(self):
+        # points up to 2^-20 off the roots: where their disks are disjoint,
+        # each holds one root by the Fraction count, though Newton's distance
+        # to the root alone, without the factor n, is no bound at all
+        rng = random.Random(1970)
+        checked = 0
+        for p in _squarefree_polys(1970, 30, range(3, 6), 2):
+            zs = [
+                (x + rng.randint(-2 ** 44, 2 ** 44), y + rng.randint(-2 ** 44, 2 ** 44))
+                for x, y, _ in polycrit_module.root_enclosures(p.int_coeffs())
+            ]
+            disks = polycrit_module._smith_disks(p.int_coeffs(), zs)
+            if disks is None:
+                continue
+            checked += 1
+            for x, y, r in disks:
+                centre = GaussRat(F(x, _GRID), F(y, _GRID))
+                assert oracle.gauss_disk_count_strict(p, centre, F(r + 1, _GRID)) == 1
+        assert checked >= 20
+
+    def test_enclosure_count_reads_inside_outside_and_straddling(self):
+        # one enclosure of radius 1/16 at 0; at the unit 1/16 a rung disk's
+        # centre and radius are in units of 1/544, so the enclosure's radius is 34
+        enc, unit = [(0, 0, _GRID // 16)], F(1, 16)
+        count = polycrit_module._enclosure_count
+        assert count(enc, 0, 0, 35, unit) == 1
+        assert count(enc, 0, 0, 34, unit) is None  # the disk holds no margin
+        assert count(enc, 69, 0, 35, unit) is None  # tangent from outside
+        assert count(enc, 70, 0, 35, unit) == 0
+        assert count(enc + [(_GRID // 8, 0, 1)], 0, 0, 35, unit) == 1
+        assert count(enc + [(_GRID // 8, 0, 1)], 0, 0, 67, unit) == 1
+        assert count(enc + [(_GRID // 8, 0, 1)], 0, 0, 68, unit) is None
+
+    def test_enclosure_counts_match_the_strict_count(self, monkeypatch):
+        # every rung count while isolating the roots of the 200 polynomials
+        # of the pinned digest: where the enclosures decide it, the strict
+        # count on the depth's model decides it the same way
+        calls = []
+        enclosure_count = numfield_module._enclosure_count
+
+        def spy(enc, cx, cy, r, unit):
+            got = enclosure_count(enc, cx, cy, r, unit)
+            calls.append((unit, cx, cy, r, got))
+            return got
+
+        monkeypatch.setattr(numfield_module, "_enclosure_count", spy)
+        decided, fallbacks = 0, []
+        for p in _squarefree_polys(23, 200, range(3, 9), 1):
+            calls.clear()
+            isolate_roots(p)
+            models = {}
+            for unit, cx, cy, r, got in calls:
+                if unit not in models:
+                    models[unit] = numfield_module._grid(p, [], unit)[3]
+                strict = polycrit_module._disk_count(models[unit], cx, cy, r)
+                if got is None:
+                    fallbacks.append(strict)
+                else:
+                    assert got == strict
+                    decided += 1
+        # the strict count degenerates on each rung where an enclosure
+        # straddles the circle
+        assert (decided, fallbacks) == (16209, [None] * 61)
+
+    def test_clustered_roots_take_the_strict_path(self):
+        # a^3 (X^2 + 1)^3 + 1 with a near 2^61.3 has three roots within about
+        # 2^-61 of i: Smith's disks overlap on the 2^-64 grid, so every cell
+        # count is the strict one, and the boxes are those it gave alone
+        a3 = 2744696176657098029 ** 3
+        p = QPoly((a3 + 1, 0, 3 * a3, 0, 3 * a3, 0, a3))
+        assert polycrit_module.root_enclosures(p.int_coeffs()) is None
+        text = " ".join(_box_text(b) for b in isolate_roots(p))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "5aedc66d4ae825f11e27919b7bbc08e8a8d28c4c02bb8a384a475d817d094790"
+
+
 class TestModulusCompare:
     def test_three_way_answers(self):
         f = sqrt2_field()

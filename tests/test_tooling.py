@@ -224,8 +224,13 @@ def test_quadtree_cells_have_no_fraction():
     # Fraction and rectangle arithmetic they replaced is the oracle
     cells = {"_split4", "_components", "_hull"}
     used = {"Fraction", "BoxC", "GaussRat", "int_coeffs"}
-    counts = {"_disk_count", "_count", "_pellet"}
+    counts = {"_disk_count", "_count", "_pellet", "_ceil_sqrt"}
     assert _uses("numfield.py", cells, used) + _uses("polycrit.py", counts, used) == []
+    # the root enclosures that answer the counts first run on no floating
+    # point either
+    enclosures = {"root_enclosures", "_smith_disks", "_horner", "_enclosure_count"}
+    floats = used | {"float", "complex", "cmath", "cos", "sin", "pi"}
+    assert _uses("polycrit.py", enclosures, floats) == []
 
 
 def test_one_dominance_test_in_polycrit():
@@ -240,7 +245,7 @@ def test_one_dominance_test_in_polycrit():
         or (isinstance(node, ast.Attribute) and node.attr == "isqrt")
         or (isinstance(node, ast.alias) and node.name == "isqrt")
     }
-    assert named == {"_pellet"}
+    assert named == {"_pellet", "_ceil_sqrt"}
 
 
 def test_shared_brute_force_walks_stay_shared():
