@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from quiddity.classify import enumerate_quiddities, irreducible_census
-from quiddity.core import QuiddityTuple
 from quiddity.verify import (
     field_eighth_root,
     field_gauss_unit,
@@ -70,7 +69,6 @@ def main() -> int:
             continue
         shown.add(m.size)
         wit = m.witness
-        t = QuiddityTuple(field, w, m.multipliers)
         print(f"  {m.multipliers}")
         print(f"    rotation {wit.rotation}, reflected {wit.reflected}, "
               f"split {wit.split_m}+{len(wit.b_multipliers)}")

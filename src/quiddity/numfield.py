@@ -18,13 +18,14 @@ disk count there is read first off polycrit's root enclosures, disjoint
 disks on the 2^-64 grid that each hold one root, computed once per
 isolation; only where an enclosure straddles the disk's circle, or the
 enclosures are not certified, does it fall back to the strict count of
-polycrit, run on the depth's integer model of p, which every count there
-shifts by a Gaussian integer.  A cell is dropped once a disk around it
-provably holds no nonreal root: its count equals the real roots on the
-disk's trace, counted on their isolating intervals.  A cluster of cells is
-accepted once a disk around it provably holds exactly one root, by the
-enclosures or else by the one-root certificate of polycrit that Newton's
-disks use too.  The lower half holds the conjugates.
+polycrit on the integer model of p, recentred on the disk's rational
+centre and radius as Newton's disks are.  A cell is dropped once a disk
+around it provably holds no nonreal root: its count equals the real
+roots on the disk's trace, counted on their isolating intervals.  A
+cluster of cells is accepted once a disk around it provably holds
+exactly one root, by the enclosures or else by the one-root certificate
+of polycrit that Newton's disks use too.  The lower half holds the
+conjugates.
 
 A nonreal isolating box is refined by Newton's method from its centre,
 on Gaussian rationals rounded to a dyadic grid; each step is one integer
@@ -267,16 +268,6 @@ def _split4(cell: tuple) -> list[tuple]:
     return [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
 
 
-def _grid(p: QPoly, reals, unit: Fraction, enclosures=None) -> tuple:
-    """p at the unit u: its integer model with positive leading term, the
-    intervals reals, u, an integer positive multiple of p(uY/34), and the
-    root enclosures of polycrit for p, or None."""
-    ints = p.int_coeffs()
-    u, n = unit / 34, len(ints) - 1
-    model = [c * u.numerator ** k * u.denominator ** (n - k) for k, c in enumerate(ints)]
-    return ints, reals, unit, model, enclosures
-
-
 def _real_count(ints: list[int], reals, lo: Fraction, hi: Fraction) -> int:
     """Roots of ints in (lo, hi), given ascending isolating intervals of all
     its real roots (open, with no root at an end, or points); with a positive
@@ -294,22 +285,23 @@ def _cell_excluded(grid: tuple, cell: tuple) -> bool:
     """Certified: the closed cell holds no nonreal root of p.  A disk count
     equal to the number of real roots on the disk's trace leaves the disk
     free of nonreal roots.  Each rung's count comes from the grid's root
-    enclosures where they decide it, else from the strict count, and a rung
-    that neither decides is skipped.  Both counts are exact, so the verdict
-    is the strict count's alone, except where the chain degenerates with
-    every enclosure clear of the circle (an inverse root pair across it, or
-    an accidental zero step): there the enclosures decide a rung that the
-    strict count skips, and the ladder of rungs can stop earlier.  Exact
-    counts are symmetric under conjugation and the rest reads |Im c| alone,
-    so a cell below the axis is tested as its mirror."""
-    ints, reals, unit, model, enc = grid
+    enclosures where they decide it, else from the strict count on the
+    rung's rational disk, and a rung that neither decides is skipped.  Both
+    counts are exact, so the verdict is the strict count's alone, except
+    where the chain degenerates with every enclosure clear of the circle
+    (an inverse root pair across it, or an accidental zero step): there
+    the enclosures decide a rung that the strict count skips, and the
+    ladder of rungs can stop earlier.  Exact counts are symmetric under
+    conjugation and the rest reads |Im c| alone, so a cell below the axis
+    is tested as its mirror."""
+    ints, reals, unit, enc = grid
     x0, x1, y0, y1 = cell
     cx, cy, half = 17 * (x0 + x1), 17 * (y0 + y1), x1 - x0 + y1 - y0
     for rung in _RUNGS:
         r = half * rung
         got = None if enc is None else _enclosure_count(enc, cx, cy, r, unit)
         if got is None:
-            got = _disk_count(model, cx, cy, r)
+            got = _disk_count(ints, *(Fraction(v, 34) * unit for v in (cx, cy, r)))
         if got is None:
             continue
         if got == 0 or abs(cy) >= r:
@@ -330,13 +322,15 @@ def _cell_excluded(grid: tuple, cell: tuple) -> bool:
 def _holds_one(grid: tuple, cell: tuple) -> bool:
     """Certified: a disk covering the cell, strictly above the real axis,
     contains exactly one root of p, by the grid's root enclosures or else
-    polycrit's one-root certificate, at the first rung where one decides."""
-    _, _, unit, model, enc = grid
+    polycrit's one-root certificate on the rung's rational disk, at the
+    first rung where one decides."""
+    ints, _, unit, enc = grid
     x0, x1, y0, y1 = cell
     cx, cy, half = 17 * (x0 + x1), 17 * (y0 + y1), x1 - x0 + y1 - y0
     for r in [half * rung for rung in _RUNGS if half * rung < cy]:
         count = None if enc is None else _enclosure_count(enc, cx, cy, r, unit)
-        got = _disk_holds_one(model, cx, cy, r) if count is None else count == 1
+        disk = (Fraction(v, 34) * unit for v in (cx, cy, r))
+        got = _disk_holds_one(ints, *disk) if count is None else count == 1
         if got is not None:
             return got
     return False
@@ -367,16 +361,16 @@ def _upper_half_roots(p: QPoly, pairs: int, reals) -> list[BoxC]:
     """Isolating boxes for the `pairs` >= 1 roots above the real axis of
     the squarefree p, given ascending isolating intervals of its real roots.
     The cells start at the Cauchy bound, at least 1, and subdivision stops
-    once their unit falls below 2^-_MAX_DEPTH.  polycrit's root enclosures
-    of p, on the 2^-64 grid, are computed once here and serve every depth;
-    where they are None, as around a cluster the grid cannot separate,
-    every count is the strict one, as in _regrid."""
-    unit = p.cauchy_root_bound()
-    cells = [(-1, 1, 0, 1)]
-    enc = root_enclosures(p.int_coeffs())
+    once their unit falls below 2^-_MAX_DEPTH.  The integer model of p and
+    its root enclosures of polycrit, on the 2^-64 grid, are computed once
+    and serve every depth in the grid (ints, reals, unit, enclosures);
+    where the enclosures are None, as around a cluster the grid cannot
+    separate, every count is the strict one, as in _regrid."""
+    unit, cells, ints = p.cauchy_root_bound(), [(-1, 1, 0, 1)], p.int_coeffs()
+    enc = root_enclosures(ints)
     while unit / 2 >= Fraction(1, 2 ** _MAX_DEPTH):
         unit /= 2
-        grid = _grid(p, reals, unit, enc)
+        grid = (ints, reals, unit, enc)
         cells = [q for c in cells for q in _split4(c) if not _cell_excluded(grid, q)]
         comps = _components(cells)
         if len(comps) == pairs:
@@ -393,7 +387,7 @@ def _regrid(p: QPoly, box: BoxC) -> BoxC:
     carries no enclosures, so every count is the strict one."""
     corners = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
     den = lcm(*(c.denominator for c in corners))
-    grid = _grid(p, real_roots_isolated(p)[0], Fraction(1, 4 * den))
+    grid = (p.int_coeffs(), real_roots_isolated(p)[0], Fraction(1, 4 * den), None)
     halves = _split4(tuple(int(c * den) for c in corners))
     kept = [q for c in halves for q in _split4(c) if not _cell_excluded(grid, q)]
     if not kept:
@@ -490,7 +484,11 @@ class NumberField:
 
     def refined(self, index: int, width) -> "NumberField":
         """New field handle whose index-th box has width <= width."""
+        if not (0 <= index < self.degree):
+            raise ValueError("root index out of range")
         width = as_rat(width)
+        if width <= 0:
+            raise ValueError("width must be positive")
         box = self.root_boxes[index]
         if box.width <= width:
             return self
@@ -807,20 +805,16 @@ def _factor_from_roots(p: QPoly, boxes: Sequence[BoxC]) -> Optional[QPoly]:
     p and a its leading coefficient.  By Gauss's lemma every factor of p
     over Q is, up to a constant, a factor g of P in Z[X]; lc(g) divides
     a, so for the root set S of g, a * prod(X - r) over S equals
-    (a / lc(g)) * g and has integer coefficients.  So every S of total
-    size 2..n//2 is tried (a factor of larger degree has a cofactor among
-    those), computing a * prod(X - r) in interval arithmetic: S is
-    dropped once some coefficient interval holds no integer; once every
-    interval is narrower than 1 it holds at most one, and that integer
-    candidate is checked by exact division.
+    (a / lc(g)) * g and has integer coefficients.  Each root is refined
+    once, to the width goal below; then every S of total size 2..n//2 is
+    tried (a factor of larger degree has a cofactor among those) by
+    a * prod(X - r) in interval arithmetic: S is dropped when some
+    coefficient interval holds no integer, else each is narrower than 1,
+    and the one integer candidate is checked by exact division.
     """
     ints = p.int_coeffs()
     a, n = ints[-1], p.degree
     prim = QPoly(ints)
-    # a real root stands alone; a root z above the axis stands for the
-    # pair {z, conj z} through the real quadratic X^2 - 2 Re(z) X + |z|^2
-    units = [b for b in boxes if b.is_real_line() or b.im.hi > 0]
-    sizes = [1 if b.is_real_line() else 2 for b in units]
     # Root boxes of width <= goal make every coefficient interval narrower
     # than 1/2: with |r| < B for every root and K = 2B + 3, a unit of size
     # s contributes a coefficient sum of at most K^s and widths of at most
@@ -829,34 +823,30 @@ def _factor_from_roots(p: QPoly, boxes: Sequence[BoxC]) -> Optional[QPoly]:
     m = n // 2
     k = 2 * p.cauchy_root_bound() + 3
     goal = 1 / (4 * a * m * k ** (m - 1))
+    # a real root stands alone; a root z above the axis stands for the
+    # pair {z, conj z} through the real quadratic X^2 - 2 Re(z) X + |z|^2
+    units = [_refine_one(p, b, goal) for b in boxes if b.is_real_line() or b.im.hi > 0]
+    sizes = [1 if b.is_real_line() else 2 for b in units]
     for count in range(1, m + 1):
         for subset in combinations(range(len(units)), count):
             if not 2 <= sum(sizes[i] for i in subset) <= m:
                 continue
-            while True:
-                coeffs = [RatInterval.point(a)]
-                for i in subset:
-                    b = units[i]
-                    if b.is_real_line():
-                        coeffs = _interval_poly_mul(coeffs, (-b.re, RatInterval.point(1)))
-                    else:
-                        coeffs = _interval_poly_mul(
-                            coeffs, (b.abs2(), b.re * -2, RatInterval.point(1))
-                        )
-                if any(ceil(c.lo) > floor(c.hi) for c in coeffs):
-                    break
-                if all(c.width < 1 for c in coeffs):
-                    candidate = QPoly([floor(c.hi) for c in coeffs])
-                    if (prim % candidate).is_zero:
-                        return candidate.monic()
-                    break
-                wide = [i for i in subset if units[i].width > goal]
-                if not wide:
-                    raise UndecidableAtPrecision(
-                        "root-subset coefficients stayed wide at the guaranteed width"
-                    )
-                for i in wide:
-                    units[i] = _refine_one(p, units[i], max(goal, units[i].width / 256))
+            coeffs = [RatInterval.point(a)]
+            for i in subset:
+                b = units[i]
+                if b.is_real_line():
+                    coeffs = _interval_poly_mul(coeffs, (-b.re, RatInterval.point(1)))
+                else:
+                    coeffs = _interval_poly_mul(coeffs, (b.abs2(), b.re * -2, RatInterval.point(1)))
+            if any(ceil(c.lo) > floor(c.hi) for c in coeffs):
+                continue
+            if any(c.width >= 1 for c in coeffs):
+                raise UndecidableAtPrecision(
+                    "root-subset coefficients stayed wide at the guaranteed width"
+                )
+            candidate = QPoly([floor(c.hi) for c in coeffs])
+            if (prim % candidate).is_zero:
+                return candidate.monic()
     return None
 
 
@@ -1019,12 +1009,13 @@ def _compare_refined(
     whenever |u|, |v| <= R.  image maps a box holding zeta to an interval
     holding y.
 
-    Refinement doubles the precision of zeta each round, and an interval
-    without s decides a strict case.  Equality rests on a zero bound
-    (after Burnikel, Fleischer, Mehlhorn and Schirra, 2000): y != s
-    implies |y - s| >= gap, so an interval narrower than gap that holds s
-    proves y = s.  The loop therefore ends after about log2(log2(1/gap))
-    rounds; gap is built when first needed.
+    Each round refines the root box forward from the last round's, to a
+    width squared every round from 1/16, and an interval without s decides
+    a strict case.  Equality rests on a zero bound (after Burnikel,
+    Fleischer, Mehlhorn and Schirra, 2000): y != s implies |y - s| >= gap,
+    so on any shrinking boxes an interval narrower than gap that holds s
+    proves y = s.  The loop ends after about log2(log2(1/gap)) rounds; gap,
+    with the bound R^2 that embed gives it, is built when first needed.
 
     Proof.  Let m_x = sum a_j X^j, monic of degree n, be the minimal
     polynomial of x, and c the least integer with all c^(n-j) a_j in Z:
@@ -1040,9 +1031,10 @@ def _compare_refined(
     nonzero integer, so 1 <= |b| M^(D'-1) <= M^D'.  Hence M >= 1 and
     |y - s| >= 1 / (q c^2 M^(D-1)) = gap.
     """
-    precision, gap = 4, None
+    field, poly, width, gap = x.field, x.as_poly(), Fraction(1, 16), None
     while True:
-        iv = image(embed(x, index, precision))
+        field = field.refined(index, width)
+        iv = image(_box_image(poly, field.root_boxes[index]))
         if iv.lo > s:
             return "Greater"
         if iv.hi < s:
@@ -1055,7 +1047,7 @@ def _compare_refined(
             gap = 1 / (scale * (scale * (k * r2 + abs(s))) ** (max(n, n * (n - 1) // 2) - 1))
         if iv.width < gap:
             return "Equal"
-        precision *= 2
+        width *= width
 
 
 def _integral_scale(p: QPoly) -> int:

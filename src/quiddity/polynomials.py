@@ -486,6 +486,8 @@ def refine_real_root(
     the root.  The Fraction bisection it replaced is kept as the test
     oracle.
     """
+    if width <= 0:
+        raise ValueError("width must be positive")
     a = p.int_coeffs()
     slo = _sign_at(a, lo)
     if slo == 0 or _sign_at(a, hi) == 0:

@@ -21,9 +21,10 @@ from quiddity.polycrit import (
     schur_cohn_count,
 )
 from quiddity.polynomials import GaussRat, NotSquarefree, QPoly, as_rat, refine_real_root
-from quiddity.verify import field_sqrt
+from quiddity.verify import field_eighth_root, field_sqrt
 
 SQRT2 = field_sqrt(2)
+ZETA8 = field_eighth_root()
 W = SQRT2.generator()
 CUBIC = QPoly((1, -3, 0, 1))
 
@@ -77,6 +78,19 @@ GUARDS = {
         ValueError,
         lambda: refine_real_root(QPoly((-1, 0, 1)), F(1, 2), F(1), F(1, 8)),
     ),
+    "bisection to width zero": (
+        ValueError,
+        lambda: refine_real_root(QPoly((-2, 0, 1)), F(1), F(2), F(0)),
+    ),
+    "bisection to a negative width": (
+        ValueError,
+        lambda: refine_real_root(QPoly((-2, 0, 1)), F(1), F(2), F(-1, 4)),
+    ),
+    "real root refined to width zero": (ValueError, lambda: SQRT2.refined(0, 0)),
+    "nonreal root refined to width zero": (ValueError, lambda: ZETA8.refined(0, 0)),
+    "nonreal root refined to a negative width": (ValueError, lambda: ZETA8.refined(0, F(-1, 4))),
+    "refined past the degree": (ValueError, lambda: ZETA8.refined(4, F(1, 4))),
+    "refined below zero": (ValueError, lambda: ZETA8.refined(-1, F(1, 4))),
     "float as an exact rational": (TypeError, lambda: as_rat(1.5)),
     "polynomial division by zero": (ZeroDivisionError, lambda: divmod(CUBIC, QPoly(()))),
 }

@@ -866,7 +866,7 @@ class TestIntegerCells:
         # rung counts one root, finds none on the short trace and one on the
         # long one, and the second rung excludes the cell
         p = QPoly((F(-14141, 10000), 1)) * QPoly((100, 0, 1))
-        grid = numfield_module._grid(p, real_roots_isolated(p)[0], F(1))
+        grid = (p.int_coeffs(), real_roots_isolated(p)[0], F(1), None)
         cell = (-1, 1, 0, 1)
         seen = set()
         assert oracle.cell_excluded(p, numfield_module._box(cell, F(1)), seen)
@@ -909,13 +909,13 @@ class TestIntegerCells:
         cleared = 0
         for p in _squarefree_polys(2018, 300, range(3, 9), 3):
             unit = F(rng.randint(1, 9), rng.choice((1, 2, 8, 17)))
-            model = numfield_module._grid(p, [], unit)[3]
             cx, cy, r = rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(1, 60)
-            calls = len(chained)
-            got = polycrit_module._disk_count(model, cx, cy, r)
-            skipped = len(chained) == calls
             centre = GaussRat(F(cx, 34) * unit, F(cy, 34) * unit)
-            # the chain alone, on the rational disk, is the oracle
+            calls = len(chained)
+            # the rung's rational disk, as the quadtree counts it
+            got = polycrit_module._disk_count(p.int_coeffs(), centre.re, centre.im, F(r, 34) * unit)
+            skipped = len(chained) == calls
+            # the chain alone is the oracle
             strict = chain(qpoly_at_disk(p, centre, F(r, 34) * unit))
             assert got == strict == gauss_disk_count_strict(p, centre, F(r, 34) * unit)
             if skipped:
@@ -982,7 +982,7 @@ class TestRootEnclosures:
     def test_enclosure_counts_match_the_strict_count(self, monkeypatch):
         # every rung count while isolating the roots of the 200 polynomials
         # of the pinned digest: where the enclosures decide it, the strict
-        # count on the depth's model decides it the same way
+        # count on the rung's rational disk decides it the same way
         calls = []
         enclosure_count = numfield_module._enclosure_count
 
@@ -996,11 +996,9 @@ class TestRootEnclosures:
         for p in _squarefree_polys(23, 200, range(3, 9), 1):
             calls.clear()
             isolate_roots(p)
-            models = {}
             for unit, cx, cy, r, got in calls:
-                if unit not in models:
-                    models[unit] = numfield_module._grid(p, [], unit)[3]
-                strict = polycrit_module._disk_count(models[unit], cx, cy, r)
+                disk = (F(v, 34) * unit for v in (cx, cy, r))
+                strict = polycrit_module._disk_count(p.int_coeffs(), *disk)
                 if got is None:
                     fallbacks.append(strict)
                 else:
@@ -1132,6 +1130,119 @@ class TestModulusCompare:
         big = 2**31 - 1
         p = QPoly((F(1, big * big), 0, 1))
         assert integral(p, _integral_scale(p))
+
+
+def _adjoin_sqrt(f, c):
+    """f(X + sqrt c) f(X - sqrt c), as A^2 - c B^2 for f(X + sqrt c) = A + sqrt(c) B."""
+    x, a, b = QPoly((0, 1)), QPoly(()), QPoly(())
+    # (X + sqrt c)^k = P + sqrt(c) Q
+    P, Q = QPoly((1,)), QPoly(())
+    for ck in f.coeffs:
+        a, b = a + P * ck, b + Q * ck
+        P, Q = P * x + Q * c, Q * x + P
+    return a * a - b * b * c
+
+
+def _unknown_inputs(seed, count):
+    """Seeded squarefree inputs of degree 8-16 that irreducible_over_Q
+    leaves open: shifted minimal polynomials of sqrt a + sqrt b + sqrt c,
+    reducible where a, b, c are dependent, and products of irreducible
+    factors of degree 2-4 without rational roots."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if rng.random() < 0.5:
+            p = QPoly((0, 1))
+            for c in rng.sample((2, 3, 5, 6, 7, 10, 11), 3):
+                p = _adjoin_sqrt(p, c)
+            p = p(QPoly((rng.randint(-2, 2), 1)))
+        else:
+            p, degree = QPoly((1,)), rng.randint(12, 16)
+            while p.degree < degree:
+                g = QPoly([rng.randint(-3, 3) for _ in range(rng.choice((2, 3, 4)))] + [1])
+                if g.coeffs[0] != 0 and irreducible_over_Q(g).status == "Proven":
+                    p = p * g
+        if (
+            p.degree <= 16 and p not in out and p.gcd(p.derivative()).degree == 0
+            and irreducible_over_Q(p).status == "Unknown"
+        ):
+            out.append(p)
+    return out
+
+
+def _refine_spy(monkeypatch, skip=lambda: False):
+    """Record (box, width, refined box) for every _refine_one call of
+    numfield, except while skip() holds."""
+    calls, refine = [], numfield_module._refine_one
+
+    def spy(p, box, width):
+        out = refine(p, box, width)
+        if not skip():
+            calls.append((box, width, out))
+        return out
+
+    monkeypatch.setattr(numfield_module, "_refine_one", spy)
+    return calls
+
+
+class TestRefinementReuse:
+    """Each consumer of root refinement refines a box once, or forward
+    from where it left it."""
+
+    @pytest.mark.parametrize("t, want", [(2, "Equal"), (2 + F(1, 2 ** 40), "Less")])
+    def test_compare_rounds_refine_forward(self, monkeypatch, t, want):
+        # |2 zeta13| = 2, and a threshold 2^-40 above it
+        f = field_make(QPoly((1,) * 13), root_hint=BoxC.make(F(4, 5), 1, F(2, 5), F(1, 2)))
+        x, idx = f.generator() * 2, f.selected_root
+        inside, precisions, embed = [], [], numfield_module.embed
+
+        def embed_spy(y, i, precision):
+            precisions.append(precision)
+            inside.append(i)
+            try:
+                return embed(y, i, precision)
+            finally:
+                inside.pop()
+
+        # refinements inside embed serve the bound R^2 alone
+        calls = _refine_spy(monkeypatch, skip=lambda: bool(inside))
+        monkeypatch.setattr(numfield_module, "embed", embed_spy)
+
+        def image(box):
+            calls.append("round")
+            return box.abs2()
+
+        assert numfield_module._compare_refined(x, idx, image, F(t) ** 2, 1) == want
+        assert precisions == [2] * f.degree
+        # at most one refinement before each round, each from the last box
+        pattern = "".join("r" if c == "round" else "f" for c in calls)
+        assert "ff" not in pattern and pattern.count("r") >= 4
+        steps = [c for c in calls if c != "round"]
+        assert [c[0] for c in steps] == [f.root_boxes[idx]] + [c[2] for c in steps[:-1]]
+
+    def test_factor_search_refines_each_root_once(self, monkeypatch):
+        calls = _refine_spy(monkeypatch)
+        for p in _unknown_inputs(35, 4):
+            boxes = isolate_roots(p)
+            calls.clear()
+            numfield_module._factor_from_roots(p, boxes)
+            m, a = p.degree // 2, p.int_coeffs()[-1]
+            goal = 1 / (4 * a * m * (2 * p.cauchy_root_bound() + 3) ** (m - 1))
+            units = [b for b in boxes if b.is_real_line() or b.im.hi > 0]
+            assert [(box, width) for box, width, _ in calls] == [(b, goal) for b in units]
+
+    def test_factors_match_the_pinned_digest(self):
+        # the factor or None on 16 seeded open inputs, as the search found
+        # them when it refined the roots of each subset in steps until the
+        # subset was decided
+        rows = []
+        for p in _unknown_inputs(35, 16):
+            factor = numfield_module._factor_from_roots(p, isolate_roots(p))
+            found = "None" if factor is None else " ".join(str(c) for c in factor.coeffs)
+            rows.append(" ".join(str(c) for c in p.coeffs) + " | " + found)
+        assert {len(r.split(" | ")[0].split()) - 1 for r in rows} >= {8, 16}
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == "628d78283904e054adbf4e841f7455bf0e3abe31e2b5f0bb2393cf7d5d6734dd"
 
 
 # ---------------------------------------------------------------------------

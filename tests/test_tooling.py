@@ -61,16 +61,16 @@ def test_taylor_expansion_stays_out_of_the_hot_path():
 
 
 def test_no_unused_imports():
-    # __init__.py imports to re-export; any other module that imports a
-    # name it never uses keeps a dead dependency
+    # __init__.py imports to re-export; any other module or script that
+    # imports a name it never uses keeps a dead dependency
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [
-            f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+            f"{path.parent.name}/{path.name}:{node.lineno} {alias.asname or alias.name}"
             for node in tree.body
             if isinstance(node, (ast.Import, ast.ImportFrom))
             and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
