@@ -13,19 +13,18 @@ interval narrower than the bound that holds both sides proves them equal.
 
 Real roots are isolated by sign-variation bisection on integer
 coefficients and refined by rational bisection.  Nonreal roots are
-isolated in the upper half plane by a quadtree on integer cells.  Each
-disk count there is read first off polycrit's root enclosures, disjoint
-disks on the 2^-64 grid that each hold one root, computed once per
-isolation; only where an enclosure straddles the disk's circle, or the
-enclosures are not certified, does it fall back to the strict count of
-polycrit on the integer model of p, recentred on the disk's rational
-centre and radius as Newton's disks are.  A cell is dropped once a disk
-around it provably holds no nonreal root: its count equals the real
-roots on the disk's trace, counted on their isolating intervals.  A
-cluster of cells is accepted once a disk around it provably holds
-exactly one root, by the enclosures or else by the one-root certificate
-of polycrit that Newton's disks use too.  The lower half holds the
-conjugates.
+isolated in the upper half plane by a quadtree on integer cells.  Every
+disk count there is read off polycrit's root enclosures, disjoint disks
+on the 2^-bits grid that each hold one root; a disk that an enclosure
+straddles is skipped.  The grid starts at 64 bits and doubles wherever
+Smith's disks overlap or the cells come within 16 bits of it, so a
+cluster of roots gets a finer grid instead of a slower count; where the
+disks still overlap at twice the bits of the root separation bound, the
+isolation gives up.  A cell is dropped once a disk around it provably
+holds no nonreal root: its count equals the real roots on the disk's
+trace, counted on their isolating intervals.  A cluster of cells is
+accepted once a disk around it provably holds exactly one root.  The
+lower half holds the conjugates.
 
 A nonreal isolating box is refined by Newton's method from its centre,
 on Gaussian rationals rounded to a dyadic grid; each step is one integer
@@ -65,6 +64,7 @@ from .polynomials import (
     GaussRat,
     NotSquarefree,
     QPoly,
+    _separation_bound,
     _sign_at,
     as_rat,
     is_perfect_square,
@@ -73,7 +73,6 @@ from .polynomials import (
     refine_real_root,
 )
 from .polycrit import (
-    _disk_count,
     _disk_holds_one,
     _enclosure_count,
     _horner,
@@ -281,30 +280,40 @@ def _real_count(ints: list[int], reals, lo: Fraction, hi: Fraction) -> int:
     )
 
 
+def _grid(ints: list[int], reals, unit: Fraction, enc=None, bits: int = 0) -> tuple:
+    """The grid (ints, reals, unit, enc, bits) that counts the cells of the
+    given unit, with ascending isolating intervals reals of the real roots
+    of ints: enc, the root enclosures of ints on the 2^-bits grid, is kept
+    where it is certified and at least 16 bits finer than unit; otherwise
+    it is computed again, from 64 bits on, with the bits doubled until it
+    is.  A squarefree input's roots lie at least the separation bound s
+    apart, so enclosures that still overlap at max(64, 2 log2(1/s)) bits
+    raise UndecidableAtPrecision, as on a repeated root."""
+    while enc is None or unit.numerator << bits - 16 < unit.denominator:
+        if enc is None and bits >= max(64, 2 * _separation_bound(ints).denominator.bit_length()):
+            raise UndecidableAtPrecision("root enclosures overlap past the separation bound")
+        bits = max(64, 2 * bits)
+        enc = root_enclosures(ints, bits)
+    return ints, reals, unit, enc, bits
+
+
 def _cell_excluded(grid: tuple, cell: tuple) -> bool:
     """Certified: the closed cell holds no nonreal root of p.  A disk count
     equal to the number of real roots on the disk's trace leaves the disk
-    free of nonreal roots.  Each rung's count comes from the grid's root
-    enclosures where they decide it, else from the strict count on the
-    rung's rational disk, and a rung that neither decides is skipped.  Both
-    counts are exact, so the verdict is the strict count's alone, except
-    where the chain degenerates with every enclosure clear of the circle
-    (an inverse root pair across it, or an accidental zero step): there
-    the enclosures decide a rung that the strict count skips, and the
-    ladder of rungs can stop earlier.  Exact counts are symmetric under
-    conjugation and the rest reads |Im c| alone, so a cell below the axis
-    is tested as its mirror."""
-    ints, reals, unit, enc = grid
+    free of nonreal roots.  Each rung's count is read off the grid's root
+    enclosures, and a rung that one of them straddles is skipped.  A cell
+    below the axis is tested as its mirror, whose disks hold the conjugate
+    roots, so the test commutes with conjugation although the enclosures
+    are not closed under it."""
+    ints, reals, unit, enc, bits = grid
     x0, x1, y0, y1 = cell
-    cx, cy, half = 17 * (x0 + x1), 17 * (y0 + y1), x1 - x0 + y1 - y0
+    cx, cy, half = 17 * (x0 + x1), abs(17 * (y0 + y1)), x1 - x0 + y1 - y0
     for rung in _RUNGS:
         r = half * rung
-        got = None if enc is None else _enclosure_count(enc, cx, cy, r, unit)
-        if got is None:
-            got = _disk_count(ints, *(Fraction(v, 34) * unit for v in (cx, cy, r)))
+        got = _enclosure_count(enc, cx, cy, r, unit, bits)
         if got is None:
             continue
-        if got == 0 or abs(cy) >= r:
+        if got == 0 or cy >= r:
             return got == 0  # a disk off the axis is genuinely occupied
         # rho <= sqrt(r^2 - Im(c)^2) < wide <= rho + 2^-12: the short trace
         # only misses exclusions, and a disk with more roots than the long
@@ -321,18 +330,15 @@ def _cell_excluded(grid: tuple, cell: tuple) -> bool:
 
 def _holds_one(grid: tuple, cell: tuple) -> bool:
     """Certified: a disk covering the cell, strictly above the real axis,
-    contains exactly one root of p, by the grid's root enclosures or else
-    polycrit's one-root certificate on the rung's rational disk, at the
-    first rung where one decides."""
-    ints, _, unit, enc = grid
+    contains exactly one root of p, by the grid's root enclosures at the
+    first rung that none of them straddles."""
+    _, _, unit, enc, bits = grid
     x0, x1, y0, y1 = cell
     cx, cy, half = 17 * (x0 + x1), 17 * (y0 + y1), x1 - x0 + y1 - y0
     for r in [half * rung for rung in _RUNGS if half * rung < cy]:
-        count = None if enc is None else _enclosure_count(enc, cx, cy, r, unit)
-        disk = (Fraction(v, 34) * unit for v in (cx, cy, r))
-        got = _disk_holds_one(ints, *disk) if count is None else count == 1
+        got = _enclosure_count(enc, cx, cy, r, unit, bits)
         if got is not None:
-            return got
+            return got == 1
     return False
 
 
@@ -361,16 +367,14 @@ def _upper_half_roots(p: QPoly, pairs: int, reals) -> list[BoxC]:
     """Isolating boxes for the `pairs` >= 1 roots above the real axis of
     the squarefree p, given ascending isolating intervals of its real roots.
     The cells start at the Cauchy bound, at least 1, and subdivision stops
-    once their unit falls below 2^-_MAX_DEPTH.  The integer model of p and
-    its root enclosures of polycrit, on the 2^-64 grid, are computed once
-    and serve every depth in the grid (ints, reals, unit, enclosures);
-    where the enclosures are None, as around a cluster the grid cannot
-    separate, every count is the strict one, as in _regrid."""
+    once their unit falls below 2^-_MAX_DEPTH.  Each depth takes the grid
+    of _grid, which keeps the previous depth's enclosures until the cells
+    come within 16 bits of them."""
     unit, cells, ints = p.cauchy_root_bound(), [(-1, 1, 0, 1)], p.int_coeffs()
-    enc = root_enclosures(ints)
+    grid = _grid(ints, reals, unit)
     while unit / 2 >= Fraction(1, 2 ** _MAX_DEPTH):
         unit /= 2
-        grid = (ints, reals, unit, enc)
+        grid = _grid(ints, reals, unit, *grid[3:])
         cells = [q for c in cells for q in _split4(c) if not _cell_excluded(grid, q)]
         comps = _components(cells)
         if len(comps) == pairs:
@@ -383,11 +387,12 @@ def _upper_half_roots(p: QPoly, pairs: int, reals) -> list[BoxC]:
 
 def _regrid(p: QPoly, box: BoxC) -> BoxC:
     """One quadtree step on the isolating rectangle of a nonreal root:
-    split into 16 cells, drop provably empty ones, take the hull.  Its grid
-    carries no enclosures, so every count is the strict one."""
+    split into 16 cells, drop provably empty ones, take the hull.  The
+    cells' counts are read off root enclosures at least 16 bits finer than
+    the unit of the cells' corners."""
     corners = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
     den = lcm(*(c.denominator for c in corners))
-    grid = (p.int_coeffs(), real_roots_isolated(p)[0], Fraction(1, 4 * den), None)
+    grid = _grid(p.int_coeffs(), real_roots_isolated(p)[0], Fraction(1, 4 * den))
     halves = _split4(tuple(int(c * den) for c in corners))
     kept = [q for c in halves for q in _split4(c) if not _cell_excluded(grid, q)]
     if not kept:
@@ -752,7 +757,9 @@ def isolate_roots(p: QPoly) -> list[BoxC]:
     monic form get the same boxes.  The zero polynomial is refused with
     ValueError, and a repeated root with NotSquarefree: a real one by the
     real-root isolation, a nonreal one once the quadtree has failed, so
-    squarefree inputs pay for no check."""
+    squarefree inputs pay for no check.  That failure comes early, as
+    Smith's disks overlap around a repeated root at every grid, and _grid
+    stops doubling at the separation bound."""
     if p.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
     p = p.monic()

@@ -15,14 +15,14 @@ polynomial roots in disks with rational radius, exactly, through the
 Schur-Cohn reduction.  One recurrence, `_chain`, runs every count on the
 primitive Gaussian-integer coefficients of a positive multiple of the
 recentred polynomial, dividing a step by its content once its integers
-grow long.  It serves the strict count at complex centers, which powers
-the rectangle subdivision used elsewhere for root isolation, and the
-count at 0 runs on that strict count.  One integer test, Pellet's,
-comes first on every disk: a term of the recentred polynomial whose
-modulus beats the sum of the others fixes the count at its index.  Its
-k = 0 case, the T_0 test, clears a disk without the chain; its k = 1
-case certifies the one-root disks of numfield; and the dominant-term
-count is that test at the dominant index.  The chain degenerates on a
+grow long.  It serves the strict count at complex centers, which backs
+the one-root disks of Newton's refinement in numfield, and the count at
+0 runs on that strict count.  One integer test, Pellet's, comes first
+on every disk: a term of the recentred polynomial whose modulus beats
+the sum of the others fixes the count at its index.  Its k = 0 case,
+the T_0 test, clears a disk without the chain; its k = 1 case certifies
+Newton's one-root disks; and the dominant-term count is that test at
+the dominant index.  The chain degenerates on a
 root on the circle, on a conjugate-reciprocal root pair, and at
 accidental zero steps.  The count at 0 runs the chain first, on the whole
 polynomial; only when it degenerates does it split off, by a gcd with
@@ -32,13 +32,13 @@ once, counting the rest on two nearby circles.  The strict count
 returns None instead.
 
 Root enclosures certify all the roots at once.  An Aberth-Ehrlich
-iteration on Gaussian integers of the 2^-64 grid approximates them, and
-Smith's theorem turns the points into closed disks, returned only when
-they are pairwise disjoint, so that each holds exactly one root.  A
-disk's count is then read off them wherever every enclosure lies strictly
-inside or strictly outside it; where one straddles its circle, or the
-disks overlap, as around a cluster of roots closer than the grid
-resolves, the caller falls back to the strict count.
+iteration on Gaussian integers of the 2^-bits grid approximates them,
+and Smith's theorem turns the points into closed disks, returned only
+when they are pairwise disjoint, so that each holds exactly one root.  A
+disk's count is then read off them wherever every enclosure lies
+strictly inside or strictly outside it; where one straddles its circle
+the count is undecided, and where the disks overlap, as around a cluster
+of roots closer than the grid resolves, the caller takes a finer grid.
 
 No floating point is used anywhere: every verdict is replayable from
 the integers it carries.
@@ -658,17 +658,8 @@ def _disk_holds_one(ints: list[int], c_re, c_im, r) -> Optional[bool]:
 
 
 # ---------------------------------------------------------------------------
-# Certified root enclosures on the 2^-64 grid.
+# Certified root enclosures on the 2^-bits grid.
 # ---------------------------------------------------------------------------
-
-_GRID_BITS = 64
-# sigma is near 2^-64 / d for points d apart, so 2^128 sigma keeps about
-# 64 significant bits wherever d is near 1
-_SIGMA_BITS = 2 * _GRID_BITS
-# seeded inputs of degree 3-16 certify within 10 sweeps; towards a cluster
-# the points close in about a bit a sweep, and a^k (X^2 + 1)^k + 1 for
-# k = 3..6 and a = 2^20..2^60, with k roots about 1/a apart, took 49-58
-_ABERTH_SWEEPS = 2 * _GRID_BITS
 
 
 def _horner(b: list[int], x: int, y: int) -> tuple[int, int, int, int]:
@@ -682,24 +673,24 @@ def _horner(b: list[int], x: int, y: int) -> tuple[int, int, int, int]:
 
 
 def _smith_disks(
-    ints: list[int], zs: list[tuple[int, int]]
+    ints: list[int], zs: list[tuple[int, int]], bits: int = 64
 ) -> Optional[list[tuple[int, int, int]]]:
-    """Disjoint closed disks (x, y, r) around the grid points zs, one per
-    degree of the integer polynomial ints, each holding exactly one of its
-    roots with its multiplicity: centre (x + iy) 2^-64 and radius r 2^-64;
-    None where they are not disjoint.  With distinct z_i, every root lies in
-    a disk |z - z_i| <= n |p(z_i)| / (|a_n| prod_{j != i} |z_i - z_j|), and
-    a disk that meets no other holds exactly one (B. T. Smith, 1970).  Each
-    r is the integer ceiling of that radius in grid units, from exact
-    Gaussian-integer norms, and the disks are returned only when
-    N(Z_i - Z_j) > (r_i + r_j)^2 for every pair."""
+    """Disjoint closed disks (x, y, r) around the points zs of the 2^-bits
+    grid, one per degree of the integer polynomial ints, each holding
+    exactly one of its roots with its multiplicity: centre (x + iy) 2^-bits
+    and radius r 2^-bits; None where they are not disjoint.  With distinct
+    z_i, every root lies in a disk |z - z_i| <= n |p(z_i)| / (|a_n|
+    prod_{j != i} |z_i - z_j|), and a disk that meets no other holds
+    exactly one (B. T. Smith, 1970).  Each r is the integer ceiling of that
+    radius in grid units, from exact Gaussian-integer norms, and the disks
+    are returned only when N(Z_i - Z_j) > (r_i + r_j)^2 for every pair."""
     n = len(ints) - 1
-    b = [c << _GRID_BITS * (n - k) for k, c in enumerate(ints)]
+    b = [c << bits * (n - k) for k, c in enumerate(ints)]
     norms = [[(x - u) ** 2 + (y - v) ** 2 for u, v in zs] for x, y in zs]
     scale = ints[-1] ** 2
     radii = []
     for i, (x, y) in enumerate(zs):
-        # |p(z_i)| 2^(64n) = |V|, and prod |z_i - z_j| 2^(64(n-1)) = sqrt(gaps)
+        # |p(z_i)| 2^(bits n) = |V|, and prod |z_i - z_j| 2^(bits (n-1)) = sqrt(gaps)
         vr, vi = _horner(b, x, y)[:2]
         gaps = math.prod(m for j, m in enumerate(norms[i]) if j != i)
         if not gaps:
@@ -710,31 +701,36 @@ def _smith_disks(
     return [(x, y, r) for (x, y), r in zip(zs, radii)]
 
 
-def root_enclosures(ints: list[int]) -> Optional[list[tuple[int, int, int]]]:
-    """The disks of _smith_disks around approximations to all the roots of
-    the integer polynomial ints, low degree first; None where the disks are
-    not certified disjoint.
+def root_enclosures(ints: list[int], bits: int = 64) -> Optional[list[tuple[int, int, int]]]:
+    """The disks of _smith_disks on the 2^-bits grid around approximations
+    to all the roots of the integer polynomial ints, low degree first; None
+    where the disks are not certified disjoint.
 
     The points come from the Aberth-Ehrlich iteration (Aberth, 1973; Bini,
-    1996) on the 2^-64 grid, started from rho ((3 + 4i)/5)^j, j = 1..n, with
-    rho half the Cauchy bound: points off the real axis and not closed under
-    conjugation.  At the grid point Z_i one Horner pass gives V = 2^(64n)
-    p(z_i) and D = 2^(64(n-1)) p'(z_i), and sigma = sum_{j != i} 1/(Z_i -
-    Z_j) is kept in fixed point with _SIGMA_BITS bits, so the correction
-    V / (D - V sigma) is one quotient of integers, in grid units.  A point
-    stops moving once its correction is at most one unit in each part, and
-    the sweeps stop at _ABERTH_SWEEPS.  Converging points prove nothing;
-    Smith's theorem does."""
-    n = len(ints) - 1
-    b = [c << _GRID_BITS * (n - k) for k, c in enumerate(ints)]
+    1996) on the grid, started from rho ((3 + 4i)/5)^j, j = 1..n, with rho
+    half the Cauchy bound: points off the real axis and not closed under
+    conjugation.  At the grid point Z_i one Horner pass gives V = 2^(bits
+    n) p(z_i) and D = 2^(bits (n-1)) p'(z_i), and sigma = sum_{j != i}
+    1/(Z_i - Z_j) is kept in fixed point with 2 bits bits: sigma is near
+    2^-bits / d for points d apart, so that keeps about bits significant
+    bits wherever d is near 1.  The correction V / (D - V sigma) is then
+    one quotient of integers, in grid units.  A point stops moving once its
+    correction is at most one unit in each part, and the sweeps stop at 2
+    bits: seeded inputs of degree 3-16 certify within 10 sweeps at 64 bits;
+    towards a cluster the points close in about a bit a sweep, and a^k (X^2
+    + 1)^k + 1 for k = 3..6 and a = 2^20..2^60, with k roots about 1/a
+    apart, took 49-58 there.  Converging points prove nothing; Smith's
+    theorem does."""
+    n, fix = len(ints) - 1, 2 * bits
+    b = [c << bits * (n - k) for k, c in enumerate(ints)]
     lead = abs(ints[-1])
-    rho = ((lead + max(abs(c) for c in ints[:-1])) << _GRID_BITS - 1) // lead
+    rho = ((lead + max(abs(c) for c in ints[:-1])) << bits - 1) // lead
     zs, wr, wi = [], 1, 0
     for j in range(1, n + 1):
         wr, wi = 3 * wr - 4 * wi, 4 * wr + 3 * wi
         zs.append((rho * wr // 5 ** j, rho * wi // 5 ** j))
     moving = set(range(n))
-    for _ in range(_ABERTH_SWEEPS):
+    for _ in range(2 * bits):
         for i in sorted(moving):
             x, y = zs[i]
             vr, vi, dr, di = _horner(b, x, y)
@@ -745,33 +741,34 @@ def root_enclosures(ints: list[int]) -> Optional[list[tuple[int, int, int]]]:
                     m = ex * ex + ey * ey
                     if not m:
                         return None
-                    sr += (ex << _SIGMA_BITS) // m
-                    si -= (ey << _SIGMA_BITS) // m
-            # V / (D - V sigma) in grid units, with sr + i si = 2^_SIGMA_BITS sigma
-            er = (dr << _SIGMA_BITS) - vr * sr + vi * si
-            ei = (di << _SIGMA_BITS) - vr * si - vi * sr
+                    sr += (ex << fix) // m
+                    si -= (ey << fix) // m
+            # V / (D - V sigma) in grid units, with sr + i si = 2^fix sigma
+            er = (dr << fix) - vr * sr + vi * si
+            ei = (di << fix) - vr * si - vi * sr
             m = er * er + ei * ei
             if not m:
                 return None
-            cr = ((vr * er + vi * ei) << _SIGMA_BITS + 1) // m + 1 >> 1
-            ci = ((vi * er - vr * ei) << _SIGMA_BITS + 1) // m + 1 >> 1
+            cr = ((vr * er + vi * ei) << fix + 1) // m + 1 >> 1
+            ci = ((vi * er - vr * ei) << fix + 1) // m + 1 >> 1
             zs[i] = x - cr, y - ci
             if abs(cr) <= 1 and abs(ci) <= 1:
                 moving.discard(i)
         if not moving:
             break
-    return _smith_disks(ints, zs)
+    return _smith_disks(ints, zs, bits)
 
 
-def _enclosure_count(enc, cx: int, cy: int, r: int, unit) -> Optional[int]:
+def _enclosure_count(enc, cx: int, cy: int, r: int, unit, bits: int = 64) -> Optional[int]:
     """The roots in the open disk of centre (cx + i cy) unit/34 and radius
     r unit/34, for integers cx, cy, r and a positive rational unit, read off
-    the enclosures of root_enclosures: the number that lie strictly inside
-    it, when every other one lies strictly outside its closed disk; None
-    where an enclosure meets its circle.  All sizes are compared as
-    integers, in the unit 2^-64 / (34 times the denominator of unit)."""
+    the enclosures that root_enclosures gave on the 2^-bits grid: the number
+    that lie strictly inside it, when every other one lies strictly outside
+    its closed disk; None where an enclosure meets its circle.  All sizes
+    are compared as integers, in the unit 2^-bits / (34 times the
+    denominator of unit)."""
     k = 34 * unit.denominator
-    cx, cy, r = (v * unit.numerator << _GRID_BITS for v in (cx, cy, r))
+    cx, cy, r = (v * unit.numerator << bits for v in (cx, cy, r))
     count = 0
     for x, y, rho in enc:
         dx, dy, rho = cx - k * x, cy - k * y, k * rho

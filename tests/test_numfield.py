@@ -866,7 +866,7 @@ class TestIntegerCells:
         # rung counts one root, finds none on the short trace and one on the
         # long one, and the second rung excludes the cell
         p = QPoly((F(-14141, 10000), 1)) * QPoly((100, 0, 1))
-        grid = (p.int_coeffs(), real_roots_isolated(p)[0], F(1), None)
+        grid = numfield_module._grid(p.int_coeffs(), real_roots_isolated(p)[0], F(1))
         cell = (-1, 1, 0, 1)
         seen = set()
         assert oracle.cell_excluded(p, numfield_module._box(cell, F(1)), seen)
@@ -986,8 +986,8 @@ class TestRootEnclosures:
         calls = []
         enclosure_count = numfield_module._enclosure_count
 
-        def spy(enc, cx, cy, r, unit):
-            got = enclosure_count(enc, cx, cy, r, unit)
+        def spy(enc, cx, cy, r, unit, bits):
+            got = enclosure_count(enc, cx, cy, r, unit, bits)
             calls.append((unit, cx, cy, r, got))
             return got
 
@@ -1008,16 +1008,40 @@ class TestRootEnclosures:
         # straddles the circle
         assert (decided, fallbacks) == (16209, [None] * 61)
 
-    def test_clustered_roots_take_the_strict_path(self):
+    def test_clustered_roots_take_a_finer_grid(self):
         # a^3 (X^2 + 1)^3 + 1 with a near 2^61.3 has three roots within about
-        # 2^-61 of i: Smith's disks overlap on the 2^-64 grid, so every cell
-        # count is the strict one, and the boxes are those it gave alone
+        # 2^-61 of i: Smith's disks overlap on the 2^-64 grid and are disjoint
+        # on the 2^-128 one, and the boxes are those the strict count gave
         a3 = 2744696176657098029 ** 3
         p = QPoly((a3 + 1, 0, 3 * a3, 0, 3 * a3, 0, a3))
-        assert polycrit_module.root_enclosures(p.int_coeffs()) is None
+        assert polycrit_module.root_enclosures(p.int_coeffs(), 64) is None
+        assert polycrit_module.root_enclosures(p.int_coeffs(), 128) is not None
+        start = time.perf_counter()
         text = " ".join(_box_text(b) for b in isolate_roots(p))
+        assert time.perf_counter() - start < 0.2
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "5aedc66d4ae825f11e27919b7bbc08e8a8d28c4c02bb8a384a475d817d094790"
+
+    @pytest.mark.parametrize("tail", [(3, 0, 0, 0, 0, 0, 1), (3, 0, 0, 0, 0, 0, 0, 0, 1)])
+    def test_unseparated_cluster_fails_fast(self, tail):
+        # (a^2 (X^2 + 1)^2 + 1)(X^6 + 3), and with X^8 + 3, for a = 2^61: two
+        # roots 2^-61 apart, which the enclosures separate on a finer grid
+        # but cells of the capped depth do not
+        a2 = 2 ** 122
+        p = QPoly((a2 + 1, 0, 2 * a2, 0, a2)) * QPoly(tail)
+        start = time.perf_counter()
+        with pytest.raises(UndecidableAtPrecision, match="subdivision failed"):
+            isolate_roots(p)
+        assert time.perf_counter() - start < 0.5
+
+    def test_repeated_nonreal_root_fails_fast(self):
+        # Smith's disks overlap around a double root at every grid, and the
+        # grid stops doubling at twice the bits of the separation bound
+        q = QPoly((1, 1, 0, 0, 1))
+        start = time.perf_counter()
+        with pytest.raises(NotSquarefree, match="repeated nonreal root"):
+            isolate_roots(q * q * QPoly((-2, 0, 0, 1)))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestModulusCompare:

@@ -13,6 +13,7 @@ import quiddity
 SRC = pathlib.Path(quiddity.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
+TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
 
 
@@ -77,6 +78,43 @@ def test_no_unused_imports():
             for alias in node.names
             if (alias.asname or alias.name.split(".")[0]) not in used
         ]
+    assert found == []
+
+
+def _dead_locals(tree):
+    # (line, name) for each name a function binds in its own scope and
+    # never reads, nested scopes included; a name read only by its own
+    # augmented assignment is dead too, and names starting with _ are exempt
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(fn))
+        kept = {n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        kept |= {x for n in nodes if isinstance(n, (ast.Global, ast.Nonlocal)) for x in n.names}
+        todo = list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                if node.id not in kept and not node.id.startswith("_"):
+                    found.append((node.lineno, node.id))
+            todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_no_dead_locals():
+    # a local that is assigned and never read is dead code, and it keeps
+    # alive whatever it names, which test_no_unused_imports then misses
+    planted = "def main(field, w, ks):\n    t = QuiddityTuple(field, w, ks)\n    return ks\n"
+    assert _dead_locals(ast.parse(planted)) == [(2, "t")]
+    found = [
+        f"{path.parent.name}/{path.name}:{line} {name}"
+        for folder in (SRC, SCRIPTS, TESTS)
+        for path in sorted(folder.glob("*.py"))
+        for line, name in _dead_locals(ast.parse(path.read_text(), filename=str(path)))
+    ]
     assert found == []
 
 
@@ -231,6 +269,15 @@ def test_quadtree_cells_have_no_fraction():
     enclosures = {"root_enclosures", "_smith_disks", "_horner", "_enclosure_count"}
     floats = used | {"float", "complex", "cmath", "cos", "sin", "pi"}
     assert _uses("polycrit.py", enclosures, floats) == []
+
+
+def test_quadtree_counts_come_from_the_enclosures_alone():
+    # every count of the isolation quadtree is read off the root
+    # enclosures; a strict count there would be a second count path, one
+    # that the enclosures on a finer grid make unnecessary
+    quadtree = {"_cell_excluded", "_holds_one", "_upper_half_roots", "_regrid"}
+    strict = {"_disk_count", "_disk_holds_one", "gauss_disk_count_strict", "_count", "_chain"}
+    assert _uses("numfield.py", quadtree, strict) == []
 
 
 def test_one_dominance_test_in_polycrit():
