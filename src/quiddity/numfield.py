@@ -14,16 +14,18 @@ interval narrower than the bound that holds both sides proves them equal.
 Real roots are isolated by sign-variation bisection on integer
 coefficients and refined by rational bisection.  Nonreal roots are
 isolated in the upper half plane by a quadtree on integer cells.  Every
-disk count there is read off polycrit's root enclosures, disjoint disks
-on the 2^-bits grid that each hold one root; a disk that an enclosure
-straddles is skipped.  The grid starts at 64 bits and doubles wherever
-Smith's disks overlap or the cells come within 16 bits of it, so a
-cluster of roots gets a finer grid instead of a slower count; where the
-disks still overlap at twice the bits of the root separation bound, the
-isolation gives up.  A cell is dropped once a disk around it provably
-holds no nonreal root: its count equals the real roots on the disk's
-trace, counted on their isolating intervals.  A cluster of cells is
-accepted once a disk around it provably holds exactly one root.  The
+disk count there is read off the root enclosures of polycrit, disjoint
+disks on the 2^-bits grid that each hold one root; a disk that an
+enclosure straddles is skipped.  The grid starts at 64 bits and doubles
+wherever Smith's disks overlap or the cells come within 16 bits of it,
+so a cluster of roots gets a finer grid instead of a slower count.  One
+limit ends both the doubling and the subdivision: twice the bits of the
+root separation bound, and at least 64.  Where the disks still overlap
+on that grid, or cells 16 bits coarser than it have not isolated the
+roots, the isolation gives up.  A cell is dropped once a disk around it
+provably holds no nonreal root: its count equals the real roots on the
+disk's trace, counted on their isolating intervals.  A cluster of cells
+is accepted once a disk around it provably holds exactly one root.  The
 lower half holds the conjugates.
 
 A nonreal isolating box is refined by Newton's method from its centre,
@@ -32,13 +34,12 @@ Horner pass over the grid point's Gaussian-integer numerator, which gives
 p(z) and p'(z) up to powers of the grid's step.  The refined box is the
 square around one open disk inside the old box that provably holds
 exactly one root, so it holds the old box's one root: Pellet's test
-certifies the disk when the linear term of p recentred on it dominates,
-and the strict count on the same recentred model decides otherwise.
-When Newton does not converge or the disk is not certified, one
-quadtree step shrinks the box and Newton starts again.  Both steps
-commute with complex conjugation (the dyadic rounding is half to even,
-and the cell test is symmetric), so a box below the real axis needs no
-path of its own.  An embedding evaluates the element's polynomial on
+certifies the disk when the linear term of p recentred on it dominates.
+When Newton does not converge or that test fails, one quadtree step
+shrinks the box and Newton starts again.  Both steps commute with
+complex conjugation (the dyadic rounding is half to even, and the cell
+test is symmetric), so a box below the real axis needs no path of its
+own.  An embedding evaluates the element's polynomial on
 the root's box by interval Horner on integers, over the common
 denominators of the corners and of the coefficients.
 
@@ -64,6 +65,7 @@ from .polynomials import (
     GaussRat,
     NotSquarefree,
     QPoly,
+    _recentre,
     _separation_bound,
     _sign_at,
     as_rat,
@@ -73,9 +75,8 @@ from .polynomials import (
     refine_real_root,
 )
 from .polycrit import (
-    _disk_holds_one,
-    _enclosure_count,
     _horner,
+    _pellet,
     _trial_division,
     irreducible_over_Q,
     root_enclosures,
@@ -107,6 +108,7 @@ class UndecidableAtPrecision(RuntimeError):
     """A certified answer was not reached within the allowed refinement."""
 
 
+# the rounds of embed's refinement
 _MAX_DEPTH = 64
 
 
@@ -260,6 +262,28 @@ class BoxC:
 _RUNGS = (17, 18, 19, 21, 23, 26)
 
 
+def _enclosure_count(enc, cx: int, cy: int, r: int, unit, bits: int = 64) -> Optional[int]:
+    """The roots in the open disk of centre (cx + i cy) unit/34 and radius
+    r unit/34, for integers cx, cy, r and a positive rational unit, read off
+    the enclosures that root_enclosures gave on the 2^-bits grid: the number
+    that lie strictly inside it, when every other one lies strictly outside
+    its closed disk; None where an enclosure meets its circle.  All sizes
+    are compared as integers, in the unit 2^-bits / (34 times the
+    denominator of unit)."""
+    k = 34 * unit.denominator
+    cx, cy, r = (v * unit.numerator << bits for v in (cx, cy, r))
+    count = 0
+    for x, y, rho in enc:
+        dx, dy, rho = cx - k * x, cy - k * y, k * rho
+        d2 = dx * dx + dy * dy
+        if d2 > (r + rho) ** 2:
+            continue
+        if rho >= r or d2 >= (r - rho) ** 2:
+            return None
+        count += 1
+    return count
+
+
 def _split4(cell: tuple) -> list[tuple]:
     """The quarters of cell, in the unit halved."""
     x0, x1, y0, y1 = (2 * v for v in cell)
@@ -280,17 +304,24 @@ def _real_count(ints: list[int], reals, lo: Fraction, hi: Fraction) -> int:
     )
 
 
+def _bit_limit(ints: list[int]) -> int:
+    """max(64, 2 log2(1/s)) for the root separation bound s of ints: the
+    grid bits past which nothing of a squarefree input is left to resolve.
+    Its roots lie at least s apart, and its nonreal roots at least s/2 off
+    the real axis."""
+    return max(64, 2 * _separation_bound(ints).denominator.bit_length())
+
+
 def _grid(ints: list[int], reals, unit: Fraction, enc=None, bits: int = 0) -> tuple:
     """The grid (ints, reals, unit, enc, bits) that counts the cells of the
     given unit, with ascending isolating intervals reals of the real roots
     of ints: enc, the root enclosures of ints on the 2^-bits grid, is kept
     where it is certified and at least 16 bits finer than unit; otherwise
     it is computed again, from 64 bits on, with the bits doubled until it
-    is.  A squarefree input's roots lie at least the separation bound s
-    apart, so enclosures that still overlap at max(64, 2 log2(1/s)) bits
-    raise UndecidableAtPrecision, as on a repeated root."""
+    is.  Enclosures that still overlap at _bit_limit(ints) bits raise
+    UndecidableAtPrecision, as on a repeated root."""
     while enc is None or unit.numerator << bits - 16 < unit.denominator:
-        if enc is None and bits >= max(64, 2 * _separation_bound(ints).denominator.bit_length()):
+        if enc is None and bits >= _bit_limit(ints):
             raise UndecidableAtPrecision("root enclosures overlap past the separation bound")
         bits = max(64, 2 * bits)
         enc = root_enclosures(ints, bits)
@@ -367,12 +398,14 @@ def _upper_half_roots(p: QPoly, pairs: int, reals) -> list[BoxC]:
     """Isolating boxes for the `pairs` >= 1 roots above the real axis of
     the squarefree p, given ascending isolating intervals of its real roots.
     The cells start at the Cauchy bound, at least 1, and subdivision stops
-    once their unit falls below 2^-_MAX_DEPTH.  Each depth takes the grid
-    of _grid, which keeps the previous depth's enclosures until the cells
+    once their unit falls below 2^(16 - _bit_limit), at least 2^16 times
+    finer than the root separation bound, where the grid of _grid stops
+    too, with nothing left to separate.  Each depth takes the grid of
+    _grid, which keeps the previous depth's enclosures until the cells
     come within 16 bits of them."""
     unit, cells, ints = p.cauchy_root_bound(), [(-1, 1, 0, 1)], p.int_coeffs()
-    grid = _grid(ints, reals, unit)
-    while unit / 2 >= Fraction(1, 2 ** _MAX_DEPTH):
+    grid, finest = _grid(ints, reals, unit), Fraction(1, 2 ** (_bit_limit(ints) - 16))
+    while unit / 2 >= finest:
         unit /= 2
         grid = _grid(ints, reals, unit, *grid[3:])
         cells = [q for c in cells for q in _split4(c) if not _cell_excluded(grid, q)]
@@ -419,10 +452,12 @@ def _newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
     P of p, so their quotient is the step P(z)/P'(z) in grid units, and
     the next iterate is z less that step, rounded half to even to the
     grid.  Converging iterates prove nothing, so the result is certified
-    by polycrit._disk_holds_one: the open disk of radius r <= width/2
-    around the last iterate lies inside box, and box holds exactly one
+    by Pellet's test with k = 1 (polycrit._pellet) on the integer model
+    of p recentred on the open disk of radius r <= width/2 around the
+    last iterate: that disk lies inside box, and box holds exactly one
     root, so a disk that holds exactly one root holds that root.  Where
-    that certificate fails, refinement takes a quadtree step instead.
+    the test fails, the answer is None, and refinement takes a quadtree
+    step instead, as after any other failure of Newton's method.
     """
     shift = (width.denominator // width.numerator).bit_length() + 8
     grid = 1 << shift
@@ -451,7 +486,7 @@ def _newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
         return None
     c_re, c_im = Fraction(x, grid), Fraction(y, grid)
     r = min(width / 2, c_re - box.re.lo, box.re.hi - c_re, c_im - box.im.lo, box.im.hi - c_im)
-    if r <= 0 or not _disk_holds_one(ints, c_re, c_im, r):
+    if r <= 0 or not _pellet(*_recentre(ints, c_re, c_im, r), 1):
         return None
     return BoxC(RatInterval(c_re - r, c_re + r), RatInterval(c_im - r, c_im + r))
 
@@ -758,8 +793,9 @@ def isolate_roots(p: QPoly) -> list[BoxC]:
     ValueError, and a repeated root with NotSquarefree: a real one by the
     real-root isolation, a nonreal one once the quadtree has failed, so
     squarefree inputs pay for no check.  That failure comes early, as
-    Smith's disks overlap around a repeated root at every grid, and _grid
-    stops doubling at the separation bound."""
+    Smith's disks overlap around a repeated root on every grid, and _grid
+    stops doubling at _bit_limit, the limit that also ends the
+    subdivision."""
     if p.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
     p = p.monic()
@@ -812,12 +848,13 @@ def _factor_from_roots(p: QPoly, boxes: Sequence[BoxC]) -> Optional[QPoly]:
     p and a its leading coefficient.  By Gauss's lemma every factor of p
     over Q is, up to a constant, a factor g of P in Z[X]; lc(g) divides
     a, so for the root set S of g, a * prod(X - r) over S equals
-    (a / lc(g)) * g and has integer coefficients.  Each root is refined
-    once, to the width goal below; then every S of total size 2..n//2 is
-    tried (a factor of larger degree has a cofactor among those) by
-    a * prod(X - r) in interval arithmetic: S is dropped when some
-    coefficient interval holds no integer, else each is narrower than 1,
-    and the one integer candidate is checked by exact division.
+    (a / lc(g)) * g and has integer coefficients.  Every S of total size
+    2..n//2 is tried (a factor of larger degree has a cofactor among
+    those), each root refined to the width goal below on its first use
+    and kept so, by a * prod(X - r) in interval arithmetic: S is dropped
+    when some coefficient interval holds no integer, else each is
+    narrower than 1, and the one integer candidate is checked by exact
+    division.
     """
     ints = p.int_coeffs()
     a, n = ints[-1], p.degree
@@ -832,7 +869,7 @@ def _factor_from_roots(p: QPoly, boxes: Sequence[BoxC]) -> Optional[QPoly]:
     goal = 1 / (4 * a * m * k ** (m - 1))
     # a real root stands alone; a root z above the axis stands for the
     # pair {z, conj z} through the real quadratic X^2 - 2 Re(z) X + |z|^2
-    units = [_refine_one(p, b, goal) for b in boxes if b.is_real_line() or b.im.hi > 0]
+    units = [b for b in boxes if b.is_real_line() or b.im.hi > 0]
     sizes = [1 if b.is_real_line() else 2 for b in units]
     for count in range(1, m + 1):
         for subset in combinations(range(len(units)), count):
@@ -840,6 +877,8 @@ def _factor_from_roots(p: QPoly, boxes: Sequence[BoxC]) -> Optional[QPoly]:
                 continue
             coeffs = [RatInterval.point(a)]
             for i in subset:
+                if units[i].width > goal:
+                    units[i] = _refine_one(p, units[i], goal)
                 b = units[i]
                 if b.is_real_line():
                     coeffs = _interval_poly_mul(coeffs, (-b.re, RatInterval.point(1)))

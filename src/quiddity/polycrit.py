@@ -15,30 +15,28 @@ polynomial roots in disks with rational radius, exactly, through the
 Schur-Cohn reduction.  One recurrence, `_chain`, runs every count on the
 primitive Gaussian-integer coefficients of a positive multiple of the
 recentred polynomial, dividing a step by its content once its integers
-grow long.  It serves the strict count at complex centers, which backs
-the one-root disks of Newton's refinement in numfield, and the count at
-0 runs on that strict count.  One integer test, Pellet's, comes first
-on every disk: a term of the recentred polynomial whose modulus beats
-the sum of the others fixes the count at its index.  Its k = 0 case,
-the T_0 test, clears a disk without the chain; its k = 1 case certifies
-Newton's one-root disks; and the dominant-term count is that test at
-the dominant index.  The chain degenerates on a
-root on the circle, on a conjugate-reciprocal root pair, and at
-accidental zero steps.  The count at 0 runs the chain first, on the whole
-polynomial; only when it degenerates does it split off, by a gcd with
-the reversed polynomial, the roots on the circle, counted exactly, and
-the inverse root pairs, one inside per pair, and then bracket the circle
-once, counting the rest on two nearby circles.  The strict count
-returns None instead.
+grow long.  It serves the strict count at complex centers, and the
+count at 0 runs on that strict count.  One integer test, Pellet's, comes
+first on every disk: a term of the recentred polynomial whose modulus
+beats the sum of the others fixes the count at its index.  Its k = 0
+case, the T_0 test, clears a disk without the chain; its k = 1 case
+alone certifies the one-root disks of Newton's refinement in numfield;
+and the dominant-term count is that test at the dominant index.  The
+chain degenerates on a root on the circle, on a conjugate-reciprocal
+root pair, and at accidental zero steps.  The count at 0 runs the chain
+first, on the whole polynomial; only when it degenerates does it split
+off, by a gcd with the reversed polynomial, the roots on the circle,
+counted exactly, and the inverse root pairs, one inside per pair, and
+then bracket the circle once, counting the rest on two nearby circles.
+The strict count returns None instead.
 
 Root enclosures certify all the roots at once.  An Aberth-Ehrlich
 iteration on Gaussian integers of the 2^-bits grid approximates them,
 and Smith's theorem turns the points into closed disks, returned only
-when they are pairwise disjoint, so that each holds exactly one root.  A
-disk's count is then read off them wherever every enclosure lies
-strictly inside or strictly outside it; where one straddles its circle
-the count is undecided, and where the disks overlap, as around a cluster
-of roots closer than the grid resolves, the caller takes a finer grid.
+when they are pairwise disjoint, so that each holds exactly one root.
+numfield reads its disk counts off them; where the disks overlap, as
+around a cluster of roots closer than the grid resolves, it takes a
+finer grid.
 
 No floating point is used anywhere: every verdict is replayable from
 the integers it carries.
@@ -624,37 +622,18 @@ def _pellet(re: list[int], im: list[int], k: int) -> bool:
     return math.isqrt(mk) > sum(_ceil_sqrt(m) for m in norms)
 
 
-def _count(re: list[int], im: list[int]) -> Optional[int]:
-    """The strict unit-disk count of q = re + i im: 0 when T_0 passes,
-    else the chain on q's primitive part.  Where T_0 passes, the chain
-    would count 0 too: with no root on the closed disk, every Schur-Cohn
-    step keeps |a0| > |an|, so no gamma is 0."""
+def _disk_count(ints: list[int], c_re, c_im, r) -> Optional[int]:
+    """gauss_disk_count_strict for the nonzero integer polynomial ints, low
+    degree first, at the centre c_re + c_im i and radius r > 0, each an int
+    or a Fraction, on the integer model q of ints(c + rX): 0 when T_0
+    passes, else the chain on q's primitive part.  Where T_0 passes, the
+    chain would count 0 too: with no root on the closed disk, every
+    Schur-Cohn step keeps |a0| > |an|, so no gamma is 0."""
+    re, im = _recentre(ints, c_re, c_im, r)
     if _pellet(re, im, 0):
         return 0
     g = math.gcd(*re, *im)
     return _chain([(x // g, y // g) for x, y in zip(re, im)])
-
-
-def _disk_count(ints: list[int], c_re, c_im, r) -> Optional[int]:
-    """gauss_disk_count_strict for the nonzero integer polynomial ints, low
-    degree first, at the centre c_re + c_im i and radius r > 0, each an int
-    or a Fraction: _count on the integer model of ints(c + rX)."""
-    return _count(*_recentre(ints, c_re, c_im, r))
-
-
-def _disk_holds_one(ints: list[int], c_re, c_im, r) -> Optional[bool]:
-    """Whether the open disk of _disk_count holds exactly one root of ints,
-    counted with multiplicity, and its circle none; None where that is not
-    certified.  One integer model q of ints(c + rX) serves both tests:
-    Pellet's test with k = 1 certifies one root, and otherwise the strict
-    count decides.  Pellet's test also certifies a disk on which the chain
-    degenerates, as on a conjugate-reciprocal pair across the circle;
-    where both fail, the answer is None."""
-    re, im = _recentre(ints, c_re, c_im, r)
-    if _pellet(re, im, 1):
-        return True
-    got = _count(re, im)
-    return None if got is None else got == 1
 
 
 # ---------------------------------------------------------------------------
@@ -757,25 +736,3 @@ def root_enclosures(ints: list[int], bits: int = 64) -> Optional[list[tuple[int,
         if not moving:
             break
     return _smith_disks(ints, zs, bits)
-
-
-def _enclosure_count(enc, cx: int, cy: int, r: int, unit, bits: int = 64) -> Optional[int]:
-    """The roots in the open disk of centre (cx + i cy) unit/34 and radius
-    r unit/34, for integers cx, cy, r and a positive rational unit, read off
-    the enclosures that root_enclosures gave on the 2^-bits grid: the number
-    that lie strictly inside it, when every other one lies strictly outside
-    its closed disk; None where an enclosure meets its circle.  All sizes
-    are compared as integers, in the unit 2^-bits / (34 times the
-    denominator of unit)."""
-    k = 34 * unit.denominator
-    cx, cy, r = (v * unit.numerator << bits for v in (cx, cy, r))
-    count = 0
-    for x, y, rho in enc:
-        dx, dy, rho = cx - k * x, cy - k * y, k * rho
-        d2 = dx * dx + dy * dy
-        if d2 > (r + rho) ** 2:
-            continue
-        if rho >= r or d2 >= (r - rho) ** 2:
-            return None
-        count += 1
-    return count

@@ -42,6 +42,7 @@ from quiddity.polycrit import gauss_disk_count_strict, irreducible_over_Q
 from quiddity.polynomials import (
     GaussRat,
     QPoly,
+    _recentre,
     composed_product,
     count_real_roots,
     qpoly_at_disk,
@@ -658,6 +659,20 @@ class TestNewtonRefinement:
                         results.append(got is not None)
         assert 0 < sum(results) < len(results)
 
+    def test_refinement_takes_no_quadtree_step(self, monkeypatch):
+        # Newton's disk, certified by Pellet's test alone, refines every
+        # nonreal isolating box of 40 seeded inputs of degree 3-16 to each
+        # width without a quadtree step
+        steps = []
+        monkeypatch.setattr(numfield_module, "_regrid", lambda p, box: steps.append(box) or _regrid(p, box))
+        refined = 0
+        for p in _squarefree_polys(37, 40, range(3, 17), 3):
+            for box in [b for b in isolate_roots(p) if not b.is_real_line()]:
+                for bits in (3, 20, 256):
+                    assert _refine_one(p, box, F(1, 2**bits)).width <= F(1, 2**bits)
+                    refined += 1
+        assert steps == [] and refined > 600
+
     def test_phi13_at_1024_bits_runs_no_chain(self, monkeypatch):
         # Pellet's test certifies every Newton disk on the way, so no
         # Schur-Cohn chain runs; the box is the one the chain certified
@@ -682,12 +697,16 @@ class TestNewtonRefinement:
             assert _refine_one(p, box, F(1, 2**10)) == oracle.shrink_box(p, box, F(1, 2**10))
 
     def test_isolation_cap_fails_fast(self, monkeypatch):
-        # a cap of 2 bits allows three rounds from the Cauchy bound 2
-        # (cell units 1, 1/2, 1/4), and the upper-half survivors of
-        # X^4 + 1 still touch at Re = 0 until the fourth
-        monkeypatch.setattr(numfield_module, "_MAX_DEPTH", 2)
+        # with a separation bound of 1 the limit is 64 bits and the cells
+        # stop at 2^-48: the cluster of (a^2 (X^2 + 1)^2 + 1)(X^6 + 3), two
+        # roots 2^-61 apart, stays unseparated, while X^4 + 1 isolates
+        monkeypatch.setattr(numfield_module, "_separation_bound", lambda ints: 1)
+        a2 = 2 ** 122
+        start = time.perf_counter()
         with pytest.raises(UndecidableAtPrecision, match="subdivision failed"):
-            field_make(QPoly((1, 0, 0, 0, 1)), root_hint=BoxC.make(0, 1, 0, 1))
+            isolate_roots(QPoly((a2 + 1, 0, 2 * a2, 0, a2)) * QPoly((3, 0, 0, 0, 0, 0, 1)))
+        assert time.perf_counter() - start < 0.5
+        assert len(isolate_roots(QPoly((1, 0, 0, 0, 1)))) == 4
 
     def test_embedding_cap_fails_fast(self, monkeypatch):
         f = zeta8_field()
@@ -933,16 +952,16 @@ class TestRootEnclosures:
     of fraction_oracle are their oracles."""
 
     def test_each_enclosure_holds_one_root(self):
-        # widened by one grid unit, each disk holds one root by the one-root
-        # certificate, and up to degree 6 by the Fraction count, which grows
-        # too slow above it
+        # widened by one grid unit, each disk holds one root by Pellet's
+        # test, and up to degree 6 by the Fraction count, which grows too
+        # slow above it
         for degree in range(3, 17):
             for p in _squarefree_polys(1970 + degree, 2, [degree], 2):
                 enc = polycrit_module.root_enclosures(p.int_coeffs())
                 assert enc is not None and len(enc) == degree
                 for x, y, r in enc:
                     re, im, radius = F(x, _GRID), F(y, _GRID), F(r + 1, _GRID)
-                    assert polycrit_module._disk_holds_one(p.int_coeffs(), re, im, radius)
+                    assert polycrit_module._pellet(*_recentre(p.int_coeffs(), re, im, radius), 1)
                     if degree <= 6:
                         assert oracle.gauss_disk_count_strict(p, GaussRat(re, im), radius) == 1
 
@@ -970,7 +989,7 @@ class TestRootEnclosures:
         # one enclosure of radius 1/16 at 0; at the unit 1/16 a rung disk's
         # centre and radius are in units of 1/544, so the enclosure's radius is 34
         enc, unit = [(0, 0, _GRID // 16)], F(1, 16)
-        count = polycrit_module._enclosure_count
+        count = numfield_module._enclosure_count
         assert count(enc, 0, 0, 35, unit) == 1
         assert count(enc, 0, 0, 34, unit) is None  # the disk holds no margin
         assert count(enc, 69, 0, 35, unit) is None  # tangent from outside
@@ -1023,16 +1042,25 @@ class TestRootEnclosures:
         assert digest == "5aedc66d4ae825f11e27919b7bbc08e8a8d28c4c02bb8a384a475d817d094790"
 
     @pytest.mark.parametrize("tail", [(3, 0, 0, 0, 0, 0, 1), (3, 0, 0, 0, 0, 0, 0, 0, 1)])
-    def test_unseparated_cluster_fails_fast(self, tail):
+    def test_unseparated_cluster_isolates(self, tail):
         # (a^2 (X^2 + 1)^2 + 1)(X^6 + 3), and with X^8 + 3, for a = 2^61: two
-        # roots 2^-61 apart, which the enclosures separate on a finer grid
-        # but cells of the capped depth do not
+        # roots 2^-61 apart, which the enclosures separate on a finer grid,
+        # and the cells below 2^-64 that the separation bound allows
         a2 = 2 ** 122
         p = QPoly((a2 + 1, 0, 2 * a2, 0, a2)) * QPoly(tail)
         start = time.perf_counter()
-        with pytest.raises(UndecidableAtPrecision, match="subdivision failed"):
-            isolate_roots(p)
+        boxes = isolate_roots(p)
         assert time.perf_counter() - start < 0.5
+        assert len(boxes) == p.degree
+        assert not any(a.touches(b) for i, a in enumerate(boxes) for b in boxes[:i])
+        # each box lies in a disk of radius its width that holds one root
+        for b in boxes:
+            assert polycrit_module._disk_count(p.int_coeffs(), b.center.re, b.center.im, b.width) == 1
+        digest = hashlib.sha256(" ".join(_box_text(b) for b in boxes).encode()).hexdigest()
+        assert digest == {
+            10: "0159a51efc93f0cc6f0035c9395f1a853323afc2fa4ef25cf4e9a3c193e945c9",
+            12: "11db81e12494f0721391f33793b47aa3868e6bdc7162119baf7476662934de83",
+        }[p.degree]
 
     def test_repeated_nonreal_root_fails_fast(self):
         # Smith's disks overlap around a double root at every grid, and the
@@ -1245,7 +1273,11 @@ class TestRefinementReuse:
         assert [c[0] for c in steps] == [f.root_boxes[idx]] + [c[2] for c in steps[:-1]]
 
     def test_factor_search_refines_each_root_once(self, monkeypatch):
+        # each root is refined on its first use, from its isolating box to
+        # the width goal, and never again, so an input whose factor comes
+        # early leaves the roots it never reads unrefined
         calls = _refine_spy(monkeypatch)
+        early = 0
         for p in _unknown_inputs(35, 4):
             boxes = isolate_roots(p)
             calls.clear()
@@ -1253,7 +1285,10 @@ class TestRefinementReuse:
             m, a = p.degree // 2, p.int_coeffs()[-1]
             goal = 1 / (4 * a * m * (2 * p.cauchy_root_bound() + 3) ** (m - 1))
             units = [b for b in boxes if b.is_real_line() or b.im.hi > 0]
-            assert [(box, width) for box, width, _ in calls] == [(b, goal) for b in units]
+            refined = [box for box, width, _ in calls if width == goal and box in units]
+            assert len(set(refined)) == len(refined) == len(calls)
+            early += len(calls) < len(units)
+        assert early >= 1
 
     def test_factors_match_the_pinned_digest(self):
         # the factor or None on 16 seeded open inputs, as the search found

@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 import quiddity.polycrit as polycrit_module
-from quiddity.polynomials import GaussRat, QPoly
+from quiddity.polynomials import GaussRat, QPoly, _recentre
 from quiddity.polycrit import (
     _MODP_PRIMES,
     _disk_count,
-    _disk_holds_one,
     _frobenius_rows,
     _frobenius_step,
     _has_root_mod,
+    _pellet,
     _rem_mod,
     BadPrime,
     SingularStep,
@@ -737,47 +737,47 @@ def test_gauss_strict_random_centres_vs_numpy():
     assert counted >= 140
 
 
-def test_disk_holds_one_matches_the_strict_count():
-    # disks near a root, most of which Pellet's test settles; wherever the
-    # strict count is defined, the verdict is whether it counts one root
+def _one_root(ints, c_re, c_im, r):
+    """Pellet's test with k = 1 on ints recentred on the disk, the
+    certificate of numfield's Newton disks."""
+    return _pellet(*_recentre(ints, c_re, c_im, r), 1)
+
+
+def test_pellet_one_root_matches_the_strict_count():
+    # disks near a root, as Newton's refinement certifies them: wherever
+    # Pellet's test certifies one root, the strict count is 1 or undecided
     rng = random.Random(30)
-    fallbacks = []
-    count = polycrit_module._count
-    checked = ones = 0
+    checked = certified = ones = 0
     while checked < 300:
         z = _gauss_point(rng, 4)
         ints = _with_roots(rng, z, _gauss_point(rng, 4)).int_coeffs()
         c = z + _gauss_point(rng, 64).scale(F(1, rng.choice((1, 4, 16))))
         r = F(rng.randint(1, 64), rng.choice((16, 64, 256)))
         want = _disk_count(ints, c.re, c.im, r)
-        if want is None:
-            continue
         checked += 1
         ones += want == 1
-        # only the strict counts that _disk_holds_one falls back on count
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polycrit_module, "_count", lambda *q: fallbacks.append(q) or count(*q))
-            got = _disk_holds_one(ints, c.re, c.im, r)
-        assert got == (want == 1), (ints, c, r)
-    assert 50 < ones < checked - 50
-    assert 50 < len(fallbacks) < checked - 50
+        if _one_root(ints, c.re, c.im, r):
+            certified += 1
+            assert want in (1, None), (ints, c, r)
+    assert 50 < certified < ones
 
 
-def test_disk_holds_one_where_the_chain_degenerates():
+def test_pellet_one_root_where_the_chain_degenerates():
     # X^2 + 10X + 1 has the inverse pair -5 -+ sqrt(24) across |z| = 1,
     # so the chain's first step is 0, and |10| > 1 + 1 certifies one root;
     # the chain of X^3 + 5X + 1 degenerates too, and |5| > 1 + 0 + 1 holds
     # once a zero coefficient's modulus is bounded by 0
     for ints in ([1, 10, 1], [1, 5, 0, 1]):
         assert _disk_count(ints, F(0), F(0), F(1)) is None
-        assert _disk_holds_one(ints, F(0), F(0), F(1))
+        assert _one_root(ints, F(0), F(0), F(1))
         assert schur_cohn_count(QPoly(ints), 1).count == 1
 
 
-def test_disk_holds_one_is_undecided_where_both_tests_fail():
+def test_pellet_one_root_fails_with_roots_on_the_circle():
     # X^2 + 1 at 0, radius 1: the roots +-i lie on the circle, so the chain
     # degenerates and |0| beats nothing
-    assert _disk_holds_one([1, 0, 1], F(0), F(0), F(1)) is None
+    assert _disk_count([1, 0, 1], F(0), F(0), F(1)) is None
+    assert not _one_root([1, 0, 1], F(0), F(0), F(1))
 
 
 def test_t0_clears_a_disk_without_the_chain(monkeypatch):

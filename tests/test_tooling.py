@@ -262,13 +262,13 @@ def test_quadtree_cells_have_no_fraction():
     # Fraction and rectangle arithmetic they replaced is the oracle
     cells = {"_split4", "_components", "_hull"}
     used = {"Fraction", "BoxC", "GaussRat", "int_coeffs"}
-    counts = {"_disk_count", "_count", "_pellet", "_ceil_sqrt"}
+    counts = {"_disk_count", "_pellet", "_ceil_sqrt"}
     assert _uses("numfield.py", cells, used) + _uses("polycrit.py", counts, used) == []
-    # the root enclosures that answer the counts first run on no floating
-    # point either
-    enclosures = {"root_enclosures", "_smith_disks", "_horner", "_enclosure_count"}
+    # the root enclosures that answer the counts run on no floating point
+    # either, nor does the count read off them
+    enclosures = {"root_enclosures", "_smith_disks", "_horner"}
     floats = used | {"float", "complex", "cmath", "cos", "sin", "pi"}
-    assert _uses("polycrit.py", enclosures, floats) == []
+    assert _uses("polycrit.py", enclosures, floats) + _uses("numfield.py", {"_enclosure_count"}, floats) == []
 
 
 def test_quadtree_counts_come_from_the_enclosures_alone():
@@ -276,8 +276,28 @@ def test_quadtree_counts_come_from_the_enclosures_alone():
     # enclosures; a strict count there would be a second count path, one
     # that the enclosures on a finer grid make unnecessary
     quadtree = {"_cell_excluded", "_holds_one", "_upper_half_roots", "_regrid"}
-    strict = {"_disk_count", "_disk_holds_one", "gauss_disk_count_strict", "_count", "_chain"}
+    strict = {"_disk_count", "gauss_disk_count_strict", "_chain"}
     assert _uses("numfield.py", quadtree, strict) == []
+
+
+def test_numfield_names_no_schur_cohn_count():
+    # Pellet's test alone certifies Newton's disks and the enclosures count
+    # the quadtree's cells, so numfield, imports included, names no part of
+    # the Schur-Cohn count; and the isolation stops at the limit that the
+    # separation bound sets, not at embed's cap on its rounds
+    strict = {
+        "_chain", "_count", "_disk_count", "_disk_holds_one", "gauss_disk_count_strict",
+        "schur_cohn_count",
+    }
+    found = [
+        f"numfield.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "numfield.py").read_text()))
+        if (isinstance(node, ast.Name) and node.id in strict)
+        or (isinstance(node, ast.Attribute) and node.attr in strict)
+        or (isinstance(node, ast.alias) and node.name in strict)
+    ]
+    assert found == []
+    assert _uses("numfield.py", {"_upper_half_roots"}, {"_MAX_DEPTH"}) == []
 
 
 def test_one_dominance_test_in_polycrit():
