@@ -14,19 +14,21 @@ interval narrower than the bound that holds both sides proves them equal.
 Real roots are isolated by sign-variation bisection on integer
 coefficients and refined by rational bisection.  Nonreal roots are
 isolated in the upper half plane by a quadtree on integer cells.  Every
-disk count there is read off the root enclosures of polycrit, disjoint
-disks on the 2^-bits grid that each hold one root; a disk that an
-enclosure straddles is skipped.  The grid starts at 64 bits and doubles
-wherever Smith's disks overlap or the cells come within 16 bits of it,
-so a cluster of roots gets a finer grid instead of a slower count.  One
-limit ends both the doubling and the subdivision: twice the bits of the
-root separation bound, and at least 64.  Where the disks still overlap
-on that grid, or cells 16 bits coarser than it have not isolated the
-roots, the isolation gives up.  A cell is dropped once a disk around it
-provably holds no nonreal root: its count equals the real roots on the
-disk's trace, counted on their isolating intervals.  A cluster of cells
-is accepted once a disk around it provably holds exactly one root.  The
-lower half holds the conjugates.
+disk count there is read off root enclosures, disjoint disks on the
+2^-bits grid that each hold one root: an Aberth-Ehrlich iteration on
+Gaussian integers of the grid approximates all the roots, and Smith's
+theorem turns the points into closed disks, returned only when they are
+pairwise disjoint.  A disk that an enclosure straddles is skipped.  The
+grid starts at 64 bits and doubles wherever Smith's disks overlap or the
+cells come within 16 bits of it, so a cluster of roots gets a finer grid
+instead of a slower count.  One limit ends both the doubling and the
+subdivision: twice the bits of the root separation bound, and at least
+64.  Where the disks still overlap on that grid, or cells 16 bits coarser
+than it have not isolated the roots, the isolation gives up.  A cell is
+dropped once a disk around it provably holds no nonreal root: its count
+equals the real roots on the disk's trace, counted on their isolating
+intervals.  A cluster of cells is accepted once a disk around it provably
+holds exactly one root.  The lower half holds the conjugates.
 
 A nonreal isolating box is refined by Newton's method from its centre,
 on Gaussian rationals rounded to a dyadic grid; each step is one integer
@@ -36,12 +38,14 @@ square around one open disk inside the old box that provably holds
 exactly one root, so it holds the old box's one root: Pellet's test
 certifies the disk when the linear term of p recentred on it dominates.
 When Newton does not converge or that test fails, one quadtree step
-shrinks the box and Newton starts again.  Both steps commute with
-complex conjugation (the dyadic rounding is half to even, and the cell
-test is symmetric), so a box below the real axis needs no path of its
-own.  An embedding evaluates the element's polynomial on
-the root's box by interval Horner on integers, over the common
-denominators of the corners and of the coefficients.
+shrinks the box and Newton starts again.  A refinement keeps one grid:
+its first quadtree step builds it, and each later step carries it on to
+finer cells, as the isolation does from one depth to the next.  Both
+steps commute with complex conjugation (the dyadic rounding is half to
+even, and the cell test is symmetric), so a box below the real axis
+needs no path of its own.  An embedding evaluates the element's
+polynomial on the root's box by interval Horner on integers, over the
+common denominators of the corners and of the coefficients.
 
 A field is only built over an irreducible polynomial, and that is
 decided, not assumed.  The cheap certificates of polycrit settle most
@@ -75,11 +79,10 @@ from .polynomials import (
     refine_real_root,
 )
 from .polycrit import (
-    _horner,
+    _ceil_sqrt,
     _pellet,
     _trial_division,
     irreducible_over_Q,
-    root_enclosures,
 )
 
 
@@ -253,6 +256,108 @@ class BoxC:
 
 
 # ---------------------------------------------------------------------------
+# Certified root enclosures on the 2^-bits grid.
+# ---------------------------------------------------------------------------
+
+
+def _horner(b: list[int], x: int, y: int) -> tuple[int, int, int, int]:
+    """B(z) and B'(z) at the Gaussian integer z = x + iy, as (re, im, re,
+    im), by one Horner pass over the integers b, low degree first."""
+    vr, vi, dr, di = b[-1], 0, 0, 0
+    for c in reversed(b[:-1]):
+        dr, di = dr * x - di * y + vr, dr * y + di * x + vi
+        vr, vi = vr * x - vi * y + c, vr * y + vi * x
+    return vr, vi, dr, di
+
+
+def _smith_disks(
+    ints: list[int], zs: list[tuple[int, int]], bits: int
+) -> Optional[list[tuple[int, int, int]]]:
+    """Disjoint closed disks (x, y, r) around the points zs of the 2^-bits
+    grid, one per degree of the integer polynomial ints, each holding
+    exactly one of its roots with its multiplicity: centre (x + iy) 2^-bits
+    and radius r 2^-bits; None where they are not disjoint.  With distinct
+    z_i, every root lies in a disk |z - z_i| <= n |p(z_i)| / (|a_n|
+    prod_{j != i} |z_i - z_j|), and a disk that meets no other holds
+    exactly one (B. T. Smith, 1970).  Each r is the integer ceiling of that
+    radius in grid units, from exact Gaussian-integer norms, and the disks
+    are returned only when N(Z_i - Z_j) > (r_i + r_j)^2 for every pair."""
+    n = len(ints) - 1
+    b = [c << bits * (n - k) for k, c in enumerate(ints)]
+    norms = [[(x - u) ** 2 + (y - v) ** 2 for u, v in zs] for x, y in zs]
+    scale = ints[-1] ** 2
+    radii = []
+    for i, (x, y) in enumerate(zs):
+        # |p(z_i)| 2^(bits n) = |V|, and prod |z_i - z_j| 2^(bits (n-1)) = sqrt(gaps)
+        vr, vi = _horner(b, x, y)[:2]
+        gaps = prod(m for j, m in enumerate(norms[i]) if j != i)
+        if not gaps:
+            return None
+        radii.append(_ceil_sqrt(-(-n * n * (vr * vr + vi * vi) // (scale * gaps))))
+    if any(norms[i][j] <= (radii[i] + radii[j]) ** 2 for i in range(n) for j in range(i)):
+        return None
+    return [(x, y, r) for (x, y), r in zip(zs, radii)]
+
+
+def root_enclosures(ints: list[int], bits: int) -> Optional[list[tuple[int, int, int]]]:
+    """The disks of _smith_disks on the 2^-bits grid around approximations
+    to all the roots of the integer polynomial ints, low degree first; None
+    where the disks are not certified disjoint.
+
+    The points come from the Aberth-Ehrlich iteration (Aberth, 1973; Bini,
+    1996) on the grid, started from rho ((3 + 4i)/5)^j, j = 1..n, with rho
+    half the Cauchy bound: points off the real axis and not closed under
+    conjugation.  At the grid point Z_i one Horner pass gives V = 2^(bits
+    n) p(z_i) and D = 2^(bits (n-1)) p'(z_i), and sigma = sum_{j != i}
+    1/(Z_i - Z_j) is kept in fixed point with 2 bits bits: sigma is near
+    2^-bits / d for points d apart, so that keeps about bits significant
+    bits wherever d is near 1.  The correction V / (D - V sigma) is then
+    one quotient of integers, in grid units.  A point stops moving once its
+    correction is at most one unit in each part, and the sweeps stop at 2
+    bits: seeded inputs of degree 3-16 certify within 10 sweeps at 64 bits;
+    towards a cluster the points close in about a bit a sweep, and a^k (X^2
+    + 1)^k + 1 for k = 3..6 and a = 2^20..2^60, with k roots about 1/a
+    apart, took 49-58 there.  Converging points prove nothing; Smith's
+    theorem does."""
+    n, fix = len(ints) - 1, 2 * bits
+    b = [c << bits * (n - k) for k, c in enumerate(ints)]
+    lead = abs(ints[-1])
+    rho = ((lead + max(abs(c) for c in ints[:-1])) << bits - 1) // lead
+    zs, wr, wi = [], 1, 0
+    for j in range(1, n + 1):
+        wr, wi = 3 * wr - 4 * wi, 4 * wr + 3 * wi
+        zs.append((rho * wr // 5 ** j, rho * wi // 5 ** j))
+    moving = set(range(n))
+    for _ in range(2 * bits):
+        for i in sorted(moving):
+            x, y = zs[i]
+            vr, vi, dr, di = _horner(b, x, y)
+            sr = si = 0
+            for j, (u, v) in enumerate(zs):
+                if j != i:
+                    ex, ey = x - u, y - v
+                    m = ex * ex + ey * ey
+                    if not m:
+                        return None
+                    sr += (ex << fix) // m
+                    si -= (ey << fix) // m
+            # V / (D - V sigma) in grid units, with sr + i si = 2^fix sigma
+            er = (dr << fix) - vr * sr + vi * si
+            ei = (di << fix) - vr * si - vi * sr
+            m = er * er + ei * ei
+            if not m:
+                return None
+            cr = ((vr * er + vi * ei) << fix + 1) // m + 1 >> 1
+            ci = ((vi * er - vr * ei) << fix + 1) // m + 1 >> 1
+            zs[i] = x - cr, y - ci
+            if abs(cr) <= 1 and abs(ci) <= 1:
+                moving.discard(i)
+        if not moving:
+            break
+    return _smith_disks(ints, zs, bits)
+
+
+# ---------------------------------------------------------------------------
 # Rectangle subdivision for nonreal roots.
 # ---------------------------------------------------------------------------
 
@@ -262,7 +367,7 @@ class BoxC:
 _RUNGS = (17, 18, 19, 21, 23, 26)
 
 
-def _enclosure_count(enc, cx: int, cy: int, r: int, unit, bits: int = 64) -> Optional[int]:
+def _enclosure_count(enc, cx: int, cy: int, r: int, unit, bits: int) -> Optional[int]:
     """The roots in the open disk of centre (cx + i cy) unit/34 and radius
     r unit/34, for integers cx, cy, r and a positive rational unit, read off
     the enclosures that root_enclosures gave on the 2^-bits grid: the number
@@ -418,14 +523,15 @@ def _upper_half_roots(p: QPoly, pairs: int, reals) -> list[BoxC]:
     raise UndecidableAtPrecision("rectangle subdivision failed to isolate the nonreal roots")
 
 
-def _regrid(p: QPoly, box: BoxC) -> BoxC:
+def _regrid(grid: tuple, box: BoxC) -> tuple[BoxC, tuple]:
     """One quadtree step on the isolating rectangle of a nonreal root:
     split into 16 cells, drop provably empty ones, take the hull.  The
-    cells' counts are read off root enclosures at least 16 bits finer than
-    the unit of the cells' corners."""
+    cells' counts are read off the grid of _grid at the unit of the cells'
+    corners, carried on from the given grid of the same polynomial; the
+    hull comes back with that grid, for the next step."""
     corners = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
     den = lcm(*(c.denominator for c in corners))
-    grid = _grid(p.int_coeffs(), real_roots_isolated(p)[0], Fraction(1, 4 * den))
+    grid = _grid(*grid[:2], Fraction(1, 4 * den), *grid[3:])
     halves = _split4(tuple(int(c * den) for c in corners))
     kept = [q for c in halves for q in _split4(c) if not _cell_excluded(grid, q)]
     if not kept:
@@ -433,7 +539,7 @@ def _regrid(p: QPoly, box: BoxC) -> BoxC:
     nxt = _box(_hull(kept), grid[2])
     if nxt.width >= box.width:
         raise UndecidableAtPrecision("rectangle refinement stalled")
-    return nxt
+    return nxt, grid
 
 
 def _round_div(a: int, b: int) -> int:
@@ -572,12 +678,15 @@ def _refine_one(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
             return BoxC(box.re, RatInterval.point(rational_sqrt(s)))
         lo, hi = refine_real_root(QPoly((-s, 0, 1)), box.im.lo, box.im.hi, width)
         return BoxC(box.re, RatInterval(lo, hi))
-    # Newton with a disk certificate; where that fails, one quadtree
-    # step shrinks the box and gives Newton a closer start
-    while box.width > width:
-        nxt = _newton_box(p, box, width)
-        box = nxt if nxt is not None else _regrid(p, box)
-    return box
+    # Newton with a disk certificate, whose box is narrow enough; where
+    # that fails, one quadtree step shrinks the box and gives Newton a
+    # closer start.  The first step builds the grid, and each later one
+    # carries it on
+    grid = None
+    while box.width > width and (nxt := _newton_box(p, box, width)) is None:
+        grid = grid or _grid(p.int_coeffs(), real_roots_isolated(p)[0], Fraction(1))
+        box, grid = _regrid(grid, box)
+    return box if box.width <= width else nxt
 
 
 class FieldElement:

@@ -30,14 +30,6 @@ counted exactly, and the inverse root pairs, one inside per pair, and
 then bracket the circle once, counting the rest on two nearby circles.
 The strict count returns None instead.
 
-Root enclosures certify all the roots at once.  An Aberth-Ehrlich
-iteration on Gaussian integers of the 2^-bits grid approximates them,
-and Smith's theorem turns the points into closed disks, returned only
-when they are pairwise disjoint, so that each holds exactly one root.
-numfield reads its disk counts off them; where the disks overlap, as
-around a cluster of roots closer than the grid resolves, it takes a
-finer grid.
-
 No floating point is used anywhere: every verdict is replayable from
 the integers it carries.
 """
@@ -634,105 +626,3 @@ def _disk_count(ints: list[int], c_re, c_im, r) -> Optional[int]:
         return 0
     g = math.gcd(*re, *im)
     return _chain([(x // g, y // g) for x, y in zip(re, im)])
-
-
-# ---------------------------------------------------------------------------
-# Certified root enclosures on the 2^-bits grid.
-# ---------------------------------------------------------------------------
-
-
-def _horner(b: list[int], x: int, y: int) -> tuple[int, int, int, int]:
-    """B(z) and B'(z) at the Gaussian integer z = x + iy, as (re, im, re,
-    im), by one Horner pass over the integers b, low degree first."""
-    vr, vi, dr, di = b[-1], 0, 0, 0
-    for c in reversed(b[:-1]):
-        dr, di = dr * x - di * y + vr, dr * y + di * x + vi
-        vr, vi = vr * x - vi * y + c, vr * y + vi * x
-    return vr, vi, dr, di
-
-
-def _smith_disks(
-    ints: list[int], zs: list[tuple[int, int]], bits: int = 64
-) -> Optional[list[tuple[int, int, int]]]:
-    """Disjoint closed disks (x, y, r) around the points zs of the 2^-bits
-    grid, one per degree of the integer polynomial ints, each holding
-    exactly one of its roots with its multiplicity: centre (x + iy) 2^-bits
-    and radius r 2^-bits; None where they are not disjoint.  With distinct
-    z_i, every root lies in a disk |z - z_i| <= n |p(z_i)| / (|a_n|
-    prod_{j != i} |z_i - z_j|), and a disk that meets no other holds
-    exactly one (B. T. Smith, 1970).  Each r is the integer ceiling of that
-    radius in grid units, from exact Gaussian-integer norms, and the disks
-    are returned only when N(Z_i - Z_j) > (r_i + r_j)^2 for every pair."""
-    n = len(ints) - 1
-    b = [c << bits * (n - k) for k, c in enumerate(ints)]
-    norms = [[(x - u) ** 2 + (y - v) ** 2 for u, v in zs] for x, y in zs]
-    scale = ints[-1] ** 2
-    radii = []
-    for i, (x, y) in enumerate(zs):
-        # |p(z_i)| 2^(bits n) = |V|, and prod |z_i - z_j| 2^(bits (n-1)) = sqrt(gaps)
-        vr, vi = _horner(b, x, y)[:2]
-        gaps = math.prod(m for j, m in enumerate(norms[i]) if j != i)
-        if not gaps:
-            return None
-        radii.append(_ceil_sqrt(-(-n * n * (vr * vr + vi * vi) // (scale * gaps))))
-    if any(norms[i][j] <= (radii[i] + radii[j]) ** 2 for i in range(n) for j in range(i)):
-        return None
-    return [(x, y, r) for (x, y), r in zip(zs, radii)]
-
-
-def root_enclosures(ints: list[int], bits: int = 64) -> Optional[list[tuple[int, int, int]]]:
-    """The disks of _smith_disks on the 2^-bits grid around approximations
-    to all the roots of the integer polynomial ints, low degree first; None
-    where the disks are not certified disjoint.
-
-    The points come from the Aberth-Ehrlich iteration (Aberth, 1973; Bini,
-    1996) on the grid, started from rho ((3 + 4i)/5)^j, j = 1..n, with rho
-    half the Cauchy bound: points off the real axis and not closed under
-    conjugation.  At the grid point Z_i one Horner pass gives V = 2^(bits
-    n) p(z_i) and D = 2^(bits (n-1)) p'(z_i), and sigma = sum_{j != i}
-    1/(Z_i - Z_j) is kept in fixed point with 2 bits bits: sigma is near
-    2^-bits / d for points d apart, so that keeps about bits significant
-    bits wherever d is near 1.  The correction V / (D - V sigma) is then
-    one quotient of integers, in grid units.  A point stops moving once its
-    correction is at most one unit in each part, and the sweeps stop at 2
-    bits: seeded inputs of degree 3-16 certify within 10 sweeps at 64 bits;
-    towards a cluster the points close in about a bit a sweep, and a^k (X^2
-    + 1)^k + 1 for k = 3..6 and a = 2^20..2^60, with k roots about 1/a
-    apart, took 49-58 there.  Converging points prove nothing; Smith's
-    theorem does."""
-    n, fix = len(ints) - 1, 2 * bits
-    b = [c << bits * (n - k) for k, c in enumerate(ints)]
-    lead = abs(ints[-1])
-    rho = ((lead + max(abs(c) for c in ints[:-1])) << bits - 1) // lead
-    zs, wr, wi = [], 1, 0
-    for j in range(1, n + 1):
-        wr, wi = 3 * wr - 4 * wi, 4 * wr + 3 * wi
-        zs.append((rho * wr // 5 ** j, rho * wi // 5 ** j))
-    moving = set(range(n))
-    for _ in range(2 * bits):
-        for i in sorted(moving):
-            x, y = zs[i]
-            vr, vi, dr, di = _horner(b, x, y)
-            sr = si = 0
-            for j, (u, v) in enumerate(zs):
-                if j != i:
-                    ex, ey = x - u, y - v
-                    m = ex * ex + ey * ey
-                    if not m:
-                        return None
-                    sr += (ex << fix) // m
-                    si -= (ey << fix) // m
-            # V / (D - V sigma) in grid units, with sr + i si = 2^fix sigma
-            er = (dr << fix) - vr * sr + vi * si
-            ei = (di << fix) - vr * si - vi * sr
-            m = er * er + ei * ei
-            if not m:
-                return None
-            cr = ((vr * er + vi * ei) << fix + 1) // m + 1 >> 1
-            ci = ((vi * er - vr * ei) << fix + 1) // m + 1 >> 1
-            zs[i] = x - cr, y - ci
-            if abs(cr) <= 1 and abs(ci) <= 1:
-                moving.discard(i)
-        if not moving:
-            break
-    return _smith_disks(ints, zs, bits)

@@ -27,8 +27,8 @@ from math import isqrt
 from typing import Optional
 
 from quiddity import polycrit
-from quiddity.numfield import BoxC, FieldElement, RatInterval, _regrid
-from quiddity.polynomials import GaussRat, QPoly, count_real_roots
+from quiddity.numfield import BoxC, FieldElement, RatInterval, _grid, _regrid
+from quiddity.polynomials import GaussRat, QPoly, count_real_roots, real_roots_isolated
 
 
 def _conj(x):
@@ -291,9 +291,10 @@ def newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
 
 
 def shrink_box(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
-    """Refine the nonreal root isolated by box by quadtree steps alone."""
+    """Refine the nonreal root isolated by box by quadtree steps alone,
+    each on a grid built afresh."""
     while box.width > width:
-        box = _regrid(p, box)
+        box = _regrid(_grid(p.int_coeffs(), real_roots_isolated(p)[0], Fraction(1)), box)[0]
     return box
 
 

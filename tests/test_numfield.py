@@ -664,7 +664,7 @@ class TestNewtonRefinement:
         # nonreal isolating box of 40 seeded inputs of degree 3-16 to each
         # width without a quadtree step
         steps = []
-        monkeypatch.setattr(numfield_module, "_regrid", lambda p, box: steps.append(box) or _regrid(p, box))
+        monkeypatch.setattr(numfield_module, "_regrid", lambda grid, box: steps.append(box) or _regrid(grid, box))
         refined = 0
         for p in _squarefree_polys(37, 40, range(3, 17), 3):
             for box in [b for b in isolate_roots(p) if not b.is_real_line()]:
@@ -696,6 +696,28 @@ class TestNewtonRefinement:
         for box in boxes:
             assert _refine_one(p, box, F(1, 2**10)) == oracle.shrink_box(p, box, F(1, 2**10))
 
+    def test_quadtree_refinement_keeps_one_grid(self, monkeypatch):
+        # with Newton never certifying, a refinement to 2^-64 isolates the
+        # real roots once and runs Aberth once per grid bits, and its boxes
+        # are those of quadtree steps on grids built afresh
+        monkeypatch.setattr(numfield_module, "_newton_box", lambda p, box, width: None)
+        isolations, enclosures = [], []
+        isolate, enclose = numfield_module.real_roots_isolated, numfield_module.root_enclosures
+
+        def enclose_spy(ints, bits):
+            enclosures.append(bits)
+            return enclose(ints, bits)
+
+        monkeypatch.setattr(numfield_module, "real_roots_isolated", lambda p: isolations.append(p) or isolate(p))
+        monkeypatch.setattr(numfield_module, "root_enclosures", enclose_spy)
+        for p in (QPoly((-1, 1, 1, -1, 1)), _squarefree_polys(38, 1, [8], 3)[0]):
+            box = next(b for b in isolate_roots(p) if b.im.lo > 0)
+            isolations.clear()
+            enclosures.clear()
+            got = _refine_one(p, box, F(1, 2**64))
+            assert isolations == [p] and sorted(set(enclosures)) == enclosures
+            assert got == oracle.shrink_box(p, box, F(1, 2**64))
+
     def test_isolation_cap_fails_fast(self, monkeypatch):
         # with a separation bound of 1 the limit is 64 bits and the cells
         # stop at 2^-48: the cluster of (a^2 (X^2 + 1)^2 + 1)(X^6 + 3), two
@@ -720,7 +742,8 @@ class TestNewtonRefinement:
         coeffs = [-1, 1, 1, -1, 1]
         p = QPoly(coeffs)
         box = next(b for b in isolate_roots(p) if b.im.hi < 0)
-        step = _regrid(p, box)
+        grid = numfield_module._grid(p.int_coeffs(), real_roots_isolated(p)[0], F(1))
+        step = _regrid(grid, box)[0]
         assert step.within(box) and step.width < box.width
         assert _float_inside(step, _nearest_float_root(coeffs, step), 1e-12) in (True, None)
 
@@ -861,7 +884,8 @@ class TestIntegerCells:
             lines.append(" ".join([str(c) for c in p.coeffs] + ["|"] + [_box_text(b) for b in boxes]))
             lower = [b for b in boxes if b.im.hi < 0]
             if lower and i % 10 == 0:
-                lines.append(_box_text(_regrid(p, lower[0])))
+                grid = numfield_module._grid(p.int_coeffs(), real_roots_isolated(p)[0], F(1))
+                lines.append(_box_text(_regrid(grid, lower[0])[0]))
         # a degenerate rung, an exclusion by the trace count, a cell of the
         # second row whose first disk is tangent to the axis, a step below it
         assert {"below", "none", "tangent", "trace"} <= seen and 1 in tangent_rows
@@ -947,7 +971,7 @@ _GRID = 2 ** 64
 
 
 class TestRootEnclosures:
-    """Smith's disks around the Aberth points of polycrit answer the
+    """Smith's disks around the Aberth points of numfield answer the
     quadtree's disk counts first; the strict count and the Fraction count
     of fraction_oracle are their oracles."""
 
@@ -957,7 +981,7 @@ class TestRootEnclosures:
         # slow above it
         for degree in range(3, 17):
             for p in _squarefree_polys(1970 + degree, 2, [degree], 2):
-                enc = polycrit_module.root_enclosures(p.int_coeffs())
+                enc = numfield_module.root_enclosures(p.int_coeffs(), 64)
                 assert enc is not None and len(enc) == degree
                 for x, y, r in enc:
                     re, im, radius = F(x, _GRID), F(y, _GRID), F(r + 1, _GRID)
@@ -974,9 +998,9 @@ class TestRootEnclosures:
         for p in _squarefree_polys(1970, 30, range(3, 6), 2):
             zs = [
                 (x + rng.randint(-2 ** 44, 2 ** 44), y + rng.randint(-2 ** 44, 2 ** 44))
-                for x, y, _ in polycrit_module.root_enclosures(p.int_coeffs())
+                for x, y, _ in numfield_module.root_enclosures(p.int_coeffs(), 64)
             ]
-            disks = polycrit_module._smith_disks(p.int_coeffs(), zs)
+            disks = numfield_module._smith_disks(p.int_coeffs(), zs, 64)
             if disks is None:
                 continue
             checked += 1
@@ -990,13 +1014,13 @@ class TestRootEnclosures:
         # centre and radius are in units of 1/544, so the enclosure's radius is 34
         enc, unit = [(0, 0, _GRID // 16)], F(1, 16)
         count = numfield_module._enclosure_count
-        assert count(enc, 0, 0, 35, unit) == 1
-        assert count(enc, 0, 0, 34, unit) is None  # the disk holds no margin
-        assert count(enc, 69, 0, 35, unit) is None  # tangent from outside
-        assert count(enc, 70, 0, 35, unit) == 0
-        assert count(enc + [(_GRID // 8, 0, 1)], 0, 0, 35, unit) == 1
-        assert count(enc + [(_GRID // 8, 0, 1)], 0, 0, 67, unit) == 1
-        assert count(enc + [(_GRID // 8, 0, 1)], 0, 0, 68, unit) is None
+        assert count(enc, 0, 0, 35, unit, 64) == 1
+        assert count(enc, 0, 0, 34, unit, 64) is None  # the disk holds no margin
+        assert count(enc, 69, 0, 35, unit, 64) is None  # tangent from outside
+        assert count(enc, 70, 0, 35, unit, 64) == 0
+        assert count(enc + [(_GRID // 8, 0, 1)], 0, 0, 35, unit, 64) == 1
+        assert count(enc + [(_GRID // 8, 0, 1)], 0, 0, 67, unit, 64) == 1
+        assert count(enc + [(_GRID // 8, 0, 1)], 0, 0, 68, unit, 64) is None
 
     def test_enclosure_counts_match_the_strict_count(self, monkeypatch):
         # every rung count while isolating the roots of the 200 polynomials
@@ -1033,8 +1057,8 @@ class TestRootEnclosures:
         # on the 2^-128 one, and the boxes are those the strict count gave
         a3 = 2744696176657098029 ** 3
         p = QPoly((a3 + 1, 0, 3 * a3, 0, 3 * a3, 0, a3))
-        assert polycrit_module.root_enclosures(p.int_coeffs(), 64) is None
-        assert polycrit_module.root_enclosures(p.int_coeffs(), 128) is not None
+        assert numfield_module.root_enclosures(p.int_coeffs(), 64) is None
+        assert numfield_module.root_enclosures(p.int_coeffs(), 128) is not None
         start = time.perf_counter()
         text = " ".join(_box_text(b) for b in isolate_roots(p))
         assert time.perf_counter() - start < 0.2

@@ -268,7 +268,30 @@ def test_quadtree_cells_have_no_fraction():
     # either, nor does the count read off them
     enclosures = {"root_enclosures", "_smith_disks", "_horner"}
     floats = used | {"float", "complex", "cmath", "cos", "sin", "pi"}
-    assert _uses("polycrit.py", enclosures, floats) + _uses("numfield.py", {"_enclosure_count"}, floats) == []
+    assert _uses("numfield.py", enclosures | {"_enclosure_count"}, floats) == []
+
+
+def test_enclosures_live_in_numfield_alone():
+    # numfield produces, doubles and reads the enclosure disks; polycrit
+    # keeps the irreducibility certificates and the disk counts, and
+    # numfield takes from it only Pellet's test, its square root bound and
+    # the irreducibility side
+    enclosures = {"root_enclosures", "_smith_disks", "_horner"}
+    named = [
+        f"polycrit.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "polycrit.py").read_text()))
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in enclosures)
+        or (isinstance(node, ast.Name) and node.id in enclosures)
+        or (isinstance(node, ast.Attribute) and node.attr in enclosures)
+    ]
+    assert named == []
+    imported = {
+        alias.name
+        for node in ast.parse((SRC / "numfield.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.module == "polycrit"
+        for alias in node.names
+    }
+    assert imported == {"_ceil_sqrt", "_pellet", "_trial_division", "irreducible_over_Q"}
 
 
 def test_quadtree_counts_come_from_the_enclosures_alone():
