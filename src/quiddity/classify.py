@@ -169,10 +169,10 @@ def enumerate_quiddities(
     _check_generator(field, w)
     start = time.monotonic()
     found: dict[tuple[int, ...], int] = {}
-    kernel = _word_kernel(w)
     # over <0> every multiplier gives the entry 0, so the pool is {0}
     top = 0 if w.is_zero else k_bound
     pool = range(-top, top + 1)
+    kernel = _word_kernel(w, n_max, top)
     # one walk builds the suffix table of every length r <= n_max // 2
     tables: list[dict[tuple, list[tuple[int, ...]]]] = [{} for _ in range(n_max // 2 + 1)]
     for ks, mat in kernel.words(n_max // 2, pool):

@@ -10,9 +10,16 @@ kernel (`_WordKernel`) runs on ints alone.  With d the least positive
 integer that makes v = d*w an algebraic integer, it holds a word M of
 size n as d^n * T*M*T^-1 over Z[v], T = diag(1, 1/d): a step E(k*w) is
 then [[k*v, -d^2], [1, 0]], and M = +-Id exactly when the held matrix is
-+-d^n * Id.  One primitive takes that step, with v*x a shift and a
-subtraction on the coefficients of v's minimal polynomial, and every
-product, walk and scan of the kernel goes through it.  Two lemmas serve
++-d^n * Id.  Each element of Z[v] is one int, its coordinates on the
+powers of v packed as balanced base-2^bits digits (Kronecker
+substitution), so a held matrix is four ints.  The digit width comes
+from a proven bound: a step by |k| <= K multiplies the largest
+coordinate by at most G = K*(1 + max|c_j|) + d^2, c_j the coefficients
+of v's minimal polynomial, so every coordinate of a word of length n,
+and d^2 times it, stays below d^2*G^n < 2^(bits-1).  One primitive
+takes the step, with v*x a digit shift and a subtraction of the top
+digit times the packed c_j, and every product, walk and scan of the
+kernel goes through it.  Two lemmas serve
 the searches in `classify` and
 `reducibility`, which ask the kernel for a word's sign, an inverse's
 key and a forced boundary pair, and read neither d nor a coordinate:
@@ -288,51 +295,75 @@ def brute_force_quiddities(
 # ---------------------------------------------------------------------------
 
 
-def _neg(x: tuple) -> tuple:
-    return tuple([-c for c in x])
-
-
 class _WordKernel:
     """Word matrices over <w> held as the module docstring says.  An
-    element of Z[v] is its int coordinates on 1, v, ..., v^(m-1) for m the
-    degree of w; a held matrix is the 4-tuple (m11, m12, m21, m22) of
-    elements and is its own hash key.  One primitive, `step`, multiplies
-    a held matrix on the left by a held E(k*w), and every product, walk
-    and scan goes through it.  Nothing but `__init__` sets an attribute,
-    so a held matrix means the same whatever was asked before."""
+    element of Z[v] is one int, whose balanced base-2^bits digits are its
+    coordinates on 1, v, ..., v^(m-1) for m the degree of w; a held matrix
+    is the 4-tuple (m11, m12, m21, m22) of such ints and is its own hash
+    key.  Sums and integer multiples of elements are those of their ints.
+    The digits are read only where a coordinate is: the top one in `step`,
+    and all of them in the exact division by d of `inverse_keys`.
 
-    __slots__ = ("d", "_dd", "_c", "_v", "_pivot", "_zero", "identity")
+    The width is proven, not chosen.  With |x| the largest coordinate of
+    x, |v*x| <= (1 + max|c_j|)*|x|, so a step by |k| <= K grows the largest
+    coordinate of a held matrix by a factor of at most
+    G = K*(1 + max|c_j|) + d^2, and a word of length n holds nothing past
+    G^n.  `forced` reads f*x with |f| <= d^2, and d^n <= G^n, so
+    every coordinate read is below d^2*G^n < 2^(bits-1), the digit's
+    balanced range: its digit is the coordinate, and equal ints are equal
+    elements.  A kernel is built for a length and a bound on |k|; its
+    product and walk raise ValueError past them.  One primitive, `step`,
+    multiplies a held matrix on the left by a held E(k*w), and every
+    product, walk and scan goes through it.  Nothing but `__init__` sets
+    an attribute, so a held matrix means the same whatever was asked
+    before."""
+
+    __slots__ = ("d", "bits", "_dd", "_g", "_c", "_top", "_low", "_v", "identity")
     # the slot of _word_kernel: a generator and its kernel
     last: tuple = (None, None)
 
-    def __init__(self, w: FieldElement):
+    def __init__(self, w: FieldElement, length: int, k_max: int):
         p = w.min_poly_over_Q()
         m, d = p.degree, _integral_scale(p)
         # v's minimal polynomial is X^m + sum c_j X^j, c_j = a_j * d^(m-j)
-        self._c = tuple(int(a * d ** (m - j)) for j, a in enumerate(p.coeffs[:-1]))
-        self.d, self._dd = d, d * d
-        self._zero = (0,) * m
-        one = (1,) + self._zero[1:]
-        self.identity = (one, self._zero, self._zero, one)
+        cs = [int(a * d ** (m - j)) for j, a in enumerate(p.coeffs[:-1])]
+        self.d, self._dd, self._g = d, d * d, 1 + max(map(abs, cs))
+        s = self.bits = self._bits(length, k_max)
+        self._c = sum(c << s * j for j, c in enumerate(cs))
+        # the top digit's place, and 2^(bits-1) in each digit below it
+        self._top = s * (m - 1)
+        self._low = sum(1 << s * j + s - 1 for j in range(m - 1))
+        self.identity = (1, 0, 0, 1)
         self._v = self.step(self.identity, 1)[0]
-        # a nonzero coordinate of v, None for w = 0
-        self._pivot = next((j for j, x in enumerate(self._v) if x), None)
+
+    def _bits(self, length: int, k_max: int) -> int:
+        """The digit width that words of the given length over |k| <= k_max
+        need: 2^(bits-1) > d^2 * G^length."""
+        g = k_max * self._g + self._dd
+        return (self._dd * g**length).bit_length() + 1
 
     def step(self, m: tuple, k: int) -> tuple:
         """The held E(k*w) * m: the new top row is k*(v*top) - d^2*bottom,
-        the new bottom row the old top.  Coordinate i of v*x is
-        x_(i-1) - c_i * x_(m-1), a shift and a subtraction."""
+        the new bottom row the old top.  With t the top digit of x, v*x is
+        x less its top digit, shifted up one digit, minus t*c, since
+        v^m = -sum c_j v^j; at m = 1 it is -c_0*x."""
         a, b, c, e = m
-        dd, cs, ta, tb = self._dd, self._c, a[-1], b[-1]
+        top, low, cs, dd = self._top, self._low, self._c, self._dd
+        if not top:
+            f = -k * cs
+            return (f * a - dd * c, f * b - dd * e, a, b)
+        s, ta, tb = self.bits, (a + low) >> top, (b + low) >> top
         return (
-            tuple([k * (x - f * ta) - dd * y for x, f, y in zip((0,) + a, cs, c)]),
-            tuple([k * (x - f * tb) - dd * y for x, f, y in zip((0,) + b, cs, e)]),
+            k * (((a - (ta << top)) << s) - ta * cs) - dd * c,
+            k * (((b - (tb << top)) << s) - tb * cs) - dd * e,
             a,
             b,
         )
 
     def product(self, ks: Sequence[int]) -> tuple:
         """E(k_n w) * ... * E(k_1 w), as m_product orders it, held."""
+        if self._bits(len(ks), max(map(abs, ks), default=0)) > self.bits:
+            raise ValueError("the word is past the width of the kernel")
         m = self.identity
         for k in ks:
             m = self.step(m, k)
@@ -342,21 +373,29 @@ class _WordKernel:
         """+1 when the word of the given size held as m has matrix Id, -1
         when it has -Id, else None: m must be +-d^size * Id."""
         a, b, c, e = m
-        s, z = self.d ** size, self._zero
-        if b != z or c != z or a != e or any(a[1:]):
+        if b or c or a != e:
             return None
-        return 1 if a[0] == s else -1 if a[0] == -s else None
+        s = self.d**size
+        return 1 if a == s else -1 if a == -s else None
 
     def inverse_keys(self, m: tuple, excess: int):
         """(eps, held S) for eps = +-1 and S*P = eps*Id, P the word held as
         m and S shorter by excess = 0 or 1: eps*adj(m), divided exactly by
-        d^excess; none when d does not divide."""
-        if excess and self.d != 1:
-            if any(x % self.d for row in m for x in row):
-                return ()
-            m = tuple(tuple([x // self.d for x in row]) for row in m)
+        d^excess; none when d does not divide every coordinate."""
+        d = self.d
+        if excess and d != 1:
+            s = self.bits
+            mask, half = (1 << s) - 1, 1 << s - 1
+            for x in m:
+                # the digits of x, lowest first
+                for _ in range(self._top // s + 1):
+                    y = ((x + half) & mask) - half
+                    if y % d:
+                        return ()
+                    x = (x - y) >> s
+            m = tuple([x // d for x in m])
         a, b, c, e = m
-        return ((1, (e, _neg(b), _neg(c), a)), (-1, (_neg(e), b, c, _neg(a))))
+        return ((1, (e, -b, -c, a)), (-1, (-e, b, c, -a)))
 
     def forced(self, q: tuple, size: int) -> Optional[tuple[int, int, int]]:
         """(eps, k1, kl) with E(kl*w) * P * E(k1*w) = eps*Id, P = D*Q^T*D
@@ -365,28 +404,30 @@ class _WordKernel:
         eps = -Q11, b_1 = -eps*Q21, b_l = eps*Q12; held, with s = d^size,
         q11 = s*Q11, k1*s*v = -eps*d^2*q21 and kl*s*v = eps*q12."""
         a, b, c, _ = q
-        s = self.d ** size
-        if a[0] not in (s, -s) or any(a[1:]):
+        s = self.d**size
+        if a != s and a != -s:
             return None
-        eps = -1 if a[0] == s else 1
+        eps = -1 if a == s else 1
         k1, kl = self._multiple(c, -eps * self._dd, s), self._multiple(b, eps, s)
         return None if k1 is None or kl is None else (eps, k1, kl)
 
-    def _multiple(self, x: tuple, f: int, s: int) -> Optional[int]:
-        """k with f*x = k*s*v, else None; <0> = {0}, where k is taken as 0."""
-        p = self._pivot
-        if p is None:
-            return None if any(x) else 0
-        k, r = divmod(f * x[p], s * self._v[p])
-        if r or any(f * y != k * s * c for y, c in zip(x, self._v)):
-            return None
-        return k
+    def _multiple(self, x: int, f: int, s: int) -> Optional[int]:
+        """k with f*x = k*s*v, else None; <0> = {0}, where k is taken as 0.
+        Every digit of f*x is in range, and k*s*v is k*s in v's digit when
+        |k*s| < 2^(bits-1), so f*x is k*s*v exactly when the division
+        leaves nothing and that holds; at m = 1 it always does."""
+        if not self._v:
+            return None if x else 0
+        k, r = divmod(f * x, s * self._v)
+        return None if r or abs(k * s) >> self.bits - 1 else k
 
     def words(self, length: int, pool: Sequence[int], start: tuple[int, ...] = ()):
         """Every word of length <= the given length that extends the start
         word by entries of the pool, the start word included, with its
         held matrix, generated depth first so that at most
         length * len(pool) words are held at once."""
+        if self._bits(length, max(map(abs, (*pool, *start)), default=0)) > self.bits:
+            raise ValueError("the words are past the width of the kernel")
         stack = [(start, self.product(start))]
         pool = pool[::-1]
         while stack:
@@ -396,16 +437,19 @@ class _WordKernel:
                 stack += [(ks + (k,), self.step(m, k)) for k in pool]
 
 
-def _word_kernel(w: FieldElement) -> _WordKernel:
-    """The kernel of w.  One slot holds the last generator asked for and
-    its kernel: an equal generator of another field handle takes that
-    kernel over and re-keys the slot, so a run of calls on it compares
-    the two once, and any other generator rebuilds it."""
+def _word_kernel(w: FieldElement, length: int, k_max: int) -> _WordKernel:
+    """The kernel of w, wide enough for words of the given length over
+    |k| <= k_max.  One slot holds the last generator asked for and its
+    kernel: an equal generator of another field handle takes that kernel
+    over and re-keys the slot, so a run of calls on it compares the two
+    once.  Any other generator, or a request past the kernel's width,
+    builds a new kernel; a narrower request reuses a wider one."""
     held, kernel = _WordKernel.last
-    if held is not w:
-        if not held == w:
-            kernel = _WordKernel(w)
-        _WordKernel.last = (w, kernel)
+    if held is not w and not held == w:
+        kernel = None
+    if kernel is None or kernel._bits(length, k_max) > kernel.bits:
+        kernel = _WordKernel(w, length, k_max)
+    _WordKernel.last = (w, kernel)
     return kernel
 
 

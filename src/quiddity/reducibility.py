@@ -132,8 +132,8 @@ def find_reduction(
     product has been checked; the other rotations stop at their first
     hit.  A caller that reduces many tuples over one generator may pass
     one `signs` dict to all of them, so that each summand replays once."""
-    kernel = _word_kernel(t.generator)
     n = t.n
+    kernel = _word_kernel(t.generator, n, max(map(abs, t.multipliers)))
     for rotation in range(n):
         ks = _image(t.multipliers, rotation, False)
         q, hit = kernel.identity, None

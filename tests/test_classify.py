@@ -151,7 +151,7 @@ class TestEnumerate:
         f = make()
         rep = enumerate_quiddities(f, f.generator(), 6, 2)
         assert rep.members and all(m.size >= 2 for m in rep.members)
-        kernel = core_module._word_kernel(f.generator())
+        kernel = core_module._word_kernel(f.generator(), 6, 2)
         want = [(kernel.product(m.multipliers), m.size) for m in rep.members]
         assert sorted(checked) == sorted(want)
 
@@ -352,7 +352,7 @@ class TestCensus:
             return eq(x, y)
 
         rep = enumerate_quiddities(f, w, 8, 2)
-        core_module._word_kernel(first)
+        core_module._word_kernel(first, 8, 2)
         monkeypatch.setattr(FieldElement, "__eq__", counting)
         census = irreducible_census(rep)
         assert sum(m.size >= 3 for m in census.members) > 100

@@ -266,15 +266,33 @@ def _omega():
     return _generator((1, 1, 1), BoxC.make(-1, 0, F(1, 2), 1))
 
 
-def _unheld(w, n, held):
+def _pack(coords, bits):
+    """The int whose base-2^bits digits are the coordinates, lowest first."""
+    return sum(x * 2 ** (bits * i) for i, x in enumerate(coords))
+
+
+def _coordinates(x, bits, m):
+    """The m balanced base-2^bits digits of x, lowest first."""
+    half, base, coords = 2 ** (bits - 1), 2**bits, []
+    for _ in range(m - 1):
+        coords.append((x + half) % base - half)
+        x = (x - coords[-1]) // base
+    return coords + [x]
+
+
+def _unheld(kernel, w, n, held):
     """The Mat2 of a word of size n over w from the kernel's held matrix:
-    coordinates on the powers of v = d*w, and d^n * T*M*T^-1 with
-    T = diag(1, 1/d)."""
-    d = _integral_scale(w.min_poly_over_Q())
+    each entry an int whose digits are its coordinates on the powers of
+    v = d*w, and d^n * T*M*T^-1 with T = diag(1, 1/d)."""
+    poly = w.min_poly_over_Q()
+    d, m = _integral_scale(poly), poly.degree
     powers = [w.field.one()]
-    for _ in held[0][1:]:
+    for _ in range(m - 1):
         powers.append(powers[-1] * w * d)
-    a, b, c, e = (sum((p * x for p, x in zip(powers, row)), w.field.zero()) for row in held)
+    a, b, c, e = (
+        sum((p * x for p, x in zip(powers, _coordinates(x, kernel.bits, m))), w.field.zero())
+        for x in held
+    )
     s = F(1, d**n)
     return Mat2(a * s, b * (s / d), c * (s * d), e * s)
 
@@ -284,7 +302,7 @@ def _check_forced(w, words):
     words with the one of E(b_l) * P * E(b_1) = eps * Id read on Mat2, P
     the window's product; return how many windows are forced and how many
     have a forced b_1 or b_l outside <w>."""
-    kernel = _word_kernel(w)
+    kernel = _word_kernel(w, max(map(len, words)), max(abs(k) for ks in words for k in ks))
     one = w.field.one()
     forced = outside = 0
     for ks in words:
@@ -322,26 +340,30 @@ class TestWordKernel:
     @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
     def test_products_match_m_product(self, name):
         w = KERNEL_GENERATORS[name]()
-        kernel = _word_kernel(w)
+        kernel = _word_kernel(w, 8, 3)
         rng = random.Random(name)
         for _ in range(12):
             ks = [rng.randint(-3, 3) for _ in range(rng.randint(1, 8))]
             want = m_product(QuiddityTuple(w.field, w, ks))
-            assert _unheld(w, len(ks), kernel.product(ks)) == want, ks
+            assert _unheld(kernel, w, len(ks), kernel.product(ks)) == want, ks
 
     @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
     def test_step_matches_e_times(self, name):
         # on any held matrix, not only a word's: the held E(k*w) * M of a
         # word of size n + 1 is step of the held M of size n
+        # random coordinates up to 9, and a step of them, lie well inside
+        # the width of a kernel built for words of length 8
         w = KERNEL_GENERATORS[name]()
-        kernel = _word_kernel(w)
+        kernel = _word_kernel(w, 8, 3)
         rng = random.Random(name)
-        size = len(kernel.identity[0])
+        size = w.min_poly_over_Q().degree
         for _ in range(20):
             n, k = rng.randint(0, 4), rng.randint(-3, 3)
-            held = tuple(tuple(rng.randint(-9, 9) for _ in range(size)) for _ in range(4))
-            want = e_times(w * k, _unheld(w, n, held))
-            assert _unheld(w, n + 1, kernel.step(held, k)) == want, (n, k, held)
+            held = tuple(
+                _pack([rng.randint(-9, 9) for _ in range(size)], kernel.bits) for _ in range(4)
+            )
+            want = e_times(w * k, _unheld(kernel, w, n, held))
+            assert _unheld(kernel, w, n + 1, kernel.step(held, k)) == want, (n, k, held)
 
     @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
     def test_words_depth_first(self, name, monkeypatch):
@@ -349,7 +371,7 @@ class TestWordKernel:
         # word included, in depth-first order, which is sorted order; the
         # words held at once are those stepped and not yet yielded, plus
         # the one being yielded
-        kernel = _word_kernel(KERNEL_GENERATORS[name]())
+        kernel = _word_kernel(KERNEL_GENERATORS[name](), 3, 1)
         step, count = type(kernel).step, {"steps": 0}
 
         def counted_step(kernel, m, k):
@@ -371,44 +393,45 @@ class TestWordKernel:
                 assert m == kernel.product(ks)
 
     def test_signs_of_known_quiddities(self):
-        kernel = _word_kernel(KERNEL_GENERATORS["sqrt2"]())
+        kernel = _word_kernel(KERNEL_GENERATORS["sqrt2"](), 8, 1)
         assert _sign(kernel, [1, 1, 1, 1]) == -1
         assert _sign(kernel, [1] * 8) == 1
         assert _sign(kernel, [1, 1, 1]) is None
         # d = 2: the held matrix of a size-3 word is 8 * T*M*T^-1
-        half = _word_kernel(KERNEL_GENERATORS["1/2"]())
+        half = _word_kernel(KERNEL_GENERATORS["1/2"](), 3, 2)
         assert _sign(half, [2, 2, 2]) == -1
         assert _sign(half, [-2, -2, -2]) == 1
         assert _sign(half, [1, 1, 1]) is None
-        assert _sign(_word_kernel(KERNEL_GENERATORS["1/sqrt2"]()), [2, 2, 2, 2]) == -1
+        assert _sign(_word_kernel(KERNEL_GENERATORS["1/sqrt2"](), 4, 2), [2, 2, 2, 2]) == -1
 
     def test_subgroup_multipliers(self):
         # k with f*x = k*s*v, where v = 1+sqrt2 has coordinates (0, 1)
-        kernel = _word_kernel(KERNEL_GENERATORS["1+sqrt2 in Q(sqrt2)"]())
-        assert kernel._multiple((0, -3), 1, 1) == -3
-        assert kernel._multiple((0, 0), 1, 1) == 0
-        assert kernel._multiple((1, 0), 1, 1) is None  # 1 is not in <1+sqrt2>
-        assert kernel._multiple((2, 1), 1, 1) is None
-        assert kernel._multiple((0, 6), -1, 2) == -3
-        assert kernel._multiple((0, 3), 1, 2) is None
+        kernel = _word_kernel(KERNEL_GENERATORS["1+sqrt2 in Q(sqrt2)"](), 4, 2)
+        bits = kernel.bits
+        assert kernel._multiple(_pack((0, -3), bits), 1, 1) == -3
+        assert kernel._multiple(_pack((0, 0), bits), 1, 1) == 0
+        assert kernel._multiple(_pack((1, 0), bits), 1, 1) is None  # 1 is not in <1+sqrt2>
+        assert kernel._multiple(_pack((2, 1), bits), 1, 1) is None
+        assert kernel._multiple(_pack((0, 6), bits), -1, 2) == -3
+        assert kernel._multiple(_pack((0, 3), bits), 1, 2) is None
         # 1/sqrt2 has d = 2 and v = sqrt2; the rational generator 3/2 has
         # v = 3, its one coordinate
-        half = _word_kernel(KERNEL_GENERATORS["1/sqrt2"]())
+        half = _word_kernel(KERNEL_GENERATORS["1/sqrt2"](), 4, 2)
         assert half.d == 2
-        assert half._multiple((0, 2), 1, 1) == 2
-        assert half._multiple((0, 1), 1, 2) is None
-        assert half._multiple((1, 0), 1, 1) is None
-        three = _word_kernel(KERNEL_GENERATORS["3/2"]())
-        assert three._multiple((12,), 1, 2) == 2
-        assert three._multiple((4,), 1, 2) is None
+        assert half._multiple(_pack((0, 2), half.bits), 1, 1) == 2
+        assert half._multiple(_pack((0, 1), half.bits), 1, 2) is None
+        assert half._multiple(_pack((1, 0), half.bits), 1, 1) is None
+        three = _word_kernel(KERNEL_GENERATORS["3/2"](), 4, 2)
+        assert three._multiple(_pack((12,), three.bits), 1, 2) == 2
+        assert three._multiple(_pack((4,), three.bits), 1, 2) is None
 
     def test_zero_generator(self):
         w = KERNEL_GENERATORS["0"]()
-        kernel = _word_kernel(w)
-        assert _unheld(w, 2, kernel.product([3, -1])) == m_product(zt(w.field, [3, -1]))
+        kernel = _word_kernel(w, 2, 3)
+        assert _unheld(kernel, w, 2, kernel.product([3, -1])) == m_product(zt(w.field, [3, -1]))
         assert _sign(kernel, [3, -1]) == -1
-        assert kernel._multiple((0,), 1, 1) == 0
-        assert kernel._multiple((1,), 1, 1) is None
+        assert kernel._multiple(_pack((0,), kernel.bits), 1, 1) == 0
+        assert kernel._multiple(_pack((1,), kernel.bits), 1, 1) is None
 
     @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
     def test_forced_boundary_matches_mat2(self, name):
@@ -426,12 +449,53 @@ class TestWordKernel:
         )
         assert forced and outside
 
+    def test_higher_powers_of_v_are_not_multiples_of_v(self):
+        # over 2^(1/4) the ints of v^2 and v^3 are multiples of the int of
+        # v, so a bare division would take them for k*v; these windows of
+        # length 8 have Q11 = +-1 and a forced entry with a v^3 part
+        w = KERNEL_GENERATORS["2^(1/4)"]()
+        kernel = _word_kernel(w, 10, 2)
+        one, minus, zero = (_pack((c, 0, 0, 0), kernel.bits) for c in (1, -1, 0))
+        for power in (2, 3):
+            x = _pack([0] * power + [1] + [0] * (3 - power), kernel.bits)
+            for f in (1, -1):
+                assert kernel._multiple(x, f, 1) is None
+            assert kernel.forced((one, x, zero, one), 2) is None
+            assert kernel.forced((minus, zero, x, minus), 2) is None
+        windows = [(-1, -1, -2, 0, -1, -2, 1, -1), (-1, 1, -2, -2, 0, -1, -1, -1)]
+        _check_forced(w, [window[::-1] + (0, 0) for window in windows])
+
+    def test_forced_reads_v_squared_entries_as_mat2_does(self):
+        # over 2^(1/3)/2, d = 2 and v^3 = 2: a held matrix with q11 = +-d^n
+        # and an off-diagonal entry in Z*v^2 or Z*v^3 is forced exactly
+        # when the Mat2 route finds both boundary entries in <w>
+        w = KERNEL_GENERATORS["2^(1/3)/2"]()
+        kernel = _word_kernel(w, 6, 2)
+        bits, checked = kernel.bits, 0
+        for n in (2, 3, 4):
+            s = kernel.d**n
+            zero = _pack((0, 0, 0), bits)
+            for x, y in itertools.product(
+                [_pack(c, bits) for c in ((0, 0, 0), (0, 0, 4), (0, 0, -8), (2, 0, 0), (0, 2, 0))],
+                repeat=2,
+            ):
+                for q11 in (_pack((s, 0, 0), bits), _pack((-s, 0, 0), bits)):
+                    held = (q11, x, y, q11)
+                    q = _unheld(kernel, w, n, held)
+                    # P = D*Q^T*D: P11 = Q11, P12 = -Q21, P21 = -Q12
+                    eps = -q.m11.rational_value()
+                    k1, kl = _member(-q.m21 * eps, w), _member(q.m12 * eps, w)
+                    want = None if k1 is None or kl is None else (eps, k1, kl)
+                    assert kernel.forced(held, n) == want, (n, held)
+                    checked += want is None and (x != zero or y != zero)
+        assert checked
+
     @pytest.mark.parametrize("name", ["integers", "sqrt2", "1/2", "2/3", "1/sqrt2", "(1+i)/2"])
     def test_inverse_keys_meet_the_suffix(self, name):
         # a quiddity P-then-S of size 2r or 2r+1 is found by the key of its
         # prefix P, of length n - r, in the table of suffixes S of length r
         w = KERNEL_GENERATORS[name]()
-        kernel = _word_kernel(w)
+        kernel = _word_kernel(w, 5, 2)
         for ks, eps in brute_force_quiddities(w, 5, 2):
             r = len(ks) // 2
             keys = dict(kernel.inverse_keys(kernel.product(ks[: len(ks) - r]), len(ks) % 2))
@@ -445,13 +509,13 @@ class TestWordKernel:
             return irreducible_census(enumerate_quiddities(w.field, w, 6, 2)).to_json()
 
         # another generator takes the kernel slot, so the census starts cold
-        _word_kernel(KERNEL_GENERATORS["1/2"]())
+        _word_kernel(KERNEL_GENERATORS["1/2"](), 1, 1)
         cold = census()
         assert census() == cold
 
     def test_odd_keys_need_the_scale_to_divide(self):
         # over 1/2 the held E(w) is [[1, -4], [1, 0]]: adj / 2 is not integral
-        kernel = _word_kernel(KERNEL_GENERATORS["1/2"]())
+        kernel = _word_kernel(KERNEL_GENERATORS["1/2"](), 2, 2)
         assert kernel.inverse_keys(kernel.product([1]), 1) == ()
         assert kernel.inverse_keys(kernel.product([2, 2]), 1) != ()
         assert len(kernel.inverse_keys(kernel.product([1]), 0)) == 2
@@ -479,16 +543,52 @@ class TestWordSteps:
                 assert e_times(x, m) == e_matrix(x) * m
                 assert times_e(m, x) == m * e_matrix(x)
 
+    @pytest.mark.parametrize(
+        "coeffs,hint",
+        [
+            ((2, 424242, -98766, 123456, 1), (-123457, -123456, 0, 0)),
+            (("2/81", "424242/27", -10974, 41152, 1), (-41153, -41152, 0, 0)),
+        ],
+        ids=["d=1", "d=3"],
+    )
+    def test_wide_words_match_m_product(self, coeffs, hint):
+        # degree 4 with minimal-polynomial coefficients up to 10^5: words
+        # of length 20-24 over |k| <= 10^6 hold coordinates of about a
+        # thousand bits, which the kernel's width covers
+        w = _generator(coeffs, BoxC.make(*hint))
+        kernel = _word_kernel(w, 24, 10**6)
+        rng = random.Random(str(coeffs))
+        for _ in range(3):
+            ks = [rng.randint(-(10**6), 10**6) for _ in range(rng.randint(20, 24))]
+            want = m_product(QuiddityTuple(w.field, w, ks))
+            assert _unheld(kernel, w, len(ks), kernel.product(ks)) == want, ks
+
+    def test_wider_request_gets_a_wider_kernel(self):
+        w = KERNEL_GENERATORS["sqrt2"]()
+        _word_kernel(KERNEL_GENERATORS["1/2"](), 1, 1)
+        narrow = _word_kernel(w, 4, 2)
+        assert _word_kernel(w, 3, 1) is narrow
+        wide = _word_kernel(w, 30, 10**6)
+        assert wide is not narrow and wide.bits > narrow.bits
+        assert _word_kernel(w, 4, 2) is wide
+        # a kernel asked past its width raises rather than wrap
+        with pytest.raises(ValueError):
+            narrow.product([10**6] * 30)
+        with pytest.raises(ValueError):
+            next(narrow.words(30, range(2)))
+        with pytest.raises(ValueError):
+            next(narrow.words(4, range(3), (10**6,)))
+
     @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
     def test_kernel_products_have_determinant_one(self, name):
         # find_reduction takes the (2,2) entry of its forced solution
         # from det P = 1 instead of testing it
         w = KERNEL_GENERATORS[name]()
-        kernel = _word_kernel(w)
+        kernel = _word_kernel(w, 10, 3)
         rng = random.Random(name)
         for _ in range(20):
             ks = [rng.randint(-3, 3) for _ in range(rng.randint(1, 10))]
-            assert _unheld(w, len(ks), kernel.product(ks)).det() == w.field.one(), ks
+            assert _unheld(kernel, w, len(ks), kernel.product(ks)).det() == w.field.one(), ks
 
     @pytest.mark.parametrize("name", sorted(STEP_GENERATORS))
     def test_m_product_entries_matches_the_full_fold(self, name):

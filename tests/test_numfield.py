@@ -409,7 +409,7 @@ class TestFieldArithmetic:
 
         first, second = sqrt2_field().generator(), sqrt2_field().generator()
         assert first is not second and first == second
-        assert _word_kernel(first) is _word_kernel(second)
+        assert _word_kernel(first, 4, 2) is _word_kernel(second, 4, 2)
 
 
 def _random_min_poly(rng, degree):

@@ -119,7 +119,7 @@ class TestFindReduction:
         assert witness_replay(c, wit)
         # cold, with the kernel slot holding another generator, then right
         # after a census over this one
-        _word_kernel(omega_field().generator())
+        _word_kernel(omega_field().generator(), 1, 1)
         with pytest.raises(NotAQuiddity):
             find_reduction(c)
         irreducible_census(enumerate_quiddities(f, w, 6, 2))
@@ -148,6 +148,20 @@ class TestFindReduction:
                 wit = find_reduction(t)
                 assert wit is not None and witness_replay(t, wit)
 
+
+    @pytest.mark.parametrize("make", [int_field, sqrt2_field], ids=["integers", "sqrt2"])
+    def test_entries_near_ten_to_the_forty(self, make):
+        # the scan's kernel is as wide as the word's own entries need; the
+        # glued word splits only into summands with entries near 10^40,
+        # whose forced boundary multiples a kernel of 128-bit digits misses
+        f, big = make(), 10**40
+        a = (-big, 0, big, 0)
+        assert is_quiddity(zt(f, a)) == 1
+        assert find_reduction(zt(f, a)) is None
+        t = zt(f, oplus_multipliers(a, (big + 7, 0, -big - 7, 0)))
+        assert is_quiddity(t) == -1
+        wit = find_reduction(t)
+        assert wit is not None and witness_replay(t, wit)
 
 class TestBruteForce:
     def test_finds_some_witness(self):

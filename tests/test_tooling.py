@@ -157,7 +157,7 @@ def test_kernel_names_are_complete():
     assert _kernel_names() == {
         "_WordKernel",
         "_word_kernel",
-        "_neg",
+        "_bits",
         "step",
         "product",
         "identity_sign",
