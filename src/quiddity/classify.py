@@ -6,7 +6,9 @@ ceil(n/2) are matched against inverses of suffix matrices, so the cost is
 (2K+1)^(n/2) instead of (2K+1)^n.  It runs on the integer word kernel
 of `core`, which holds a word of size n scaled by d^n (d*w an algebraic
 integer): a suffix meets a prefix when its held matrix is +-adj of the
-prefix's, divided exactly by d when the prefix is one longer.  Each side
+prefix's or, when the prefix is one entry longer, when d times it is.  So
+the odd sizes look up suffix tables keyed by d times the held matrix, and
+nothing is divided.  Each side
 is walked once for all sizes: one depth-first walk builds the suffix
 table of every length r <= floor(n_max/2), and the prefixes are walked
 depth first, never all held, once per least entry, a prefix of length l
@@ -177,18 +179,25 @@ def enumerate_quiddities(
     tables: list[dict[tuple, list[tuple[int, ...]]]] = [{} for _ in range(n_max // 2 + 1)]
     for ks, mat in kernel.words(n_max // 2, pool):
         tables[len(ks)].setdefault(mat, []).append(ks)
+    # a suffix one entry shorter than its prefix meets it when d times its
+    # held matrix is a key, so the odd sizes look the keys up in the
+    # tables re-keyed by d*S, which share the suffix lists
+    d = kernel.d
+    odd = tables if d == 1 else [
+        {tuple([d * x for x in s]): v for s, v in t.items()} for t in tables[: (n_max + 1) // 2]
+    ]
     # a canonical word begins with its least entry, so only prefixes
     # that do are walked: k0, then entries >= k0.  A prefix of length l
-    # serves size 2l - 1 with the suffixes of length l - 1, which are one
-    # entry shorter, and size 2l with those of length l
+    # serves size 2l - 1 with the suffixes of length l - 1 and size 2l
+    # with those of length l
     for k0 in pool:
         for ks, mat in kernel.words(n_max - n_max // 2, range(k0, top + 1), (k0,)):
             l = len(ks)
-            for excess in (1, 0):
-                if not 2 <= 2 * l - excess <= n_max:
+            for size, by_length in ((2 * l - 1, odd), (2 * l, tables)):
+                if not 2 <= size <= n_max:
                     continue
-                for eps, key in kernel.inverse_keys(mat, excess):
-                    for suffix in tables[l - excess].get(key, ()):
+                for eps, key in kernel.inverse_keys(mat):
+                    for suffix in by_length[size - l].get(key, ()):
                         if min(suffix) < k0:
                             continue
                         combined = ks + suffix

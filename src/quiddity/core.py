@@ -22,8 +22,10 @@ digit times the packed c_j, and every product, walk and scan of the
 kernel goes through it.  Two lemmas serve
 the searches in `classify` and
 `reducibility`, which ask the kernel for a word's sign, an inverse's
-key and a forced boundary pair, and read neither d nor a coordinate:
-det M = 1 makes M^-1 = adj(M), and adj commutes with the scaling; and
+keys and a forced boundary pair, and read no coordinate:
+det M = 1 makes M^-1 = adj(M), and adj commutes with the scaling, so a
+held suffix one entry shorter than its prefix meets it when d times it
+is a key, which a search multiplies out instead of dividing the key; and
 the reversed word has matrix D*M^T*D, D = diag(1, -1), since
 D*E(x)^T*D = E(x), so one step direction serves both.  The kernel holds
 no state past what its generator fixes: a search checks a word by
@@ -302,14 +304,15 @@ class _WordKernel:
     is the 4-tuple (m11, m12, m21, m22) of such ints and is its own hash
     key.  Sums and integer multiples of elements are those of their ints.
     The digits are read only where a coordinate is: the top one in `step`,
-    and all of them in the exact division by d of `inverse_keys`.
+    and the one of v in `_multiple`'s range check.
 
     The width is proven, not chosen.  With |x| the largest coordinate of
     x, |v*x| <= (1 + max|c_j|)*|x|, so a step by |k| <= K grows the largest
     coordinate of a held matrix by a factor of at most
     G = K*(1 + max|c_j|) + d^2, and a word of length n holds nothing past
-    G^n.  `forced` reads f*x with |f| <= d^2, and d^n <= G^n, so
-    every coordinate read is below d^2*G^n < 2^(bits-1), the digit's
+    G^n.  `forced` reads f*x with |f| <= d^2, a search keys its suffix
+    tables by d times a held matrix, and d^n <= G^n, so every coordinate
+    read or compared is below d^2*G^n < 2^(bits-1), the digit's
     balanced range: its digit is the coordinate, and equal ints are equal
     elements.  A kernel is built for a length and a bound on |k|; its
     product and walk raise ValueError past them.  One primitive, `step`,
@@ -334,7 +337,8 @@ class _WordKernel:
         self._top = s * (m - 1)
         self._low = sum(1 << s * j + s - 1 for j in range(m - 1))
         self.identity = (1, 0, 0, 1)
-        self._v = self.step(self.identity, 1)[0]
+        # the int of v: the digit 1 in the place of v, or -c_0 at m = 1
+        self._v = 1 << s if m > 1 else -cs[0]
 
     def _bits(self, length: int, k_max: int) -> int:
         """The digit width that words of the given length over |k| <= k_max
@@ -378,22 +382,11 @@ class _WordKernel:
         s = self.d**size
         return 1 if a == s else -1 if a == -s else None
 
-    def inverse_keys(self, m: tuple, excess: int):
-        """(eps, held S) for eps = +-1 and S*P = eps*Id, P the word held as
-        m and S shorter by excess = 0 or 1: eps*adj(m), divided exactly by
-        d^excess; none when d does not divide every coordinate."""
-        d = self.d
-        if excess and d != 1:
-            s = self.bits
-            mask, half = (1 << s) - 1, 1 << s - 1
-            for x in m:
-                # the digits of x, lowest first
-                for _ in range(self._top // s + 1):
-                    y = ((x + half) & mask) - half
-                    if y % d:
-                        return ()
-                    x = (x - y) >> s
-            m = tuple([x // d for x in m])
+    def inverse_keys(self, m: tuple):
+        """(eps, eps*adj(m)) for eps = +-1.  Held, S*P = eps*Id reads
+        s*m = eps*d^(l+r)*Id for P of length l held as m and S of length r
+        held as s, and m*adj(m) = d^(2l)*Id: so S meets P when s is
+        eps*adj(m) for r = l, and when d*s is for r = l - 1."""
         a, b, c, e = m
         return ((1, (e, -b, -c, a)), (-1, (-e, b, c, -a)))
 
@@ -442,12 +435,13 @@ def _word_kernel(w: FieldElement, length: int, k_max: int) -> _WordKernel:
     |k| <= k_max.  One slot holds the last generator asked for and its
     kernel: an equal generator of another field handle takes that kernel
     over and re-keys the slot, so a run of calls on it compares the two
-    once.  Any other generator, or a request past the kernel's width,
-    builds a new kernel; a narrower request reuses a wider one."""
+    once.  Any other generator, or a request past the kernel's width or
+    below half of it, builds a new kernel: a narrower request reuses a
+    kernel at most twice as wide as it needs."""
     held, kernel = _WordKernel.last
     if held is not w and not held == w:
         kernel = None
-    if kernel is None or kernel._bits(length, k_max) > kernel.bits:
+    if kernel is None or not kernel.bits <= 2 * kernel._bits(length, k_max) <= 2 * kernel.bits:
         kernel = _WordKernel(w, length, k_max)
     _WordKernel.last = (w, kernel)
     return kernel

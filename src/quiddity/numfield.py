@@ -960,10 +960,12 @@ def _factor_from_roots(p: QPoly, boxes: Sequence[BoxC]) -> Optional[QPoly]:
     (a / lc(g)) * g and has integer coefficients.  Every S of total size
     2..n//2 is tried (a factor of larger degree has a cofactor among
     those), each root refined to the width goal below on its first use
-    and kept so, by a * prod(X - r) in interval arithmetic: S is dropped
-    when some coefficient interval holds no integer, else each is
-    narrower than 1, and the one integer candidate is checked by exact
-    division.
+    and kept so.  S is dropped when the interval of the X^(s-1)
+    coefficient -a * sum(r), for s the size of S, holds no integer; sum(r)
+    adds each real root's interval and 2 Re z for a pair.  Otherwise
+    a * prod(X - r) is formed in interval arithmetic: S is dropped when
+    some coefficient interval holds no integer, else each is narrower than
+    1, and the one integer candidate is checked by exact division.
     """
     ints = p.int_coeffs()
     a, n = ints[-1], p.degree
@@ -980,14 +982,25 @@ def _factor_from_roots(p: QPoly, boxes: Sequence[BoxC]) -> Optional[QPoly]:
     # pair {z, conj z} through the real quadratic X^2 - 2 Re(z) X + |z|^2
     units = [b for b in boxes if b.is_real_line() or b.im.hi > 0]
     sizes = [1 if b.is_real_line() else 2 for b in units]
+    # a * prod(X - r) has the X^(s-1) coefficient -a * sum(r), the sum of
+    # the units' shares, -a * r or -2a * Re z for a pair, each set when its
+    # root is refined: a cheap test to run before the product
+    shares: list[Optional[RatInterval]] = [None] * len(units)
     for count in range(1, m + 1):
         for subset in combinations(range(len(units)), count):
             if not 2 <= sum(sizes[i] for i in subset) <= m:
                 continue
+            trace = RatInterval.point(0)
+            for i in subset:
+                if shares[i] is None:
+                    if units[i].width > goal:
+                        units[i] = _refine_one(p, units[i], goal)
+                    shares[i] = units[i].re * (-a * sizes[i])
+                trace = trace + shares[i]
+            if ceil(trace.lo) > floor(trace.hi):
+                continue
             coeffs = [RatInterval.point(a)]
             for i in subset:
-                if units[i].width > goal:
-                    units[i] = _refine_one(p, units[i], goal)
                 b = units[i]
                 if b.is_real_line():
                     coeffs = _interval_poly_mul(coeffs, (-b.re, RatInterval.point(1)))

@@ -292,9 +292,11 @@ def newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
 
 def shrink_box(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
     """Refine the nonreal root isolated by box by quadtree steps alone,
-    each on a grid built afresh."""
+    each on a grid built afresh around this module's isolating intervals
+    of the real roots."""
+    reals = real_roots_isolated(p)
     while box.width > width:
-        box = _regrid(_grid(p.int_coeffs(), real_roots_isolated(p)[0], Fraction(1)), box)[0]
+        box = _regrid(_grid(p.int_coeffs(), reals, Fraction(1)), box)[0]
     return box
 
 

@@ -102,15 +102,19 @@ class TestEnumerate:
             (("-1/2", 0, 1), (0, 1, 0, 0), None),
             (("1/2", -1, 1), (0, 1, 0, 1), None),
             (("-3/2", 1), None, None),
+            (("-1/2", 1), None, None),
+            (("-1/4", "-1/2", 1), ("1/2", 1, 0, 0), None),
             ((-2, 0, 1), (1, 2, 0, 0), (1, 1)),
         ],
-        ids=["1/sqrt2", "(1+i)/2", "3/2", "1+sqrt2"],
+        ids=["1/sqrt2", "(1+i)/2", "3/2", "1/2", "(1+sqrt5)/4", "1+sqrt2"],
     )
     def test_matches_brute_force_other_generators(self, coeffs, hint, coords):
         # non-integral generators run the kernel with a scale d > 1,
         # and 1+sqrt2 is not the generator of its field; n_max = 2 uses
         # the suffix table of length 1 alone, and at odd n_max the
-        # longest prefixes serve size 2l - 1 alone
+        # longest prefixes serve size 2l - 1 alone.  Over 1/2 and
+        # (1+sqrt5)/4 quiddities of odd size exist, and a prefix meets
+        # their suffix, one entry shorter, on d times its held matrix
         f = field_make(
             QPoly(tuple(F(c) for c in coeffs)),
             root_hint=None if hint is None else BoxC.make(*hint),

@@ -493,14 +493,17 @@ class TestWordKernel:
     @pytest.mark.parametrize("name", ["integers", "sqrt2", "1/2", "2/3", "1/sqrt2", "(1+i)/2"])
     def test_inverse_keys_meet_the_suffix(self, name):
         # a quiddity P-then-S of size 2r or 2r+1 is found by the key of its
-        # prefix P, of length n - r, in the table of suffixes S of length r
+        # prefix P, of length n - r, among the suffixes S of length r held
+        # as s: the key is s at size 2r and d*s at size 2r + 1
         w = KERNEL_GENERATORS[name]()
         kernel = _word_kernel(w, 5, 2)
         for ks, eps in brute_force_quiddities(w, 5, 2):
             r = len(ks) // 2
-            keys = dict(kernel.inverse_keys(kernel.product(ks[: len(ks) - r]), len(ks) % 2))
-            assert keys[eps] == kernel.product(ks[len(ks) - r :]), ks
-            assert keys[-eps] != kernel.product(ks[len(ks) - r :]), ks
+            keys = dict(kernel.inverse_keys(kernel.product(ks[: len(ks) - r])))
+            scale = kernel.d ** (len(ks) % 2)
+            suffix = tuple(scale * x for x in kernel.product(ks[len(ks) - r :]))
+            assert keys[eps] == suffix, ks
+            assert keys[-eps] != suffix, ks
 
     def test_warm_memo_census_matches_cold(self):
         w = KERNEL_GENERATORS["sqrt2"]()
@@ -514,11 +517,17 @@ class TestWordKernel:
         assert census() == cold
 
     def test_odd_keys_need_the_scale_to_divide(self):
-        # over 1/2 the held E(w) is [[1, -4], [1, 0]]: adj / 2 is not integral
-        kernel = _word_kernel(KERNEL_GENERATORS["1/2"](), 2, 2)
-        assert kernel.inverse_keys(kernel.product([1]), 1) == ()
-        assert kernel.inverse_keys(kernel.product([2, 2]), 1) != ()
-        assert len(kernel.inverse_keys(kernel.product([1]), 0)) == 2
+        # over 1/2 the held E(w) is [[1, -4], [1, 0]]: d = 2 does not divide
+        # its adj, so it meets no suffix one entry shorter, each keyed by d
+        # times its held matrix; the held E(2w)^2 = [[0, -8], [2, -4]] has
+        # adj = -d times the held E(2w), so (2, 2, 2) has sign -1
+        kernel = _word_kernel(KERNEL_GENERATORS["1/2"](), 3, 2)
+        d = kernel.d
+        odd = {tuple(d * x for x in m): ks for ks, m in kernel.words(1, range(-2, 3))}
+        keys = dict(kernel.inverse_keys(kernel.product([1])))
+        assert len(keys) == 2 and not odd.keys() & set(keys.values())
+        keys = dict(kernel.inverse_keys(kernel.product([2, 2])))
+        assert odd.get(keys[-1]) == (2,) and keys[1] not in odd
 
 
 STEP_GENERATORS = {
@@ -570,7 +579,11 @@ class TestWordSteps:
         assert _word_kernel(w, 3, 1) is narrow
         wide = _word_kernel(w, 30, 10**6)
         assert wide is not narrow and wide.bits > narrow.bits
-        assert _word_kernel(w, 4, 2) is wide
+        # a request that needs less than half of the held width gets a
+        # kernel of its own width, and that kernel serves (3, 1) again
+        again = _word_kernel(w, 4, 2)
+        assert again is not wide and again.bits == narrow.bits
+        assert _word_kernel(w, 3, 1) is again
         # a kernel asked past its width raises rather than wrap
         with pytest.raises(ValueError):
             narrow.product([10**6] * 30)

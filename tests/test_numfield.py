@@ -699,24 +699,43 @@ class TestNewtonRefinement:
     def test_quadtree_refinement_keeps_one_grid(self, monkeypatch):
         # with Newton never certifying, a refinement to 2^-64 isolates the
         # real roots once and runs Aberth once per grid bits, and its boxes
-        # are those of quadtree steps on grids built afresh
+        # are those of quadtree steps on grids built afresh.  A step's cell
+        # unit, 1/(4 x the common denominator of the box's corners), can
+        # grow on inputs with coefficients in (1/3)Z, (1/5)Z or (1/6)Z, so
+        # the carried grid may hold more bits than a fresh one would; the
+        # boxes are still the same
         monkeypatch.setattr(numfield_module, "_newton_box", lambda p, box, width: None)
-        isolations, enclosures = [], []
+        isolations, enclosures, units = [], [], []
         isolate, enclose = numfield_module.real_roots_isolated, numfield_module.root_enclosures
+        grid = numfield_module._grid
 
         def enclose_spy(ints, bits):
             enclosures.append(bits)
             return enclose(ints, bits)
 
+        def grid_spy(ints, reals, unit, *carried):
+            units.append(unit)
+            return grid(ints, reals, unit, *carried)
+
         monkeypatch.setattr(numfield_module, "real_roots_isolated", lambda p: isolations.append(p) or isolate(p))
         monkeypatch.setattr(numfield_module, "root_enclosures", enclose_spy)
-        for p in (QPoly((-1, 1, 1, -1, 1)), _squarefree_polys(38, 1, [8], 3)[0]):
-            box = next(b for b in isolate_roots(p) if b.im.lo > 0)
-            isolations.clear()
-            enclosures.clear()
-            got = _refine_one(p, box, F(1, 2**64))
-            assert isolations == [p] and sorted(set(enclosures)) == enclosures
-            assert got == oracle.shrink_box(p, box, F(1, 2**64))
+        polys = [QPoly((-1, 1, 1, -1, 1)), _squarefree_polys(38, 1, [8], 3)[0]]
+        for q in (3, 5, 6):
+            polys += _squarefree_polys(18, 2, range(3, 9), 6, q)
+        grew = 0
+        for p in polys:
+            for box in [b for b in isolate_roots(p) if b.im.lo > 0]:
+                isolations.clear()
+                enclosures.clear()
+                units.clear()
+                monkeypatch.setattr(numfield_module, "_grid", grid_spy)
+                got = _refine_one(p, box, F(1, 2**64))
+                monkeypatch.setattr(numfield_module, "_grid", grid)
+                assert isolations == [p] and sorted(set(enclosures)) == enclosures
+                assert got == oracle.shrink_box(p, box, F(1, 2**64))
+                # the first grid is the plane's at unit 1, then one a step
+                grew += any(b > a for a, b in zip(units[1:], units[2:]))
+        assert grew
 
     def test_isolation_cap_fails_fast(self, monkeypatch):
         # with a separation bound of 1 the limit is 64 bits and the cells
@@ -842,14 +861,14 @@ class TestConjugateSymmetry:
             assert _refine_one(p, box.conj(), width) == _refine_one(p, box, width).conj()
 
 
-def _squarefree_polys(seed, count, degrees, bound):
-    """Seeded monic squarefree integer polynomials with p(0) != 0 and the
-    other coefficients in [-bound, bound]."""
+def _squarefree_polys(seed, count, degrees, bound, denominator=1):
+    """Seeded monic squarefree polynomials with p(0) != 0 and the other
+    coefficients in [-bound, bound] / denominator."""
     rng = random.Random(seed)
     polys = []
     while len(polys) < count:
         degree = rng.choice(degrees)
-        coeffs = [rng.randint(-bound, bound) for _ in range(degree)] + [1]
+        coeffs = [F(rng.randint(-bound, bound), denominator) for _ in range(degree)] + [1]
         p = QPoly(coeffs)
         if coeffs[0] != 0 and p.gcd(p.derivative()).degree == 0:
             polys.append(p)
@@ -1021,6 +1040,8 @@ class TestRootEnclosures:
         assert count(enc + [(_GRID // 8, 0, 1)], 0, 0, 35, unit, 64) == 1
         assert count(enc + [(_GRID // 8, 0, 1)], 0, 0, 67, unit, 64) == 1
         assert count(enc + [(_GRID // 8, 0, 1)], 0, 0, 68, unit, 64) is None
+        # an enclosure wider than the disk, though around its centre
+        assert count([(0, 0, _GRID // 8)], 0, 0, 35, unit, 64) is None
 
     def test_enclosure_counts_match_the_strict_count(self, monkeypatch):
         # every rung count while isolating the roots of the 200 polynomials
@@ -1246,6 +1267,22 @@ def _unknown_inputs(seed, count):
     return out
 
 
+def _cyclotomic(n):
+    p = QPoly((-1,) + (0,) * (n - 1) + (1,))
+    for d in range(1, n):
+        if n % d == 0:
+            p = p // _cyclotomic(d)
+    return p
+
+
+_TRACE_INPUTS = {
+    "Phi35": lambda: _cyclotomic(35),
+    "Phi21": lambda: _cyclotomic(21),
+    # the minimal polynomial of sqrt2 + sqrt3 + sqrt5 (Swinnerton-Dyer)
+    "sqrt2+sqrt3+sqrt5": lambda: QPoly((576, 0, -960, 0, 352, 0, -40, 0, 1)),
+}
+
+
 def _refine_spy(monkeypatch, skip=lambda: False):
     """Record (box, width, refined box) for every _refine_one call of
     numfield, except while skip() holds."""
@@ -1296,6 +1333,27 @@ class TestRefinementReuse:
         steps = [c for c in calls if c != "round"]
         assert [c[0] for c in steps] == [f.root_boxes[idx]] + [c[2] for c in steps[:-1]]
 
+    def test_equality_waits_for_an_interval_narrower_than_the_gap(self):
+        # |sqrt2|^2 = 2 over Q(sqrt2): m_x = X^2 - 2, so n = 2, D = 2, c = 1
+        # and q = 1, and gap = 1 / (q c^2 (q c^2 (k R^2 + |s|))^(D-1)) with
+        # R^2 from embed at 2 bits.  An interval of width gap around s
+        # decides nothing, and the next, just narrower, decides "Equal";
+        # a point, which any gap would take, comes only after them
+        f = sqrt2_field()
+        x, idx, s = f.generator(), f.selected_root, F(2)
+        r2 = max(embed(x, i, 2).abs2().hi for i in range(f.degree))
+        gap = 1 / (r2 + abs(s))
+        widths = [gap, gap * F(99, 100), 0]
+        rounds = []
+
+        def image(box):
+            rounds.append(box)
+            width = widths[min(len(rounds), len(widths)) - 1]
+            return numfield_module.RatInterval(s - width / 2, s + width / 2)
+
+        assert numfield_module._compare_refined(x, idx, image, s, 1) == "Equal"
+        assert len(rounds) == 2
+
     def test_factor_search_refines_each_root_once(self, monkeypatch):
         # each root is refined on its first use, from its isolating box to
         # the width goal, and never again, so an input whose factor comes
@@ -1313,6 +1371,34 @@ class TestRefinementReuse:
             assert len(set(refined)) == len(refined) == len(calls)
             early += len(calls) < len(units)
         assert early >= 1
+
+    @pytest.mark.parametrize(
+        "name, products",
+        [("Phi35", 0), ("Phi21", 0), ("sqrt2+sqrt3+sqrt5", 12)],
+    )
+    def test_trace_test_comes_before_the_products(self, monkeypatch, name, products):
+        # each of these irreducible inputs splits mod every prime; of its
+        # 2,509, 41 and 154 root subsets, only those whose trace interval
+        # holds an integer are multiplied out, each product starting from
+        # the constant a
+        p = _TRACE_INPUTS[name]()
+        assert irreducible_over_Q(p).status == "Unknown"
+        count, mul = [0], numfield_module._interval_poly_mul
+
+        def spy(f, g):
+            count[0] += len(f) == 1
+            return mul(f, g)
+
+        monkeypatch.setattr(numfield_module, "_interval_poly_mul", spy)
+        assert numfield_module._factor_from_roots(p, isolate_roots(p)) is None
+        assert count[0] == products
+
+    def test_phi35_is_decided_fast(self):
+        # 24 roots, 12 pairs: the trace test drops every subset unmultiplied
+        start = time.perf_counter()
+        with pytest.raises(AmbiguousHint):
+            field_make(_cyclotomic(35))
+        assert time.perf_counter() - start < 1.5
 
     def test_factors_match_the_pinned_digest(self):
         # the factor or None on 16 seeded open inputs, as the search found

@@ -1,9 +1,11 @@
 """Splitting decisions: forced-boundary scan vs brute force, and witnesses."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import quiddity.core as core_module
 import quiddity.reducibility as reducibility_module
 from quiddity.core import (
     CertificateFailed,
@@ -32,6 +34,10 @@ def int_field():
 
 def sqrt2_field():
     return field_make(QPoly((-2, 0, 1)), root_hint=BoxC.make(1, 2, 0, 0))
+
+
+def zeta8_field():
+    return field_make(QPoly((1, 0, 0, 0, 1)), root_hint=BoxC.make(0, 1, 0, 1))
 
 
 def omega_field():
@@ -162,6 +168,41 @@ class TestFindReduction:
         assert is_quiddity(t) == -1
         wit = find_reduction(t)
         assert wit is not None and witness_replay(t, wit)
+
+    def test_census_after_wide_entries_runs_on_its_own_width(self, monkeypatch):
+        # a scan over entries near 10^40 leaves a kernel of 808-bit
+        # digits over sqrt2; the census at (8, 2) that follows gets a
+        # kernel of its own width, 24 bits, instead of stepping on them
+        f, big = sqrt2_field(), 10**40
+        w = f.generator()
+        find_reduction(zt(f, oplus_multipliers((-big, 0, big, 0), (big + 7, 0, -big - 7, 0))))
+        assert core_module._WordKernel.last[1].bits > 500
+        widths, words = [], core_module._WordKernel.words
+
+        def spy(kernel, *args):
+            widths.append(kernel.bits)
+            return words(kernel, *args)
+
+        monkeypatch.setattr(core_module._WordKernel, "words", spy)
+        enumerate_quiddities(f, w, 8, 2)
+        assert set(widths) == {core_module._WordKernel(w, 8, 2).bits}
+
+    @pytest.mark.parametrize("name, n_max, k_bound", [("integers", 10, 3), ("zeta8", 10, 2)])
+    def test_census_builds_few_kernels(self, monkeypatch, name, n_max, k_bound):
+        # each member's scan asks for a kernel of its size and largest |k|,
+        # and the members come by size: a kernel is built at most four
+        # times per size, the all-zero words of even size among them
+        f = int_field() if name == "integers" else zeta8_field()
+        report = enumerate_quiddities(f, f.generator(), n_max, k_bound)
+        builds, init = Counter(), core_module._WordKernel.__init__
+
+        def spy(kernel, w, length, k_max):
+            builds[length] += 1
+            init(kernel, w, length, k_max)
+
+        monkeypatch.setattr(core_module._WordKernel, "__init__", spy)
+        irreducible_census(report)
+        assert builds and max(builds.values()) <= 4
 
 class TestBruteForce:
     def test_finds_some_witness(self):

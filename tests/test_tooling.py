@@ -168,6 +168,29 @@ def test_kernel_names_are_complete():
     }
 
 
+def test_inverse_keys_divide_nothing():
+    # a suffix one entry shorter than its prefix meets it on d times its
+    # held matrix, so the keys are the signed adjugates alone: no loop
+    # over digits and no division
+    method = next(
+        node
+        for node in _kernel_defs()["_WordKernel"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "inverse_keys"
+    )
+    found = [
+        f"core.py:{node.lineno}"
+        for node in ast.walk(method)
+        if isinstance(
+            node, (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        )
+        or (
+            isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, (ast.FloorDiv, ast.Div, ast.Mod))
+        )
+    ]
+    assert [arg.arg for arg in method.args.args] == ["self", "m"] and found == []
+
+
 def test_kernel_is_stateless():
     # only __init__ sets what the kernel holds, so no call can change
     # what a later call computes
