@@ -31,13 +31,14 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .core import (
     CertificateFailed,
     QuiddityTuple,
+    _WordKernel,
     _check_generator,
-    _word_kernel,
     canonical_multipliers,
     euler_expansion,
     is_quiddity,
@@ -174,7 +175,7 @@ def enumerate_quiddities(
     # over <0> every multiplier gives the entry 0, so the pool is {0}
     top = 0 if w.is_zero else k_bound
     pool = range(-top, top + 1)
-    kernel = _word_kernel(w, n_max, top)
+    kernel = _WordKernel(w, n_max, top)
     # one walk builds the suffix table of every length r <= n_max // 2
     tables: list[dict[tuple, list[tuple[int, ...]]]] = [{} for _ in range(n_max // 2 + 1)]
     for ks, mat in kernel.words(n_max // 2, pool):
@@ -231,18 +232,22 @@ def enumerate_quiddities(
 def irreducible_census(report: EnumerationReport) -> EnumerationReport:
     """Split every size>=3 member into reducible (with witness) or
     irreducible.  Size-2 members are excluded from both by convention.
-    Every witness is replayed, and each distinct summand is multiplied
-    out on `Mat2` once per call."""
+    Every member's `find_reduction` runs on one word kernel, built for
+    the members' largest size and largest |k| whatever bounds the report
+    states.  Every witness is replayed, and each distinct summand is
+    multiplied out on `Mat2` once per call."""
     field, w = report.field, report.generator
+    split = [m.multipliers for m in report.members if m.size >= 3]
+    top = max(map(abs, chain.from_iterable(split)), default=0)
+    # the kernel, and the Mat2 sign of each summand, replayed once here
+    census = (_WordKernel(w, max(map(len, split), default=0), top), {})
     members = []
     irreducible = []
-    # the Mat2 sign of each summand, replayed once in this call
-    signs: dict[tuple[int, ...], Optional[int]] = {}
     for m in report.members:
         if m.size < 3:
             members.append(m)
             continue
-        wit = find_reduction(QuiddityTuple(field, w, m.multipliers), signs)
+        wit = find_reduction(QuiddityTuple(field, w, m.multipliers), census)
         m = CensusMember(m.multipliers, m.epsilon, wit is not None, wit)
         members.append(m)
         if wit is None:

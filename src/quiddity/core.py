@@ -19,27 +19,29 @@ of v's minimal polynomial, so every coordinate of a word of length n,
 and d^2 times it, stays below d^2*G^n < 2^(bits-1).  One primitive
 takes the step, with v*x a digit shift and a subtraction of the top
 digit times the packed c_j, and every product, walk and scan of the
-kernel goes through it.  Two lemmas serve
-the searches in `classify` and
-`reducibility`, which ask the kernel for a word's sign, an inverse's
-keys and a forced boundary pair, and read no coordinate:
-det M = 1 makes M^-1 = adj(M), and adj commutes with the scaling, so a
-held suffix one entry shorter than its prefix meets it when d times it
-is a key, which a search multiplies out instead of dividing the key; and
-the reversed word has matrix D*M^T*D, D = diag(1, -1), since
-D*E(x)^T*D = E(x), so one step direction serves both.  The kernel holds
-no state past what its generator fixes: a search checks a word by
-stepping on from a product it already holds.  Canonical forms scan only
-the rotations, of the word and of its reversal, that begin with the
-least entry.  The direct 2x2 route
-over `FieldElement` (`m_product`, `is_quiddity`) and continuant
-assembly share no code with the kernel: they are the oracles the tests
-compare it against, and the certificates (witness replay) that every
-search result passes.  That route steps a word one entry at a time,
-E(x) * M by `e_times` and M * E(x) by `times_e`, two field products
-each; the full product `Mat2.__mul__` is what the tests check both
-steps against.  `brute_force_quiddities` is the one exhaustive
-enumeration on that route.
+kernel goes through it.  A search is handed its kernel by its caller:
+`enumerate_quiddities` builds one for its bounds, and
+`irreducible_census` one for its members' largest size and |k|, which
+every `find_reduction` of the census shares.  Two lemmas serve the
+searches in `classify` and `reducibility`, which ask the kernel for a
+word's sign, an inverse's keys and a forced boundary pair, and read no
+coordinate: det M = 1 makes M^-1 = adj(M), and adj commutes with the
+scaling, so a held suffix one entry shorter than its prefix meets it
+when d times it is a key, which a search multiplies out instead of
+dividing the key; and the reversed word has matrix D*M^T*D,
+D = diag(1, -1), since D*E(x)^T*D = E(x), so one step direction serves
+both.  The kernel holds no state past what its generator and width fix:
+a search checks a word by stepping on from a product it already holds.
+Canonical forms scan only the rotations, of the word and of its
+reversal, that begin with the least entry.  The direct 2x2 route over
+`FieldElement` (`m_product`, `is_quiddity`) and continuant assembly
+share no code with the kernel: they are the oracles the tests compare it
+against, and the certificates (witness replay) that every search result
+passes.  That route steps a word one entry at a time, E(x) * M by
+`e_times` and M * E(x) by `times_e`, two field products each; the full
+product `Mat2.__mul__` is what the tests check both steps against.
+`brute_force_quiddities` is the one exhaustive enumeration on that
+route.
 """
 
 from __future__ import annotations
@@ -314,16 +316,14 @@ class _WordKernel:
     tables by d times a held matrix, and d^n <= G^n, so every coordinate
     read or compared is below d^2*G^n < 2^(bits-1), the digit's
     balanced range: its digit is the coordinate, and equal ints are equal
-    elements.  A kernel is built for a length and a bound on |k|; its
-    product and walk raise ValueError past them.  One primitive, `step`,
-    multiplies a held matrix on the left by a held E(k*w), and every
-    product, walk and scan goes through it.  Nothing but `__init__` sets
-    an attribute, so a held matrix means the same whatever was asked
-    before."""
+    elements.  A kernel is built, by the search that uses it, for a length
+    and a bound on |k|; `_fit` raises ValueError on a product, walk or
+    scan past them.  One primitive, `step`, multiplies a held matrix on
+    the left by a held E(k*w), and every product, walk and scan goes
+    through it.  Nothing but `__init__` sets an attribute, so a held
+    matrix means the same whatever was asked before."""
 
     __slots__ = ("d", "bits", "_dd", "_g", "_c", "_top", "_low", "_v", "identity")
-    # the slot of _word_kernel: a generator and its kernel
-    last: tuple = (None, None)
 
     def __init__(self, w: FieldElement, length: int, k_max: int):
         p = w.min_poly_over_Q()
@@ -346,6 +346,12 @@ class _WordKernel:
         g = k_max * self._g + self._dd
         return (self._dd * g**length).bit_length() + 1
 
+    def _fit(self, length: int, k_max: int) -> None:
+        """Raise ValueError unless words of the given length over
+        |k| <= k_max are within the kernel's width."""
+        if self._bits(length, k_max) > self.bits:
+            raise ValueError("the words are past the width of the kernel")
+
     def step(self, m: tuple, k: int) -> tuple:
         """The held E(k*w) * m: the new top row is k*(v*top) - d^2*bottom,
         the new bottom row the old top.  With t the top digit of x, v*x is
@@ -366,8 +372,7 @@ class _WordKernel:
 
     def product(self, ks: Sequence[int]) -> tuple:
         """E(k_n w) * ... * E(k_1 w), as m_product orders it, held."""
-        if self._bits(len(ks), max(map(abs, ks), default=0)) > self.bits:
-            raise ValueError("the word is past the width of the kernel")
+        self._fit(len(ks), max(map(abs, ks), default=0))
         m = self.identity
         for k in ks:
             m = self.step(m, k)
@@ -419,8 +424,7 @@ class _WordKernel:
         word by entries of the pool, the start word included, with its
         held matrix, generated depth first so that at most
         length * len(pool) words are held at once."""
-        if self._bits(length, max(map(abs, (*pool, *start)), default=0)) > self.bits:
-            raise ValueError("the words are past the width of the kernel")
+        self._fit(length, max(map(abs, (*pool, *start)), default=0))
         stack = [(start, self.product(start))]
         pool = pool[::-1]
         while stack:
@@ -428,23 +432,6 @@ class _WordKernel:
             yield ks, m
             if len(ks) < length:
                 stack += [(ks + (k,), self.step(m, k)) for k in pool]
-
-
-def _word_kernel(w: FieldElement, length: int, k_max: int) -> _WordKernel:
-    """The kernel of w, wide enough for words of the given length over
-    |k| <= k_max.  One slot holds the last generator asked for and its
-    kernel: an equal generator of another field handle takes that kernel
-    over and re-keys the slot, so a run of calls on it compares the two
-    once.  Any other generator, or a request past the kernel's width or
-    below half of it, builds a new kernel: a narrower request reuses a
-    kernel at most twice as wide as it needs."""
-    held, kernel = _WordKernel.last
-    if held is not w and not held == w:
-        kernel = None
-    if kernel is None or not kernel.bits <= 2 * kernel._bits(length, k_max) <= 2 * kernel.bits:
-        kernel = _WordKernel(w, length, k_max)
-    _WordKernel.last = (w, kernel)
-    return kernel
 
 
 # ---------------------------------------------------------------------------

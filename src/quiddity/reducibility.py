@@ -17,18 +17,19 @@ reflected image that splits as a + b reverses to a rotation of c that
 splits as rev(a) + rev(b), with the same sizes and sign, and rotations
 come first in scan order.  Per rotation the scan grows the product Q of
 the reversed window by left steps on the integer word kernel of `core`,
-which reads the forced (eps, b_1, b_l) of P = D*Q^T*D.  The first
-rotation's scan runs on through the whole reversed word, so its last
-product is D*M^T*D for M the word matrix of c itself, and that decides,
-before any witness is returned, that c is a quiddity.  Every witness it
-returns is replayed on the generic `Mat2` route, which is what catches
-a kernel fault.  Within one census each distinct summand b is multiplied
-out once: the sign is memoised on b's exact multipliers, not on its
-canonical form, so no dihedral lemma enters the certificate, and every
-witness still has its gluing equality and its sign checked.  The
-brute-force variant ignores the forcing and the reversal, tries every
-bounded boundary pair on `Mat2` in both orientations, and exists purely
-to cross-check the fast path.
+which reads the forced (eps, b_1, b_l) of P = D*Q^T*D; a census hands
+every scan its one kernel.  The first rotation's scan runs on through
+the whole reversed word, so its last product is D*M^T*D for M the word
+matrix of c itself, and that decides, before any witness is returned,
+that c is a quiddity.  Every witness it returns is replayed on the
+generic `Mat2` route, which is what catches a kernel fault.  Within one
+census each distinct summand b is multiplied out once: the sign is
+memoised on b's exact multipliers, not on its canonical form, so no
+dihedral lemma enters the certificate, and every witness still has its
+gluing equality and its sign checked.  The brute-force variant ignores
+the forcing and the reversal, tries every bounded boundary pair on
+`Mat2` in both orientations, and exists purely to cross-check the fast
+path.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Optional, Sequence
 from .core import (
     CertificateFailed,
     QuiddityTuple,
-    _word_kernel,
+    _WordKernel,
     e_times,
     is_quiddity,
     m_product_entries,
@@ -121,7 +122,7 @@ def _scan_slots(n: int):
 
 
 def find_reduction(
-    t: QuiddityTuple, signs: Optional[dict] = None
+    t: QuiddityTuple, census: Optional[tuple[_WordKernel, dict]] = None
 ) -> Optional[ReductionWitness]:
     """First witness in scan order, or None when no split exists;
     NotAQuiddity when t's word matrix is not +-Id.  One loop scans the
@@ -130,10 +131,14 @@ def find_reduction(
     scan runs on through the whole reversed word, whose matrix D*M^T*D
     is +-Id exactly when t's is, and its hit is returned only once that
     product has been checked; the other rotations stop at their first
-    hit.  A caller that reduces many tuples over one generator may pass
-    one `signs` dict to all of them, so that each summand replays once."""
-    n = t.n
-    kernel = _word_kernel(t.generator, n, max(map(abs, t.multipliers)))
+    hit.  A census that reduces many tuples over one generator passes
+    them all one `census` = (kernel, signs): a word kernel of that
+    generator, which raises ValueError on a tuple past its width, and
+    one memo for witness_replay, so that each summand replays once.
+    Without it the scan builds a kernel for t's size and largest |k|."""
+    n, top = t.n, max(map(abs, t.multipliers))
+    kernel, signs = census or (_WordKernel(t.generator, n, top), None)
+    kernel._fit(n, top)
     for rotation in range(n):
         ks = _image(t.multipliers, rotation, False)
         q, hit = kernel.identity, None

@@ -8,6 +8,7 @@ running `all` costs little more than the slowest member.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,16 +97,12 @@ _CENSUS_TABLE: dict[str, tuple[Callable[[], NumberField], int, int]] = {
     "gauss-unit": (field_gauss_unit, 8, 2),
 }
 
-_census_memo: dict[str, EnumerationReport] = {}
 
-
+@functools.cache
 def census_memo(name: str) -> EnumerationReport:
-    if name not in _census_memo:
-        make, n_max, k_bound = _CENSUS_TABLE[name]
-        field = make()
-        rep = enumerate_quiddities(field, field.generator(), n_max, k_bound)
-        _census_memo[name] = irreducible_census(rep)
-    return _census_memo[name]
+    make, n_max, k_bound = _CENSUS_TABLE[name]
+    field = make()
+    return irreducible_census(enumerate_quiddities(field, field.generator(), n_max, k_bound))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from quiddity.core import (
     Mat2,
     NotPlusMinusOne,
-    _word_kernel,
+    _WordKernel,
     QuiddityTuple,
     SizeTooSmall,
     brute_force_quiddities,
@@ -302,7 +302,7 @@ def _check_forced(w, words):
     words with the one of E(b_l) * P * E(b_1) = eps * Id read on Mat2, P
     the window's product; return how many windows are forced and how many
     have a forced b_1 or b_l outside <w>."""
-    kernel = _word_kernel(w, max(map(len, words)), max(abs(k) for ks in words for k in ks))
+    kernel = _WordKernel(w, max(map(len, words)), max(abs(k) for ks in words for k in ks))
     one = w.field.one()
     forced = outside = 0
     for ks in words:
@@ -340,7 +340,7 @@ class TestWordKernel:
     @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
     def test_products_match_m_product(self, name):
         w = KERNEL_GENERATORS[name]()
-        kernel = _word_kernel(w, 8, 3)
+        kernel = _WordKernel(w, 8, 3)
         rng = random.Random(name)
         for _ in range(12):
             ks = [rng.randint(-3, 3) for _ in range(rng.randint(1, 8))]
@@ -354,7 +354,7 @@ class TestWordKernel:
         # random coordinates up to 9, and a step of them, lie well inside
         # the width of a kernel built for words of length 8
         w = KERNEL_GENERATORS[name]()
-        kernel = _word_kernel(w, 8, 3)
+        kernel = _WordKernel(w, 8, 3)
         rng = random.Random(name)
         size = w.min_poly_over_Q().degree
         for _ in range(20):
@@ -371,7 +371,7 @@ class TestWordKernel:
         # word included, in depth-first order, which is sorted order; the
         # words held at once are those stepped and not yet yielded, plus
         # the one being yielded
-        kernel = _word_kernel(KERNEL_GENERATORS[name](), 3, 1)
+        kernel = _WordKernel(KERNEL_GENERATORS[name](), 3, 1)
         step, count = type(kernel).step, {"steps": 0}
 
         def counted_step(kernel, m, k):
@@ -393,20 +393,20 @@ class TestWordKernel:
                 assert m == kernel.product(ks)
 
     def test_signs_of_known_quiddities(self):
-        kernel = _word_kernel(KERNEL_GENERATORS["sqrt2"](), 8, 1)
+        kernel = _WordKernel(KERNEL_GENERATORS["sqrt2"](), 8, 1)
         assert _sign(kernel, [1, 1, 1, 1]) == -1
         assert _sign(kernel, [1] * 8) == 1
         assert _sign(kernel, [1, 1, 1]) is None
         # d = 2: the held matrix of a size-3 word is 8 * T*M*T^-1
-        half = _word_kernel(KERNEL_GENERATORS["1/2"](), 3, 2)
+        half = _WordKernel(KERNEL_GENERATORS["1/2"](), 3, 2)
         assert _sign(half, [2, 2, 2]) == -1
         assert _sign(half, [-2, -2, -2]) == 1
         assert _sign(half, [1, 1, 1]) is None
-        assert _sign(_word_kernel(KERNEL_GENERATORS["1/sqrt2"](), 4, 2), [2, 2, 2, 2]) == -1
+        assert _sign(_WordKernel(KERNEL_GENERATORS["1/sqrt2"](), 4, 2), [2, 2, 2, 2]) == -1
 
     def test_subgroup_multipliers(self):
         # k with f*x = k*s*v, where v = 1+sqrt2 has coordinates (0, 1)
-        kernel = _word_kernel(KERNEL_GENERATORS["1+sqrt2 in Q(sqrt2)"](), 4, 2)
+        kernel = _WordKernel(KERNEL_GENERATORS["1+sqrt2 in Q(sqrt2)"](), 4, 2)
         bits = kernel.bits
         assert kernel._multiple(_pack((0, -3), bits), 1, 1) == -3
         assert kernel._multiple(_pack((0, 0), bits), 1, 1) == 0
@@ -416,18 +416,18 @@ class TestWordKernel:
         assert kernel._multiple(_pack((0, 3), bits), 1, 2) is None
         # 1/sqrt2 has d = 2 and v = sqrt2; the rational generator 3/2 has
         # v = 3, its one coordinate
-        half = _word_kernel(KERNEL_GENERATORS["1/sqrt2"](), 4, 2)
+        half = _WordKernel(KERNEL_GENERATORS["1/sqrt2"](), 4, 2)
         assert half.d == 2
         assert half._multiple(_pack((0, 2), half.bits), 1, 1) == 2
         assert half._multiple(_pack((0, 1), half.bits), 1, 2) is None
         assert half._multiple(_pack((1, 0), half.bits), 1, 1) is None
-        three = _word_kernel(KERNEL_GENERATORS["3/2"](), 4, 2)
+        three = _WordKernel(KERNEL_GENERATORS["3/2"](), 4, 2)
         assert three._multiple(_pack((12,), three.bits), 1, 2) == 2
         assert three._multiple(_pack((4,), three.bits), 1, 2) is None
 
     def test_zero_generator(self):
         w = KERNEL_GENERATORS["0"]()
-        kernel = _word_kernel(w, 2, 3)
+        kernel = _WordKernel(w, 2, 3)
         assert _unheld(kernel, w, 2, kernel.product([3, -1])) == m_product(zt(w.field, [3, -1]))
         assert _sign(kernel, [3, -1]) == -1
         assert kernel._multiple(_pack((0,), kernel.bits), 1, 1) == 0
@@ -454,7 +454,7 @@ class TestWordKernel:
         # v, so a bare division would take them for k*v; these windows of
         # length 8 have Q11 = +-1 and a forced entry with a v^3 part
         w = KERNEL_GENERATORS["2^(1/4)"]()
-        kernel = _word_kernel(w, 10, 2)
+        kernel = _WordKernel(w, 10, 2)
         one, minus, zero = (_pack((c, 0, 0, 0), kernel.bits) for c in (1, -1, 0))
         for power in (2, 3):
             x = _pack([0] * power + [1] + [0] * (3 - power), kernel.bits)
@@ -470,7 +470,7 @@ class TestWordKernel:
         # and an off-diagonal entry in Z*v^2 or Z*v^3 is forced exactly
         # when the Mat2 route finds both boundary entries in <w>
         w = KERNEL_GENERATORS["2^(1/3)/2"]()
-        kernel = _word_kernel(w, 6, 2)
+        kernel = _WordKernel(w, 6, 2)
         bits, checked = kernel.bits, 0
         for n in (2, 3, 4):
             s = kernel.d**n
@@ -496,7 +496,7 @@ class TestWordKernel:
         # prefix P, of length n - r, among the suffixes S of length r held
         # as s: the key is s at size 2r and d*s at size 2r + 1
         w = KERNEL_GENERATORS[name]()
-        kernel = _word_kernel(w, 5, 2)
+        kernel = _WordKernel(w, 5, 2)
         for ks, eps in brute_force_quiddities(w, 5, 2):
             r = len(ks) // 2
             keys = dict(kernel.inverse_keys(kernel.product(ks[: len(ks) - r])))
@@ -511,8 +511,6 @@ class TestWordKernel:
         def census():
             return irreducible_census(enumerate_quiddities(w.field, w, 6, 2)).to_json()
 
-        # another generator takes the kernel slot, so the census starts cold
-        _word_kernel(KERNEL_GENERATORS["1/2"](), 1, 1)
         cold = census()
         assert census() == cold
 
@@ -521,7 +519,7 @@ class TestWordKernel:
         # its adj, so it meets no suffix one entry shorter, each keyed by d
         # times its held matrix; the held E(2w)^2 = [[0, -8], [2, -4]] has
         # adj = -d times the held E(2w), so (2, 2, 2) has sign -1
-        kernel = _word_kernel(KERNEL_GENERATORS["1/2"](), 3, 2)
+        kernel = _WordKernel(KERNEL_GENERATORS["1/2"](), 3, 2)
         d = kernel.d
         odd = {tuple(d * x for x in m): ks for ks, m in kernel.words(1, range(-2, 3))}
         keys = dict(kernel.inverse_keys(kernel.product([1])))
@@ -565,7 +563,7 @@ class TestWordSteps:
         # of length 20-24 over |k| <= 10^6 hold coordinates of about a
         # thousand bits, which the kernel's width covers
         w = _generator(coeffs, BoxC.make(*hint))
-        kernel = _word_kernel(w, 24, 10**6)
+        kernel = _WordKernel(w, 24, 10**6)
         rng = random.Random(str(coeffs))
         for _ in range(3):
             ks = [rng.randint(-(10**6), 10**6) for _ in range(rng.randint(20, 24))]
@@ -573,18 +571,8 @@ class TestWordSteps:
             assert _unheld(kernel, w, len(ks), kernel.product(ks)) == want, ks
 
     def test_wider_request_gets_a_wider_kernel(self):
-        w = KERNEL_GENERATORS["sqrt2"]()
-        _word_kernel(KERNEL_GENERATORS["1/2"](), 1, 1)
-        narrow = _word_kernel(w, 4, 2)
-        assert _word_kernel(w, 3, 1) is narrow
-        wide = _word_kernel(w, 30, 10**6)
-        assert wide is not narrow and wide.bits > narrow.bits
-        # a request that needs less than half of the held width gets a
-        # kernel of its own width, and that kernel serves (3, 1) again
-        again = _word_kernel(w, 4, 2)
-        assert again is not wide and again.bits == narrow.bits
-        assert _word_kernel(w, 3, 1) is again
         # a kernel asked past its width raises rather than wrap
+        narrow = _WordKernel(KERNEL_GENERATORS["sqrt2"](), 4, 2)
         with pytest.raises(ValueError):
             narrow.product([10**6] * 30)
         with pytest.raises(ValueError):
@@ -597,7 +585,7 @@ class TestWordSteps:
         # find_reduction takes the (2,2) entry of its forced solution
         # from det P = 1 instead of testing it
         w = KERNEL_GENERATORS[name]()
-        kernel = _word_kernel(w, 10, 3)
+        kernel = _WordKernel(w, 10, 3)
         rng = random.Random(name)
         for _ in range(20):
             ks = [rng.randint(-3, 3) for _ in range(rng.randint(1, 10))]

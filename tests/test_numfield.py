@@ -404,13 +404,6 @@ class TestFieldArithmetic:
                 with pytest.raises(AttributeError):
                     x._min_poly = QPoly((0, 1))
 
-    def test_equal_generators_share_one_word_kernel(self):
-        from quiddity.core import _word_kernel
-
-        first, second = sqrt2_field().generator(), sqrt2_field().generator()
-        assert first is not second and first == second
-        assert _word_kernel(first, 4, 2) is _word_kernel(second, 4, 2)
-
 
 def _random_min_poly(rng, degree):
     # leading coefficients that are not 1 exercise the division by lc(p)

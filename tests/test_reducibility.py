@@ -1,22 +1,25 @@
 """Splitting decisions: forced-boundary scan vs brute force, and witnesses."""
 
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-import quiddity.core as core_module
 import quiddity.reducibility as reducibility_module
 from quiddity.core import (
     CertificateFailed,
     QuiddityTuple,
-    _word_kernel,
+    _WordKernel,
     brute_force_quiddities,
     is_quiddity,
     m_product_entries,
     oplus_multipliers,
 )
-from quiddity.classify import enumerate_quiddities, irreducible_census
+from quiddity.classify import (
+    CensusMember,
+    EnumerationReport,
+    enumerate_quiddities,
+    irreducible_census,
+)
 from quiddity.numfield import BoxC, field_make, subgroup_member
 from quiddity.polynomials import QPoly
 from quiddity.reducibility import (
@@ -123,9 +126,7 @@ class TestFindReduction:
         assert is_quiddity(c) is None
         wit = ReductionWitness(0, False, len(a), a, b.multipliers, b.epsilon)
         assert witness_replay(c, wit)
-        # cold, with the kernel slot holding another generator, then right
-        # after a census over this one
-        _word_kernel(omega_field().generator(), 1, 1)
+        # alone, then right after a census over the same generator
         with pytest.raises(NotAQuiddity):
             find_reduction(c)
         irreducible_census(enumerate_quiddities(f, w, 6, 2))
@@ -170,39 +171,72 @@ class TestFindReduction:
         assert wit is not None and witness_replay(t, wit)
 
     def test_census_after_wide_entries_runs_on_its_own_width(self, monkeypatch):
-        # a scan over entries near 10^40 leaves a kernel of 808-bit
-        # digits over sqrt2; the census at (8, 2) that follows gets a
-        # kernel of its own width, 24 bits, instead of stepping on them
+        # a scan over entries near 10^40 builds a kernel of 808-bit digits
+        # over sqrt2; the enumeration and the census at (8, 2) that follow
+        # each run on a kernel of their own width, 24 bits
         f, big = sqrt2_field(), 10**40
         w = f.generator()
         find_reduction(zt(f, oplus_multipliers((-big, 0, big, 0), (big + 7, 0, -big - 7, 0))))
-        assert core_module._WordKernel.last[1].bits > 500
-        widths, words = [], core_module._WordKernel.words
+        widths, step = set(), _WordKernel.step
 
         def spy(kernel, *args):
-            widths.append(kernel.bits)
-            return words(kernel, *args)
+            widths.add(kernel.bits)
+            return step(kernel, *args)
 
-        monkeypatch.setattr(core_module._WordKernel, "words", spy)
-        enumerate_quiddities(f, w, 8, 2)
-        assert set(widths) == {core_module._WordKernel(w, 8, 2).bits}
+        monkeypatch.setattr(_WordKernel, "step", spy)
+        report = enumerate_quiddities(f, w, 8, 2)
+        assert widths == {_WordKernel(w, 8, 2).bits} == {24}
+        widths.clear()
+        irreducible_census(report)
+        assert widths == {24}
 
     @pytest.mark.parametrize("name, n_max, k_bound", [("integers", 10, 3), ("zeta8", 10, 2)])
     def test_census_builds_few_kernels(self, monkeypatch, name, n_max, k_bound):
-        # each member's scan asks for a kernel of its size and largest |k|,
-        # and the members come by size: a kernel is built at most four
-        # times per size, the all-zero words of even size among them
+        # the census builds one kernel, for its largest member, and hands
+        # it to every member's scan
         f = int_field() if name == "integers" else zeta8_field()
         report = enumerate_quiddities(f, f.generator(), n_max, k_bound)
-        builds, init = Counter(), core_module._WordKernel.__init__
+        builds, init = [], _WordKernel.__init__
 
         def spy(kernel, w, length, k_max):
-            builds[length] += 1
+            builds.append((length, k_max))
             init(kernel, w, length, k_max)
 
-        monkeypatch.setattr(core_module._WordKernel, "__init__", spy)
+        monkeypatch.setattr(_WordKernel, "__init__", spy)
         irreducible_census(report)
-        assert builds and max(builds.values()) <= 4
+        assert builds == [(n_max, k_bound)]
+
+    def test_narrow_kernel_is_refused(self):
+        # a kernel too narrow for the tuple raises instead of missing a
+        # split; t needs length 8 over |k| <= 2
+        f = int_field()
+        t = next(
+            zt(f, m.multipliers)
+            for m in enumerate_quiddities(f, f.generator(), 8, 2).members
+            if m.size == 8 and 2 in map(abs, m.multipliers)
+        )
+        with pytest.raises(ValueError):
+            find_reduction(t, (_WordKernel(f.generator(), 7, 2), {}))
+        with pytest.raises(ValueError):
+            find_reduction(t, (_WordKernel(f.generator(), 8, 1), {}))
+        find_reduction(t, (_WordKernel(f.generator(), 8, 2), {}))
+
+    def test_census_past_its_stated_bounds_splits_as_alone(self):
+        # a hand-built report whose members exceed its n_max and k_bound
+        # still splits each member as find_reduction splits the bare tuple
+        f, big = sqrt2_field(), 10**40
+        w = f.generator()
+        words = [
+            oplus_multipliers((-big, 0, big, 0), (big + 7, 0, -big - 7, 0)),
+            (-big, 0, big, 0),
+        ] + [m.multipliers for m in enumerate_quiddities(f, w, 7, 2).members]
+        members = tuple(CensusMember(ks, is_quiddity(zt(f, ks))) for ks in words)
+        report = EnumerationReport(f, w, 4, 1, members, None, 0.0)
+        census = irreducible_census(report)
+        assert [m.witness for m in census.members if m.size >= 3] == [
+            find_reduction(zt(f, ks)) for ks in words if len(ks) >= 3
+        ]
+        assert census.members[0].reducible and not census.members[1].reducible
 
 class TestBruteForce:
     def test_finds_some_witness(self):

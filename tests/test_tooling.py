@@ -120,14 +120,14 @@ def test_no_dead_locals():
 
 def _kernel_defs():
     # the top-level definitions of core.py that make up the word kernel:
-    # the class, the cached constructor, and every helper they name
+    # the class and every helper it names
     top = {}
     for node in ast.parse((SRC / "core.py").read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             top[node.name] = node
         elif isinstance(node, ast.Assign):
             top.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
-    found, todo = {}, ["_WordKernel", "_word_kernel"]
+    found, todo = {}, ["_WordKernel"]
     while todo:
         name = todo.pop()
         if name in found:
@@ -156,8 +156,8 @@ def test_kernel_names_are_complete():
     # a kernel name missing here would let the oracles call it unseen
     assert _kernel_names() == {
         "_WordKernel",
-        "_word_kernel",
         "_bits",
+        "_fit",
         "step",
         "product",
         "identity_sign",
@@ -191,18 +191,54 @@ def test_inverse_keys_divide_nothing():
     assert [arg.arg for arg in method.args.args] == ["self", "m"] and found == []
 
 
+def _class_stores(tree):
+    # lines that set or delete an attribute of the kernel class itself,
+    # directly or by setattr
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "_WordKernel"
+        )
+        or (
+            _calls(node, {"setattr", "delattr"})
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "_WordKernel"
+        )
+    ]
+
+
 def test_kernel_is_stateless():
-    # only __init__ sets what the kernel holds, so no call can change
-    # what a later call computes
+    # only __init__ sets what a kernel holds, and nothing sets what the
+    # class holds, so no call can change what a later call computes
+    planted = "def pick(w, k):\n    _WordKernel.held = (w, k)\n    setattr(_WordKernel, 'held', k)\n"
+    assert _class_stores(ast.parse(planted)) == [2, 3]
+    kernel = _kernel_defs()["_WordKernel"]
     found = [
         f"core.py:{node.lineno} {method.name}"
-        for method in _kernel_defs()["_WordKernel"].body
+        for method in kernel.body
         if isinstance(method, ast.FunctionDef) and method.name != "__init__"
         for node in ast.walk(method)
         if isinstance(node, ast.Attribute)
         and isinstance(node.ctx, (ast.Store, ast.Del))
         and isinstance(node.value, ast.Name)
         and node.value.id == "self"
+    ]
+    found += [
+        f"{path.name}:{line} _WordKernel"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _class_stores(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    # the class body assigns its __slots__ and nothing else
+    found += [
+        f"core.py:{node.lineno} class attribute"
+        for node in kernel.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        and ast.unparse(node.targets[0] if isinstance(node, ast.Assign) else node.target)
+        != "__slots__"
     ]
     assert found == []
 
