@@ -16,12 +16,14 @@ serving sizes 2l-1 and 2l.  Every rotation and
 reflection of a quiddity is a quiddity with the same sign, so the search
 keeps only the hits that are their own canonical form (the brute-force
 oracles of the tests check that lemma at small bounds): prefixes begin
-with their least entry, a hit whose suffix holds a smaller entry is
-dropped, and the rest are kept when the dihedral canonical form returns
-the word itself.  Each class is thus hit once, and its stored word is
-the one re-checked by its full product, which steps the suffix on from
-the prefix's held matrix.  Over <0> every multiplier gives the entry 0,
-so the same search runs with the pool {0}.
+with their least entry k0, a hit whose suffix holds a smaller entry is
+dropped, and so is one that is greater than its reversal rotated to
+begin with k0.  That test decides a hit in which k0 occurs once, as the
+two are then its only images that begin with k0; the dihedral canonical
+form decides the rest.  Each class is thus hit once, and its stored
+word is the one re-checked by its full product, which steps the suffix
+on from the prefix's held matrix.  Over <0> every multiplier gives the
+entry 0, so the same search runs with the pool {0}.
 Everything downstream consumes the canonical report.
 """
 
@@ -160,6 +162,17 @@ class ClassificationOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _is_canonical_hit(word: tuple[int, ...]) -> bool:
+    """Whether a word that begins with its least entry k0 is its own
+    canonical form.  Its reversal rotated to begin with that k0 is
+    (k0,) + word[:0:-1], so a word whose tail word[1:] is greater than
+    the tail reversed is not.  When k0 occurs only once, those two are
+    the only images that begin with k0, and the least image begins with
+    it, so a word that passes is; otherwise the canonical form decides."""
+    tail = word[1:]
+    return tail <= tail[::-1] and (word[0] not in tail or canonical_multipliers(word) == word)
+
+
 def enumerate_quiddities(
     field: NumberField, w: FieldElement, n_max: int, k_bound: int
 ) -> EnumerationReport:
@@ -202,7 +215,7 @@ def enumerate_quiddities(
                         if min(suffix) < k0:
                             continue
                         combined = ks + suffix
-                        if canonical_multipliers(combined) != combined:
+                        if not _is_canonical_hit(combined):
                             continue
                         # the full product of the stored word, stepped on
                         # from the prefix's

@@ -33,8 +33,12 @@ D = diag(1, -1), since D*E(x)^T*D = E(x), so one step direction serves
 both.  The kernel holds no state past what its generator and width fix:
 a search checks a word by stepping on from a product it already holds.
 Canonical forms scan only the rotations, of the word and of its
-reversal, that begin with the least entry.  The direct 2x2 route over
-`FieldElement` (`m_product`, `is_quiddity`) and continuant assembly
+reversal, that begin with the least entry.  When a word begins with
+its least entry and holds it once, those are the word and its reversal
+rotated to begin there, so its tail compared with the tail reversed
+decides whether it is canonical; the enumeration of `classify` tests
+every hit so before it takes any canonical form.  The direct 2x2 route
+over `FieldElement` (`m_product`, `is_quiddity`) and continuant assembly
 share no code with the kernel: they are the oracles the tests compare it
 against, and the certificates (witness replay) that every search result
 passes.  That route steps a word one entry at a time, E(x) * M by
@@ -323,7 +327,7 @@ class _WordKernel:
     through it.  Nothing but `__init__` sets an attribute, so a held
     matrix means the same whatever was asked before."""
 
-    __slots__ = ("d", "bits", "_dd", "_g", "_c", "_top", "_low", "_v", "identity")
+    __slots__ = ("d", "bits", "_dd", "_g", "_c", "_top", "_low", "_v", "_built", "identity")
 
     def __init__(self, w: FieldElement, length: int, k_max: int):
         p = w.min_poly_over_Q()
@@ -332,6 +336,7 @@ class _WordKernel:
         cs = [int(a * d ** (m - j)) for j, a in enumerate(p.coeffs[:-1])]
         self.d, self._dd, self._g = d, d * d, 1 + max(map(abs, cs))
         s = self.bits = self._bits(length, k_max)
+        self._built = (length, k_max)
         self._c = sum(c << s * j for j, c in enumerate(cs))
         # the top digit's place, and 2^(bits-1) in each digit below it
         self._top = s * (m - 1)
@@ -348,8 +353,10 @@ class _WordKernel:
 
     def _fit(self, length: int, k_max: int) -> None:
         """Raise ValueError unless words of the given length over
-        |k| <= k_max are within the kernel's width."""
-        if self._bits(length, k_max) > self.bits:
+        |k| <= k_max are within the kernel's width.  _bits grows with
+        both, so the length and bound it was built for pass unchecked."""
+        built_length, built_k = self._built
+        if (length > built_length or k_max > built_k) and self._bits(length, k_max) > self.bits:
             raise ValueError("the words are past the width of the kernel")
 
     def step(self, m: tuple, k: int) -> tuple:

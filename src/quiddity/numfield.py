@@ -2,14 +2,16 @@
 
 A field is its monic minimal polynomial plus one isolating rectangle per
 complex root; a distinguished index says which root the generator means.
-Elements are exact coordinate vectors on the power basis, so all algebra
-is rational arithmetic (a product folds its powers X^(2d-2)..X^d back
-top-down by the minimal polynomial); only questions about a specific
-embedding (which root is bigger, is the modulus at least 2) touch the
-rectangles, and those are answered by refining rectangles until the
-answer is certified, never by floating point.  An equality is certified
-by a zero bound: a nonzero algebraic integer has norm at least 1, so an
-interval narrower than the bound that holds both sides proves them equal.
+Elements are exact coordinate vectors on the power basis, integer
+numerators over one denominator, so all algebra is exact (a product
+folds its powers X^(2d-2)..X^d back top-down by the primitive integer
+minimal polynomial and builds no Fraction); only questions about a
+specific embedding (which root is bigger, is the modulus at least 2)
+touch the rectangles, and those are answered by refining rectangles
+until the answer is certified, never by floating point.  An equality is
+certified by a zero bound: a nonzero algebraic integer has norm at least
+1, so an interval narrower than the bound that holds both sides proves
+them equal.
 
 Real roots are isolated by sign-variation bisection on integer
 coefficients and refined by rational bisection.  Nonreal roots are
@@ -62,7 +64,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, isqrt, lcm, prod
+from math import ceil, floor, gcd, isqrt, lcm, prod
+from numbers import Rational
 from typing import Callable, Optional, Sequence
 
 from .polynomials import (
@@ -610,10 +613,13 @@ class NumberField:
     min_poly: QPoly
     root_boxes: tuple[BoxC, ...] = dataclass_field(compare=False)
     selected_root: int
+    # the primitive integer multiple of min_poly, which products fold by
+    _fold: tuple[int, ...] = dataclass_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (0 <= self.selected_root < len(self.root_boxes)):
             raise ValueError("selected root index out of range")
+        object.__setattr__(self, "_fold", tuple(self.min_poly.int_coeffs()))
 
     @property
     def degree(self) -> int:
@@ -644,23 +650,20 @@ class NumberField:
         return NumberField(self.min_poly, tuple(boxes), self.selected_root)
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (Fraction(0),) * self.degree)
+        return _element(self, [0] * self.degree, 1)
 
     def one(self) -> "FieldElement":
-        return self.from_rational(1)
+        return _element(self, [1] + [0] * (self.degree - 1), 1)
 
     def from_rational(self, q) -> "FieldElement":
-        coords = [Fraction(0)] * self.degree
-        coords[0] = as_rat(q)
-        return FieldElement(self, tuple(coords))
+        q = as_rat(q)
+        return _element(self, [q.numerator] + [0] * (self.degree - 1), q.denominator)
 
     def generator(self) -> "FieldElement":
         """The element alpha itself (the selected root as a number)."""
         if self.degree == 1:
             return self.from_rational(-self.min_poly.coeffs[0])
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return FieldElement(self, tuple(coords))
+        return _element(self, [0, 1] + [0] * (self.degree - 2), 1)
 
 
 def _refine_one(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
@@ -690,30 +693,49 @@ def _refine_one(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
 
 
 class FieldElement:
-    """Exact element of a NumberField in power-basis coordinates.
+    """Exact element of a NumberField in power-basis coordinates, held as
+    integer numerators over one positive denominator with no common
+    factor, so equal elements hold equal ints.  `coords` is the read-only
+    tuple of the Fraction coordinates, built on its first read and kept.
 
-    A product is the schoolbook product of the two coordinate tuples,
-    whose coefficients of X^(2d-2)..X^d are then folded back top-down by
-    the minimal polynomial, each into the d coefficients below it.
+    A product is the schoolbook product of the numerators, whose
+    coefficients of X^(2d-2)..X^d are then folded back top-down, each
+    into the d coefficients below it, by the primitive integer multiple
+    P of the minimal polynomial: with L > 0 its leading coefficient,
+    L*c*X^top = c*X^(top-d)*(L*X^d - P), so a fold multiplies the
+    coefficients below X^top by L and subtracts c*P from them.  The
+    denominator is den*den'*L^f for the f <= d - 1 folds, and one gcd
+    reduces the result.
     """
 
-    # _min_poly is set on the first min_poly_over_Q, so elements built
-    # by arithmetic pay for it only when they are asked
-    __slots__ = ("field", "coords", "_min_poly")
+    # _coords is set on the first read of coords and _min_poly on the
+    # first min_poly_over_Q, so elements built by arithmetic pay for
+    # them only when they are asked
+    __slots__ = ("field", "_num", "_den", "_coords", "_min_poly")
 
     def __init__(self, field: NumberField, coords: Sequence[Fraction]):
-        coords = tuple(as_rat(c) for c in coords)
+        coords = [as_rat(c) for c in coords]
         if len(coords) != field.degree:
             raise ValueError("coordinate vector has the wrong length")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", coords)
+        den = lcm(*[c.denominator for c in coords])
+        _set_field(self, field)
+        _set_num(self, tuple([c.numerator * (den // c.denominator) for c in coords]))
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldElement is immutable")
 
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        try:
+            return self._coords
+        except AttributeError:
+            _set_coords(self, tuple([Fraction(c, self._den) for c in self._num]))
+            return self._coords
+
     # identity is algebraic: a field compares without its boxes
     def _key(self):
-        return (self.field, self.coords)
+        return (self.field, self._num, self._den)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -728,71 +750,59 @@ class FieldElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self._num)
 
     def as_poly(self) -> QPoly:
         return QPoly(self.coords)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _element(
-            self.field, tuple([a + b for a, b in zip(self.coords, other.coords)])
-        )
+        if not isinstance(other, FieldElement):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.field.from_rational(other)
+        (a, p), (b, q) = (self._num, self._den), (other._num, other._den)
+        if p == q:
+            return _element(self.field, [x + y for x, y in zip(a, b)], p)
+        return _element(self.field, [x * q + y * p for x, y in zip(a, b)], p * q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _element(self.field, tuple([-c for c in self.coords]))
+        return _element(self.field, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _element(
-            self.field, tuple([a - b for a, b in zip(self.coords, other.coords)])
-        )
+        return self + -other
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            a, b = self.coords, other.coords
+            a, b = self._num, other._num
             d = len(a)
-            # schoolbook product, then c*X^top = c*X^(top-d)*X^d folded
-            # into X^(top-d)..X^(top-1) by the minimal polynomial
-            full = [_ZERO] * (2 * d - 1)
+            full = [0] * (2 * d - 1)
             for i, x in enumerate(a):
                 if x:
                     for j, y in enumerate(b):
                         full[i + j] += x * y
-            poly = self.field.min_poly.coeffs
+            den = self._den * other._den
+            poly = self.field._fold
+            lc = poly[d]
             for top in range(2 * d - 2, d - 1, -1):
                 c = full[top]
                 if c:
-                    if poly[d] != 1:
-                        c = c / poly[d]
+                    if lc != 1:
+                        full[:top] = [u * lc for u in full[:top]]
+                        den *= lc
                     low = full[top - d:top]
                     full[top - d:top] = [u - c * m if m else u for u, m in zip(low, poly)]
-            return _element(self.field, tuple(full[:d]))
-        if isinstance(other, (int, Fraction)):
-            q = as_rat(other)
-            return _element(self.field, tuple([c * q for c in self.coords]))
+            return _element(self.field, full[:d], den)
+        if isinstance(other, (int, Rational)):
+            p, q = other.numerator, other.denominator
+            return _element(self.field, [c * p for c in self._num], self._den * q)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return NotImplemented
 
     def inverse(self) -> "FieldElement":
         if self.is_zero:
@@ -809,8 +819,8 @@ class FieldElement:
         return FieldElement(self.field, tuple(coords[: self.field.degree]))
 
     def rational_value(self) -> Optional[Fraction]:
-        if all(c == 0 for c in self.coords[1:]):
-            return self.coords[0]
+        if not any(self._num[1:]):
+            return Fraction(self._num[0], self._den)
         return None
 
     def min_poly_over_Q(self) -> QPoly:
@@ -831,21 +841,31 @@ class FieldElement:
             if dep is not None:
                 # normalize to monic in the top power
                 top = dep[k]
-                object.__setattr__(self, "_min_poly", QPoly([c / top for c in dep]))
+                _set_min_poly(self, QPoly([c / top for c in dep]))
                 return self._min_poly
         raise AssertionError("element has no minimal polynomial below field degree")
 
 
-_ZERO = Fraction(0)
-
-
-def _element(field: NumberField, coords: tuple) -> FieldElement:
-    """A FieldElement from a tuple of exact Fractions of the field's
-    degree, as arithmetic produces them, without re-checking either."""
-    x = object.__new__(FieldElement)
-    object.__setattr__(x, "field", field)
-    object.__setattr__(x, "coords", coords)
+def _element(field: NumberField, num: list[int], den: int) -> FieldElement:
+    """A FieldElement from integer numerators, as many as the field's
+    degree, over a positive denominator, divided here by their gcd."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+    x = _new(FieldElement)
+    _set_field(x, field)
+    _set_num(x, tuple(num))
+    _set_den(x, den)
     return x
+
+
+# the slots' own setters, which pass by the immutability guard of
+# __setattr__ without a lookup of the name
+_new = object.__new__
+_set_field, _set_num, _set_den, _set_coords, _set_min_poly = (
+    getattr(FieldElement, slot).__set__ for slot in FieldElement.__slots__
+)
 
 
 def _half_ext_gcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:

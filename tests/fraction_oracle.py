@@ -2,8 +2,10 @@
 
 These are the generic versions of the disk count, the Schur-Cohn chain,
 Descartes isolation, the rational-root search, the polynomial gcd, the
-sign bisection of a real root and the number-field product, kept as an
-independent oracle: they share no arithmetic with the code they check.
+sign bisection of a real root and the number-field product (on Fraction
+coordinates, and as a QPoly remainder), kept as an independent oracle:
+they share no arithmetic with the code they check.  So is the minimal
+polynomial of an element, by elimination on Fractions.
 Refinement of a nonreal root by quadtree steps alone is kept here too, as
 the reference that the Newton boxes of `numfield` are checked against,
 and so is the Newton step on GaussRats, certified by the Fraction disk
@@ -249,6 +251,50 @@ def rational_roots(ints: list[int]) -> list[Fraction]:
         if vanishes(s * u, v)
     }
     return roots + sorted(found, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+
+
+def field_mul_fraction(a: FieldElement, b: FieldElement) -> tuple[Fraction, ...]:
+    """Coordinates of a * b by the Fraction product that FieldElement ran
+    before its integer coordinates."""
+    return _mul_coords(a.field.min_poly.coeffs, a.coords, b.coords)
+
+
+def _mul_coords(poly, x, y) -> tuple[Fraction, ...]:
+    # the schoolbook product, whose coefficients of X^(2d-2)..X^d are
+    # folded back top-down by poly, each into the d coefficients below it
+    d = len(x)
+    full = [Fraction(0)] * (2 * d - 1)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            full[i + j] += u * v
+    for top in range(2 * d - 2, d - 1, -1):
+        c = full[top] / poly[d]
+        full[top - d:top] = [u - c * m for u, m in zip(full[top - d:top], poly)]
+    return tuple(full[:d])
+
+
+def element_min_poly(x: FieldElement) -> tuple[Fraction, ...]:
+    """Coefficients, low degree first, of the monic minimal polynomial of
+    x over Q: x^k minus its combination of 1, x, ..., x^(k-1) for the
+    least k at which one exists.  The powers come from the Fraction
+    product and each combination from Gauss-Jordan elimination."""
+    d = x.field.degree
+    powers = [(Fraction(1),) + (Fraction(0),) * (d - 1)]
+    for k in range(1, d + 1):
+        powers.append(_mul_coords(x.field.min_poly.coeffs, powers[-1], x.coords))
+        # rows of the system sum_j c_j * powers[j] = powers[k]
+        rows = [[p[i] for p in powers] for i in range(d)]
+        for col in range(k):
+            piv = next(r for r in range(col, d) if rows[r][col] != 0)
+            rows[col], rows[piv] = rows[piv], rows[col]
+            rows[col] = [v / rows[col][col] for v in rows[col]]
+            for r in range(d):
+                if r != col and rows[r][col] != 0:
+                    f = rows[r][col]
+                    rows[r] = [u - f * v for u, v in zip(rows[r], rows[col])]
+        if all(row[k] == 0 for row in rows[k:]):
+            return tuple(-rows[j][k] for j in range(k)) + (Fraction(1),)
+    raise AssertionError("no minimal polynomial up to the field degree")
 
 
 def field_mul_via_qpoly(a: FieldElement, b: FieldElement) -> FieldElement:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import random
 import sys
 import time
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 
 from quiddity.classify import (
     _complex_ab_product_ge_one,
+    _is_canonical_hit,
     ClassificationOutcome,
     classify,
     enumerate_quiddities,
@@ -25,6 +27,7 @@ from quiddity.core import (
     CertificateFailed,
     QuiddityTuple,
     brute_force_quiddities,
+    canonical_multipliers,
     dihedral_images,
     is_quiddity,
 )
@@ -203,6 +206,34 @@ class TestEnumerate:
         monkeypatch.setattr(core_module._WordKernel, "identity_sign", lambda self, m, size: None)
         with pytest.raises(CertificateFailed):
             enumerate_quiddities(f, f.generator(), 4, 1)
+
+    def test_reversal_test_decides_hits_that_hold_their_least_entry_once(self, monkeypatch):
+        # a hit begins with its least entry k0; the test against its
+        # reversal rotated to k0 passes every canonical word, and decides
+        # a word that holds k0 once without a canonical form
+        classify_module = importlib.import_module("quiddity.classify")
+        asked = []
+
+        def spy(seq):
+            asked.append(seq)
+            return canonical_multipliers(seq)
+
+        monkeypatch.setattr(classify_module, "canonical_multipliers", spy)
+        rng = random.Random(44)
+        words = [(0, 0, 0, 0), (1, 1, 1), (-1, -1, -1)]
+        for _ in range(20000):
+            word = [rng.randint(-3, 3) for _ in range(rng.randint(1, 10))]
+            at = rng.choice([i for i, k in enumerate(word) if k == min(word)])
+            words.append(tuple(word[at:] + word[:at]))
+        seen = Counter()
+        for word in words:
+            canonical = canonical_multipliers(word) == word
+            once = word.count(word[0]) == 1
+            asked.clear()
+            assert _is_canonical_hit(word) == canonical, word
+            assert not (once and asked), word
+            seen[canonical, once] += 1
+        assert min(seen.values()) > 1000, seen
 
     def test_generator_of_another_field_is_refused(self):
         # sqrt3 under the descriptor of Q(sqrt2) would serialize as sqrt2

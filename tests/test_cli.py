@@ -379,6 +379,21 @@ GOLDEN_STDOUT = [
         ("verify", "rouche-examples", "--json"),
         "8e98b2d7f122a7743a051d9b254137515741912f1cc91494765b799cdf74cfc8",
     ),
+    # censuses over generators that are not algebraic integers, and the
+    # integers at a bound where most hits hold their least entry twice
+    (
+        ("census", "--min-poly=-1/2,1", "--nmax", "8", "--kbound", "3"),
+        "290e421442c8c968949e7c06734119558d105c9cafc685e1974f94ebac103912",
+    ),
+    (
+        ("census", "--min-poly", "1/2,-1,1", "--root-hint", "0,1,0,1",
+         "--nmax", "7", "--kbound", "2"),
+        "f77cff07246fe5b42f9b9eac072e31c01f633d6ef59b93f19ec0f6111726e1e5",
+    ),
+    (
+        ("census", "--int", "--nmax", "9", "--kbound", "3"),
+        "70be7443e4b5bc6409f6ce05f3cf7a1d844436013518a03af583128c30732832",
+    ),
 ]
 
 

@@ -581,6 +581,31 @@ class TestWordSteps:
             next(narrow.words(4, range(3), (10**6,)))
 
     @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
+    def test_fit_checks_only_past_the_built_bounds(self, name, monkeypatch):
+        # the width grows with the length and the bound, so a request
+        # within both of those the kernel was built for needs no width;
+        # past either, the shortcut decides exactly as the width does
+        kernel = _WordKernel(KERNEL_GENERATORS[name](), 6, 2)
+        widths = []
+        bits = _WordKernel._bits
+        monkeypatch.setattr(
+            _WordKernel, "_bits", lambda self, n, k: widths.append((n, k)) or bits(self, n, k)
+        )
+        for n in range(7):
+            for k in range(3):
+                kernel._fit(n, k)
+        assert widths == []
+        for n, k in ((7, 0), (6, 3), (5, 3), (12, 1), (40, 2)):
+            fits = bits(kernel, n, k) <= kernel.bits
+            try:
+                kernel._fit(n, k)
+            except ValueError:
+                assert not fits, (n, k)
+            else:
+                assert fits, (n, k)
+        assert len(widths) == 5
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GENERATORS))
     def test_kernel_products_have_determinant_one(self, name):
         # find_reduction takes the (2,2) entry of its forced solution
         # from det P = 1 instead of testing it

@@ -463,6 +463,52 @@ class TestLeanProduct:
                 assert all(type(c) is F for c in got.coords)
 
 
+def _eisenstein_field(rng, degree, monic):
+    # Eisenstein at 2 with an odd leading coefficient other than +-1, so
+    # the polynomial is irreducible and its roots are not algebraic
+    # integers; as given, or made monic as field_make makes it
+    low = [2 * rng.randint(-3, 3) for _ in range(degree)]
+    low[0] = 4 * rng.randint(-2, 2) + 2
+    p = QPoly(low + [rng.choice((3, 5, -7, 9))])
+    return NumberField(p.monic() if monic else p, (BoxC.point(0),), 0)
+
+
+class TestIntegerCoordinates:
+    """FieldElement on integer numerators against the Fraction oracle."""
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_matches_the_fraction_oracle(self, degree):
+        rng = random.Random(4400 + degree)
+        for trial in range(8):
+            f = _eisenstein_field(rng, degree, monic=trial % 2 == 0)
+            one = (F(1),) + (F(0),) * (degree - 1)
+            for _ in range(6):
+                x, y = _random_element(rng, f), _random_element(rng, f)
+                for a, b in ((x, y), (x, x), (y, f.generator())):
+                    got = a * b
+                    assert got.coords == oracle.field_mul_fraction(a, b), (f, a, b)
+                    assert all(type(c) is F for c in got.coords)
+                for q in (rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 5))):
+                    assert (x * q).coords == (q * x).coords == tuple(c * q for c in x.coords)
+                if not x.is_zero:
+                    assert oracle.field_mul_fraction(x, x.inverse()) == one
+                assert x.min_poly_over_Q().coeffs == oracle.element_min_poly(x)
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_equality_and_hash_follow_the_coordinates(self, degree):
+        rng = random.Random(4500 + degree)
+        for trial in range(8):
+            f = _eisenstein_field(rng, degree, monic=trial % 2 == 0)
+            for _ in range(6):
+                x, y = _random_element(rng, f), _random_element(rng, f)
+                assert (x == y) == (x.coords == y.coords)
+                # the same element built by the constructor and by
+                # arithmetic that passes through other denominators
+                for same in (FieldElement(f, x.coords), (x * 6) * F(1, 6), x + y - y):
+                    assert same == x and hash(same) == hash(x), (x, same)
+                assert x * y == y * x and hash(x * y) == hash(y * x)
+
+
 # ---------------------------------------------------------------------------
 # Subgroup membership.
 # ---------------------------------------------------------------------------

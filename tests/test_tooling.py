@@ -296,6 +296,30 @@ def test_certificate_route_stays_independent():
     assert _uses("core.py", route, _kernel_names()) == []
     replay = {"witness_replay", "brute_force_reduction"}
     assert _uses("reducibility.py", replay, _kernel_names()) == []
+    # the field arithmetic under the Mat2 route packs nothing either
+    assert _uses("numfield.py", {"FieldElement", "_element"}, _kernel_names()) == []
+
+
+def test_field_product_has_no_fraction():
+    # a product of field elements runs on integer numerators alone, and
+    # so does the constructor it returns through; the Fraction product
+    # it replaced is the oracle in the tests
+    tree = ast.parse((SRC / "numfield.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FieldElement")
+    product = [
+        node
+        for node in (*cls.body, *tree.body)
+        if isinstance(node, ast.FunctionDef) and node.name in ("__mul__", "_element")
+    ]
+    assert len(product) == 2
+    found = [
+        f"numfield.py:{node.lineno}"
+        for top in product
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    ]
+    assert found == []
 
 
 def test_searches_run_on_the_kernel():
