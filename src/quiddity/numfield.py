@@ -45,9 +45,9 @@ its first quadtree step builds it, and each later step carries it on to
 finer cells, as the isolation does from one depth to the next.  Both
 steps commute with complex conjugation (the dyadic rounding is half to
 even, and the cell test is symmetric), so a box below the real axis
-needs no path of its own.  An embedding evaluates the element's
-polynomial on the root's box by interval Horner on integers, over the
-common denominators of the corners and of the coefficients.
+needs no path of its own.  An embedding evaluates the element on the
+root's box by interval Horner on integers: the element's numerators over
+its one denominator, and the corners over their common denominator.
 
 A field is only built over an irreducible polynomial, and that is
 decided, not assumed.  The cheap certificates of polycrit settle most
@@ -66,6 +66,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd, isqrt, lcm, prod
 from numbers import Rational
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .polynomials import (
@@ -608,7 +609,9 @@ def _newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
 @dataclass(frozen=True)
 class NumberField:
     """Compares and hashes by min_poly and selected_root alone, so a
-    refined handle equals the one it came from."""
+    refined handle equals the one it came from.  The minimal polynomial
+    and the inverse of an element rely on a squarefree min_poly, which
+    field_make ensures."""
 
     min_poly: QPoly
     root_boxes: tuple[BoxC, ...] = dataclass_field(compare=False)
@@ -696,7 +699,7 @@ class FieldElement:
     """Exact element of a NumberField in power-basis coordinates, held as
     integer numerators over one positive denominator with no common
     factor, so equal elements hold equal ints.  `coords` is the read-only
-    tuple of the Fraction coordinates, built on its first read and kept.
+    tuple of the Fraction coordinates, built anew on each read.
 
     A product is the schoolbook product of the numerators, whose
     coefficients of X^(2d-2)..X^d are then folded back top-down, each
@@ -706,12 +709,17 @@ class FieldElement:
     coefficients below X^top by L and subtracts c*P from them.  The
     denominator is den*den'*L^f for the f <= d - 1 folds, and one gcd
     reduces the result.
+
+    The minimal polynomial of x is the squarefree part of the integer
+    characteristic polynomial of den*x, the integer matrix of the
+    products x*X^j over their common denominator den, rescaled to x.  The
+    inverse x^-1 = -(x^(k-1) + a_(k-1) x^(k-2) + ... + a_1) / a_0 is read
+    off that minimal polynomial X^k + ... + a_0 by Horner's rule.
     """
 
-    # _coords is set on the first read of coords and _min_poly on the
-    # first min_poly_over_Q, so elements built by arithmetic pay for
-    # them only when they are asked
-    __slots__ = ("field", "_num", "_den", "_coords", "_min_poly")
+    # _min_poly is set on the first min_poly_over_Q, so elements built by
+    # arithmetic pay for it only when it is asked
+    __slots__ = ("field", "_num", "_den", "_min_poly")
 
     def __init__(self, field: NumberField, coords: Sequence[Fraction]):
         coords = [as_rat(c) for c in coords]
@@ -727,11 +735,7 @@ class FieldElement:
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
-        try:
-            return self._coords
-        except AttributeError:
-            _set_coords(self, tuple([Fraction(c, self._den) for c in self._num]))
-            return self._coords
+        return tuple([Fraction(c, self._den) for c in self._num])
 
     # identity is algebraic: a field compares without its boxes
     def _key(self):
@@ -751,9 +755,6 @@ class FieldElement:
     @property
     def is_zero(self) -> bool:
         return not any(self._num)
-
-    def as_poly(self) -> QPoly:
-        return QPoly(self.coords)
 
     def __add__(self, other):
         if not isinstance(other, FieldElement):
@@ -807,16 +808,14 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
-        g, u = _half_ext_gcd(self.as_poly(), self.field.min_poly)
-        if g.degree != 0:
-            # a zero divisor: g divides the minimal polynomial
-            raise NotIrreducible(g.monic())
-        u = u * (1 / g.coeffs[0])
-        red = u % self.field.min_poly
-        coords = list(red.coeffs) + [Fraction(0)] * (
-            self.field.degree - len(red.coeffs)
-        )
-        return FieldElement(self.field, tuple(coords[: self.field.degree]))
+        m = self.min_poly_over_Q().coeffs
+        if not m[0]:
+            # a zero divisor: the gcd divides the minimal polynomial
+            raise NotIrreducible(QPoly(self._num).gcd(self.field.min_poly))
+        acc = self.field.one()
+        for a in m[-2:0:-1]:
+            acc = acc * self + a
+        return acc * (-1 / m[0])
 
     def rational_value(self) -> Optional[Fraction]:
         if not any(self._num[1:]):
@@ -825,25 +824,21 @@ class FieldElement:
 
     def min_poly_over_Q(self) -> QPoly:
         """Monic minimal polynomial of this element over Q, kept in the
-        element once derived."""
+        element once derived.  Over the squarefree minimal polynomial of
+        the field, multiplication by x is diagonalizable, so its minimal
+        polynomial, which is that of x, is the squarefree part of its
+        characteristic polynomial (in a field, a power of it)."""
         try:
             return self._min_poly
         except AttributeError:
             pass
-        d = self.field.degree
-        powers = [self.field.one()]
-        for _ in range(d):
-            powers.append(powers[-1] * self)
-        # first k with 1, x, ..., x^k linearly dependent
-        for k in range(1, d + 1):
-            rows = [list(powers[j].coords) for j in range(k + 1)]
-            dep = _dependence(rows)
-            if dep is not None:
-                # normalize to monic in the top power
-                top = dep[k]
-                _set_min_poly(self, QPoly([c / top for c in dep]))
-                return self._min_poly
-        raise AssertionError("element has no minimal polynomial below field degree")
+        cols, gen = [self], self.field.generator()
+        for _ in range(self.field.degree - 1):
+            cols.append(cols[-1] * gen)
+        den = lcm(*[c._den for c in cols])
+        cs = _charpoly([[v * (den // c._den) for v in c._num] for c in cols])
+        _set_min_poly(self, QPoly(cs[::-1]).squarefree_part().scale_arg(den).monic())
+        return self._min_poly
 
 
 def _element(field: NumberField, num: list[int], den: int) -> FieldElement:
@@ -863,51 +858,25 @@ def _element(field: NumberField, num: list[int], den: int) -> FieldElement:
 # the slots' own setters, which pass by the immutability guard of
 # __setattr__ without a lookup of the name
 _new = object.__new__
-_set_field, _set_num, _set_den, _set_coords, _set_min_poly = (
+_set_field, _set_num, _set_den, _set_min_poly = (
     getattr(FieldElement, slot).__set__ for slot in FieldElement.__slots__
 )
 
 
-def _half_ext_gcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
-    """(g, u) with u*a = g mod b."""
-    r0, r1 = a, b
-    u0, u1 = QPoly.one(), QPoly.zero()
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-    return r0, u0
-
-
-def _dependence(rows: list[list[Fraction]]) -> Optional[list[Fraction]]:
-    """Coefficients c (last nonzero) with sum c_i rows[i] = 0, or None."""
-    k = len(rows) - 1
-    n = len(rows[0])
-    # solve sum_{i<k} c_i rows[i] = -rows[k] by Gaussian elimination
-    a = [[rows[i][j] for i in range(k)] + [-rows[k][j]] for j in range(n)]
-    piv_cols: list[int] = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, n) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(n):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        piv_cols.append(col)
-        r += 1
-    # consistent?
-    for i in range(r, n):
-        if a[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for row_idx, col in enumerate(piv_cols):
-        sol[col] = a[row_idx][k]
-    return sol + [Fraction(1)]
+def _charpoly(cols: list[list[int]]) -> list[int]:
+    """The characteristic polynomial det(T - A), high degree first, of the
+    square integer matrix A with the given columns, by Faddeev-LeVerrier:
+    M_1 = I, c_k = -tr(A M_k)/k and M_(k+1) = A M_k + c_k I.  The c_k are
+    the integer coefficients below the leading 1, so each quotient is
+    exact."""
+    rows = list(zip(*cols))
+    cs = [1]
+    am = [[0] * len(cols) for _ in cols]
+    for k in range(1, len(cols) + 1):
+        m = [[v + cs[-1] if i == j else v for i, v in enumerate(col)] for j, col in enumerate(am)]
+        am = [[sum(map(mul, row, col)) for row in rows] for col in m]
+        cs.append(-sum(col[j] for j, col in enumerate(am)) // k)
+    return cs
 
 
 # ---------------------------------------------------------------------------
@@ -1105,17 +1074,20 @@ def _range(a0: int, a1: int, b0: int, b1: int) -> tuple[int, int]:
     return min(ps), max(ps)
 
 
-def _box_image(poly: QPoly, box: BoxC) -> BoxC:
-    """poly(box) by interval Horner, the rectangle that QPoly.__call__
-    gives, on integers: with the corners over their common denominator d
-    and the coefficients over theirs, q, the bounds after k steps are
-    q d^k times the rational ones, and a positive scale moves no min or
-    max.  poly is not zero."""
+def _box_image(num: Sequence[int], q: int, box: BoxC) -> BoxC:
+    """p(box) by interval Horner, the rectangle that QPoly.__call__
+    gives, on integers, for p the polynomial of the integer numerators num
+    (low degree first, not all zero) over the positive denominator q: with
+    the corners over their common denominator d, the bounds after k steps
+    are q d^k times the rational ones, and a positive scale moves no min
+    or max."""
     corners = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
     d = lcm(*(c.denominator for c in corners))
     x0, x1, y0, y1 = (c.numerator * (d // c.denominator) for c in corners)
-    q = lcm(*(c.denominator for c in poly.coeffs))
-    ints = [c.numerator * (q // c.denominator) for c in poly.coeffs]
+    # a leading zero would only multiply every bound by d once more
+    ints = list(num)
+    while not ints[-1]:
+        ints.pop()
     re0 = re1 = ints[-1]
     im0 = im1 = 0
     scale = 1
@@ -1143,15 +1115,14 @@ def embed(x: FieldElement, conjugate_index: int, precision: int) -> BoxC:
     if not isinstance(precision, int) or precision < 0:
         raise ValueError("precision must be a nonnegative integer")
     tol = Fraction(1, 2 ** precision)
-    poly = x.as_poly()
-    if poly.degree < 1:
-        return BoxC.point(x.coords[0])
+    if not any(x._num[1:]):
+        return BoxC.point(x.rational_value())
     # crude growth estimate: each refinement halves the box width, and
     # the interval evaluation is Lipschitz on the bounded box
     target = tol
     for _ in range(_MAX_DEPTH):
         field = field.refined(conjugate_index, target)
-        out = _box_image(poly, field.root_boxes[conjugate_index])
+        out = _box_image(x._num, x._den, field.root_boxes[conjugate_index])
         if out.width <= tol:
             return out
         target = target / 4
@@ -1219,10 +1190,10 @@ def _compare_refined(
     nonzero integer, so 1 <= |b| M^(D'-1) <= M^D'.  Hence M >= 1 and
     |y - s| >= 1 / (q c^2 M^(D-1)) = gap.
     """
-    field, poly, width, gap = x.field, x.as_poly(), Fraction(1, 16), None
+    field, width, gap = x.field, Fraction(1, 16), None
     while True:
         field = field.refined(index, width)
-        iv = image(_box_image(poly, field.root_boxes[index]))
+        iv = image(_box_image(x._num, x._den, field.root_boxes[index]))
         if iv.lo > s:
             return "Greater"
         if iv.hi < s:

@@ -43,7 +43,6 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .polynomials import (
-    BigRat,
     GaussRat,
     QPoly,
     _recentre,
@@ -68,7 +67,7 @@ class DiskRootCount:
     """Certified number of roots in the open disk of given radius at 0."""
 
     poly: QPoly
-    radius: BigRat
+    radius: Fraction
     count: int
     method: str  # "SchurCohn" or "RoucheBound"
     boundary_clear: bool

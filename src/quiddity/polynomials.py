@@ -23,10 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-# The exact rational scalar used throughout.  fractions.Fraction already
-# keeps numerator/denominator in lowest terms with a positive denominator.
-BigRat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

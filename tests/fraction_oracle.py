@@ -301,7 +301,7 @@ def field_mul_via_qpoly(a: FieldElement, b: FieldElement) -> FieldElement:
     """a * b as the remainder of the QPoly product by the minimal
     polynomial, with no use of FieldElement's reduction rows."""
     field = a.field
-    red = (a.as_poly() * b.as_poly()) % field.min_poly
+    red = (QPoly(a.coords) * QPoly(b.coords)) % field.min_poly
     coords = list(red.coeffs) + [Fraction(0)] * (field.degree - len(red.coeffs))
     return FieldElement(field, coords)
 

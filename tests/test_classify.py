@@ -525,12 +525,13 @@ class TestTransfer:
         field = sqrt2_field()
         w = field.generator()
         derived = []
-        real = numfield_module._dependence
-        # a derivation starts with the rows of 1 and the element itself
+        real = numfield_module._charpoly
+        # a derivation starts from the matrix of den*w, whose first column
+        # is w itself, as w = X has den 1
         monkeypatch.setattr(
             numfield_module,
-            "_dependence",
-            lambda rows: (len(rows) == 2 and derived.append(tuple(rows[1]))) or real(rows),
+            "_charpoly",
+            lambda cols: derived.append(tuple(cols[0])) or real(cols),
         )
         rep = enumerate_quiddities(field, w, 6, 2)
         census = irreducible_census(rep)

@@ -5,6 +5,7 @@ import json
 import random
 import time
 from fractions import Fraction as F
+from math import lcm
 
 import numpy
 import pytest
@@ -508,6 +509,47 @@ class TestIntegerCoordinates:
                     assert same == x and hash(same) == hash(x), (x, same)
                 assert x * y == y * x and hash(x * y) == hash(y * x)
 
+    def test_subfield_elements_match_the_fraction_oracle(self):
+        # at degree 8-12 an element of a proper subfield has a proper power
+        # of its minimal polynomial as characteristic polynomial; each
+        # subfield element is a seeded polynomial in a generator theta of
+        # it, over denominators up to 3, and one handle is non-monic
+        rng = random.Random(4600)
+
+        def powers(x, k):
+            out = [x.field.one()]
+            for _ in range(k):
+                out.append(out[-1] * x)
+            return out
+
+        cases = []
+        for p, thetas in (
+            (_cyclotomic(13), lambda w: [w[1] + w[12], w[1] + w[5] + w[8] + w[12], w[1] + w[3] + w[9]]),
+            (_cyclotomic(16), lambda w: [w[2], w[4], w[1] - w[7]]),
+            (_cyclotomic(21), lambda w: [w[3], w[7], w[1] + w[8]]),
+            # Eisenstein at 2
+            (QPoly((2, 0, 0, 0, -4, 0, 0, 0, 3)), lambda w: [w[4], w[2]]),
+        ):
+            f = NumberField(p, (BoxC.point(0),), 0)
+            cases += [f.zero(), f.from_rational(F(-7, 3))]
+            for theta in thetas(powers(f.generator(), 12)):
+                k = len(oracle.element_min_poly(theta)) - 1
+                assert 1 < k < f.degree
+                basis = powers(theta, k - 1)
+                cases.append(theta)
+                for _ in range(4):
+                    coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in basis]
+                    cases.append(sum((c * b for c, b in zip(coeffs, basis)), f.zero()))
+        assert sum(not x.is_zero and x.rational_value() is None for x in cases) >= 50
+        for x in cases:
+            assert x.min_poly_over_Q().coeffs == oracle.element_min_poly(x), x
+            one = (F(1),) + (F(0),) * (x.field.degree - 1)
+            if x.is_zero:
+                with pytest.raises(ZeroDivisionError):
+                    x.inverse()
+            else:
+                assert oracle.field_mul_fraction(x, x.inverse()) == one, x
+
 
 # ---------------------------------------------------------------------------
 # Subgroup membership.
@@ -601,7 +643,9 @@ class TestEmbed:
             shapes["point"] += box.is_point()
             shapes["real"] += box.is_real_line()
             shapes["linear"] += p.degree == 1
-            assert _box_image(p, box) == p(box), (p, box)
+            q = lcm(*(c.denominator for c in p.coeffs))
+            num = [c.numerator * (q // c.denominator) for c in p.coeffs]
+            assert _box_image(num, q, box) == p(box), (p, box)
         assert min(shapes.values()) > 10
 
     def test_refined_handle_equals_its_source(self):

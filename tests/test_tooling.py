@@ -322,6 +322,36 @@ def test_field_product_has_no_fraction():
     assert found == []
 
 
+def test_field_elements_hold_one_representation():
+    # a field element is its integer numerators over one denominator from
+    # end to end: only the constructor and the views that answer in
+    # Fractions (coords, rational_value and the repr) build a Fraction or
+    # read coords, and the embedding reads the numerators too
+    tree = ast.parse((SRC / "numfield.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FieldElement")
+    views = {"__init__", "coords", "rational_value", "__repr__"}
+    methods = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name not in views]
+    embedding = [
+        n for n in tree.body
+        if isinstance(n, ast.FunctionDef) and n.name in ("embed", "_compare_refined")
+    ]
+    assert {"min_poly_over_Q", "inverse", "__mul__"} <= {n.name for n in methods}
+    assert len(embedding) == 2
+    found = [
+        f"numfield.py:{node.lineno}"
+        for top in methods
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ] + [
+        f"numfield.py:{node.lineno}"
+        for top in methods + embedding
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "coords"
+    ]
+    assert found == []
+
+
 def test_searches_run_on_the_kernel():
     # the searches run on the word kernel alone and the Mat2 route only
     # certifies their results; a search that multiplied out a word there
