@@ -61,6 +61,7 @@ proves irreducibility by exhaustion.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
@@ -610,8 +611,9 @@ def _newton_box(p: QPoly, box: BoxC, width: Fraction) -> Optional[BoxC]:
 class NumberField:
     """Compares and hashes by min_poly and selected_root alone, so a
     refined handle equals the one it came from.  The minimal polynomial
-    and the inverse of an element rely on a squarefree min_poly, which
-    field_make ensures."""
+    and the inverse of an element rely on a squarefree min_poly, so a
+    repeated factor raises NotSquarefree; with_selected and refined copy
+    the checked handle and do not check it again."""
 
     min_poly: QPoly
     root_boxes: tuple[BoxC, ...] = dataclass_field(compare=False)
@@ -622,7 +624,14 @@ class NumberField:
     def __post_init__(self):
         if not (0 <= self.selected_root < len(self.root_boxes)):
             raise ValueError("selected root index out of range")
+        if self.min_poly.gcd(self.min_poly.derivative()).degree > 0:
+            raise NotSquarefree("minimal polynomial has repeated roots")
         object.__setattr__(self, "_fold", tuple(self.min_poly.int_coeffs()))
+
+    def _with(self, name: str, value) -> "NumberField":
+        out = copy(self)
+        object.__setattr__(out, name, value)
+        return out
 
     @property
     def degree(self) -> int:
@@ -635,7 +644,9 @@ class NumberField:
         return self.root_boxes[index].is_real_line()
 
     def with_selected(self, index: int) -> "NumberField":
-        return NumberField(self.min_poly, self.root_boxes, index)
+        if not (0 <= index < len(self.root_boxes)):
+            raise ValueError("selected root index out of range")
+        return self._with("selected_root", index)
 
     def refined(self, index: int, width) -> "NumberField":
         """New field handle whose index-th box has width <= width."""
@@ -650,7 +661,7 @@ class NumberField:
         new_box = _refine_one(self.min_poly, box, width)
         boxes = list(self.root_boxes)
         boxes[index] = new_box
-        return NumberField(self.min_poly, tuple(boxes), self.selected_root)
+        return self._with("root_boxes", tuple(boxes))
 
     def zero(self) -> "FieldElement":
         return _element(self, [0] * self.degree, 1)
@@ -1173,8 +1184,9 @@ def _compare_refined(
     a strict case.  Equality rests on a zero bound (after Burnikel,
     Fleischer, Mehlhorn and Schirra, 2000): y != s implies |y - s| >= gap,
     so on any shrinking boxes an interval narrower than gap that holds s
-    proves y = s.  The loop ends after about log2(log2(1/gap)) rounds; gap,
-    with the bound R^2 that embed gives it, is built when first needed.
+    proves y = s.  The loop ends after about log2(log2(1/gap)) rounds; gap
+    depends on m_x, s and k alone and is built when first needed, so no
+    other root is refined.
 
     Proof.  Let m_x = sum a_j X^j, monic of degree n, be the minimal
     polynomial of x, and c the least integer with all c^(n-j) a_j in Z:
@@ -1184,11 +1196,11 @@ def _compare_refined(
     real b = q c^2 (y - s), for q the denominator of s.  F is symmetric
     and each conjugate of y is F(zeta_i, zeta_j) for roots of m_x, with
     i != j unless zeta is real, so b has a degree D' <= D = max(n,
-    n(n-1)/2).  Each root of m_x is an image of x; with R^2 the largest
-    upper end of |x|^2 over the field's embeddings, every conjugate of b
-    has modulus at most M = q c^2 (k R^2 + |s|).  If b != 0 its norm is a
-    nonzero integer, so 1 <= |b| M^(D'-1) <= M^D'.  Hence M >= 1 and
-    |y - s| >= 1 / (q c^2 M^(D-1)) = gap.
+    n(n-1)/2).  Every root of m_x has modulus below its Cauchy bound
+    R >= 1, so every conjugate of b has modulus at most M = q c^2 (k R^2
+    + |s|), and M >= 1.  If b != 0 its norm is a nonzero integer, so
+    1 <= |b| M^(D'-1) <= |b| M^(D-1), and |y - s| >= 1 / (q c^2
+    M^(D-1)) = gap.
     """
     field, width, gap = x.field, Fraction(1, 16), None
     while True:
@@ -1202,7 +1214,7 @@ def _compare_refined(
             m = x.min_poly_over_Q()
             n = m.degree
             scale = s.denominator * _integral_scale(m) ** 2
-            r2 = max(embed(x, i, 2).abs2().hi for i in range(x.field.degree))
+            r2 = m.cauchy_root_bound() ** 2
             gap = 1 / (scale * (scale * (k * r2 + abs(s))) ** (max(n, n * (n - 1) // 2) - 1))
         if iv.width < gap:
             return "Equal"

@@ -503,14 +503,17 @@ def _cos_substitution(g: QPoly) -> QPoly:
 
 
 def _unit_circle_count(g: QPoly) -> int:
-    """Exact number of roots of squarefree, inversion-closed g on |z|=1."""
+    """Exact number of roots of squarefree, inversion-closed g on |z|=1.
+    Without its roots +-1, g is palindromic of even degree and its image h
+    under X + 1/X is squarefree: a double root y0 of h would make
+    (X^2 - y0 X + 1)^2 divide g."""
     circle = 0
     for pt in (1, -1):
         if g(Fraction(pt)) == 0:
             circle += 1
             g = g // QPoly((-pt, 1))
     h = _cos_substitution(g)
-    circle += 2 * count_real_roots(h.squarefree_part(), Fraction(-2), Fraction(2))
+    circle += 2 * count_real_roots(h, Fraction(-2), Fraction(2))
     return circle
 
 
@@ -525,17 +528,20 @@ def schur_cohn_count(p: QPoly, radius) -> DiskRootCount:
     without its v roots at 0, split by g = gcd(q, q reversed).  g holds
     each root z of q whose inverse 1/z is a root too, with the smaller
     of the two multiplicities: all roots on |z| = 1 with theirs, and the
-    rest in pairs z, 1/z with one of each pair inside.  Each Yun factor
-    of g is inversion-closed, so _unit_circle_count counts the roots on
-    the circle exactly.  The rest, q // g, has no root on the circle and
-    no such pair, so its count comes from a bracket: its strict counts
-    at 1 - 2^-k and 1 + 2^-k.  Each non-None count certifies its circle
-    root-free, so two equal counts leave no root in the annulus between
-    them and equal the count at 1.  That happens once 2^-k is below the
-    distance from the circle to the nearest root of q // g, unless a
-    chain degenerates at one of finitely many radii; SingularStep is
-    raised if no k up to _BRACKET_BITS settles it.  boundary_clear
-    reports no root on |z| = r.
+    rest in pairs z, 1/z with one of each pair inside.  The gcd chain
+    h_0 = g, h_(j+1) = gcd(h_j, h_j') lowers every multiplicity by one
+    at each step, so the squarefree part h_j // h_(j+1) holds the roots
+    of g of multiplicity above j, once each.  It is inversion-closed, so
+    _unit_circle_count counts its roots on the circle exactly, and a
+    root of multiplicity m is counted in m steps.  The rest, q // g, has
+    no root on the circle and no such pair, so its count comes from a
+    bracket: its strict counts at 1 - 2^-k and 1 + 2^-k.  Each non-None
+    count certifies its circle root-free, so two equal counts leave no
+    root in the annulus between them and equal the count at 1.  That
+    happens once 2^-k is below the distance from the circle to the
+    nearest root of q // g, unless a chain degenerates at one of finitely
+    many radii; SingularStep is raised if no k up to _BRACKET_BITS
+    settles it.  boundary_clear reports no root on |z| = r.
     """
     r = as_rat(radius)
     if r <= 0:
@@ -545,7 +551,11 @@ def schur_cohn_count(p: QPoly, radius) -> DiskRootCount:
         return DiskRootCount(p, r, direct, "SchurCohn", True)
     v, q = p.scale_arg(r).strip_low()
     g = q.gcd(q.reverse())
-    on = sum(m * _unit_circle_count(f) for f, m in g.yun_decomposition())
+    on, h = 0, g
+    while h.degree > 0:
+        d = h.gcd(h.derivative())
+        on += _unit_circle_count(h // d)
+        h = d
     inside = v + (g.degree - on) // 2
     rest = q // g
     if rest.degree < 1:

@@ -258,28 +258,6 @@ class QPoly:
         g = self.gcd(self.derivative())
         return (self // g).monic()
 
-    def yun_decomposition(self) -> list[tuple["QPoly", int]]:
-        """Squarefree decomposition: list of (factor, multiplicity)."""
-        p = self.monic()
-        if p.degree <= 0:
-            return []
-        out = []
-        g = p.gcd(p.derivative())
-        if g.degree == 0:
-            return [(p, 1)]
-        c = p // g
-        d = p.derivative() // g - c.derivative()
-        k = 1
-        while c.degree > 0:
-            a = c.gcd(d)
-            if a.degree > 0:
-                out.append((a, k))
-            c2 = c // a
-            d = d // a - c2.derivative()
-            c = c2
-            k += 1
-        return out
-
     def cauchy_root_bound(self) -> Fraction:
         """All complex roots have modulus < this bound."""
         if self.degree < 1:

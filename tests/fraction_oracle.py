@@ -1,10 +1,11 @@
 """The Fraction and GaussRat kernels that the faster kernels replaced.
 
 These are the generic versions of the disk count, the Schur-Cohn chain,
-Descartes isolation, the rational-root search, the polynomial gcd, the
-sign bisection of a real root and the number-field product (on Fraction
-coordinates, and as a QPoly remainder), kept as an independent oracle:
-they share no arithmetic with the code they check.  So is the minimal
+Descartes isolation, the rational-root search, the polynomial gcd and
+Yun's squarefree decomposition on it, the sign bisection of a real root
+and the number-field product (on Fraction coordinates, and as a QPoly
+remainder), kept as an independent oracle: they share no arithmetic
+with the code they check.  So is the minimal
 polynomial of an element, by elimination on Fractions.
 Refinement of a nonreal root by quadtree steps alone is kept here too, as
 the reference that the Newton boxes of `numfield` are checked against,
@@ -16,9 +17,10 @@ disk count with that test, and checks the cells, models, pre-tests and
 real-root counts built around it.  So is the Schur-Cohn count at 0 by
 squarefree factors, each split by a gcd with its reverse and the rest
 bracketed alone.  The chain-first count falls back instead to one gcd
-of the whole scaled polynomial with its reverse and one bracket of
-what that gcd leaves, with no squarefree split and no second direct
-chain, so the two routes share only `_unit_circle_count`; the oracle
+of the whole scaled polynomial with its reverse, a gcd chain on that
+gcd for the multiplicities of the circle roots, and one bracket of what
+that gcd leaves, with no Yun split and no second direct chain, so the
+two routes share only `_unit_circle_count`; the oracle
 also checks the direct chain count on every other input.
 """
 
@@ -125,7 +127,7 @@ def schur_cohn_count(p: QPoly, radius) -> polycrit.DiskRootCount:
     the rest."""
     r = Fraction(radius)
     total = boundary = 0
-    for factor, mult in p.yun_decomposition():
+    for factor, mult in yun_decomposition(p):
         v, q = factor.scale_arg(r).strip_low()
         inside, on = v, 0
         g = gcd(q, q.reverse())
@@ -186,6 +188,26 @@ def gcd(a: QPoly, b: QPoly) -> QPoly:
     while not b.is_zero:
         a, b = b, (a % b).monic()
     return a.monic()
+
+
+def yun_decomposition(p: QPoly) -> list[tuple[QPoly, int]]:
+    """Yun's squarefree decomposition (Yun, 1976) on the Fraction gcd:
+    the pairs (factor, multiplicity) with a factor of positive degree."""
+    p = p.monic()
+    if p.degree <= 0:
+        return []
+    g = gcd(p, p.derivative())
+    c = p // g
+    d = p.derivative() // g - c.derivative()
+    out, k = [], 1
+    while c.degree > 0:
+        a = gcd(c, d)
+        if a.degree > 0:
+            out.append((a, k))
+        c2 = c // a
+        c, d = c2, d // a - c2.derivative()
+        k += 1
+    return out
 
 
 def refine_real_root(p: QPoly, lo: Fraction, hi: Fraction, width: Fraction):

@@ -267,6 +267,25 @@ def test_cache_dir_is_refused(capsys, tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify",),
+        ("enumerate", "--nmax", "3", "--kbound", "1"),
+        ("census", "--nmax", "3", "--kbound", "1"),
+        ("parity", "--nmax", "3", "--kbound", "1"),
+        ("classify", "--root-hint", "1,2"),
+    ],
+    ids=["classify", "enumerate", "census", "parity", "hint-only"],
+)
+def test_field_command_without_a_field_exits_two(capsys, argv):
+    # with neither --min-poly nor --int there is no generator to work on
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and "need --min-poly" in doc["message"]
+
+
 class TestPolycrit:
     def test_quintic_report(self, capsys):
         code, out, _ = run(

@@ -833,3 +833,26 @@ class TestTupleMultipliers:
         with pytest.raises(TypeError):
             t.with_multipliers((0.5, 0.5))
         assert t.with_multipliers((0, 0)).multipliers == (0, 0)
+
+
+class TestTupleValue:
+    def test_immutable(self):
+        t = zt(sqrt2_field(), [0, 3, -1])
+        for name, value in (("multipliers", (1, 1, 1)), ("generator", t.field.one()), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(t, name, value)
+        assert t.multipliers == (0, 3, -1) and t.generator == t.field.generator()
+
+    def test_hash_follows_equality(self):
+        f = sqrt2_field()
+        t = zt(f, [1, 2, 1, 2])
+        # an equal tuple over a refined handle of the same field
+        same = zt(f.refined(f.selected_root, F(1, 2 ** 20)), (1, 2, 1, 2))
+        assert same == t and hash(same) == hash(t)
+        others = [zt(f, [2, 1, 2, 1]), QuiddityTuple(f, f.generator() * 2, [1, 2, 1, 2])]
+        assert all(o != t for o in others)
+        assert len({t, same, *others}) == 3
+
+    def test_repr_names_the_multipliers(self):
+        assert repr(zt(sqrt2_field(), [0, 3, -1])) == "QuiddityTuple(0, 3, -1)"
+        assert repr(zt(int_field(), [5])) == "QuiddityTuple(5,)"

@@ -147,9 +147,10 @@ def _schur_cohn_inputs(rng, count):
 
 
 def test_chain_first_counts_match_the_split_route(monkeypatch):
+    # the degenerate branch alone reverses the scaled polynomial
     calls = []
-    yun = QPoly.yun_decomposition
-    monkeypatch.setattr(QPoly, "yun_decomposition", lambda self: calls.append(self) or yun(self))
+    reverse = QPoly.reverse
+    monkeypatch.setattr(QPoly, "reverse", lambda self: calls.append(self) or reverse(self))
     fallback = 0
     cases = _schur_cohn_inputs(random.Random(38), 2100)
     for p, r in cases:

@@ -224,6 +224,23 @@ class TestFieldMake:
             (w * w + w + f.one()).inverse()
         assert info.value.factor == QPoly((1, 1, 1))
 
+    @pytest.mark.parametrize("coeffs", [(1, 0, 2, 0, 1), (0, 0, 1)], ids=["(x^2+1)^2", "x^2"])
+    def test_repeated_factor_refused_on_a_hand_built_handle(self, coeffs):
+        # the minimal polynomial and the inverse of an element read a
+        # squarefree min_poly; over (X^2 + 1)^2 they would answer for X^2 + 1
+        with pytest.raises(NotSquarefree):
+            NumberField(QPoly(coeffs), (BoxC.point(0),), 0)
+
+    def test_copies_of_a_checked_handle_are_not_checked_again(self, monkeypatch):
+        f = zeta8_field()
+        calls, gcd = [], QPoly.gcd
+        monkeypatch.setattr(QPoly, "gcd", lambda a, b: calls.append(a) or gcd(a, b))
+        g = f.refined(f.selected_root, F(1, 2 ** 20)).with_selected(1)
+        assert calls == []
+        assert g == f.with_selected(1) and g.selected_root == 1
+        assert g.root_boxes[f.selected_root].width <= F(1, 2 ** 20)
+        assert g._fold == f._fold and f.root_boxes == zeta8_field().root_boxes
+
     @pytest.mark.parametrize("coeffs", [(-2, 0, 1), (-2, 1)], ids=["quadratic", "linear"])
     def test_hint_touching_no_root(self, coeffs):
         with pytest.raises(AmbiguousHint):
@@ -243,6 +260,13 @@ class TestFieldMake:
         with pytest.raises(AmbiguousHint):
             field_make(QPoly((1, 0, 0, 1, 0, 0, 1)), root_hint=BoxC.make(0, 1, 0, 1))
         assert time.perf_counter() - start < 5
+
+    def test_hint_with_two_roots_on_its_edge_cannot_be_narrowed(self):
+        # the upper roots i phi and i / phi of X^4 + 3X^2 + 1 lie on the
+        # edge re = 0 of the hint, so every refined box touches it and
+        # none lies within it
+        with pytest.raises(AmbiguousHint, match="cannot be narrowed"):
+            field_make(QPoly((1, 0, 3, 0, 1)), root_hint=BoxC.make(0, 1, F(1, 2), 2))
 
 
 class TestIsolateRoots:
@@ -1366,15 +1390,14 @@ _TRACE_INPUTS = {
 }
 
 
-def _refine_spy(monkeypatch, skip=lambda: False):
+def _refine_spy(monkeypatch):
     """Record (box, width, refined box) for every _refine_one call of
-    numfield, except while skip() holds."""
+    numfield."""
     calls, refine = [], numfield_module._refine_one
 
     def spy(p, box, width):
         out = refine(p, box, width)
-        if not skip():
-            calls.append((box, width, out))
+        calls.append((box, width, out))
         return out
 
     monkeypatch.setattr(numfield_module, "_refine_one", spy)
@@ -1390,27 +1413,16 @@ class TestRefinementReuse:
         # |2 zeta13| = 2, and a threshold 2^-40 above it
         f = field_make(QPoly((1,) * 13), root_hint=BoxC.make(F(4, 5), 1, F(2, 5), F(1, 2)))
         x, idx = f.generator() * 2, f.selected_root
-        inside, precisions, embed = [], [], numfield_module.embed
-
-        def embed_spy(y, i, precision):
-            precisions.append(precision)
-            inside.append(i)
-            try:
-                return embed(y, i, precision)
-            finally:
-                inside.pop()
-
-        # refinements inside embed serve the bound R^2 alone
-        calls = _refine_spy(monkeypatch, skip=lambda: bool(inside))
-        monkeypatch.setattr(numfield_module, "embed", embed_spy)
+        calls = _refine_spy(monkeypatch)
 
         def image(box):
             calls.append("round")
             return box.abs2()
 
         assert numfield_module._compare_refined(x, idx, image, F(t) ** 2, 1) == want
-        assert precisions == [2] * f.degree
-        # at most one refinement before each round, each from the last box
+        # at most one refinement before each round, each from the last box,
+        # so every refinement is at the compared index and no other root
+        # is refined for the zero bound
         pattern = "".join("r" if c == "round" else "f" for c in calls)
         assert "ff" not in pattern and pattern.count("r") >= 4
         steps = [c for c in calls if c != "round"]
@@ -1419,13 +1431,13 @@ class TestRefinementReuse:
     def test_equality_waits_for_an_interval_narrower_than_the_gap(self):
         # |sqrt2|^2 = 2 over Q(sqrt2): m_x = X^2 - 2, so n = 2, D = 2, c = 1
         # and q = 1, and gap = 1 / (q c^2 (q c^2 (k R^2 + |s|))^(D-1)) with
-        # R^2 from embed at 2 bits.  An interval of width gap around s
-        # decides nothing, and the next, just narrower, decides "Equal";
-        # a point, which any gap would take, comes only after them
+        # R the Cauchy bound of m_x, here 3.  An interval of width gap
+        # around s decides nothing, and the next, just narrower, decides
+        # "Equal"; a point, which any gap would take, comes only after them
         f = sqrt2_field()
         x, idx, s = f.generator(), f.selected_root, F(2)
-        r2 = max(embed(x, i, 2).abs2().hi for i in range(f.degree))
-        gap = 1 / (r2 + abs(s))
+        gap = 1 / (x.min_poly_over_Q().cauchy_root_bound() ** 2 + abs(s))
+        assert gap == F(1, 11)
         widths = [gap, gap * F(99, 100), 0]
         rounds = []
 

@@ -436,6 +436,30 @@ def test_numfield_names_no_schur_cohn_count():
     assert _uses("numfield.py", {"_upper_half_roots"}, {"_MAX_DEPTH"}) == []
 
 
+def test_zero_bound_reads_the_minimal_polynomial_alone():
+    # the gap is built from m_x's Cauchy bound, so a comparison refines
+    # the compared root alone and embeds no conjugate
+    assert _uses("numfield.py", {"_compare_refined"}, {"embed"}) == []
+
+
+def test_circle_multiplicities_need_no_squarefree_decomposition():
+    # the degenerate Schur-Cohn branch counts the circle roots along a gcd
+    # chain; Yun's split lives in the oracle alone, on its own gcd, so the
+    # oracle's count shares no squarefree split with the one it checks
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "yun_decomposition"
+        in (getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert found == []
+    oracle = ast.parse((TESTS / "fraction_oracle.py").read_text())
+    yun = [n for n in oracle.body if isinstance(n, ast.FunctionDef) and n.name == "yun_decomposition"]
+    assert len(yun) == 1
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "gcd" for n in ast.walk(yun[0]))
+
+
 def test_one_dominance_test_in_polycrit():
     # T_0, the one-root test and the dominant-term count are all Pellet's
     # test; a second copy of its modulus bounds would be a second path
