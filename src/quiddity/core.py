@@ -111,13 +111,18 @@ class Mat2:
         return None
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class QuiddityTuple:
-    """Integer multipliers over a chosen generator of a number field.  A
+    """Integer multipliers over a chosen generator of a number field, an
+    immutable value compared by its field, generator and multipliers.  A
     multiplier that is not an integer, such as a float or a Fraction, raises
     TypeError rather than being truncated, and a generator of another field
     raises ValueError."""
 
     __slots__ = ("field", "generator", "multipliers")
+    field: NumberField
+    generator: FieldElement
+    multipliers: tuple[int, ...]
 
     def __init__(
         self,
@@ -132,9 +137,6 @@ class QuiddityTuple:
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "multipliers", tuple(map(operator.index, multipliers)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("QuiddityTuple is immutable")
-
     @property
     def n(self) -> int:
         return len(self.multipliers)
@@ -145,17 +147,6 @@ class QuiddityTuple:
 
     def with_multipliers(self, ks: Sequence[int]) -> "QuiddityTuple":
         return QuiddityTuple(self.field, self.generator, ks)
-
-    def __eq__(self, other):
-        if isinstance(other, QuiddityTuple):
-            return (
-                self.multipliers == other.multipliers
-                and self.generator == other.generator
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.multipliers, self.generator))
 
     def __repr__(self):
         return f"QuiddityTuple{self.multipliers}"

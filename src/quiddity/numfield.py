@@ -706,11 +706,15 @@ def _refine_one(p: QPoly, box: BoxC, width: Fraction) -> BoxC:
     return box if box.width <= width else nxt
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class FieldElement:
     """Exact element of a NumberField in power-basis coordinates, held as
     integer numerators over one positive denominator with no common
     factor, so equal elements hold equal ints.  `coords` is the read-only
-    tuple of the Fraction coordinates, built anew on each read.
+    tuple of the Fraction coordinates, built anew on each read.  An
+    element is an immutable value compared by (field, numerators,
+    denominator); its identity is algebraic, since a field compares
+    without its boxes.
 
     A product is the schoolbook product of the numerators, whose
     coefficients of X^(2d-2)..X^d are then folded back top-down, each
@@ -728,9 +732,13 @@ class FieldElement:
     off that minimal polynomial X^k + ... + a_0 by Horner's rule.
     """
 
-    # _min_poly is set on the first min_poly_over_Q, so elements built by
-    # arithmetic pay for it only when it is asked
+    # _min_poly, a slot but no field, so outside equality and the hash, is
+    # set on the first min_poly_over_Q, so elements built by arithmetic
+    # pay for it only when it is asked
     __slots__ = ("field", "_num", "_den", "_min_poly")
+    field: NumberField
+    _num: tuple[int, ...]
+    _den: int
 
     def __init__(self, field: NumberField, coords: Sequence[Fraction]):
         coords = [as_rat(c) for c in coords]
@@ -741,24 +749,9 @@ class FieldElement:
         _set_num(self, tuple([c.numerator * (den // c.denominator) for c in coords]))
         _set_den(self, den)
 
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElement is immutable")
-
     @property
     def coords(self) -> tuple[Fraction, ...]:
         return tuple([Fraction(c, self._den) for c in self._num])
-
-    # identity is algebraic: a field compares without its boxes
-    def _key(self):
-        return (self.field, self._num, self._den)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"FieldElement{self.coords}"
@@ -866,8 +859,8 @@ def _element(field: NumberField, num: list[int], den: int) -> FieldElement:
     return x
 
 
-# the slots' own setters, which pass by the immutability guard of
-# __setattr__ without a lookup of the name
+# the slots' own setters, which pass by the frozen __setattr__ without a
+# lookup of the name
 _new = object.__new__
 _set_field, _set_num, _set_den, _set_min_poly = (
     getattr(FieldElement, slot).__set__ for slot in FieldElement.__slots__

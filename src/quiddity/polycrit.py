@@ -558,8 +558,6 @@ def schur_cohn_count(p: QPoly, radius) -> DiskRootCount:
         h = d
     inside = v + (g.degree - on) // 2
     rest = q // g
-    if rest.degree < 1:
-        return DiskRootCount(p, r, inside, "SchurCohn", on == 0)
     for k in range(1, _BRACKET_BITS + 1):
         inner = gauss_disk_count_strict(rest, _ORIGIN, 1 - Fraction(1, 2 ** k))
         if inner is not None and inner == gauss_disk_count_strict(

@@ -49,14 +49,19 @@ def rational_sqrt(q: Fraction) -> Fraction:
     return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class QPoly:
-    """Dense univariate polynomial over Q, low-degree coefficient first.
+    """Dense univariate polynomial over Q, low-degree coefficient first,
+    an immutable value compared by its coefficients.
 
     The zero polynomial has empty coefficients and degree -1 (flagged by
     is_zero); every other instance keeps a nonzero leading coefficient.
     """
 
+    # slots by hand: on Python 3.11 a frozen slots=True dataclass raises
+    # TypeError, not AttributeError, when an unknown attribute is set
     __slots__ = ("coeffs",)
+    coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [as_rat(c) for c in coeffs]
@@ -91,14 +96,6 @@ class QPoly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -92,6 +92,28 @@ class TestEnumerate:
         got = {m.multipliers: m.epsilon for m in rep.members}
         assert got == {(0, 0): -1, (1, 1, 1): -1, (-1, -1, -1): 1}
 
+    def test_positive_integer_orbits_count_dissections(self):
+        # over Z with entries 1..6, the words of size n <= 8 with M = -Id
+        # are Conway and Coxeter's triangulations of the n-gon, Catalan
+        # C(n - 2) of them, and those with M = +Id are the dissections
+        # with one hexagon (Ovsienko, 2018); each listed class stands for
+        # its dihedral orbit, so a dropped class makes a sum fall short
+        # and a duplicate makes it exceed
+        f = int_field()
+        rep = enumerate_quiddities(f, f.generator(), 8, 6)
+        kept = [m for m in rep.members if min(m.multipliers) >= 1]
+
+        def orbit_sums(members):
+            sums = Counter()
+            for m in members:
+                sums[m.epsilon, m.size] += len(set(dihedral_images(m.multipliers)))
+            return dict(sums)
+
+        want = {(-1, n): c for n, c in zip(range(3, 9), (1, 2, 5, 14, 42, 132))}
+        want.update({(1, 6): 1, (1, 7): 7, (1, 8): 34})
+        assert orbit_sums(kept) == want
+        assert all(orbit_sums(kept[:i] + kept[i + 1:]) != want for i in range(len(kept)))
+
     @pytest.mark.parametrize("name", ["integers", "sqrt2"], ids=["int_field", "sqrt2_field"])
     def test_matches_brute_force(self, name, brute_walks):
         f, walk = brute_walks[name]

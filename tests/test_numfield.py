@@ -780,6 +780,49 @@ class TestNewtonRefinement:
                     refined += 1
         assert steps == [] and refined > 600
 
+    def test_critical_centre_falls_back_to_a_quadtree_step(self, monkeypatch):
+        # the box isolates the root near 0.298 + 1.807i of X^3 + 3X + 2
+        # and is centred on i, where the derivative 3X^2 + 3 vanishes:
+        # Newton gives up at its first step, and one quadtree step gives
+        # it a start off the critical point
+        coeffs = [2, 3, 0, 1]
+        p, width = QPoly(coeffs), F(1, 2**20)
+        box = BoxC.make(F(-9, 10), F(9, 10), F(1, 10), F(19, 10))
+        assert (box.re.mid, box.im.mid) == (0, 1) and p.derivative() == QPoly((3, 0, 3))
+        assert _newton_box(p, box, width) is None
+        steps = []
+        monkeypatch.setattr(numfield_module, "_regrid", lambda grid, b: steps.append(b) or _regrid(grid, b))
+        fine = _refine_one(p, box, width)
+        assert steps == [box] and fine.width <= width and fine.within(box)
+        assert fine.touches(oracle.shrink_box(p, box, F(1, 2**12)))
+        assert _float_inside(fine, _nearest_float_root(coeffs, fine), 1e-12) in (True, None)
+
+    def test_newton_cycle_gives_up(self):
+        # the box isolates the real root near -1.77 of X^3 - 2X + 2, and
+        # Newton's method from its centre 0 runs 0 -> 1 -> 0 and never
+        # settles
+        p = QPoly((2, -2, 0, 1))
+        box = BoxC.make(F(-9, 5), F(9, 5), F(-1, 2), F(1, 2))
+        newton = lambda x: x - p(x) / p.derivative()(x)
+        assert box.re.mid == box.im.mid == 0 and newton(0) == 1 and newton(1) == 0
+        assert _newton_box(p, box, F(1, 2**20)) is None
+
+    def test_neighbour_past_the_edge_fails_pellet(self, monkeypatch):
+        # the box isolates i among the roots +-i and 1/4 +- i of
+        # (X^2 + 1)(X^2 - X/2 + 17/16); Newton converges to i, but the
+        # disk of radius 9/40 it would certify comes within 1/40 of
+        # 1/4 + i, too close for Pellet's test, so refinement takes a
+        # quadtree step first
+        p = QPoly((1, 0, 1)) * QPoly((F(17, 16), F(-1, 2), 1))
+        box = BoxC.make(F(-1, 2), F(9, 40), F(1, 2), F(3, 2))
+        assert not polycrit_module._pellet(*numfield_module._recentre(p.int_coeffs(), 0, 1, F(9, 40)), 1)
+        assert _newton_box(p, box, F(1, 2)) is None
+        steps = []
+        monkeypatch.setattr(numfield_module, "_regrid", lambda grid, b: steps.append(b) or _regrid(grid, b))
+        fine = _refine_one(p, box, F(1, 2))
+        assert steps == [box] and fine.width <= F(1, 2) and fine.within(box)
+        assert fine.re.lo <= 0 <= fine.re.hi and fine.im.lo <= 1 <= fine.im.hi
+
     def test_phi13_at_1024_bits_runs_no_chain(self, monkeypatch):
         # Pellet's test certifies every Newton disk on the way, so no
         # Schur-Cohn chain runs; the box is the one the chain certified
@@ -1019,6 +1062,26 @@ class TestIntegerCells:
         # the boxes isolated before the cells moved onto integer coordinates
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "6421447e7f7ac12a860f1ddef0814eacc5729f1af7cbece0453a7d4d297e026b"
+
+    def test_a_root_on_every_rung_keeps_the_cell(self):
+        # the cell (-1, 1, 0, 1) at unit 1 has centre i/2 and rung radii
+        # 3m/34; a root i(1/2 + 3m/34) on each circle makes every rung's
+        # enclosure count None, so the cell is kept, as the Fraction cell
+        # test keeps it
+        p = QPoly((1,))
+        for m in numfield_module._RUNGS:
+            top = F(1, 2) + F(3 * m, 34)
+            p = p * QPoly((top * top, 0, 1))
+        grid = numfield_module._grid(p.int_coeffs(), real_roots_isolated(p)[0], F(1))
+        cell, enc, bits = (-1, 1, 0, 1), grid[3], grid[4]
+        assert all(
+            numfield_module._enclosure_count(enc, 0, 17, 3 * m, F(1), bits) is None
+            for m in numfield_module._RUNGS
+        )
+        seen = set()
+        assert not oracle.cell_excluded(p, numfield_module._box(cell, F(1)), seen)
+        assert seen == {"none"}
+        assert not numfield_module._cell_excluded(grid, cell)
 
     def test_quarters_match_the_rectangle_split(self):
         rng = random.Random(4)

@@ -500,13 +500,13 @@ def test_schur_cohn_fallback_runs_radius_one_once(monkeypatch):
     assert (got.count, got.boundary_clear) == (1, True)
     assert radii == [1, F(1, 2), F(3, 2), F(3, 4), F(5, 4)]
     # +-i twice on the circle and the inverse pair 2, 1/2: the gcd with
-    # the reverse takes all six roots, so the count is 1/2 alone and no
-    # bracket runs
+    # the reverse takes all six roots, so the count is 1/2 alone and the
+    # bracket's first step counts the constant rest 0 at 1/2 and 3/2
     p = QPoly((1, 0, 1)) * QPoly((1, 0, 1)) * QPoly((-2, 1)) * QPoly((F(-1, 2), 1))
     radii.clear()
     got = schur_cohn_count(p, 1)
     assert (got.count, got.boundary_clear) == (1, False)
-    assert radii == [1]
+    assert radii == [1, F(1, 2), F(3, 2)]
     assert got == oracle.schur_cohn_count(p, 1)
 
 

@@ -54,6 +54,17 @@ def test_zero_and_degree():
     assert QPoly((0, 0, F(1, 2))).degree == 2
 
 
+def test_qpoly_is_an_immutable_value():
+    # a polynomial, and so the field it defines, cannot change once built:
+    # assigning any attribute raises, and equal polynomials hash equal
+    sqrt2 = quiddity.field_make(QPoly((-2, 0, 1)), root_hint=quiddity.BoxC.make(1, 2, 0, 0))
+    for p in (QPoly((1, 2)), QPoly(()), sqrt2.min_poly):
+        for name in ("coeffs", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, (5, 1))
+    assert sqrt2.min_poly == QPoly((F(-2), 0, 1)) and hash(sqrt2.min_poly) == hash(QPoly((-2, 0, 1)))
+
+
 def test_arith_known():
     p = QPoly((1, 2))      # 1 + 2X
     q = QPoly((-1, 0, 1))  # X^2 - 1

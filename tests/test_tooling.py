@@ -352,6 +352,22 @@ def test_field_elements_hold_one_representation():
     assert found == []
 
 
+def test_value_types_write_no_equality_or_guard():
+    # the value types are frozen dataclasses, which derive equality, the
+    # hash and the refusal to assign from the fields they declare
+    generated = {"__eq__", "__hash__", "__setattr__"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if (isinstance(node, ast.FunctionDef) and node.name in generated)
+        or (isinstance(node, ast.Assign) and any(getattr(t, "id", None) in generated for t in node.targets))
+    ]
+    assert found == []
+
+
 def test_searches_run_on_the_kernel():
     # the searches run on the word kernel alone and the Mat2 route only
     # certifies their results; a search that multiplied out a word there
