@@ -29,9 +29,8 @@ Everything downstream consumes the canonical report.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from typing import Optional
@@ -77,12 +76,7 @@ class CensusMember:
         return len(self.multipliers)
 
     def to_json(self) -> dict:
-        return {
-            "multipliers": list(self.multipliers),
-            "epsilon": self.epsilon,
-            "reducible": self.reducible,
-            "witness": self.witness.to_json() if self.witness else None,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,6 @@ class EnumerationReport:
     k_bound: int
     members: tuple[CensusMember, ...]
     irreducible: Optional[tuple[CensusMember, ...]]
-    elapsed: float
 
     @property
     def counts(self) -> dict[int, int]:
@@ -108,8 +101,6 @@ class EnumerationReport:
         }
 
     def to_json(self) -> dict:
-        # elapsed stays in memory only so identical configs serialize
-        # byte-identically
         return {
             **self._header(),
             "generator": coords_to_json(self.generator),
@@ -149,12 +140,7 @@ class ClassificationOutcome:
     sqrt_k: Optional[int] = None
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "justification": self.justification,
-            "notes": self.notes,
-            "sqrt_k": self.sqrt_k,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +169,6 @@ def enumerate_quiddities(
     if n_max < 1 or k_bound < 0:
         raise ValueError("need n_max >= 1 and k_bound >= 0")
     _check_generator(field, w)
-    start = time.monotonic()
     found: dict[tuple[int, ...], int] = {}
     # over <0> every multiplier gives the entry 0, so the pool is {0}
     top = 0 if w.is_zero else k_bound
@@ -238,7 +223,6 @@ def enumerate_quiddities(
         k_bound=k_bound,
         members=members,
         irreducible=None,
-        elapsed=time.monotonic() - start,
     )
 
 

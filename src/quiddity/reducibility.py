@@ -34,7 +34,7 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .core import (
@@ -63,14 +63,7 @@ class ReductionWitness:
     epsilon_b: int
 
     def to_json(self) -> dict:
-        return {
-            "rotation": self.rotation,
-            "reflected": self.reflected,
-            "split_m": self.split_m,
-            "a_multipliers": list(self.a_multipliers),
-            "b_multipliers": list(self.b_multipliers),
-            "epsilon_b": self.epsilon_b,
-        }
+        return asdict(self)
 
 
 def _image(ks: Sequence[int], rotation: int, reflected: bool) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbit_oracle import orbit_sums, word_counts
 from quiddity.classify import (
     _complex_ab_product_ge_one,
     _is_canonical_hit,
@@ -34,6 +35,7 @@ from quiddity.core import (
 from quiddity.numfield import BoxC, FieldElement, field_make
 from quiddity.polynomials import QPoly
 from quiddity.reducibility import NotAQuiddity, find_reduction, witness_replay
+from quiddity.verify import field_golden
 
 
 def int_field():
@@ -102,15 +104,8 @@ class TestEnumerate:
         f = int_field()
         rep = enumerate_quiddities(f, f.generator(), 8, 6)
         kept = [m for m in rep.members if min(m.multipliers) >= 1]
-
-        def orbit_sums(members):
-            sums = Counter()
-            for m in members:
-                sums[m.epsilon, m.size] += len(set(dihedral_images(m.multipliers)))
-            return dict(sums)
-
-        want = {(-1, n): c for n, c in zip(range(3, 9), (1, 2, 5, 14, 42, 132))}
-        want.update({(1, 6): 1, (1, 7): 7, (1, 8): 34})
+        want = {(n, -1): c for n, c in zip(range(3, 9), (1, 2, 5, 14, 42, 132))}
+        want.update({(6, 1): 1, (7, 1): 7, (8, 1): 34})
         assert orbit_sums(kept) == want
         assert all(orbit_sums(kept[:i] + kept[i + 1:]) != want for i in range(len(kept)))
 
@@ -319,6 +314,59 @@ class TestEnumerate:
         f = int_field()
         with pytest.raises(ValueError):
             enumerate_quiddities(f, f.generator(), 0, 2)
+
+    @pytest.mark.parametrize("make", [int_field, zeta8_field], ids=["int_field", "zeta8_field"])
+    def test_reports_of_one_input_are_equal(self, make):
+        # a report holds only the answer, so two runs of one enumeration,
+        # and their censuses, are the same value
+        f = make()
+        a, b = (enumerate_quiddities(f, f.generator(), 6, 2) for _ in range(2))
+        assert a == b and hash(a) == hash(b)
+        a, b = irreducible_census(a), irreducible_census(b)
+        assert a == b and hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# Orbit counts: the dedup layer against words counted with no dedup.
+# ---------------------------------------------------------------------------
+
+
+ORBIT_CENSUSES = {
+    "integers": (int_field, 9, 3, 52060),
+    "golden": (field_golden, 10, 2, 11493),
+    "zeta8": (zeta8_field, 10, 2, 10945),
+    "1/2": (lambda: field_make(QPoly((F(-1, 2), 1))), 9, 3, 25226),
+    "2/3": (lambda: field_make(QPoly((F(-2, 3), 1))), 9, 3, 3142),
+}
+
+
+@pytest.fixture(scope="module")
+def orbit_censuses():
+    reports = {}
+    for name, (make, n_max, k_bound, _) in ORBIT_CENSUSES.items():
+        f = make()
+        reports[name] = enumerate_quiddities(f, f.generator(), n_max, k_bound)
+    return reports
+
+
+class TestOrbitCounts:
+    @pytest.mark.parametrize("name", list(ORBIT_CENSUSES))
+    def test_orbit_sums_match_word_counts(self, name, orbit_censuses):
+        # each listed class stands for its dihedral orbit, so per size and
+        # sign the orbit sizes add up to the words counted with no dedup
+        rep = orbit_censuses[name]
+        counts = word_counts(rep.generator, rep.n_max, rep.k_bound)
+        assert sum(counts.values()) == ORBIT_CENSUSES[name][3]
+        assert orbit_sums(rep.members) == counts
+
+    @pytest.mark.parametrize("name", list(ORBIT_CENSUSES))
+    def test_negation_closure(self, name, orbit_censuses):
+        # E(-x) = -D*E(x)*D with D = diag(1, -1), so negating a word of
+        # size n multiplies its sign by (-1)^n
+        got = {m.multipliers: m.epsilon for m in orbit_censuses[name].members}
+        for ks, eps in got.items():
+            negated = canonical_multipliers(tuple(-k for k in ks))
+            assert got.get(negated) == (-1) ** len(ks) * eps, ks
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ class TestFindReduction:
             (-big, 0, big, 0),
         ] + [m.multipliers for m in enumerate_quiddities(f, w, 7, 2).members]
         members = tuple(CensusMember(ks, is_quiddity(zt(f, ks))) for ks in words)
-        report = EnumerationReport(f, w, 4, 1, members, None, 0.0)
+        report = EnumerationReport(f, w, 4, 1, members, None)
         census = irreducible_census(report)
         assert [m.witness for m in census.members if m.size >= 3] == [
             find_reduction(zt(f, ks)) for ks in words if len(ks) >= 3

@@ -476,6 +476,29 @@ def test_circle_multiplicities_need_no_squarefree_decomposition():
     assert not any(isinstance(n, ast.Attribute) and n.attr == "gcd" for n in ast.walk(yun[0]))
 
 
+def _dedup_layer_uses(tree):
+    """Lines of the tree that import from `quiddity.classify` or name the
+    canonical form or the canonical-hit test."""
+    named = {"canonical_multipliers", "_is_canonical_hit"}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "quiddity.classify")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "classify" for a in node.names))
+        or (isinstance(node, ast.Import) and any(a.name == "quiddity.classify" for a in node.names))
+        or (isinstance(node, ast.Name) and node.id in named)
+        or (isinstance(node, ast.Attribute) and node.attr in named)
+        or (isinstance(node, ast.alias) and node.name in named)
+    ]
+
+
+def test_orbit_oracle_stays_out_of_the_dedup_layer():
+    # the word counts check the census's dedup, so they must not reach it
+    planted = "from quiddity.classify import enumerate_quiddities\n"
+    assert _dedup_layer_uses(ast.parse(planted)) == [1]
+    assert _dedup_layer_uses(ast.parse((TESTS / "orbit_oracle.py").read_text())) == []
+
+
 def test_one_dominance_test_in_polycrit():
     # T_0, the one-root test and the dominant-term count are all Pellet's
     # test; a second copy of its modulus bounds would be a second path
